@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race bench bench-gated bench-compare examples docs lint staticcheck fmt clean
+.PHONY: all build test race bench bench-gated bench-compare bench-module examples docs lint staticcheck fmt clean
 
 all: lint build test
 
@@ -60,6 +60,13 @@ OLD ?= bench-old.txt
 NEW ?= bench-new.txt
 bench-compare:
 	$(GO) run ./cmd/benchgate -match 'E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
+
+# The end-to-end benchmark is a nested module (bench/go.mod), so the
+# root build, vet and test skip it; it imports internal names, so vet and
+# test it on its own (vet, not build: `go build ./...` inside bench/
+# writes a bench/bench binary into the tree).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -254,15 +254,21 @@ func BenchmarkE12ListingOverhead(b *testing.B) {
 		sp.DropCache()
 		sp.ResetStats()
 		var n uint64
-		trienum.CacheAware(sp, g, 12, graph.Counter(&n))
+		_, workerStats, err := trienum.CacheAwareParallel(sp, g, 12, trienum.Exec{}, graph.Counter(&n))
+		if err != nil {
+			b.Fatal(err)
+		}
 		sp.Flush()
 		enum := sp.Stats().IOs()
+		for _, w := range workerStats {
+			enum += w.IOs()
+		}
 		sp.DropCache()
 		sp.ResetStats()
-		list, _ := trienum.ListTriangles(sp, g, 12,
-			func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-				return trienum.CacheAware(sp, g, seed, emit)
-			})
+		list, _, err := trienum.ListTriangles(sp, g, 12, trienum.Exec{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		sp.Flush()
 		lst := sp.Stats().IOs()
 		ratio = (float64(lst) - 2*float64(enum)) / (2 * float64(list.Len()) / float64(m.B))
@@ -283,16 +289,24 @@ func BenchmarkE13ParallelWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var last Result
 			for i := 0; i < b.N; i++ {
-				res, err := Count(edges, Config{MemoryWords: 1 << 12, BlockWords: 1 << 6, Seed: 3, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
+				last = buildAndCount(b, edges, Options{MemoryWords: 1 << 12, BlockWords: 1 << 6, Workers: w}, Query{Seed: 3})
 			}
 			b.ReportMetric(float64(last.Stats.IOs()), "IOs")
 			b.ReportMetric(float64(last.Subproblems), "subproblems")
 		})
 	}
+}
+
+// buildAndCount is the end-to-end pipeline the E13/E14/E16 and public-API
+// benchmarks time: Build (the O(sort(E)) canonicalization) plus one
+// counting TrianglesFunc query, whose Result it returns.
+func buildAndCount(b *testing.B, edges [][2]uint32, opts Options, q Query) Result {
+	b.Helper()
+	res, err := buildQuery(edges, opts, q, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // benchWorkerCounts returns the sorted distinct worker counts to sweep.
@@ -312,12 +326,7 @@ func BenchmarkE14ParallelDeterministic(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var ios uint64
 			for i := 0; i < b.N; i++ {
-				res, err := Count(edges, Config{
-					Algorithm: Deterministic, MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: w,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := buildAndCount(b, edges, Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: w}, Query{Algorithm: Deterministic})
 				ios = res.Stats.IOs()
 			}
 			b.ReportMetric(float64(ios), "IOs")
@@ -380,11 +389,7 @@ func BenchmarkE16ParallelPipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var last Result
 			for i := 0; i < b.N; i++ {
-				res, err := Count(edges, Config{MemoryWords: 1 << 12, BlockWords: 1 << 6, Seed: 7, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
+				last = buildAndCount(b, edges, Options{MemoryWords: 1 << 12, BlockWords: 1 << 6, Workers: w}, Query{Seed: 7})
 			}
 			b.ReportMetric(float64(last.Stats.IOs()), "IOs")
 			b.ReportMetric(float64(last.CanonIOs), "canonIOs")
@@ -694,10 +699,7 @@ func BenchmarkEnumeratePublicAPI(b *testing.B) {
 		b.Run(alg.String(), func(b *testing.B) {
 			var ios uint64
 			for i := 0; i < b.N; i++ {
-				res, err := Count(edges, Config{Algorithm: alg, MemoryWords: 1 << 12, BlockWords: 1 << 6, Seed: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := buildAndCount(b, edges, Options{MemoryWords: 1 << 12, BlockWords: 1 << 6}, Query{Algorithm: alg, Seed: 3})
 				ios = res.Stats.IOs()
 			}
 			b.ReportMetric(float64(ios), "IOs")

@@ -79,6 +79,28 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection-level deadlines of both listeners. A client gets
+// readHeaderTimeout to send its request headers — a slowloris peer that
+// trickles them is dropped — and an idle keep-alive connection is closed
+// after idleTimeout. No WriteTimeout is set: query and subscription
+// streams are long-lived by design, and their pacing is the client's
+// backpressure.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener's http.Server with the daemon's
+// connection deadlines.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // multiFlag collects repeated id=value flags.
 type multiFlag []string
 
@@ -147,7 +169,7 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ps = &http.Server{Addr: *pprofAddr, Handler: pmux}
+		ps = newHTTPServer(*pprofAddr, pmux)
 		go func() {
 			if err := ps.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("pprof listener: %v", err)
@@ -156,7 +178,7 @@ func main() {
 		log.Printf("pprof listening on %s", *pprofAddr)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	log.Printf("trienumd listening on %s", *addr)

@@ -10,15 +10,21 @@ import (
 	"repro"
 )
 
-// The basic use: enumerate the triangles of an edge list.
-func ExampleEnumerate() {
+// The basic use: build a handle over an edge list and enumerate its
+// triangles.
+func ExampleBuild() {
 	edges := [][2]uint32{
 		{0, 1}, {1, 2}, {0, 2}, // triangle 0-1-2
 		{2, 3}, {3, 4}, {2, 4}, // triangle 2-3-4
 		{4, 5}, // dangling edge
 	}
+	g, err := repro.Build(repro.FromEdges(edges), repro.Options{})
+	if err != nil {
+		panic(err)
+	}
+	defer g.Close()
 	var found [][3]uint32
-	res, err := repro.Enumerate(edges, repro.Config{}, func(a, b, c uint32) {
+	res, err := g.TrianglesFunc(context.Background(), repro.Query{}, func(a, b, c uint32) {
 		found = append(found, [3]uint32{a, b, c})
 	})
 	if err != nil {
@@ -35,18 +41,18 @@ func ExampleEnumerate() {
 	// triangles: 2
 }
 
-// Counting triangles of a generated workload with an explicit machine.
-func ExampleCount() {
-	edges, err := repro.Generate("clique:n=20", 0)
+// Counting the triangles of a generated workload on an explicit machine:
+// a nil emit counts only.
+func ExampleGraph_TrianglesFunc() {
+	g, err := repro.Build(repro.FromSpec("clique:n=20"), repro.Options{
+		MemoryWords: 1 << 12,
+		BlockWords:  1 << 5,
+	})
 	if err != nil {
 		panic(err)
 	}
-	res, err := repro.Count(edges, repro.Config{
-		Algorithm:   repro.CacheOblivious,
-		MemoryWords: 1 << 12,
-		BlockWords:  1 << 5,
-		Seed:        7,
-	})
+	defer g.Close()
+	res, err := g.TrianglesFunc(context.Background(), repro.Query{Algorithm: repro.CacheOblivious, Seed: 7}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -61,8 +67,12 @@ func ExampleParseAlgorithm() {
 	if err != nil {
 		panic(err)
 	}
-	edges, _ := repro.Generate("gnm:n=64,m=256", 1)
-	res, err := repro.Count(edges, repro.Config{Algorithm: alg})
+	g, err := repro.Build(repro.FromSpec("gnm:n=64,m=256"), repro.Options{Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	defer g.Close()
+	res, err := g.TrianglesFunc(context.Background(), repro.Query{Algorithm: alg}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -174,10 +184,14 @@ func ExampleQuery() {
 // All algorithms agree on every input; the randomized ones are
 // deterministic in their seed.
 func ExampleAlgorithms() {
-	edges, _ := repro.Generate("planted:n=100,m=300,k=8", 5)
+	g, err := repro.Build(repro.FromSpec("planted:n=100,m=300,k=8"), repro.Options{Seed: 5})
+	if err != nil {
+		panic(err)
+	}
+	defer g.Close()
 	counts := map[uint64]bool{}
 	for _, alg := range repro.Algorithms() {
-		res, err := repro.Count(edges, repro.Config{Algorithm: alg, Seed: 3})
+		res, err := g.TrianglesFunc(context.Background(), repro.Query{Algorithm: alg, Seed: 3}, nil)
 		if err != nil {
 			panic(err)
 		}

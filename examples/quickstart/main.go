@@ -51,11 +51,4 @@ func main() {
 	}
 	fmt.Printf("\nout-of-core run: E=%d (16x memory), %d triangles, %d I/Os, %d color classes\n",
 		bigRes.Edges, bigRes.Triangles, bigRes.Stats.IOs(), bigRes.Colors*bigRes.Colors)
-
-	// One-shot compatibility shim, equivalent to Build + TrianglesFunc:
-	one, err := repro.Count(edges, repro.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("one-shot Count agrees: %d triangles\n", one.Triangles)
 }

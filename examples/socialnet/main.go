@@ -33,10 +33,10 @@ func main() {
 	sp.DropCache()
 	sp.ResetStats()
 
-	profile := analytics.Compute(sp, g, 1,
-		func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, seed, emit)
-		})
+	profile, err := analytics.Compute(sp, g, 1, trienum.Exec{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("network: %d users, %d friendships (E/M = %.0fx memory)\n",
 		g.NumVertices, g.Edges.Len(), float64(g.Edges.Len())/float64(memoryWords))
 	fmt.Printf("triangles:                   %d\n", profile.Total)
@@ -50,27 +50,42 @@ func main() {
 			g.RankToID[vc.Rank], vc.Triangles, profile.LocalClustering(g, vc.Rank))
 	}
 
+	// The paper's algorithms run on the worker-pool engine; their I/Os are
+	// the coordinator's plus every worker's. The baselines are sequential.
 	fmt.Println("\nI/O comparison, same machine, enumeration only:")
+	sequential := func(run func(context.Context, *extmem.Space, graph.Canonical, graph.Emit) (trienum.Info, error)) func(*extmem.Space, graph.Canonical, graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		return func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			info, err := run(nil, sp, g, e)
+			return info, nil, err
+		}
+	}
 	runs := []struct {
 		name string
-		run  func(*extmem.Space, graph.Canonical, graph.Emit) trienum.Info
+		run  func(*extmem.Space, graph.Canonical, graph.Emit) (trienum.Info, []extmem.Stats, error)
 	}{
-		{"cacheaware (PS'14 §2)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, 1, e)
+		{"cacheaware (PS'14 §2)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.CacheAwareParallel(sp, g, 1, trienum.Exec{}, e)
 		}},
-		{"oblivious  (PS'14 §3)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) trienum.Info {
-			return trienum.Oblivious(sp, g, 1, e)
+		{"oblivious  (PS'14 §3)", func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.ObliviousParallel(sp, g, 1, trienum.Exec{}, e)
 		}},
-		{"hutaochung (SIGMOD'13)", trienum.HuTaoChung},
-		{"edgeiterator", baseline.EdgeIterator},
+		{"hutaochung (SIGMOD'13)", sequential(trienum.HuTaoChung)},
+		{"edgeiterator", sequential(baseline.EdgeIterator)},
 	}
 	for _, r := range runs {
 		sp.DropCache()
 		sp.ResetStats()
 		var n uint64
-		info := r.run(sp, g, graph.Counter(&n))
+		info, workerStats, err := r.run(sp, g, graph.Counter(&n))
+		if err != nil {
+			log.Fatal(err)
+		}
 		sp.Flush()
-		fmt.Printf("  %-24s %9d I/Os  (Lemma-1 vertices: %d)\n", r.name, sp.Stats().IOs(), info.HighDegVertices)
+		ios := sp.Stats().IOs()
+		for _, w := range workerStats {
+			ios += w.IOs()
+		}
+		fmt.Printf("  %-24s %9d I/Os  (Lemma-1 vertices: %d)\n", r.name, ios, info.HighDegVertices)
 	}
 	if err := checkConsistency(profile.Total); err != nil {
 		log.Fatal(err)

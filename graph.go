@@ -149,11 +149,10 @@ type generation struct {
 }
 
 // Build ingests edges from src, canonicalizes them once — O(sort(E))
-// I/Os, run on the parallel external-memory sorts at Options.Workers
-// unless Options.SequentialCanon is set — and freezes the canonical
-// region into the handle's immutable core. Graphs with Options.DiskPath
-// set leave the canonical image in the file at that path and serve
-// queries from it; Close the handle to release it.
+// I/Os, run on the parallel external-memory sorts at Options.Workers —
+// and freezes the canonical region into the handle's immutable core.
+// Graphs with Options.DiskPath set leave the canonical image in the file
+// at that path and serve queries from it; Close the handle to release it.
 func Build(src Source, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -187,21 +186,16 @@ func Build(src Source, opts Options) (*Graph, error) {
 		el.Add(e[0], e[1])
 	}
 	rawLen := int64(el.Len())
-	var cg graph.Canonical
+	// The parallel sort workers' I/Os are part of the canonicalization
+	// cost; the sorts are byte-identical to the sequential ones at every
+	// worker count (including 1), so CanonIOs is invariant in
+	// Options.Workers.
 	var canonWS []extmem.Stats
-	if opts.SequentialCanon {
-		cg = graph.CanonicalizeList(sp, el)
-	} else {
-		// The parallel sort workers' I/Os are part of the canonicalization
-		// cost; the sorts are byte-identical to the sequential ones at
-		// every worker count (including 1), so CanonIOs is invariant in
-		// Options.Workers.
-		workers := opts.workers()
-		sorter := func(ext extmem.Extent, stride int, key emsort.Key) {
-			canonWS = extmem.AddStatsVec(canonWS, emsort.ParallelSortRecords(ext, stride, key, workers))
-		}
-		cg = graph.Canonicalize(sp, el.Write(sp), sorter)
+	workers := opts.workers()
+	sorter := func(ext extmem.Extent, stride int, key emsort.Key) {
+		canonWS = extmem.AddStatsVec(canonWS, emsort.ParallelSortRecords(ext, stride, key, workers))
 	}
+	cg := graph.Canonicalize(sp, el.Write(sp), sorter)
 	canonStats := sp.Stats()
 	for _, w := range canonWS {
 		canonStats.Add(w)

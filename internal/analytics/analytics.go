@@ -26,15 +26,20 @@ type Profile struct {
 	Wedges uint64
 }
 
-// Compute runs the given enumeration algorithm and aggregates per-vertex
-// triangle counts with sorting and scanning: O(sort(t) + sort(E)) I/Os on
-// top of the enumeration itself.
-func Compute(sp *extmem.Space, g graph.Canonical, seed uint64, run trienum.Lister) Profile {
+// Compute lists the triangles with the cache-aware engine
+// (trienum.ListTriangles, which absorbs the workers' I/Os into sp) and
+// aggregates per-vertex triangle counts with sorting and scanning:
+// O(sort(t) + sort(E)) I/Os on top of the enumeration itself. A non-nil
+// error is exec.Ctx's cancellation error.
+func Compute(sp *extmem.Space, g graph.Canonical, seed uint64, exec trienum.Exec) (Profile, error) {
 	v := int64(g.NumVertices)
 	counts := sp.Alloc(v)
 	p := Profile{Counts: counts}
 
-	list, _ := trienum.ListTriangles(sp, g, seed, run)
+	list, _, err := trienum.ListTriangles(sp, g, seed, exec)
+	if err != nil {
+		return p, err
+	}
 	t := trienum.ListLen(list)
 	p.Total = uint64(t)
 
@@ -47,7 +52,7 @@ func Compute(sp *extmem.Space, g graph.Canonical, seed uint64, run trienum.Liste
 		flat.Write(3*i+1, extmem.Word(b))
 		flat.Write(3*i+2, extmem.Word(c))
 	}
-	emsort.Sort(flat, emsort.Identity)
+	emsort.SortRecords(flat, 1, emsort.Identity)
 	var pos int64
 	for r := int64(0); r < v; r++ {
 		var n extmem.Word
@@ -64,7 +69,7 @@ func Compute(sp *extmem.Space, g graph.Canonical, seed uint64, run trienum.Liste
 		d := g.Degrees.Read(r)
 		p.Wedges += d * (d - 1) / 2
 	}
-	return p
+	return p, nil
 }
 
 // GlobalClustering returns the global clustering coefficient (transitivity)

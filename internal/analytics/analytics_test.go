@@ -13,15 +13,20 @@ func newSpace() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: 1 << 12, B: 1 << 6})
 }
 
-func cacheAware(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-	return trienum.CacheAware(sp, g, seed, emit)
+func compute(t *testing.T, sp *extmem.Space, g graph.Canonical, seed uint64, workers int) Profile {
+	t.Helper()
+	p, err := Compute(sp, g, seed, trienum.Exec{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func profileOf(t *testing.T, el graph.EdgeList) (Profile, graph.Canonical) {
 	t.Helper()
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	return Compute(sp, g, 1, cacheAware), g
+	return compute(t, sp, g, 1, 1), g
 }
 
 func TestProfileClique(t *testing.T) {
@@ -64,7 +69,7 @@ func TestProfileAgainstOracle(t *testing.T) {
 	oracle := graph.NewOracle(el)
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	p := Compute(sp, g, 5, cacheAware)
+	p := compute(t, sp, g, 5, 4)
 	if p.Total != oracle.Count() {
 		t.Fatalf("total %d, oracle %d", p.Total, oracle.Count())
 	}
@@ -103,7 +108,7 @@ func TestTopK(t *testing.T) {
 	el := graph.PlantedClique(200, 300, 12, 9)
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	p := Compute(sp, g, 2, cacheAware)
+	p := compute(t, sp, g, 2, 4)
 	top := p.TopK(12)
 	if len(top) != 12 {
 		t.Fatalf("topk returned %d", len(top))
@@ -139,14 +144,28 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 	}
 }
 
+// TestProfileWithObliviousEnumerator cross-checks the profile against a
+// second algorithm: the per-vertex counts equal those tallied from the
+// oblivious engine's stream.
 func TestProfileWithObliviousEnumerator(t *testing.T) {
 	el := graph.GNM(80, 500, 3)
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	p := Compute(sp, g, 4, func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-		return trienum.Oblivious(sp, g, seed, emit)
-	})
+	p := compute(t, sp, g, 4, 4)
+	want := make([]uint64, g.NumVertices)
+	if _, _, err := trienum.ObliviousParallel(sp, g, 4, trienum.Exec{Workers: 4}, func(a, b, c uint32) {
+		want[a]++
+		want[b]++
+		want[c]++
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if p.Total != graph.NewOracle(el).Count() {
-		t.Error("oblivious-backed profile wrong")
+		t.Error("profile total wrong")
+	}
+	for r, n := range want {
+		if got := uint64(p.Counts.Read(int64(r))); got != n {
+			t.Errorf("rank %d: profile %d, oblivious engine %d", r, got, n)
+		}
 	}
 }

@@ -9,8 +9,10 @@
 //   - trienum.Dementiev: sort-based node iterator, O(sort(E^1.5)) I/Os.
 //   - trienum.HuTaoChung: the SIGMOD 2013 algorithm, O(E²/(M·B)) I/Os.
 //
-// All consume graphs in canonical form and honor the same emit contract as
-// the paper's algorithms.
+// All consume graphs in canonical form, honor the same emit contract as
+// the paper's algorithms, and take a context (which may be nil) as their
+// first argument: a cancelled run returns ctx.Err(), and the rows emitted
+// before it are a prefix of the full stream.
 package baseline
 
 import (
@@ -30,17 +32,9 @@ const edgeIterCheckEvery = 512
 // loop joins: E(v1,v2) ⋈ E(v2,v3) produces a wedge stream that is buffered
 // in memory and closed against E(v1,v3) one buffer-load at a time. This is
 // the O(E³/(M²·B)) plan the introduction says any relational engine could
-// run; it is competitive only when E is close to M.
-func BlockNestedLoop(sp *extmem.Space, g graph.Canonical, emit graph.Emit) trienum.Info {
-	info, _ := BlockNestedLoopCtx(nil, sp, g, emit)
-	return info
-}
-
-// BlockNestedLoopCtx is BlockNestedLoop with cooperative cancellation
-// between the outer build-side chunks — the plan's pass boundaries. On
-// cancellation it returns ctx.Err(); the rows emitted before it are a
-// prefix of the full stream. A nil ctx never cancels.
-func BlockNestedLoopCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error) {
+// run; it is competitive only when E is close to M. ctx is checked between
+// the outer build-side chunks — the plan's pass boundaries.
+func BlockNestedLoop(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error) {
 	var info trienum.Info
 	n := g.Edges.Len()
 	if n == 0 {
@@ -116,17 +110,9 @@ func BlockNestedLoopCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical
 // EdgeIterator enumerates triangles by intersecting the forward adjacency
 // lists of each edge's endpoints (Menegola's external-memory edge
 // iterator): O(E + E^1.5/B) I/Os — the E term is the per-edge random
-// access into the adjacency index.
-func EdgeIterator(sp *extmem.Space, g graph.Canonical, emit graph.Emit) trienum.Info {
-	info, _ := EdgeIteratorCtx(nil, sp, g, emit)
-	return info
-}
-
-// EdgeIteratorCtx is EdgeIterator with cooperative cancellation every
-// edgeIterCheckEvery edges of the outer scan. On cancellation it returns
-// ctx.Err(); the triangles emitted before it are a prefix of the full
-// stream. A nil ctx never cancels.
-func EdgeIteratorCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error) {
+// access into the adjacency index. ctx is checked every
+// edgeIterCheckEvery edges of the outer scan.
+func EdgeIterator(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error) {
 	var info trienum.Info
 	n := g.Edges.Len()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/extmem"
@@ -14,7 +15,7 @@ func newSpace() *extmem.Space {
 
 type runner struct {
 	name string
-	run  func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) trienum.Info
+	run  func(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error)
 }
 
 var runners = []runner{
@@ -42,9 +43,12 @@ func TestBaselinesAgainstOracle(t *testing.T) {
 			sp := newSpace()
 			g := graph.CanonicalizeList(sp, el)
 			var got []graph.Triple
-			info := r.run(sp, g, func(a, b, c uint32) {
+			info, err := r.run(nil, sp, g, func(a, b, c uint32) {
 				got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, r.name, err)
+			}
 			if ok, diag := oracle.SameSet(got); !ok {
 				t.Errorf("%s/%s: wrong set (want %d got %d): %s", name, r.name, oracle.Count(), len(got), diag)
 			}
@@ -62,9 +66,11 @@ func TestBaselinesTinyMemory(t *testing.T) {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		var got []graph.Triple
-		r.run(sp, g, func(a, b, c uint32) {
+		if _, err := r.run(nil, sp, g, func(a, b, c uint32) {
 			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-		})
+		}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 		if ok, diag := oracle.SameSet(got); !ok {
 			t.Errorf("%s under tiny memory: %s", r.name, diag)
 		}
@@ -77,11 +83,13 @@ func TestEmitOrdering(t *testing.T) {
 		sp := newSpace()
 		g := graph.CanonicalizeList(sp, el)
 		bad := 0
-		r.run(sp, g, func(a, b, c uint32) {
+		if _, err := r.run(nil, sp, g, func(a, b, c uint32) {
 			if !(a < b && b < c) {
 				bad++
 			}
-		})
+		}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 		if bad > 0 {
 			t.Errorf("%s: %d unsorted emissions", r.name, bad)
 		}
@@ -92,16 +100,18 @@ func TestHuTaoChungIOBeatsNestedLoopWhenMemorySmall(t *testing.T) {
 	// With E >> M, the SIGMOD'13 algorithm must use far fewer I/Os than
 	// block-nested-loop join: E²/(MB) vs E³/(M²B).
 	el := graph.GNM(220, 4000, 10)
-	measure := func(run func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) trienum.Info) uint64 {
+	measure := func(r runner) uint64 {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		sp.DropCache()
 		sp.ResetStats()
-		run(sp, g, func(a, b, c uint32) {})
+		if _, err := r.run(nil, sp, g, func(a, b, c uint32) {}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 		return sp.Stats().IOs()
 	}
-	bnl := measure(BlockNestedLoop)
-	htc := measure(trienum.HuTaoChung)
+	bnl := measure(runners[0])
+	htc := measure(runners[2])
 	if htc >= bnl {
 		t.Errorf("HuTaoChung %d I/Os >= BlockNestedLoop %d I/Os; expected clear win at E>>M", htc, bnl)
 	}

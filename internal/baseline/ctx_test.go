@@ -22,11 +22,11 @@ func TestBaselineCtxCancellation(t *testing.T) {
 
 	engines := map[string]func(ctx context.Context, emit graph.Emit) error{
 		"nestedloop": func(ctx context.Context, emit graph.Emit) error {
-			_, err := BlockNestedLoopCtx(ctx, sp, g, emit)
+			_, err := BlockNestedLoop(ctx, sp, g, emit)
 			return err
 		},
 		"edgeiterator": func(ctx context.Context, emit graph.Emit) error {
-			_, err := EdgeIteratorCtx(ctx, sp, g, emit)
+			_, err := EdgeIterator(ctx, sp, g, emit)
 			return err
 		},
 	}

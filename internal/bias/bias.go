@@ -19,7 +19,8 @@
 // to enumerate in a simulation, so Family takes its size as a parameter
 // and the caller (the derandomized algorithm) verifies the paper's
 // invariant (4) at run time after greedily selecting from the enumerated
-// prefix. See DESIGN.md §2 for the substitution note.
+// prefix. See the "Substitutions" section of ARCHITECTURE.md for the
+// substitution note.
 package bias
 
 import "math/bits"

@@ -22,13 +22,8 @@ func TestParallelSortCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, sort := range map[string]func() ([]extmem.Stats, error){
-		"multiway": func() ([]extmem.Stats, error) { return ParallelSortRecordsCtx(ctx, ext, 1, Identity, 2) },
-		"funnel":   func() ([]extmem.Stats, error) { return ParallelFunnelSortRecordsCtx(ctx, ext, 1, Identity, 2) },
-	} {
-		if _, err := sort(); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: pre-cancelled context returned %v, want context.Canceled", name, err)
-		}
+	if _, err := ParallelSortRecordsCtx(ctx, ext, 1, Identity, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled context returned %v, want context.Canceled", err)
 	}
 	// First element still unsorted: no partial fallback ran.
 	if ext.Read(0) == 1 {

@@ -2,18 +2,20 @@
 //
 // Three sorters are provided:
 //
-//   - Sort: cache-aware multiway mergesort. Runs of Θ(M) words are formed
-//     in internal memory, then merged Θ(M/B) ways per pass, achieving the
-//     optimal sort(n) = O((n/B)·log_{M/B}(n/B)) I/Os.
-//   - ObliviousSort: cache-oblivious bottom-up binary mergesort using no
-//     knowledge of M or B; O((n/B)·log2(n)) I/Os. Simple and robust; used
-//     as the reference oblivious sorter.
-//   - FunnelSort: cache-oblivious lazy funnelsort (Frigo et al.; lazy
-//     variant of Brodal–Fagerberg) achieving the optimal
+//   - SortRecords: cache-aware multiway mergesort. Runs of Θ(M) words are
+//     formed in internal memory, then merged Θ(M/B) ways per pass,
+//     achieving the optimal sort(n) = O((n/B)·log_{M/B}(n/B)) I/Os.
+//   - ObliviousSortRecords: cache-oblivious bottom-up binary mergesort
+//     using no knowledge of M or B; O((n/B)·log2(n)) I/Os. Simple and
+//     robust; used as the reference oblivious sorter.
+//   - FunnelSortRecords: cache-oblivious lazy funnelsort (Frigo et al.;
+//     lazy variant of Brodal–Fagerberg) achieving the optimal
 //     O((n/B)·log_{M/B}(n/B)) I/Os under the tall-cache assumption.
 //
 // All sorters order fixed-stride records by a key extracted from the first
-// word of each record (Stride=1 sorts plain words).
+// word of each record (stride 1 sorts plain words). ParallelSortRecords
+// and ParallelFunnelSortRecords run the cache-aware and funnel sorts on a
+// worker pool with byte-identical output (parallel.go).
 package emsort
 
 import (
@@ -28,10 +30,6 @@ type Key func(extmem.Word) uint64
 // Identity orders words by their own value; the common case for packed
 // edges, whose lexicographic (u,v) order coincides with uint64 order.
 func Identity(w extmem.Word) uint64 { return w }
-
-// Sort sorts the records of ext in place using cache-aware multiway
-// mergesort with the Space's configured M and B.
-func Sort(ext extmem.Extent, key Key) { SortRecords(ext, 1, key) }
 
 // sortPlan is the run/merge geometry of the cache-aware multiway
 // mergesort, a pure function of the available internal memory and the
@@ -65,8 +63,9 @@ func planSort(cfg extmem.Config, avail, stride int) sortPlan {
 	return sortPlan{runWords: runWords, fanIn: k}
 }
 
-// SortRecords sorts fixed-size records of stride words, ordered by
-// key(record[0]). ext.Len() must be a multiple of stride.
+// SortRecords sorts fixed-size records of stride words in place, ordered
+// by key(record[0]), using cache-aware multiway mergesort with the
+// Space's configured M and B. ext.Len() must be a multiple of stride.
 func SortRecords(ext extmem.Extent, stride int, key Key) {
 	n := ext.Len()
 	if n%int64(stride) != 0 {
@@ -266,17 +265,15 @@ func (r *recSorter) Swap(i, j int) {
 	}
 }
 
-// ObliviousSort sorts words without consulting M or B: bottom-up binary
-// mergesort with ping-pong buffers, O((n/B)·log2 n) I/Os.
-func ObliviousSort(ext extmem.Extent, key Key) { ObliviousSortRecords(ext, 1, key) }
-
 // obliviousBaseRecords is the constant-size base case of the oblivious
 // sorters: runs of this many records are sorted through an O(1)-word native
 // buffer. Constant extra registers are permitted in the cache-oblivious
 // model; this is purely a constant-factor optimization.
 const obliviousBaseRecords = 64
 
-// ObliviousSortRecords sorts fixed-stride records cache-obliviously.
+// ObliviousSortRecords sorts fixed-stride records without consulting M or
+// B: bottom-up binary mergesort with ping-pong buffers, O((n/B)·log2 n)
+// I/Os.
 func ObliviousSortRecords(ext extmem.Extent, stride int, key Key) {
 	n := ext.Len()
 	if n%int64(stride) != 0 {

@@ -151,7 +151,7 @@ func TestMultiwaySortIOComplexity(t *testing.T) {
 		fillRandom(ext, 1)
 		sp.DropCache()
 		sp.ResetStats()
-		Sort(ext, Identity)
+		SortRecords(ext, 1, Identity)
 		sp.Flush()
 		ios := sp.Stats().IOs()
 		ideal := uint64(4 * n / int64(cfg.B))
@@ -171,7 +171,7 @@ func TestObliviousSortIOScaling(t *testing.T) {
 	fillRandom(ext, 2)
 	sp.DropCache()
 	sp.ResetStats()
-	ObliviousSort(ext, Identity)
+	ObliviousSortRecords(ext, 1, Identity)
 	sp.Flush()
 	ios := float64(sp.Stats().IOs())
 	passes := math.Ceil(math.Log2(float64(n) / float64(obliviousBaseRecords)))

@@ -6,9 +6,9 @@ import (
 	"repro/internal/extmem"
 )
 
-// FunnelSort sorts words cache-obliviously with lazy funnelsort, achieving
-// the optimal O((n/B)·log_{M/B}(n/B)) I/Os under the tall-cache assumption
-// without ever consulting M or B.
+// FunnelSortRecords sorts fixed-stride records cache-obliviously with
+// lazy funnelsort, achieving the optimal O((n/B)·log_{M/B}(n/B)) I/Os
+// under the tall-cache assumption without ever consulting M or B.
 //
 // Structure (Frigo–Leiserson–Prokop–Ramachandran; lazy variant of Brodal
 // and Fagerberg): split the input into k = ceil(n^(1/3)) segments, sort
@@ -18,13 +18,6 @@ import (
 // sub-funnel's output buffer has capacity J^(3/2) records, so a sub-funnel
 // with j leaves owns a buffer of ~j^3 records. Buffers are refilled lazily
 // when drained.
-func FunnelSort(ext extmem.Extent, key Key) { FunnelSortRecords(ext, 1, key) }
-
-// funnelBaseRecords is the constant base-case size below which segments
-// are sorted through a native buffer of O(1) words.
-const funnelBaseRecords = 128
-
-// FunnelSortRecords sorts fixed-stride records with lazy funnelsort.
 func FunnelSortRecords(ext extmem.Extent, stride int, key Key) {
 	n := ext.Len()
 	if n%int64(stride) != 0 {
@@ -32,6 +25,10 @@ func FunnelSortRecords(ext extmem.Extent, stride int, key Key) {
 	}
 	funnelSortRec(ext, stride, key)
 }
+
+// funnelBaseRecords is the constant base-case size below which segments
+// are sorted through a native buffer of O(1) words.
+const funnelBaseRecords = 128
 
 func funnelSortRec(ext extmem.Extent, stride int, key Key) {
 	nRec := ext.Len() / int64(stride)

@@ -165,12 +165,6 @@ func runWordTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, 
 	return stats, nil
 }
 
-// ParallelSort sorts words with the parallel cache-aware multiway
-// mergesort; see ParallelSortRecords.
-func ParallelSort(ext extmem.Extent, key Key, workers int) []extmem.Stats {
-	return ParallelSortRecords(ext, 1, key, workers)
-}
-
 // ParallelSortRecords sorts fixed-stride records like SortRecords —
 // producing byte-identical output — with run formation and the top-level
 // multiway merge fanned out across worker shards. workers <= 0 selects
@@ -479,12 +473,6 @@ func mergeChunk(view extmem.Extent, segs [][2]int64, stride int, key Key, send f
 	}
 }
 
-// ParallelFunnelSort sorts words with the parallel funnelsort; see
-// ParallelFunnelSortRecords.
-func ParallelFunnelSort(ext extmem.Extent, key Key, workers int) []extmem.Stats {
-	return ParallelFunnelSortRecords(ext, 1, key, workers)
-}
-
 // ParallelFunnelSortRecords sorts fixed-stride records like
 // FunnelSortRecords — producing byte-identical output — with the
 // top-level recursion's k ~ n^(1/3) independent segment sorts fanned out
@@ -495,20 +483,9 @@ func ParallelFunnelSort(ext extmem.Extent, key Key, workers int) []extmem.Stats 
 // selects runtime.GOMAXPROCS(0); the stats contract matches
 // ParallelSortRecords.
 func ParallelFunnelSortRecords(ext extmem.Extent, stride int, key Key, workers int) []extmem.Stats {
-	ws, _ := ParallelFunnelSortRecordsCtx(nil, ext, stride, key, workers)
-	return ws
-}
-
-// ParallelFunnelSortRecordsCtx is ParallelFunnelSortRecords with
-// cooperative cancellation between top-level segments; the cancellation
-// contract matches ParallelSortRecordsCtx.
-func ParallelFunnelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, key Key, workers int) ([]extmem.Stats, error) {
 	n := ext.Len()
 	if n%int64(stride) != 0 {
 		panic("emsort: extent length not a multiple of record stride")
-	}
-	if err := ctxutil.Err(ctx); err != nil {
-		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -517,7 +494,7 @@ func ParallelFunnelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride
 	cfg := sp.Config()
 	if n/int64(stride) <= funnelBaseRecords || ext.Base()&int64(cfg.B-1) != 0 {
 		FunnelSortRecords(ext, stride, key)
-		return nil, nil
+		return nil
 	}
 	segs := funnelSplit(ext, stride)
 	shared := sp.Snapshot(ext)
@@ -546,15 +523,13 @@ func ParallelFunnelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride
 		}
 	}
 	var cur int64
-	ws, err := runWordTasks(ctx, cfg, shared, tasks, workers, func(_ int, batch []extmem.Word) {
+	// A nil context never cancels, so the pool runs every segment.
+	ws, _ := runWordTasks(nil, cfg, shared, tasks, workers, func(_ int, batch []extmem.Word) {
 		for _, w := range batch {
 			ext.Write(cur, w)
 			cur++
 		}
 	})
-	if err != nil {
-		return ws, err
-	}
 	funnelMergeSegs(ext, segs, stride, key)
-	return ws, nil
+	return ws
 }

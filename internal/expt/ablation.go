@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/trienum"
 )
@@ -27,9 +28,12 @@ func EA1HighDegreeAblation() Table {
 		{"powerlaw", graph.PowerLaw(3000, 9000, 1.9, 7)},
 		{"gnm", graph.GNM(2250, 9000, 8)},
 	}
+	ablated := Run{"cacheaware-no-step1", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		return trienum.CacheAwareParallel(sp, g, seed, trienum.Exec{DisableHighDegree: true}, e)
+	}}
 	for _, w := range workloads {
-		with := measureOpt(w.el, m, trienum.Options{})
-		without := measureOpt(w.el, m, trienum.Options{DisableHighDegree: true})
+		with := Measure(w.el, m, Runner("cacheaware"), 5)
+		without := Measure(w.el, m, ablated, 5)
 		ratio := "-"
 		if with.Info.X > 0 {
 			ratio = f2(float64(without.Info.X) / float64(with.Info.X))
@@ -39,17 +43,6 @@ func EA1HighDegreeAblation() Table {
 	}
 	t.Notes = append(t.Notes, "both variants emit identical triangle sets (verified in tests); only cost differs")
 	return t
-}
-
-func measureOpt(el graph.EdgeList, m Machine, opt trienum.Options) Measurement {
-	sp := m.space()
-	g := graph.CanonicalizeList(sp, el)
-	sp.DropCache()
-	sp.ResetStats()
-	var n uint64
-	info := trienum.CacheAwareWithOptions(sp, g, 5, opt, graph.Counter(&n))
-	sp.Flush()
-	return Measurement{IOs: sp.Stats().IOs(), Triangles: n, Info: info, Edges: g.Edges.Len()}
 }
 
 func hubGraph() graph.EdgeList {

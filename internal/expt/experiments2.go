@@ -3,7 +3,6 @@ package expt
 import (
 	"math"
 
-	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/trienum"
 )
@@ -69,19 +68,25 @@ func E12ListingVsEnumeration() Table {
 		sp.DropCache()
 		sp.ResetStats()
 		var n uint64
-		trienum.CacheAware(sp, g, 12, graph.Counter(&n))
+		_, workerStats, err := trienum.CacheAwareParallel(sp, g, 12, engine, graph.Counter(&n))
+		if err != nil {
+			panic(err)
+		}
 		sp.Flush()
 		enumIOs := sp.Stats().IOs()
+		for _, ws := range workerStats {
+			enumIOs += ws.IOs()
+		}
 
 		// ListTriangles runs the enumeration twice (count + fill), so the
 		// materialization overhead is listIOs − 2·enumIOs, predicted to be
 		// the sequential output traffic ~ 2·t·stride/B (write + flush).
 		sp.DropCache()
 		sp.ResetStats()
-		list, _ := trienum.ListTriangles(sp, g, 12,
-			func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info {
-				return trienum.CacheAware(sp, g, seed, emit)
-			})
+		list, _, err := trienum.ListTriangles(sp, g, 12, engine)
+		if err != nil {
+			panic(err)
+		}
 		sp.Flush()
 		listIOs := sp.Stats().IOs()
 

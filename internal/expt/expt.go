@@ -8,6 +8,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -80,40 +81,42 @@ func (m Machine) space() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: m.M, B: m.B, AllowShortCache: m.M < m.B*m.B})
 }
 
-// Run names an algorithm runner over canonical graphs.
+// Run names an algorithm runner over canonical graphs. Fn returns the
+// per-worker I/O breakdown of the engine's parallel phases (nil for the
+// sequential baselines); Measure adds it to the coordinator's count.
 type Run struct {
 	Name string
-	Fn   func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) trienum.Info
+	Fn   func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (trienum.Info, []extmem.Stats, error)
+}
+
+// engine is the Exec every runner uses. The I/O totals are identical at
+// every worker count, so the choice only affects wall-clock time.
+var engine = trienum.Exec{}
+
+// sequential adapts a baseline, which has no worker pool, to Run.Fn.
+func sequential(run func(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (trienum.Info, error)) func(*extmem.Space, graph.Canonical, uint64, graph.Emit) (trienum.Info, []extmem.Stats, error) {
+	return func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+		info, err := run(nil, sp, g, e)
+		return info, nil, err
+	}
 }
 
 // Runners returns every algorithm under measurement.
 func Runners() []Run {
 	return []Run{
-		{"cacheaware", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			return trienum.CacheAware(sp, g, seed, e)
+		{"cacheaware", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.CacheAwareParallel(sp, g, seed, engine, e)
 		}},
-		{"oblivious", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			return trienum.Oblivious(sp, g, seed, e)
+		{"oblivious", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.ObliviousParallel(sp, g, seed, engine, e)
 		}},
-		{"deterministic", func(sp *extmem.Space, g graph.Canonical, seed uint64, e graph.Emit) trienum.Info {
-			info, err := trienum.Deterministic(sp, g, 0, e)
-			if err != nil {
-				panic(err)
-			}
-			return info
+		{"deterministic", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
+			return trienum.DeterministicParallel(sp, g, 0, engine, e)
 		}},
-		{"hutaochung", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) trienum.Info {
-			return trienum.HuTaoChung(sp, g, e)
-		}},
-		{"sortmerge", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) trienum.Info {
-			return trienum.Dementiev(sp, g, e)
-		}},
-		{"edgeiterator", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) trienum.Info {
-			return baseline.EdgeIterator(sp, g, e)
-		}},
-		{"nestedloop", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) trienum.Info {
-			return baseline.BlockNestedLoop(sp, g, e)
-		}},
+		{"hutaochung", sequential(trienum.HuTaoChung)},
+		{"sortmerge", sequential(trienum.Dementiev)},
+		{"edgeiterator", sequential(baseline.EdgeIterator)},
+		{"nestedloop", sequential(baseline.BlockNestedLoop)},
 	}
 }
 
@@ -137,16 +140,26 @@ type Measurement struct {
 
 // Measure canonicalizes el on a fresh machine, drops the cache, runs r
 // cold, and returns the measurement (canonicalization excluded, matching
-// the paper's assumption of canonical input).
+// the paper's assumption of canonical input). IOs is the full cost of the
+// run: the coordinator's I/Os plus every worker's. A run error — only the
+// deterministic algorithm's invariant check can fail without a context —
+// panics, as the experiment tables have no error channel.
 func Measure(el graph.EdgeList, m Machine, r Run, seed uint64) Measurement {
 	sp := m.space()
 	g := graph.CanonicalizeList(sp, el)
 	sp.DropCache()
 	sp.ResetStats()
 	var n uint64
-	info := r.Fn(sp, g, seed, graph.Counter(&n))
+	info, workerStats, err := r.Fn(sp, g, seed, graph.Counter(&n))
+	if err != nil {
+		panic(fmt.Sprintf("expt: %s: %v", r.Name, err))
+	}
 	sp.Flush()
-	return Measurement{IOs: sp.Stats().IOs(), Triangles: n, Info: info, Edges: g.Edges.Len()}
+	ios := sp.Stats().IOs()
+	for _, w := range workerStats {
+		ios += w.IOs()
+	}
+	return Measurement{IOs: ios, Triangles: n, Info: info, Edges: g.Edges.Len()}
 }
 
 // theoretical bound helpers

@@ -5,16 +5,9 @@
 // SB(salesperson, brand), BT(brand, productType) and
 // ST(salesperson, productType); computing SB ⋈ BT ⋈ ST is exactly triangle
 // enumeration on the union of the three bipartite graphs, with every
-// triangle corresponding to one row of the join.
+// triangle corresponding to one row of the join. This package encodes and
+// decodes; repro.JoinDecomposition.Join runs the enumeration.
 package join
-
-import (
-	"fmt"
-
-	"repro/internal/extmem"
-	"repro/internal/graph"
-	"repro/internal/trienum"
-)
 
 // Pair is one tuple of a binary relation.
 type Pair struct{ A, B string }
@@ -28,38 +21,6 @@ type Decomposition struct {
 	SB []Pair // (salesperson, brand)
 	BT []Pair // (brand, productType)
 	ST []Pair // (salesperson, productType)
-}
-
-// Algorithm selects the triangle-enumeration algorithm used for the join.
-type Algorithm int
-
-const (
-	// CacheAware is the randomized algorithm of Section 2.
-	CacheAware Algorithm = iota
-	// CacheOblivious is the algorithm of Section 3.
-	CacheOblivious
-	// Deterministic is the derandomized algorithm of Section 4.
-	Deterministic
-	// HuTaoChung is the SIGMOD 2013 baseline.
-	HuTaoChung
-)
-
-// Options configures Join.
-type Options struct {
-	Algorithm Algorithm
-	// MemoryWords and BlockWords describe the simulated machine; zero
-	// values default to 1<<16 and 1<<7.
-	MemoryWords int
-	BlockWords  int
-	Seed        uint64
-}
-
-// Stats reports the I/O work of a join.
-type Stats struct {
-	Rows       uint64
-	IOs        uint64
-	BlockReads uint64
-	BlockWrite uint64
 }
 
 // dictionary interns strings of one attribute class into dense ids.
@@ -84,10 +45,10 @@ func (d *dictionary) intern(s string) uint32 {
 // triangle graph: the three attribute classes occupy disjoint vertex-id
 // ranges (salespeople, then brands, then product types), each projection
 // contributes one bipartite edge set, and every triangle of the union is
-// one row of SB ⋈ BT ⋈ ST. It is the bridge by which any triangle
-// enumerator — the internal Spaces here, or a session of the public Graph
-// handle — serves the join: enumerate Edges, hand each triangle's vertex
-// ids (in any order) to Row.
+// one row of SB ⋈ BT ⋈ ST. It is the bridge by which a triangle
+// enumerator — a query session of the public Graph handle, in
+// repro.JoinDecomposition.Join — serves the join: enumerate Edges, hand
+// each triangle's vertex ids (in any order) to Row.
 type Encoded struct {
 	// Edges is the union of the three bipartite graphs.
 	Edges      [][2]uint32
@@ -142,68 +103,9 @@ func (e *Encoded) Row(a, b, c uint32) Row {
 	return r
 }
 
-// Join computes SB ⋈ BT ⋈ ST and returns its rows (in no particular
-// order) together with I/O statistics of the underlying enumeration.
-func (dec Decomposition) Join(opt Options, visit func(Row)) (Stats, error) {
-	var st Stats
-	m, b := opt.MemoryWords, opt.BlockWords
-	if m == 0 {
-		m = 1 << 16
-	}
-	if b == 0 {
-		b = 1 << 7
-	}
-	sp, err := newSpace(m, b)
-	if err != nil {
-		return st, err
-	}
-
-	enc := dec.Encode()
-	var el graph.EdgeList
-	for _, e := range enc.Edges {
-		el.Add(e[0], e[1])
-	}
-
-	g := graph.CanonicalizeList(sp, el)
-	sp.DropCache()
-	sp.ResetStats()
-
-	emit := func(a, b, c uint32) {
-		st.Rows++
-		visit(enc.Row(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-	}
-
-	switch opt.Algorithm {
-	case CacheAware:
-		trienum.CacheAware(sp, g, opt.Seed, emit)
-	case CacheOblivious:
-		trienum.Oblivious(sp, g, opt.Seed, emit)
-	case Deterministic:
-		if _, err := trienum.Deterministic(sp, g, 0, emit); err != nil {
-			return st, err
-		}
-	case HuTaoChung:
-		trienum.HuTaoChung(sp, g, emit)
-	default:
-		return st, fmt.Errorf("join: unknown algorithm %d", opt.Algorithm)
-	}
-	ios := sp.Stats()
-	st.IOs = ios.IOs()
-	st.BlockReads = ios.BlockReads
-	st.BlockWrite = ios.BlockWrites
-	return st, nil
-}
-
-func newSpace(m, b int) (*extmem.Space, error) {
-	if b <= 0 || b&(b-1) != 0 || m < 2*b || m < b*b {
-		return nil, fmt.Errorf("join: invalid machine M=%d B=%d (need power-of-two B, M >= max(2B, B²))", m, b)
-	}
-	return extmem.NewSpace(extmem.Config{M: m, B: b}), nil
-}
-
 // Decompose projects a ternary relation onto its three binary
 // projections, deduplicating pairs. If the relation is in 5th normal
-// form, Join(Decompose(R)) reconstructs R exactly.
+// form, joining Decompose(R) reconstructs R exactly.
 func Decompose(rows []Row) Decomposition {
 	var dec Decomposition
 	sb := map[Pair]bool{}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
-	"repro/internal/trienum"
 )
 
 // EmitK receives each k-clique exactly once as strictly increasing ranks.
@@ -224,15 +223,4 @@ func pow(b, e int) int {
 		}
 	}
 	return r
-}
-
-// CountTriangles sanity-bridges k=3 to the triangle algorithms: the
-// 3-clique count must equal what trienum reports.
-func CountTriangles(sp *extmem.Space, g graph.Canonical, seed uint64) (uint64, uint64) {
-	var viaK uint64
-	info, _ := KClique(nil, sp, g, 3, seed, func([]uint32) {})
-	viaK = info.Cliques
-	var viaT uint64
-	trienum.CacheAware(sp, g, seed, graph.Counter(&viaT))
-	return viaK, viaT
 }

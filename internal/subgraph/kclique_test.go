@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/extmem"
 	"repro/internal/graph"
+	"repro/internal/trienum"
 )
 
 func newSpace() *extmem.Space {
@@ -153,11 +154,20 @@ func TestKCliqueRejectsSmallK(t *testing.T) {
 	}
 }
 
+// TestCountTrianglesBridge sanity-bridges k=3 to the triangle algorithms:
+// the 3-clique count must equal what the cache-aware engine reports.
 func TestCountTrianglesBridge(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, graph.GNM(70, 500, 13))
-	viaK, viaT := CountTriangles(sp, g, 99)
-	if viaK != viaT {
-		t.Errorf("k-clique path found %d triangles, triangle algorithm %d", viaK, viaT)
+	info, err := KClique(nil, sp, g, 3, 99, func([]uint32) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaT uint64
+	if _, _, err := trienum.CacheAwareParallel(sp, g, 99, trienum.Exec{Workers: 2}, graph.Counter(&viaT)); err != nil {
+		t.Fatal(err)
+	}
+	if info.Cliques != viaT {
+		t.Errorf("k-clique path found %d triangles, triangle algorithm %d", info.Cliques, viaT)
 	}
 }

@@ -3,6 +3,7 @@ package trienum
 import (
 	"math"
 
+	"repro/internal/ctxutil"
 	"repro/internal/emio"
 	"repro/internal/emsort"
 	"repro/internal/extmem"
@@ -10,8 +11,9 @@ import (
 	"repro/internal/hashing"
 )
 
-// CacheAware enumerates all triangles of g with the randomized cache-aware
-// algorithm of Section 2, using O(E^1.5/(sqrt(M)·B)) I/Os in expectation:
+// CacheAwareParallel enumerates all triangles of g with the randomized
+// cache-aware algorithm of Section 2, using O(E^1.5/(sqrt(M)·B)) I/Os in
+// expectation:
 //
 //  1. Triangles with a high-degree vertex (deg > sqrt(E·M)) are found by
 //     the Lemma 1 subroutine, one vertex at a time, removing each vertex's
@@ -23,151 +25,69 @@ import (
 //     E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3}, keeping only triangles whose
 //     cone vertex has color τ1.
 //
-// Triangles are emitted in rank space, exactly once each.
-func CacheAware(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-	return CacheAwareWithOptions(sp, g, seed, Options{}, emit)
-}
-
-// Options exposes ablation knobs for experiments on the cache-aware
-// algorithm's design choices. The zero value is the paper's algorithm.
-type Options struct {
-	// DisableHighDegree skips step 1 (Lemma 1 on vertices with degree
-	// greater than sqrt(E·M)). The algorithm remains correct — the color
-	// triples still cover every triangle — but Lemma 3's bound on X_ξ no
-	// longer holds on skewed degree distributions, and the I/O cost of
-	// step 3 degrades accordingly.
-	DisableHighDegree bool
-	// ForceColors overrides c = ceil(sqrt(E/M)) when positive. c = 1
-	// degenerates to the Hu–Tao–Chung algorithm on the low-degree
-	// subgraph.
-	ForceColors int
-}
-
-// CacheAwareWithOptions is CacheAware with ablation knobs.
-func CacheAwareWithOptions(sp *extmem.Space, g graph.Canonical, seed uint64, opt Options, emit graph.Emit) Info {
+// Triangles are emitted in rank space, exactly once each. The Lemma 1
+// passes and the color-triple kernels run on exec.Workers shards of the
+// worker-pool engine (parallel.go); Workers=1 is the sequential run. The
+// triangle stream and the summed I/O stats are identical for every worker
+// count, and deterministic in seed. The second return value is the
+// per-worker I/O breakdown of the parallel phases (the coordinator's own
+// I/Os accrue to sp as usual). A non-nil error is exec.Ctx's cancellation
+// error; the triangles emitted before it are a prefix of the full stream.
+func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	E := g.Edges.Len()
-	if E == 0 {
-		return info
+	ctx := exec.Ctx
+	if err := ctxutil.Err(ctx); err != nil || E == 0 {
+		return info, nil, err
 	}
 	cfg := sp.Config()
+	workers := exec.workers()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
 	work := sp.Alloc(E)
 	g.Edges.CopyTo(work)
 
-	// Step 1: high-degree vertices. Ranks are assigned in degree order, so
-	// V_h is a suffix of the rank range.
 	curLen := E
-	if !opt.DisableHighDegree {
-		scratch := sp.Alloc(E)
-		curLen = highDegreeStep(sp, work, scratch, g, float64(cfg.M), emsort.SortRecords, nil, emit, &info)
+	var workerStats []extmem.Stats
+	if !exec.DisableHighDegree {
+		var err error
+		curLen, workerStats, err = highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
+		if err != nil {
+			return info, workerStats, err
+		}
 	}
 
-	// Steps 2–3 on the low-degree remainder.
 	c := ceilSqrt(float64(E) / float64(cfg.M))
-	if opt.ForceColors > 0 {
-		c = opt.ForceColors
-	}
 	info.Colors = c
 	col := hashing.NewColoring(hashing.NewRand(seed), c)
-	solveColored(sp, work.Prefix(curLen), col.Color, c, &info, emit)
-	return info
+	ws, err := solveColoredParallel(ctx, sp, work.Prefix(curLen), col.Color, c, workers, &info, emit)
+	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 
-// highDegreeStep enumerates and removes all triangles containing a vertex
-// of degree greater than sqrt(E·M), per step 1 of the cache-aware
-// algorithms. It returns the number of surviving edges (compacted to the
-// prefix of work). filter, if non-nil, vetoes emissions. The sorter
-// parameterizes Lemma 1's sorting.
-func highDegreeStep(sp *extmem.Space, work, scratch extmem.Extent, g graph.Canonical, m float64, sorter graph.SortFunc, filter func(a, b, c uint32) bool, emit graph.Emit, info *Info) int64 {
-	E := work.Len()
-	v := g.NumVertices
-	r0 := highDegreeCut(g, float64(E), m)
-	curLen := E
-	for r := v - 1; r >= r0; r-- {
-		vr := uint32(r)
-		enumerateContaining(sp, work.Prefix(curLen), vr, sorter, func(u, w uint32) {
-			// All other high-degree vertices processed so far had their
-			// edges removed, so u, w < vr and the sorted triple is (u,w,vr).
-			if filter == nil || filter(u, w, vr) {
-				emit(u, w, vr)
-			}
-		})
-		curLen = removeIncident(work.Prefix(curLen), scratch, vr)
-		info.HighDegVertices++
-	}
-	return curLen
-}
-
-// solveColored runs steps 2 and 3 shared by the cache-aware randomized and
-// the deterministic algorithms: partition edges by the color pair of their
-// endpoints under colorOf, then solve every color triple with the kernel.
-// edges is clobbered (sorted by color pair). This is the sequential
-// reference path; solveColoredParallel (parallel.go) dispatches the same
-// triples to a worker pool.
-func solveColored(sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int, info *Info, emit graph.Emit) {
-	E := edges.Len()
-	if E == 0 {
-		return
-	}
-	if c <= 1 {
-		// Single subproblem: this is exactly the Hu–Tao–Chung algorithm
-		// applied to the whole edge set.
-		emsort.SortRecords(edges, 1, emsort.Identity)
-		kernel(sp, edges, edges, 0, nil, emit)
-		info.Subproblems++
-		return
-	}
-	sortByColorPair(edges, colorOf, c)
-
-	// Bucket offsets: c² + 1 native words of internal memory — within
-	// budget under the paper's assumption c² = E/M <= M, i.e. M >= sqrt(E).
-	release := sp.LeaseAtMost(c*c + 1)
-	defer release()
-	off := bucketOffsets(edges, colorOf, c, info)
-
-	mark := sp.Mark()
-	defer sp.Release(mark)
-	union := sp.Alloc(E)
-
-	forEachTriple(off, c, func(t1, t2, t3 int) {
-		solveTriple(sp, edges, off, c, t1, t2, t3, colorOf, union, emit)
-		info.Subproblems++
-	})
-}
-
-// solveTriple solves one color triple (τ1,τ2,τ3): merge the triple's
-// (distinct) buckets into scratch, preserving sort order, and run the
-// kernel with pivot set E_{τ2,τ3}, keeping triangles whose cone vertex
-// has color τ1. Both the sequential loop above and the parallel engine's
-// tasks go through this body — sharing it is what keeps their emission
-// streams identical.
-func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
-	b12 := bucketAt(edges, off, c, t2, t3)
-	solveTripleRange(sp, edges, off, c, t1, t2, t3, 0, b12.Len(), 0, colorOf, scratch, emit)
-}
-
-// solveTripleRange is solveTriple restricted to the pivot rows
-// [pivLo, pivHi) of E_{τ2,τ3}, with an explicit kernel chunk size. The
-// kernel's pivot loop processes chunks of memEdges rows independently —
-// each chunk is one full scan of the triple's edge union — so running the
-// ranges [k·memEdges, (k+1)·memEdges) as separate invocations and
-// concatenating their emissions reproduces solveTriple's stream exactly.
-// That is the native mode's work-stealing grain: a skewed triple splits
-// into per-chunk tasks the engine's dynamic dispatch balances across
-// workers (parallel.go), at the price of re-merging the bucket union per
-// chunk.
-func solveTripleRange(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
+// solveTriple solves the pivot rows [pivLo, pivHi) of one color triple
+// (τ1,τ2,τ3): merge the triple's (distinct) buckets into scratch,
+// preserving sort order, and run the kernel with pivots E_{τ2,τ3}[pivLo,
+// pivHi) and an explicit kernel chunk size (0 = automatic), keeping
+// triangles whose cone vertex has color τ1. The whole triple is the range
+// [0, |E_{τ2,τ3}|). The kernel's pivot loop processes chunks of memEdges
+// rows independently — each chunk is one full scan of the triple's edge
+// union — so running the ranges [k·memEdges, (k+1)·memEdges) as separate
+// invocations and concatenating their emissions reproduces the whole
+// triple's stream exactly. That is the native mode's work-stealing grain:
+// a skewed triple splits into per-chunk tasks the engine's dynamic
+// dispatch balances across workers (parallel.go), at the price of
+// re-merging the bucket union per chunk.
+func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
 	b01 := bucketAt(edges, off, c, t1, t2)
 	b02 := bucketAt(edges, off, c, t1, t3)
 	b12 := bucketAt(edges, off, c, t2, t3)
 	parts := distinctExtents(b01, b02, b12)
 	un := mergeSortedInto(scratch, parts)
 	tau1 := uint32(t1)
-	kernel(sp, un, b12.Slice(pivLo, pivHi), memEdges, func(v, _, _ uint32) bool {
+	// A nil ctx never cancels: the engine cancels between tasks.
+	_ = kernel(nil, sp, un, b12.Slice(pivLo, pivHi), memEdges, func(v, _, _ uint32) bool {
 		return colorOf(v) == tau1
 	}, emit)
 }
@@ -185,13 +105,9 @@ func highDegreeCut(g graph.Canonical, e, m float64) int {
 	return r0
 }
 
-// sortByColorPair sorts edges by the (colorOf(u), colorOf(v)) bucket key.
+// colorPairKey is the (colorOf(u), colorOf(v)) bucket key of an edge.
 // The sorters tie-break equal keys by the full word, so each bucket comes
 // out internally sorted in canonical edge order.
-func sortByColorPair(edges extmem.Extent, colorOf func(uint32) uint32, c int) {
-	emsort.SortRecords(edges, 1, colorPairKey(colorOf, c))
-}
-
 func colorPairKey(colorOf func(uint32) uint32, c int) emsort.Key {
 	cc := uint64(c)
 	return func(e extmem.Word) uint64 {
@@ -228,7 +144,7 @@ func bucketAt(edges extmem.Extent, off []int64, c, t1, t2 int) extmem.Extent {
 // forEachTriple visits the color triples (τ1,τ2,τ3) in the canonical order
 // both execution modes share, skipping triples whose buckets cannot
 // contain a triangle. The order is part of the emission contract: the
-// parallel engine replays completed triples in exactly this sequence.
+// engine replays completed triples in exactly this sequence.
 func forEachTriple(off []int64, c int, fn func(t1, t2, t3 int)) {
 	empty := func(t1, t2 int) bool {
 		i := t1*c + t2

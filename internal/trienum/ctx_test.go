@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelCtxCancellation: cancelling the exec context from inside
-// emit stops both parallel engines early — the emitted prefix is shorter
+// emit stops every engine early — the emitted prefix is shorter
 // than the full stream — returns context.Canceled, and drains the worker
 // pool without leaks. A subsequent run on the same Space reproduces the
 // full stream, i.e. a cancelled run leaves no residue.
@@ -34,6 +34,10 @@ func TestParallelCtxCancellation(t *testing.T) {
 		},
 		"deterministic": func(exec Exec, emit graph.Emit) error {
 			_, _, err := DeterministicParallel(sp, g, 0, exec, emit)
+			return err
+		},
+		"oblivious": func(exec Exec, emit graph.Emit) error {
+			_, _, err := ObliviousParallel(sp, g, 5, exec, emit)
 			return err
 		},
 	}

@@ -21,18 +21,12 @@ const dementievCheckEvery = 1024
 // the edge list to find the closing edges. O(sort(E^1.5)) I/Os.
 //
 // seg is not modified (the subroutine sorts a copy). filter, if non-nil,
-// vetoes emissions. sorter selects cache-aware or oblivious sorting.
-func DementievSortMerge(sp *extmem.Space, seg extmem.Extent, sorter graph.SortFunc, filter func(a, b, c uint32) bool, emit graph.Emit) {
-	_ = DementievSortMergeCtx(nil, sp, seg, sorter, filter, emit)
-}
-
-// DementievSortMergeCtx is DementievSortMerge with cooperative
-// cancellation: ctx (which may be nil) is checked at the pass boundaries
-// — after the edge sort, after wedge generation, after the wedge sort —
-// and periodically inside the closing merge scan. On cancellation it
-// returns ctx.Err(); the triangles emitted before it are a prefix of the
-// full stream.
-func DementievSortMergeCtx(ctx context.Context, sp *extmem.Space, seg extmem.Extent, sorter graph.SortFunc, filter func(a, b, c uint32) bool, emit graph.Emit) error {
+// vetoes emissions. sorter selects cache-aware or oblivious sorting. ctx
+// (which may be nil) is checked at the pass boundaries — after the edge
+// sort, after wedge generation, after the wedge sort — and periodically
+// inside the closing merge scan. On cancellation it returns ctx.Err(); the
+// triangles emitted before it are a prefix of the full stream.
+func DementievSortMerge(ctx context.Context, sp *extmem.Space, seg extmem.Extent, sorter graph.SortFunc, filter func(a, b, c uint32) bool, emit graph.Emit) error {
 	n := seg.Len()
 	if n < 3 {
 		return ctxutil.Err(ctx)

@@ -17,9 +17,9 @@ import (
 // not specify one.
 const DefaultFamilySize = 256
 
-// Deterministic enumerates all triangles of g with the derandomized
-// cache-aware algorithm of Section 4 in O(E^1.5/(sqrt(M)·B)) worst-case
-// I/Os, assuming M >= E^ε.
+// DeterministicParallel enumerates all triangles of g with the
+// derandomized cache-aware algorithm of Section 4 in O(E^1.5/(sqrt(M)·B))
+// worst-case I/Os, assuming M >= E^ε.
 //
 // The coloring ξ: V → [c] (c the power of two at least sqrt(E/M)) is built
 // one bit per level: at level i every candidate two-coloring b from an
@@ -32,36 +32,60 @@ const DefaultFamilySize = 256
 // of the endpoint-doubled list, and the minimizing b is kept. Invariant
 // (4) — potential ≤ (1+α)^i·E·M with α = 1/log c — is verified at every
 // level; since our enumerated family is a truncated prefix of the
-// theoretical construction (see DESIGN.md §2), a violation returns an
-// error instead of silently degrading. The final coloring satisfies
-// X_ξ < e·E·M, which is what the Theorem 4 analysis needs.
+// theoretical construction (see ARCHITECTURE.md, section
+// "Substitutions"), a violation returns an error instead of silently
+// degrading. The final
+// coloring satisfies X_ξ < e·E·M, which is what the Theorem 4 analysis
+// needs.
 //
-// familySize <= 0 selects DefaultFamilySize.
-func Deterministic(sp *extmem.Space, g graph.Canonical, familySize int, emit graph.Emit) (Info, error) {
+// The greedy coloring construction is inherently sequential and runs on
+// the coordinator (checking exec.Ctx between levels); the high-degree
+// passes and the color-triple kernels run on the worker-pool engine as in
+// CacheAwareParallel, with the same stream, stats, and cancellation
+// contract. familySize <= 0 selects DefaultFamilySize.
+func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	E := g.Edges.Len()
-	if E == 0 {
-		return info, nil
+	ctx := exec.Ctx
+	if err := ctxutil.Err(ctx); err != nil || E == 0 {
+		return info, nil, err
 	}
-	cfg := sp.Config()
+	workers := exec.workers()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
 	work := sp.Alloc(E)
 	g.Edges.CopyTo(work)
-	scratch := sp.Alloc(E)
 
-	// Step 1 (shared with the randomized algorithm; it is deterministic).
-	curLen := highDegreeStep(sp, work, scratch, g, float64(cfg.M), emsort.SortRecords, nil, emit, &info)
+	curLen, workerStats, err := highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
+	if err != nil {
+		return info, workerStats, err
+	}
 	edges := work.Prefix(curLen)
 
-	colorOf, c, err := buildDeterministicColoring(nil, sp, g, edges, familySize, emsort.SortRecords, &info)
-	if err != nil {
-		return info, err
+	// The greedy bit selection is inherently sequential, but the
+	// endpoint-doubled list it scans is ordered by the parallel sort. A
+	// cancellation inside the sort is recorded and surfaces right after
+	// the coloring construction unwinds.
+	var sortErr error
+	sorter := func(ext extmem.Extent, stride int, key emsort.Key) {
+		if sortErr != nil {
+			return
+		}
+		ws, err := emsort.ParallelSortRecordsCtx(ctx, ext, stride, key, workers)
+		workerStats = extmem.AddStatsVec(workerStats, ws)
+		sortErr = err
 	}
-	solveColored(sp, edges, colorOf, c, &info, emit)
-	return info, nil
+	colorOf, c, err := buildDeterministicColoring(ctx, sp, g, edges, familySize, sorter, &info)
+	if sortErr != nil {
+		return info, workerStats, sortErr
+	}
+	if err != nil {
+		return info, workerStats, err
+	}
+	ws, err := solveColoredParallel(ctx, sp, edges, colorOf, c, workers, &info, emit)
+	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 
 // buildDeterministicColoring runs the greedy derandomization of Section 4
@@ -69,15 +93,14 @@ func Deterministic(sp *extmem.Space, g graph.Canonical, familySize int, emit gra
 // function and color count, recording the per-level potentials in info.
 // It allocates scratch (the endpoint-doubled list) above the caller's
 // mark and leaves it for the caller's release. sorter orders the
-// endpoint-doubled list (the parallel engine passes the parallel emsort
-// adapter; the sort key is injective, so every sorter produces the same
-// bytes and the chosen coloring is sorter-independent). The returned
-// function is pure and safe for concurrent use; the parallel engine
-// hands it to worker shards unchanged.
-// ctx (which may be nil) is checked between greedy levels so a cancelled
-// run stops without scanning the remaining levels; cancellation inside
-// the sorter itself is the caller's to detect (the parallel engine
-// records it and checks after this function unwinds).
+// endpoint-doubled list (the engine passes the parallel emsort adapter;
+// the sort key is injective, so every sorter produces the same bytes and
+// the chosen coloring is sorter-independent). The returned function is
+// pure and safe for concurrent use; the engine hands it to worker shards
+// unchanged. ctx (which may be nil) is checked between greedy levels so a
+// cancelled run stops without scanning the remaining levels; cancellation
+// inside the sorter itself is the caller's to detect (the engine records
+// it and checks after this function unwinds).
 func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.Canonical, edges extmem.Extent, familySize int, sorter graph.SortFunc, info *Info) (func(uint32) uint32, int, error) {
 	E := g.Edges.Len()
 	if familySize <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/ctxutil"
+	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 )
@@ -13,42 +14,32 @@ import (
 // Lemma 2 kernel applied with pivot set E' = E, using O(E/B + E²/(M·B))
 // I/Os — exactly E/M scans of the edge set. The paper's contribution is
 // beating this by the factor min(sqrt(E/M), sqrt(M)).
-func HuTaoChung(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-	info, _ := HuTaoChungCtx(nil, sp, g, emit)
-	return info
-}
-
-// HuTaoChungCtx is HuTaoChung with cooperative cancellation: ctx (which
-// may be nil) is checked between the kernel's pivot chunks — the
-// algorithm's pass boundaries. On cancellation it returns ctx.Err(); the
-// triangles emitted before it are a prefix of the full stream.
-func HuTaoChungCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (Info, error) {
+//
+// ctx (which may be nil) is checked between the kernel's pivot chunks —
+// the algorithm's pass boundaries. On cancellation it returns ctx.Err();
+// the triangles emitted before it are a prefix of the full stream.
+func HuTaoChung(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (Info, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	if g.Edges.Len() == 0 {
 		return info, ctxutil.Err(ctx)
 	}
-	err := kernelCtx(ctx, sp, g.Edges, g.Edges, 0, nil, emit)
+	err := kernel(ctx, sp, g.Edges, g.Edges, 0, nil, emit)
 	info.Subproblems = 1
 	return info, err
 }
 
 // Dementiev enumerates all triangles with the sort-based algorithm from
 // Dementiev's thesis: O(sort(E^1.5)) I/Os, no dependence on M beyond
-// sorting. One of the pre-2013 baselines in Section 1.1.
-func Dementiev(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-	info, _ := DementievCtx(nil, sp, g, emit)
-	return info
-}
-
-// DementievCtx is Dementiev with cooperative cancellation at the sort-
-// merge pass boundaries (see DementievSortMergeCtx).
-func DementievCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (Info, error) {
+// sorting. One of the pre-2013 baselines in Section 1.1. ctx (which may be
+// nil) cancels it at the sort-merge pass boundaries (see
+// DementievSortMerge).
+func Dementiev(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit graph.Emit) (Info, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	if g.Edges.Len() == 0 {
 		return info, ctxutil.Err(ctx)
 	}
-	err := DementievSortMergeCtx(ctx, sp, g.Edges, sortRecordsFunc, nil, emit)
+	err := DementievSortMerge(ctx, sp, g.Edges, emsort.SortRecords, nil, emit)
 	return info, err
 }

@@ -21,17 +21,13 @@ import (
 // filter, if non-nil, can veto an emission (used by the color-coded
 // algorithms to keep each triangle in exactly one subproblem).
 //
-// The kernel touches no state outside sp, so concurrent invocations on
-// distinct Spaces (the worker shards of parallel.go) are safe; filter and
-// emit must then be confined or pure.
-func kernel(sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, filter func(v, u, w uint32) bool, emit graph.Emit) {
-	_ = kernelCtx(nil, sp, edges, pivots, memEdges, filter, emit)
-}
-
-// kernelCtx is kernel with cooperative cancellation between pivot chunks
-// — each chunk is one full scan of the edge set, the algorithm's natural
-// pass boundary. A nil ctx never cancels.
-func kernelCtx(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, filter func(v, u, w uint32) bool, emit graph.Emit) error {
+// ctx (which may be nil) is checked between pivot chunks — each chunk is
+// one full scan of the edge set, the algorithm's natural pass boundary —
+// and a cancelled run returns ctx.Err(). The kernel touches no state
+// outside sp, so concurrent invocations on distinct Spaces (the worker
+// shards of parallel.go) are safe; filter and emit must then be confined
+// or pure.
+func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, filter func(v, u, w uint32) bool, emit graph.Emit) error {
 	nPivots := pivots.Len()
 	if nPivots == 0 || edges.Len() == 0 {
 		return ctxutil.Err(ctx)

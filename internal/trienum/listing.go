@@ -31,51 +31,40 @@ func unpackTriple(w0, w1 extmem.Word) (a, b, c uint32) {
 	return uint32(w0 >> 32), uint32(w0), uint32(w1)
 }
 
-// Lister runs an enumeration algorithm, materializing its output.
-type Lister func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info
-
-// ParallelLister adapts the worker-pool cache-aware engine to the Lister
-// signature, so listing experiments can exercise the parallel path. The
-// engine's emission stream is deterministic in the seed and the graph, so
-// the two passes of ListTriangles agree as required. The workers' I/Os
-// are absorbed into sp, keeping sp.Stats() the full cost of the run.
-func ParallelLister(exec Exec) Lister {
-	return func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-		// Listers have no error channel; the adapter is only used without a
-		// cancellable exec context, so the engine cannot return an error.
-		info, workerStats, err := CacheAwareParallel(sp, g, seed, exec, emit)
-		if err != nil {
-			panic(fmt.Sprintf("trienum: ParallelLister run cancelled: %v", err))
-		}
-		for _, w := range workerStats {
-			sp.Absorb(w)
-		}
-		return info
-	}
-}
-
-// ListTriangles enumerates with run and writes every triangle to a fresh
-// extent of TripleWords-stride records, returning the extent and the
-// enumeration info (of the writing pass). The write cost Θ(t/B) is
-// charged like any other I/O.
+// ListTriangles enumerates with CacheAwareParallel and writes every
+// triangle to a fresh extent of TripleWords-stride records, returning the
+// extent and the enumeration info (of the writing pass). The write cost
+// Θ(t/B) is charged like any other I/O, and the workers' I/Os are
+// absorbed into sp, so sp.Stats() holds the full cost of the listing.
 //
 // The output size is unknown in advance, and the space allocator follows
 // stack discipline, so the output extent must exist before the algorithm
 // establishes its allocation mark. ListTriangles therefore runs twice
-// with the same seed: a counting pass sizes the output, a second pass
-// fills it. (A production system would stream the output instead; the
-// second pass keeps the I/O accounting of a single enumeration clean.)
-func ListTriangles(sp *extmem.Space, g graph.Canonical, seed uint64, run Lister) (extmem.Extent, Info) {
+// with the same seed — the engine's stream is deterministic in the seed
+// and the graph, so the passes agree: a counting pass sizes the output, a
+// second pass fills it. (A production system would stream the output
+// instead; the second pass keeps the I/O accounting of a single
+// enumeration clean.) A non-nil error is exec.Ctx's cancellation error.
+func ListTriangles(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec) (extmem.Extent, Info, error) {
+	run := func(emit graph.Emit) (Info, error) {
+		info, workerStats, err := CacheAwareParallel(sp, g, seed, exec, emit)
+		for _, w := range workerStats {
+			sp.Absorb(w)
+		}
+		return info, err
+	}
 	var t int64
-	run(sp, g, seed, func(_, _, _ uint32) { t++ })
+	if _, err := run(func(_, _, _ uint32) { t++ }); err != nil {
+		return extmem.Extent{}, Info{}, err
+	}
 	out := sp.Alloc(t * TripleWords)
 	w := emio.NewWriter(out)
-	info := run(sp, g, seed, func(a, b, c uint32) {
+	info, err := run(func(a, b, c uint32) {
 		w0, w1 := packTriple(a, b, c)
 		w.Append(w0)
 		w.Append(w1)
 	})
-	return w.Written(), info
+	return w.Written(), info, err
 }
 
 // VerifyEnumeration checks a materialized triangle list against the
@@ -139,7 +128,7 @@ func VerifyEnumeration(sp *extmem.Space, g graph.Canonical, list extmem.Extent) 
 			}
 			keys.Write(i, k)
 		}
-		emsort.Sort(keys, emsort.Identity)
+		emsort.SortRecords(keys, 1, emsort.Identity)
 		var ei int64
 		edges := g.Edges
 		for i := int64(0); i < t; i++ {
@@ -172,7 +161,7 @@ func sortRunsByThird(sp *extmem.Space, sorted extmem.Extent, t int64) {
 			for i := lo; i < hi; i++ {
 				thirds.Write(i-lo, sorted.Read(TripleWords*i+1))
 			}
-			emsort.Sort(thirds, emsort.Identity)
+			emsort.SortRecords(thirds, 1, emsort.Identity)
 			for i := lo; i < hi; i++ {
 				sorted.Write(TripleWords*i+1, thirds.Read(i-lo))
 			}

@@ -8,45 +8,61 @@ import (
 	"repro/internal/graph"
 )
 
-func listWith(t *testing.T, el graph.EdgeList, run Lister) (*extmem.Space, graph.Canonical, extmem.Extent) {
+func listWith(t *testing.T, el graph.EdgeList, workers int) (*extmem.Space, graph.Canonical, extmem.Extent) {
 	t.Helper()
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	list, _ := ListTriangles(sp, g, 3, run)
+	list, _, err := ListTriangles(sp, g, 3, Exec{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return sp, g, list
-}
-
-func cacheAwareLister(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-	return CacheAware(sp, g, seed, emit)
 }
 
 func TestListTrianglesMatchesOracle(t *testing.T) {
 	el := graph.PlantedClique(80, 300, 10, 4)
 	oracle := graph.NewOracle(el)
-	sp, g, list := listWith(t, el, cacheAwareLister)
-	if uint64(ListLen(list)) != oracle.Count() {
-		t.Fatalf("listed %d, oracle %d", ListLen(list), oracle.Count())
-	}
-	var got []graph.Triple
-	for i := int64(0); i < ListLen(list); i++ {
-		a, b, c := ReadTriple(list, i)
-		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-	}
-	if ok, diag := oracle.SameSet(got); !ok {
-		t.Errorf("listed set wrong: %s", diag)
-	}
-	if err := VerifyEnumeration(sp, g, list); err != nil {
-		t.Errorf("verification failed on a correct list: %v", err)
+	for _, workers := range []int{1, 4} {
+		sp, g, list := listWith(t, el, workers)
+		if uint64(ListLen(list)) != oracle.Count() {
+			t.Fatalf("workers=%d: listed %d, oracle %d", workers, ListLen(list), oracle.Count())
+		}
+		var got []graph.Triple
+		for i := int64(0); i < ListLen(list); i++ {
+			a, b, c := ReadTriple(list, i)
+			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
+		}
+		if ok, diag := oracle.SameSet(got); !ok {
+			t.Errorf("workers=%d: listed set wrong: %s", workers, diag)
+		}
+		if err := VerifyEnumeration(sp, g, list); err != nil {
+			t.Errorf("workers=%d: verification failed on a correct list: %v", workers, err)
+		}
 	}
 }
 
+// TestListTrianglesObliviousLister cross-checks the materialized list
+// against a second algorithm: every record of the cache-aware listing is
+// a triangle the oblivious engine emits, and the two agree on the count.
 func TestListTrianglesObliviousLister(t *testing.T) {
 	el := graph.GNM(60, 350, 8)
-	sp, g, list := listWith(t, el, func(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-		return Oblivious(sp, g, seed, emit)
-	})
-	if uint64(ListLen(list)) != graph.NewOracle(el).Count() {
-		t.Fatal("oblivious listing count mismatch")
+	sp, g, list := listWith(t, el, 4)
+	listed := map[graph.Triple]bool{}
+	for i := int64(0); i < ListLen(list); i++ {
+		a, b, c := ReadTriple(list, i)
+		listed[graph.Triple{V1: a, V2: b, V3: c}] = true
+	}
+	var n int
+	if _, _, err := ObliviousParallel(sp, g, 3, Exec{Workers: 4}, func(a, b, c uint32) {
+		n++
+		if !listed[graph.Triple{V1: a, V2: b, V3: c}] {
+			t.Errorf("oblivious triangle {%d,%d,%d} missing from the listing", a, b, c)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if int64(n) != ListLen(list) || uint64(n) != graph.NewOracle(el).Count() {
+		t.Fatalf("oblivious emitted %d, listing holds %d", n, ListLen(list))
 	}
 	if err := VerifyEnumeration(sp, g, list); err != nil {
 		t.Error(err)
@@ -55,7 +71,7 @@ func TestListTrianglesObliviousLister(t *testing.T) {
 
 func TestVerifyEnumerationCatchesDuplicates(t *testing.T) {
 	el := graph.Clique(6)
-	sp, g, list := listWith(t, el, cacheAwareLister)
+	sp, g, list := listWith(t, el, 1)
 	// Duplicate the first record into a fresh extent.
 	bad := sp.Alloc(list.Len() + TripleWords)
 	list.CopyTo(bad)
@@ -120,15 +136,24 @@ func TestListingCostsOutputTraffic(t *testing.T) {
 	sp.DropCache()
 	sp.ResetStats()
 	var n uint64
-	CacheAware(sp, g, 3, graph.Counter(&n))
+	_, ws, err := CacheAwareParallel(sp, g, 3, Exec{Workers: 4}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sp.Flush()
 	enumIOs := sp.Stats().IOs()
+	for _, w := range ws {
+		enumIOs += w.IOs()
+	}
 
 	sp2 := extmem.NewSpace(m)
 	g2 := graph.CanonicalizeList(sp2, el)
 	sp2.DropCache()
 	sp2.ResetStats()
-	list, _ := ListTriangles(sp2, g2, 3, cacheAwareLister)
+	list, _, err := ListTriangles(sp2, g2, 3, Exec{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sp2.Flush()
 	listIOs := sp2.Stats().IOs()
 
@@ -144,7 +169,10 @@ func TestRecursionInstrumentation(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := Oblivious(sp, g, 1, graph.Counter(&n))
+	info, _, err := ObliviousParallel(sp, g, 1, Exec{Workers: 4}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(info.Recursion) == 0 {
 		t.Fatal("no recursion levels recorded")
 	}

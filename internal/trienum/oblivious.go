@@ -1,9 +1,6 @@
 package trienum
 
 import (
-	"context"
-
-	"repro/internal/ctxutil"
 	"repro/internal/emio"
 	"repro/internal/emsort"
 	"repro/internal/extmem"
@@ -21,59 +18,6 @@ import (
 // at an internal node is as safe as at depth log4(E).
 const obliviousBaseCutoff = 24
 
-// Oblivious enumerates all triangles of g with the cache-oblivious
-// randomized algorithm of Section 3, using O(E^1.5/(sqrt(M)·B)) expected
-// I/Os and O(E) words of disk without ever consulting M or B.
-//
-// It solves the (1,1,1)-enumeration problem under the constant coloring by
-// recursion: each node removes local high-degree vertices (degree >= E/8)
-// via Lemma 1, refines the coloring with a fresh 4-wise independent random
-// bit per vertex, and recurses into the eight color-vector subproblems,
-// each repartitioned in place so that total disk stays O(E). Leaves are
-// solved with Dementiev's sort-merge algorithm.
-func Oblivious(sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) Info {
-	info, _ := ObliviousCtx(nil, sp, g, seed, emit)
-	return info
-}
-
-// ObliviousCtx is Oblivious with cooperative cancellation: ctx (which may
-// be nil) is checked at every recursion node, between the per-vertex
-// Lemma 1 passes inside a node, and inside the Dementiev base cases. On
-// cancellation the run unwinds and returns ctx.Err(); the triangles
-// emitted before it are a prefix of the full stream.
-func ObliviousCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, seed uint64, emit graph.Emit) (Info, error) {
-	var info Info
-	emit = countingEmit(&info, emit)
-	E := g.Edges.Len()
-	if E == 0 {
-		return info, ctxutil.Err(ctx)
-	}
-	if err := ctxutil.Err(ctx); err != nil {
-		return info, err
-	}
-	mark := sp.Mark()
-	defer sp.Release(mark)
-
-	o := &oblivious{
-		sp:   sp,
-		ctx:  ctx,
-		emit: emit,
-		info: &info,
-	}
-	o.work = sp.Alloc(E)
-	g.Edges.CopyTo(o.work)
-	o.ann = sp.Alloc(E)
-	o.ann.Fill(1<<32 | 1) // root coloring ξ0 ≡ 1 on both endpoints
-	o.scratchE = sp.Alloc(E)
-	o.scratchA = sp.Alloc(E)
-	// Recursion depth log4(E), the paper's bound.
-	for d := int64(1); d < E; d *= 4 {
-		o.maxDepth++
-	}
-	err := o.recurse(0, E, [3]uint32{1, 1, 1}, 0, hashing.NewRand(seed))
-	return info, err
-}
-
 // oblivious carries the recursion state. work holds the edges; ann holds,
 // parallel to work, the packed current-level colors (ξ(u)<<32 | ξ(v)) of
 // each edge's endpoints, maintained incrementally so compatibility tests
@@ -85,12 +29,12 @@ func ObliviousCtx(ctx context.Context, sp *extmem.Space, g graph.Canonical, seed
 // Rands with Split(bits). A node's random choices — and hence its entire
 // subtree's emission stream — are therefore a pure function of (segment
 // edge set, color vector, depth, chain, node Rand), independent of
-// whatever its siblings do. That is what lets the parallel planner
+// whatever its siblings do. That is what lets the planner
 // (oblivious_parallel.go) hand subtrees to workers and reproduce the
-// sequential stream exactly.
+// stream of one depth-first recursion exactly. A subtree task runs to
+// completion: cancellation is the planner's and runTasks' job.
 type oblivious struct {
 	sp       *extmem.Space
-	ctx      context.Context
 	emit     graph.Emit
 	info     *Info
 	work     extmem.Extent
@@ -121,16 +65,12 @@ func (o *oblivious) properEmit(col [3]uint32, depth int) func(a, b, c uint32) {
 	}
 }
 
-func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing.Rand) error {
+// recurse solves the (col[0],col[1],col[2])-enumeration problem on the
+// segment [lo,hi) of work: the body of the Section 3 recursion.
+func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing.Rand) {
 	n := hi - lo
 	if n == 0 {
-		return nil
-	}
-	// The recursion node is the cancellation boundary of the
-	// cache-oblivious algorithm: cheap, and frequent enough that a
-	// cancelled run stops within one node's work.
-	if err := ctxutil.Err(o.ctx); err != nil {
-		return err
+		return
 	}
 	o.info.Subproblems++
 	for len(o.info.Recursion) <= depth {
@@ -146,19 +86,15 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 
 	if depth >= o.maxDepth || n <= obliviousBaseCutoff {
 		o.info.BaseCases++
-		properEmit := o.properEmit(col, depth)
-		return DementievSortMergeCtx(o.ctx, o.sp, seg, emsort.FunnelSortRecords, nil, func(a, b, c uint32) {
-			properEmit(a, b, c)
-		})
+		// A nil ctx never cancels; the error is always nil.
+		_ = DementievSortMerge(nil, o.sp, seg, emsort.FunnelSortRecords, nil, o.properEmit(col, depth))
+		return
 	}
 
 	// Step 1: local high-degree vertices (degree >= n/8; at most 16).
-	n, err := o.localHighDegree(lo, hi, col, depth)
-	if err != nil {
-		return err
-	}
+	n = o.localHighDegree(lo, hi, col, depth)
 	if n == 0 {
-		return nil
+		return
 	}
 	seg = o.work.Slice(lo, lo+n)
 	annSeg := o.ann.Slice(lo, lo+n)
@@ -188,9 +124,7 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 			2*col[2] - uint32(bits>>2&1),
 		}
 		k := o.partitionCompatible(lo, lo+n, zeta)
-		if err := o.recurse(lo, lo+k, zeta, depth+1, childRnd); err != nil {
-			return err
-		}
+		o.recurse(lo, lo+k, zeta, depth+1, childRnd)
 	}
 
 	// Restore the annotations of this segment to this node's level before
@@ -206,15 +140,13 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 		annSeg.Write(i, extmem.Word(pu)<<32|extmem.Word(pv))
 	}
 	o.chain = o.chain[:len(o.chain)-1]
-	return nil
 }
 
 // localHighDegree enumerates (via Lemma 1) and removes all triangles with
 // a vertex of degree >= n/8 within the segment, returning the new length.
 // Removal is a permutation: removed edges are moved past the new length,
-// preserving the parent's multiset. The per-vertex passes are the node's
-// internal cancellation boundaries.
-func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) (int64, error) {
+// preserving the parent's multiset.
+func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) int64 {
 	n := hi - lo
 	mark := o.sp.Mark()
 	ends := o.sp.Alloc(2 * n)
@@ -246,9 +178,6 @@ func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) (int
 		if cur == 0 {
 			break
 		}
-		if err := ctxutil.Err(o.ctx); err != nil {
-			return cur, err
-		}
 		segCur := o.work.Slice(lo, lo+cur)
 		enumerateContaining(o.sp, segCur, v, emsort.FunnelSortRecords, func(u, w uint32) {
 			t := graph.MakeTriple(v, u, w)
@@ -259,7 +188,7 @@ func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) (int
 		})
 		o.info.HighDegVertices++
 	}
-	return cur, nil
+	return cur
 }
 
 // partitionCompatible permutes [lo,hi) of work (and annotations) so edges

@@ -34,17 +34,15 @@ import (
 //     the processed vertices removes exactly the triangles the filter
 //     drops, and a sorted stream restricted to a subset keeps its order;
 //   - a subtree task per recursion node below the split frontier, running
-//     the unmodified sequential recursion on a private copy of the node's
-//     segment and annotations.
+//     the recursion body (oblivious.recurse) on a private copy of the
+//     node's segment and annotations.
 //
 // The worker-pool engine (runTasks) replays completed tasks strictly in
-// task order, so the overall stream is byte-identical to the sequential
-// ObliviousCtx at every worker count. As with the cache-aware engine, the
-// I/O accounting differs from the sequential reference path by design —
-// every task is charged a cold private cache, and the coordinator's inline
-// expansion is charged one scan (the root copy-in) rather than the
-// sequential path's per-level repartition traffic — while agreeing with
-// itself at every worker count.
+// task order, so the overall stream is byte-identical to one depth-first
+// recursion from the root at every worker count. As with the cache-aware
+// engine, every task is charged a cold private cache, and the
+// coordinator's inline expansion is charged one scan (the root copy-in)
+// rather than a per-level repartition of the whole segment.
 
 const (
 	// obSplitDepth is the depth of the split frontier: nodes at this depth
@@ -61,25 +59,31 @@ const (
 	obSplitMinEdges = 1024
 )
 
-// ObliviousParallel is the cache-oblivious randomized algorithm of
-// Section 3 executed by the worker-pool engine: the recursion's local
-// high-degree passes and its depth-obSplitDepth subtrees run as tasks on
-// exec.Workers shards. The triangle stream is byte-identical to the
-// sequential ObliviousCtx with the same seed, at every worker count; the
-// summed I/O stats are identical at every worker count (but differ from
-// the sequential path's, as documented above). The second return value is
-// the per-worker I/O breakdown. A non-nil error is exec.Ctx's
-// cancellation error; the triangles emitted before it are a prefix of the
+// ObliviousParallel enumerates all triangles of g with the cache-oblivious
+// randomized algorithm of Section 3, using O(E^1.5/(sqrt(M)·B)) expected
+// I/Os and O(E) words of disk without ever consulting M or B.
+//
+// It solves the (1,1,1)-enumeration problem under the constant coloring by
+// recursion: each node removes local high-degree vertices (degree >= E/8)
+// via Lemma 1, refines the coloring with a fresh 4-wise independent random
+// bit per vertex, and recurses into the eight color-vector subproblems,
+// each repartitioned in place so that total disk stays O(E). Leaves are
+// solved with Dementiev's sort-merge algorithm.
+//
+// The recursion's local high-degree passes and its depth-obSplitDepth
+// subtrees run as tasks on exec.Workers shards of the worker-pool engine;
+// Workers=1 is the sequential run. The triangle stream and the summed I/O
+// stats are identical at every worker count and deterministic in seed.
+// The second return value is the per-worker I/O breakdown. A non-nil error
+// is exec.Ctx's cancellation error, checked at every inline-expanded node
+// and between tasks; the triangles emitted before it are a prefix of the
 // full stream.
 func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	E := g.Edges.Len()
-	if E == 0 {
-		return info, nil, ctxutil.Err(exec.Ctx)
-	}
 	ctx := exec.Ctx
-	if err := ctxutil.Err(ctx); err != nil {
+	if err := ctxutil.Err(ctx); err != nil || E == 0 {
 		return info, nil, err
 	}
 	cfg := sp.Config()
@@ -227,7 +231,7 @@ func (p *obPlanner) plan(ed, an []extmem.Word, col [3]uint32, depth int, chain [
 
 // addSubtreeTask hands one whole recursion node to a worker: the task
 // copies the node's segment and annotations from the arena into private
-// extents and runs the unmodified sequential recursion on them.
+// extents and runs the recursion body on them.
 func (p *obPlanner) addSubtreeTask(ed, an []extmem.Word, col [3]uint32, depth int, chain []hashing.Poly4, rnd hashing.Rand) {
 	n := int64(len(ed))
 	off := p.appendArena(ed, an)
@@ -253,16 +257,14 @@ func (p *obPlanner) addSubtreeTask(ed, an []extmem.Word, col [3]uint32, depth in
 		loc.scratchE = shard.Alloc(n)
 		loc.scratchA = shard.Alloc(n)
 		r := rnd
-		// A nil-ctx recursion cannot fail; tasks run to completion so a
-		// cancelled run's merged stream stays a prefix of the full one.
-		_ = loc.recurse(0, n, col, depth, &r)
+		loc.recurse(0, n, col, depth, &r)
 	})
 }
 
 // addHighDegTask hands one local high-degree pass to a worker: Lemma 1 for
 // vertex v against the node's frozen pre-pass segment, keeping only wedges
-// disjoint from the vertices processed before v (whose edges the
-// sequential path had already removed) and triangles proper for the node's
+// disjoint from the vertices processed before v (whose edges the recursion
+// body would already have removed) and triangles proper for the node's
 // color vector.
 func (p *obPlanner) addHighDegTask(off, n int64, v uint32, skip []uint32, col [3]uint32, depth int, chain []hashing.Poly4) {
 	ch := make([]hashing.Poly4, len(chain))

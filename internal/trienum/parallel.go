@@ -10,7 +10,6 @@ import (
 	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
-	"repro/internal/hashing"
 )
 
 // The parallel execution engine. The paper's cache-aware algorithms
@@ -33,17 +32,15 @@ import (
 //     per-unit counts are scheduling-independent, the aggregate equals the
 //     one-worker engine run exactly.
 //
-// Relative to the sequential reference path (CacheAware, Deterministic),
-// the engine charges each unit a cold start instead of inheriting warm
-// cache state from its predecessor — the accounting the paper's per-
-// subproblem analysis actually performs — so engine totals differ from
-// the reference path's by design, while agreeing with themselves at every
-// worker count.
+// The engine charges each unit a cold start instead of letting it inherit
+// warm cache state from its predecessor — the accounting the paper's
+// per-subproblem analysis actually performs.
 
 // Exec configures the parallel execution engine.
 type Exec struct {
 	// Workers is the number of worker goroutines solving subproblems;
-	// values <= 0 select runtime.GOMAXPROCS(0).
+	// values <= 0 select runtime.GOMAXPROCS(0). Workers=1 runs every
+	// subproblem in sequence on one shard.
 	Workers int
 	// Ctx, when non-nil, cancels a run cooperatively: the engine checks it
 	// between subproblems (and the parallel sorts between runs), stops
@@ -52,6 +49,13 @@ type Exec struct {
 	// never retracted; a cancelled run's triangle stream is a prefix of
 	// the full stream. A nil Ctx never cancels.
 	Ctx context.Context
+	// DisableHighDegree makes CacheAwareParallel skip step 1 (Lemma 1 on
+	// vertices with degree greater than sqrt(E·M)), an ablation of the
+	// algorithm's design. The algorithm remains correct — the color
+	// triples still cover every triangle — but Lemma 3's bound on X_ξ no
+	// longer holds on skewed degree distributions, and the I/O cost of
+	// step 3 degrades accordingly.
+	DisableHighDegree bool
 }
 
 func (x Exec) workers() int {
@@ -73,8 +77,7 @@ const (
 	// buffer before its worker blocks. Together with the dispatch window
 	// this bounds the engine's native memory at
 	// O(workers · streamDepth · emitBatch) triangles regardless of the
-	// output size, preserving the streaming character of the sequential
-	// path on triangle-dense graphs.
+	// output size, keeping the engine streaming on triangle-dense graphs.
 	streamDepth = 8
 )
 
@@ -200,110 +203,17 @@ func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, task
 	return stats, nil
 }
 
-// CacheAwareParallel is the cache-aware randomized algorithm of Section 2
-// executed by the worker-pool engine: the Lemma 1 high-degree passes and
-// the c³ color-triple kernels run on exec.Workers shards. The triangle
-// stream and the summed I/O stats are identical for every worker count,
-// and deterministic in seed. The second return value is the per-worker
-// I/O breakdown of the parallel phases (the coordinator's own I/Os accrue
-// to sp as usual). A non-nil error is exec.Ctx's cancellation error; the
-// triangles emitted before it are a prefix of the full stream.
-func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
-	var info Info
-	emit = countingEmit(&info, emit)
-	E := g.Edges.Len()
-	if E == 0 {
-		return info, nil, ctxutil.Err(exec.Ctx)
-	}
-	ctx := exec.Ctx
-	if err := ctxutil.Err(ctx); err != nil {
-		return info, nil, err
-	}
-	cfg := sp.Config()
-	workers := exec.workers()
-	mark := sp.Mark()
-	defer sp.Release(mark)
-
-	work := sp.Alloc(E)
-	g.Edges.CopyTo(work)
-
-	curLen, workerStats, err := highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
-	if err != nil {
-		return info, workerStats, err
-	}
-
-	c := ceilSqrt(float64(E) / float64(cfg.M))
-	info.Colors = c
-	col := hashing.NewColoring(hashing.NewRand(seed), c)
-	ws, err := solveColoredParallel(ctx, sp, work.Prefix(curLen), col.Color, c, workers, &info, emit)
-	return info, extmem.AddStatsVec(workerStats, ws), err
-}
-
-// DeterministicParallel is the derandomized algorithm of Section 4 on the
-// worker-pool engine. The greedy coloring construction is inherently
-// sequential and runs on the coordinator (checking exec.Ctx between
-// levels); the high-degree passes and the color-triple kernels
-// parallelize as in CacheAwareParallel.
-func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
-	var info Info
-	emit = countingEmit(&info, emit)
-	E := g.Edges.Len()
-	if E == 0 {
-		return info, nil, ctxutil.Err(exec.Ctx)
-	}
-	ctx := exec.Ctx
-	if err := ctxutil.Err(ctx); err != nil {
-		return info, nil, err
-	}
-	workers := exec.workers()
-	mark := sp.Mark()
-	defer sp.Release(mark)
-
-	work := sp.Alloc(E)
-	g.Edges.CopyTo(work)
-
-	curLen, workerStats, err := highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
-	if err != nil {
-		return info, workerStats, err
-	}
-	edges := work.Prefix(curLen)
-
-	// The greedy bit selection is inherently sequential, but the
-	// endpoint-doubled list it scans is ordered by the parallel sort. A
-	// cancellation inside the sort is recorded and surfaces right after
-	// the coloring construction unwinds.
-	var sortErr error
-	sorter := func(ext extmem.Extent, stride int, key emsort.Key) {
-		if sortErr != nil {
-			return
-		}
-		ws, err := emsort.ParallelSortRecordsCtx(ctx, ext, stride, key, workers)
-		workerStats = extmem.AddStatsVec(workerStats, ws)
-		sortErr = err
-	}
-	colorOf, c, err := buildDeterministicColoring(ctx, sp, g, edges, familySize, sorter, &info)
-	if sortErr != nil {
-		return info, workerStats, sortErr
-	}
-	if err != nil {
-		return info, workerStats, err
-	}
-	ws, err := solveColoredParallel(ctx, sp, edges, colorOf, c, workers, &info, emit)
-	return info, extmem.AddStatsVec(workerStats, ws), err
-}
-
 // highDegreeParallel runs step 1 — one Lemma 1 pass per vertex of degree
 // greater than sqrt(E·M) — as shard tasks over a frozen snapshot of the
 // full edge set, then compacts the surviving low-degree edges to the
 // prefix of work, returning the new length and the per-worker stats.
 //
-// In the sequential reference path each vertex's edges are removed before
-// the next vertex is processed, which is what makes every triangle land
-// at its highest-ranked high-degree corner. Against the frozen set the
-// same exactly-once guarantee comes from a filter: a triangle {u,w,vr}
-// found at vr is kept only if u, w < vr, i.e. vr is the triangle's
-// highest corner. The per-vertex triangle sets coincide with the
-// reference path's.
+// The paper removes each vertex's edges before processing the next one,
+// which is what makes every triangle land at its highest-ranked
+// high-degree corner. Against the frozen set the same exactly-once
+// guarantee comes from a filter: a triangle {u,w,vr} found at vr is kept
+// only if u, w < vr, i.e. vr is the triangle's highest corner. The
+// per-vertex triangle sets coincide with those of the removal loop.
 func highDegreeParallel(ctx context.Context, sp *extmem.Space, work extmem.Extent, g graph.Canonical, workers int, emit graph.Emit, info *Info) (int64, []extmem.Stats, error) {
 	E := work.Len()
 	cfg := sp.Config()
@@ -334,8 +244,8 @@ func highDegreeParallel(ctx context.Context, sp *extmem.Space, work extmem.Exten
 
 // compactBelow drops every edge with an endpoint of rank >= r0 (edges are
 // canonical, u < v, so that is exactly V(e) >= r0), compacting survivors
-// to the prefix of work — the same edge set, in the same order, that the
-// reference path reaches by removing each high-degree vertex in turn.
+// to the prefix of work — the same edge set, in the same order, that
+// removing each high-degree vertex in turn would leave.
 func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 	mark := sp.Mark()
 	defer sp.Release(mark)
@@ -348,11 +258,13 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 	return kept
 }
 
-// solveColoredParallel is solveColored with both the color-pair sort and
-// the color triples dispatched to the worker pool: the coordinator sorts
-// edges into color-pair buckets with the parallel emsort engine (the
-// sequential Amdahl bottleneck before it) and freezes them; each triple's
+// solveColoredParallel runs steps 2 and 3 shared by the cache-aware
+// randomized and the deterministic algorithms: partition edges by the
+// color pair of their endpoints under colorOf, then solve every color
+// triple with the kernel. The coordinator sorts edges into color-pair
+// buckets with the parallel emsort engine and freezes them; each triple's
 // bucket union, kernel run, and color filter happen on a worker shard.
+// edges is clobbered (sorted by color pair).
 func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int, workers int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
 	E := edges.Len()
 	if E == 0 {
@@ -364,11 +276,13 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 		if err != nil {
 			return sortWS, err
 		}
+		// Single subproblem: this is exactly the Hu–Tao–Chung algorithm
+		// applied to the whole edge set.
 		shared := sp.Snapshot(edges)
 		info.Subproblems++
 		task := func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
-			kernel(shard, seg, seg, 0, nil, emit)
+			_ = kernel(nil, shard, seg, seg, 0, nil, emit) // nil ctx: cannot fail
 		}
 		ws, err := runTasks(ctx, cfg, shared, []shardTask{task}, 1, emit)
 		return extmem.AddStatsVec(sortWS, ws), err
@@ -377,6 +291,8 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	if err != nil {
 		return sortWS, err
 	}
+	// Bucket offsets: c² + 1 native words of internal memory — within
+	// budget under the paper's assumption c² = E/M <= M, i.e. M >= sqrt(E).
 	release := sp.LeaseAtMost(c*c + 1)
 	off := bucketOffsets(edges, colorOf, c, info)
 	release()
@@ -426,7 +342,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTriple(shard, seg, off, c, t1, t2, t3, colorOf, shard.Alloc(need), emit)
+				solveTriple(shard, seg, off, c, t1, t2, t3, 0, nPiv, 0, colorOf, shard.Alloc(need), emit)
 			})
 			return
 		}
@@ -439,7 +355,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTripleRange(shard, seg, off, c, t1, t2, t3, lo, hi, memEdges, colorOf, shard.Alloc(need), emit)
+				solveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, memEdges, colorOf, shard.Alloc(need), emit)
 			})
 		}
 	})

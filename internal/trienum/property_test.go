@@ -45,10 +45,10 @@ func TestQuickKernelPivotAdditivity(t *testing.T) {
 		}
 		k := int64(cut)%(e-1) + 1
 		var parts uint64
-		kernel(sp, g.Edges, g.Edges.Slice(0, k), 0, nil, func(_, _, _ uint32) { parts++ })
-		kernel(sp, g.Edges, g.Edges.Slice(k, e), 0, nil, func(_, _, _ uint32) { parts++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(0, k), 0, nil, func(_, _, _ uint32) { parts++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(k, e), 0, nil, func(_, _, _ uint32) { parts++ })
 		var whole uint64
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { whole++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { whole++ })
 		return parts == whole && whole == graph.NewOracle(el).Count()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -68,17 +68,19 @@ func TestQuickRelabelingInvariance(t *testing.T) {
 		g1 := graph.CanonicalizeList(sp1, el)
 		g2 := graph.CanonicalizeList(sp2, relabeled)
 		var n1, n2 uint64
-		CacheAware(sp1, g1, 1, graph.Counter(&n1))
-		CacheAware(sp2, g2, 1, graph.Counter(&n2))
-		return n1 == n2
+		_, _, err1 := CacheAwareParallel(sp1, g1, 1, Exec{Workers: 1}, graph.Counter(&n1))
+		_, _, err2 := CacheAwareParallel(sp2, g2, 1, Exec{Workers: 4}, graph.Counter(&n2))
+		return err1 == nil && err2 == nil && n1 == n2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: removing a vertex's edges removes exactly the Lemma-1
-// triangles of that vertex from the graph's total.
+// Property: dropping the vertices of rank >= r0 (compactBelow, the
+// engine's step-1 cleanup) removes exactly the triangles whose highest
+// corner is such a vertex, as counted by Lemma 1 with the engine's w < r
+// filter.
 func TestQuickRemoveIncidentConsistency(t *testing.T) {
 	prop := func(seed uint64, vRaw uint8) bool {
 		el := graph.GNM(30, 150, seed)
@@ -87,18 +89,27 @@ func TestQuickRemoveIncidentConsistency(t *testing.T) {
 		if g.NumVertices == 0 {
 			return true
 		}
-		v := uint32(int(vRaw) % g.NumVertices)
+		r0 := uint32(int(vRaw) % g.NumVertices)
 		var through uint64
-		enumerateContaining(sp, g.Edges, v, emsort.SortRecords, func(_, _ uint32) { through++ })
+		for r := r0; int(r) < g.NumVertices; r++ {
+			enumerateContaining(sp, g.Edges, r, emsort.SortRecords, func(_, w uint32) {
+				if w < r {
+					through++
+				}
+			})
+		}
 
 		work := sp.Alloc(g.Edges.Len())
 		g.Edges.CopyTo(work)
-		scratch := sp.Alloc(g.Edges.Len())
-		kept := removeIncident(work, scratch, v)
+		kept := compactBelow(sp, work, r0)
 		var after uint64
-		kernel(sp, work.Prefix(kept), work.Prefix(kept), 0, nil, func(_, _, _ uint32) { after++ })
+		if err := kernel(nil, sp, work.Prefix(kept), work.Prefix(kept), 0, nil, func(_, _, _ uint32) { after++ }); err != nil {
+			return false
+		}
 		var before uint64
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { before++ })
+		if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { before++ }); err != nil {
+			return false
+		}
 		return before == after+through
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -115,10 +126,17 @@ func TestQuickObliviousMatchesKernel(t *testing.T) {
 		el := graph.GNM(n, n*3, seed)
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
-		var a, b uint64
-		Oblivious(sp, g, seed^0xabc, graph.Counter(&a))
-		kernel(sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { b++ })
-		return a == b
+		var b uint64
+		if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { b++ }); err != nil {
+			return false
+		}
+		for _, workers := range []int{1, 4} {
+			var a uint64
+			if _, _, err := ObliviousParallel(sp, g, seed^0xabc, Exec{Workers: workers}, graph.Counter(&a)); err != nil || a != b {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -10,8 +10,8 @@ import (
 )
 
 // TestSequentialCtxCancellation mirrors TestParallelCtxCancellation for
-// the sequential algorithms: cancelling the context from inside emit
-// stops the run at its next pass/recursion boundary — the emitted prefix
+// the sequential baselines of this package: cancelling the context from
+// inside emit stops the run at its next pass boundary — the emitted prefix
 // is shorter than the full stream — and returns context.Canceled; a
 // pre-cancelled context never starts the run; and the Space is reusable
 // after a cancelled run.
@@ -22,16 +22,12 @@ func TestSequentialCtxCancellation(t *testing.T) {
 	g := graph.CanonicalizeList(sp, el)
 
 	engines := map[string]func(ctx context.Context, emit graph.Emit) error{
-		"oblivious": func(ctx context.Context, emit graph.Emit) error {
-			_, err := ObliviousCtx(ctx, sp, g, 5, emit)
-			return err
-		},
 		"hutaochung": func(ctx context.Context, emit graph.Emit) error {
-			_, err := HuTaoChungCtx(ctx, sp, g, emit)
+			_, err := HuTaoChung(ctx, sp, g, emit)
 			return err
 		},
 		"sortmerge": func(ctx context.Context, emit graph.Emit) error {
-			_, err := DementievCtx(ctx, sp, g, emit)
+			_, err := Dementiev(ctx, sp, g, emit)
 			return err
 		},
 	}

@@ -6,15 +6,22 @@
 // Three top-level algorithms are provided, all asymptotically I/O-optimal
 // at O(E^1.5/(sqrt(M)·B)):
 //
-//   - CacheAware (Section 2): randomized, color-codes the low-degree
-//     subgraph with c = sqrt(E/M) colors from a 4-wise independent family
-//     and solves c^3 color-triple subproblems with the Hu–Tao–Chung kernel.
-//   - Oblivious (Section 3): randomized and cache-oblivious; recursively
-//     refines a vertex coloring one random bit per level, solving eight
-//     (c0,c1,c2)-enumeration subproblems per node.
-//   - Deterministic (Section 4): derandomizes CacheAware by building the
-//     coloring greedily, one bit per level, from a small-bias family,
-//     maintaining the paper's potential invariant (4).
+//   - CacheAwareParallel (Section 2): randomized, color-codes the
+//     low-degree subgraph with c = sqrt(E/M) colors from a 4-wise
+//     independent family and solves c^3 color-triple subproblems with the
+//     Hu–Tao–Chung kernel.
+//   - ObliviousParallel (Section 3): randomized and cache-oblivious;
+//     recursively refines a vertex coloring one random bit per level,
+//     solving eight (c0,c1,c2)-enumeration subproblems per node.
+//   - DeterministicParallel (Section 4): derandomizes the cache-aware
+//     algorithm by building the coloring greedily, one bit per level, from
+//     a small-bias family, maintaining the paper's potential invariant (4).
+//
+// Each algorithm has exactly one entry point: its independent subproblems
+// run on the worker-pool engine (parallel.go), and Exec.Workers=1 is the
+// sequential run. The Section 1.1 baselines HuTaoChung and Dementiev live
+// here too, because the algorithms reuse their kernels; each takes a
+// context as its first argument.
 //
 // All algorithms take a graph in canonical form (graph.Canonical) and emit
 // each triangle exactly once, in rank space, with v1 < v2 < v3, at a moment
@@ -144,20 +151,6 @@ func mergeByKey(a, b extmem.Extent, key func(extmem.Word) uint64, onMatch func(e
 		}
 	}
 }
-
-// removeIncident compacts seg, dropping all edges incident to v, using
-// scratch as temporary storage. It returns the new length.
-func removeIncident(seg, scratch extmem.Extent, v uint32) int64 {
-	w := emio.NewWriter(scratch)
-	kept := emio.Filter(w, seg, func(e extmem.Word) bool {
-		return graph.U(e) != v && graph.V(e) != v
-	})
-	emio.Copy(seg.Prefix(kept), scratch.Prefix(kept))
-	return kept
-}
-
-// sortRecordsFunc adapts emsort.SortRecords to graph.SortFunc.
-var sortRecordsFunc graph.SortFunc = emsort.SortRecords
 
 // ceilSqrt returns the smallest integer c >= sqrt(x).
 func ceilSqrt(x float64) int {

@@ -1,6 +1,7 @@
 package trienum
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -18,28 +19,27 @@ func smallSpace() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 }
 
-// runAlg runs the named algorithm and returns emitted triples in original
-// vertex ids plus the Info.
+// algorithm is one entry point at one worker count, returning its Info.
 type algorithm struct {
 	name string
 	run  func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info
 }
 
-var algorithms = []algorithm{
-	{"cacheaware", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		return CacheAware(sp, g, 12345, emit)
-	}},
-	{"oblivious", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		return Oblivious(sp, g, 12345, emit)
-	}},
-	{"deterministic", func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
-		info, err := Deterministic(sp, g, 0, emit)
-		if err != nil {
-			panic(err)
+// algorithms runs each of the three engines at Workers=1 (the sequential
+// run) and Workers=4 (the pool).
+var algorithms = func() []algorithm {
+	var out []algorithm
+	for _, eng := range parallelEngines {
+		for _, workers := range []int{1, 4} {
+			out = append(out, algorithm{fmt.Sprintf("%s/workers=%d", eng.name, workers),
+				func(sp *extmem.Space, g graph.Canonical, emit graph.Emit) Info {
+					info, _ := eng.run(sp, g, Exec{Workers: workers}, emit)
+					return info
+				}})
 		}
-		return info
-	}},
-}
+	}
+	return out
+}()
 
 func enumerate(t *testing.T, sp *extmem.Space, el graph.EdgeList, alg algorithm) ([]graph.Triple, Info) {
 	t.Helper()
@@ -117,18 +117,27 @@ func TestSeedIndependence(t *testing.T) {
 	el := graph.GNM(80, 500, 20)
 	oracle := graph.NewOracle(el)
 	for _, seed := range []uint64{1, 2, 99999, ^uint64(0)} {
-		for _, run := range []func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info{
-			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info { return CacheAware(sp, g, seed, e) },
-			func(sp *extmem.Space, g graph.Canonical, e graph.Emit) Info { return Oblivious(sp, g, seed, e) },
-		} {
-			sp := newSpace()
-			g := graph.CanonicalizeList(sp, el)
-			var got []graph.Triple
-			run(sp, g, func(a, b, c uint32) {
-				got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-			})
-			if ok, diag := oracle.SameSet(got); !ok {
-				t.Errorf("seed %d: %s", seed, diag)
+		for _, workers := range []int{1, 4} {
+			exec := Exec{Workers: workers}
+			for _, run := range []func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error){
+				func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error) {
+					return CacheAwareParallel(sp, g, seed, exec, e)
+				},
+				func(sp *extmem.Space, g graph.Canonical, e graph.Emit) (Info, []extmem.Stats, error) {
+					return ObliviousParallel(sp, g, seed, exec, e)
+				},
+			} {
+				sp := newSpace()
+				g := graph.CanonicalizeList(sp, el)
+				var got []graph.Triple
+				if _, _, err := run(sp, g, func(a, b, c uint32) {
+					got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if ok, diag := oracle.SameSet(got); !ok {
+					t.Errorf("seed %d workers %d: %s", seed, workers, diag)
+				}
 			}
 		}
 	}
@@ -219,9 +228,11 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	kernel(sp, g.Edges, g.Edges, 0, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if ok, diag := oracle.SameSet(got); !ok {
 		t.Errorf("kernel: %s", diag)
 	}
@@ -237,9 +248,11 @@ func TestKernelPivotRestriction(t *testing.T) {
 	pivot := g.Edges.Slice(g.Edges.Len()-1, g.Edges.Len())
 	pe := pivot.Read(0)
 	var got []graph.Triple
-	kernel(sp, g.Edges, pivot, 0, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, pivot, 0, nil, func(a, b, c uint32) {
 		got = append(got, graph.Triple{V1: a, V2: b, V3: c})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 6 {
 		t.Fatalf("pivot restriction: got %d triangles, want 6", len(got))
 	}
@@ -257,9 +270,11 @@ func TestKernelTinyChunks(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	kernel(sp, g.Edges, g.Edges, 4, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, g.Edges, 4, nil, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if ok, diag := oracle.SameSet(got); !ok {
 		t.Errorf("chunked kernel: %s", diag)
 	}
@@ -280,9 +295,11 @@ func TestDementievSortMerge(t *testing.T) {
 		sp := newSpace()
 		g := graph.CanonicalizeList(sp, el)
 		var got []graph.Triple
-		DementievSortMerge(sp, g.Edges, emsort.SortRecords, nil, func(a, b, c uint32) {
+		if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords, nil, func(a, b, c uint32) {
 			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if ok, diag := oracle.SameSet(got); !ok {
 			t.Errorf("%s: %s", name, diag)
 		}
@@ -294,9 +311,11 @@ func TestDementievFilter(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	count := 0
-	DementievSortMerge(sp, g.Edges, emsort.SortRecords,
+	if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords,
 		func(a, b, c uint32) bool { return a == 0 }, // only cone rank 0
-		func(a, b, c uint32) { count++ })
+		func(a, b, c uint32) { count++ }); err != nil {
+		t.Fatal(err)
+	}
 	if count != 36 { // C(9,2)
 		t.Errorf("filtered count %d, want 36", count)
 	}
@@ -308,7 +327,7 @@ func TestDeterministicInvariantRecorded(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 6, B: 1 << 3})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info, err := Deterministic(sp, g, 0, graph.Counter(&n))
+	info, _, err := DeterministicParallel(sp, g, 0, Exec{Workers: 4}, graph.Counter(&n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +355,10 @@ func TestCacheAwareInfoFields(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := CacheAware(sp, g, 7, graph.Counter(&n))
+	info, _, err := CacheAwareParallel(sp, g, 7, Exec{Workers: 4}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.Colors < 2 {
 		t.Errorf("expected multiple colors with E=%d >> M=%d, got c=%d", g.Edges.Len(), sp.Config().M, info.Colors)
 	}
@@ -353,7 +375,10 @@ func TestObliviousInfoFields(t *testing.T) {
 	sp := smallSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info := Oblivious(sp, g, 3, graph.Counter(&n))
+	info, _, err := ObliviousParallel(sp, g, 3, Exec{Workers: 4}, graph.Counter(&n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if info.Subproblems < 8 {
 		t.Errorf("recursion did not branch: %d subproblems", info.Subproblems)
 	}

@@ -39,9 +39,10 @@ type JoinOptions struct {
 	BlockWords  int
 	// Seed drives the randomized algorithms.
 	Seed uint64
-	// Workers is the worker count for the parallel-capable algorithms
-	// (0 = one per CPU); the reconstructed rows and aggregated I/O
-	// statistics are identical at every value.
+	// Workers is the worker count (0 = one per CPU) of the join's
+	// canonicalization and, for the paper's algorithms, of its
+	// enumeration; the reconstructed rows and aggregated I/O statistics
+	// are identical at every value.
 	Workers int
 	// Native runs the join's triangle enumeration natively on the
 	// canonical image: same reconstructed rows, zero I/O statistics.
@@ -71,13 +72,11 @@ func (d JoinDecomposition) Join(opt JoinOptions, visit func(JoinRow)) (JoinStats
 	}
 	dec := join.Decomposition{SB: toJoinPairs(d.SB), BT: toJoinPairs(d.BT), ST: toJoinPairs(d.ST)}
 	enc := dec.Encode()
-	parallelAlgo := opt.Algorithm == CacheAware || opt.Algorithm == CacheOblivious || opt.Algorithm == Deterministic
 	g, err := Build(FromEdges(enc.Edges), Options{
-		MemoryWords:     opt.MemoryWords,
-		BlockWords:      opt.BlockWords,
-		Workers:         opt.Workers,
-		Native:          opt.Native,
-		SequentialCanon: !parallelAlgo,
+		MemoryWords: opt.MemoryWords,
+		BlockWords:  opt.BlockWords,
+		Workers:     opt.Workers,
+		Native:      opt.Native,
 	})
 	if err != nil {
 		return JoinStats{}, err

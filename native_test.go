@@ -212,29 +212,30 @@ func TestNativeJoin(t *testing.T) {
 	}
 }
 
-// TestNativeEnumerateShim pins the one-shot shim: Config.Native flows
-// through to the query, same triangles, zero Stats.
+// TestNativeEnumerateShim pins the one-call pipeline in native mode:
+// Options.Native on Build flows through to a TrianglesFunc query that
+// leaves Query.Mode at ModeAuto — same triangles, zero Stats.
 func TestNativeEnumerateShim(t *testing.T) {
 	edges, err := Generate("gnm:n=150,m=1200", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 5}
+	opts := Options{MemoryWords: 1 << 10, BlockWords: 1 << 5}
 	var sim, nat []Triangle
-	simRes, err := Enumerate(edges, cfg, func(a, b, c uint32) { sim = append(sim, Triangle{a, b, c}) })
+	simRes, err := buildQuery(edges, opts, Query{Seed: 5}, func(a, b, c uint32) { sim = append(sim, Triangle{a, b, c}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Native = true
-	natRes, err := Enumerate(edges, cfg, func(a, b, c uint32) { nat = append(nat, Triangle{a, b, c}) })
+	opts.Native = true
+	natRes, err := buildQuery(edges, opts, Query{Seed: 5}, func(a, b, c uint32) { nat = append(nat, Triangle{a, b, c}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sim, nat) {
-		t.Error("native shim emission differs from simulated")
+		t.Error("native emission differs from simulated")
 	}
 	if natRes.Stats != (IOStats{}) {
-		t.Errorf("native shim Stats not zero: %+v", natRes.Stats)
+		t.Errorf("native Stats not zero: %+v", natRes.Stats)
 	}
 	if natRes.Triangles != simRes.Triangles {
 		t.Errorf("triangle counts differ: native %d, simulated %d", natRes.Triangles, simRes.Triangles)

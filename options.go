@@ -131,14 +131,6 @@ type Options struct {
 	// Update always canonicalize on the simulated machine, so CanonIOs
 	// remains meaningful on native handles.
 	Native bool
-	// SequentialCanon runs the Build-time canonicalization with the
-	// sequential reference sorts on the coordinator instead of the
-	// parallel emsort engine. The canonical representation is
-	// byte-identical either way; only the I/O accounting attributed to
-	// CanonIOs differs (the parallel engine charges each unit a cold
-	// start, the PEM accounting). The compatibility shims use this to
-	// reproduce the historical per-algorithm accounting exactly.
-	SequentialCanon bool
 }
 
 func (o Options) withDefaults() Options {
@@ -162,54 +154,6 @@ func (o Options) validate() error {
 			o.MemoryWords, o.BlockWords*o.BlockWords)
 	}
 	return nil
-}
-
-// Config describes a one-shot Enumerate/Count run: the simulated machine
-// plus the algorithm to run on it. New code should prefer Build with
-// Options and per-query Query values; Config remains the one-call
-// configuration of the compatibility shims.
-type Config struct {
-	// Algorithm defaults to CacheAware.
-	Algorithm Algorithm
-	// MemoryWords is the internal memory size M in 64-bit words
-	// (default 1<<16). Must satisfy the tall-cache assumption
-	// MemoryWords >= BlockWords².
-	MemoryWords int
-	// BlockWords is the block size B in words (default 1<<7, i.e. 1 KiB
-	// blocks). Must be a power of two.
-	BlockWords int
-	// Seed drives the randomized algorithms; runs are deterministic in it.
-	Seed uint64
-	// Workers is the number of parallel workers solving independent
-	// subproblems — and running the parallel external-memory sorts that
-	// canonicalize the input and order the color-pair buckets — for the
-	// CacheAware, CacheOblivious, and Deterministic algorithms
-	// (0 = runtime.GOMAXPROCS(0), i.e. one per CPU; the baseline
-	// algorithms are sequential and ignore it). The triangle stream, the
-	// triangle count, and the aggregated
-	// I/O statistics (including CanonIOs) are identical for every value
-	// of Workers — only wall-clock time changes.
-	Workers int
-	// FamilySize overrides the small-bias family size used by the
-	// Deterministic algorithm (0 = default).
-	FamilySize int
-	// DiskPath, when non-empty, backs the external memory with a real
-	// file at that path instead of process memory.
-	DiskPath string
-	// Native runs the enumeration natively on the canonical image instead
-	// of the simulated machine: identical triangle stream, zero Stats.
-	// See Options.Native.
-	Native bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MemoryWords == 0 {
-		c.MemoryWords = 1 << 16
-	}
-	if c.BlockWords == 0 {
-		c.BlockWords = 1 << 7
-	}
-	return c
 }
 
 // IOStats reports the block-transfer counts of a run.

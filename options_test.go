@@ -28,9 +28,8 @@ func TestAlgorithmNamesComplete(t *testing.T) {
 	}
 }
 
-// TestOptionsValidation: the machine constraints are enforced — with the
-// same wording — by both the Options path (Build) and the Config path
-// (Enumerate).
+// TestOptionsValidation: Build enforces the machine constraints, naming
+// the violated one.
 func TestOptionsValidation(t *testing.T) {
 	cases := []struct {
 		m, b int
@@ -45,10 +44,6 @@ func TestOptionsValidation(t *testing.T) {
 		_, errBuild := Build(FromEdges(nil), Options{MemoryWords: c.m, BlockWords: c.b})
 		if errBuild == nil || !strings.Contains(errBuild.Error(), c.want) {
 			t.Errorf("Build(M=%d B=%d): error %v, want mention of %q", c.m, c.b, errBuild, c.want)
-		}
-		_, errEnum := Enumerate([][2]uint32{{0, 1}}, Config{MemoryWords: c.m, BlockWords: c.b}, nil)
-		if errEnum == nil || errEnum.Error() != errBuild.Error() {
-			t.Errorf("Enumerate(M=%d B=%d): error %v, want shim-identical %v", c.m, c.b, errEnum, errBuild)
 		}
 	}
 	// Defaults are valid and exposed through the handle.

@@ -108,10 +108,10 @@ type Result struct {
 	// actually loaded by a Cliques or Match query, to compare against the
 	// O(k²·M) expectation of Section 6.
 	MaxSubproblem int64
-	// Workers is the resolved worker cap of the run: Config.Workers after
-	// defaulting, or 1 for the sequential algorithms. The engine engages
-	// at most one worker per subproblem, so fewer workers (len of
-	// WorkerStats) may actually run on small inputs.
+	// Workers is the resolved worker cap of the run: Query.Workers, or
+	// else Options.Workers, after defaulting; 1 for the sequential
+	// baselines. The engine engages at most one worker per subproblem, so
+	// fewer workers (len of WorkerStats) may actually run on small inputs.
 	Workers int
 	// WorkerStats breaks the parallel phases down per worker. Which
 	// worker solved which subproblem depends on scheduling, so individual
@@ -197,14 +197,12 @@ func (l *limiter) finish(ctx context.Context, res *Result, err error) error {
 // configured algorithm, calling emit exactly once per triangle from the
 // calling goroutine. Vertices carry the input's ids, sorted a < b < c; a
 // nil emit counts only. Cancellation through ctx is cooperative — the
-// parallel engine (CacheAware, CacheOblivious, Deterministic) checks
-// between subproblems and sort runs, drains its worker pool, and
-// returns ctx.Err(); the
-// sequential algorithms check at their pass, chunk, and recursion
-// boundaries. The triangles emitted before a cancellation are a prefix of
-// the full stream, and the Result returned alongside the error carries
-// the partial counts and the statistics accumulated so far. ctx may be
-// nil.
+// engine behind CacheAware, CacheOblivious, and Deterministic checks
+// between subproblems and sort runs, drains its worker pool, and returns
+// ctx.Err(); the baselines check at their pass and chunk boundaries. The
+// triangles emitted before a cancellation are a prefix of the full
+// stream, and the Result returned alongside the error carries the partial
+// counts and the statistics accumulated so far. ctx may be nil.
 //
 // The query runs on its own session over the generation that is current
 // when it starts, so it may be issued concurrently with any other queries
@@ -261,13 +259,13 @@ func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c ui
 			res.Workers = workers
 		}
 	case HuTaoChung:
-		info, err = trienum.HuTaoChungCtx(qctx, s.sp, s.cg, wrapped)
+		info, err = trienum.HuTaoChung(qctx, s.sp, s.cg, wrapped)
 	case BlockNestedLoop:
-		info, err = baseline.BlockNestedLoopCtx(qctx, s.sp, s.cg, wrapped)
+		info, err = baseline.BlockNestedLoop(qctx, s.sp, s.cg, wrapped)
 	case EdgeIterator:
-		info, err = baseline.EdgeIteratorCtx(qctx, s.sp, s.cg, wrapped)
+		info, err = baseline.EdgeIterator(qctx, s.sp, s.cg, wrapped)
 	case SortMerge:
-		info, err = trienum.DementievCtx(qctx, s.sp, s.cg, wrapped)
+		info, err = trienum.Dementiev(qctx, s.sp, s.cg, wrapped)
 	default:
 		return res, fmt.Errorf("repro: unknown algorithm %v", q.Algorithm)
 	}

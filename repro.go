@@ -43,16 +43,6 @@
 // queries overlap. Emit callbacks may issue follow-up queries against the
 // handle; Close waits for active queries to drain.
 //
-// The one-shot helpers remain:
-//
-//	edges := [][2]uint32{{0, 1}, {1, 2}, {0, 2}}
-//	res, err := repro.Enumerate(edges, repro.Config{}, func(a, b, c uint32) {
-//		fmt.Println(a, b, c)
-//	})
-//
-// They are thin shims over Build + TrianglesFunc and re-pay the
-// canonicalization on every call.
-//
 // # Updates and generations
 //
 // Handles are versioned: Update merges a batched edge delta — adds and

@@ -3,11 +3,37 @@ package repro
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// buildQuery builds a handle over edges and runs one TrianglesFunc query
+// on it: the whole pipeline, canonicalization included, in one call.
+func buildQuery(edges [][2]uint32, opts Options, q Query, emit func(a, b, c uint32)) (Result, error) {
+	g, err := Build(FromEdges(edges), opts)
+	if err != nil {
+		return Result{}, err
+	}
+	defer g.Close()
+	return g.TrianglesFunc(nil, q, emit)
+}
+
+// sumWorkerStats folds the scheduling-dependent per-worker vector into
+// its scheduling-invariant aggregate (transfer and word counters only;
+// peaks are per-shard high-water marks).
+func sumWorkerStats(r Result) IOStats {
+	var sum IOStats
+	for _, w := range r.WorkerStats {
+		sum.BlockReads += w.BlockReads
+		sum.BlockWrites += w.BlockWrites
+		sum.WordReads += w.WordReads
+		sum.WordWrites += w.WordWrites
+	}
+	return sum
+}
 
 func TestEnumerateAllAlgorithmsAgree(t *testing.T) {
 	edges, err := Generate("planted:n=120,m=600,k=12", 3)
@@ -26,36 +52,38 @@ func TestEnumerateAllAlgorithmsAgree(t *testing.T) {
 		wantSet = o.Triples()
 	}
 	for _, alg := range Algorithms() {
-		var got []graph.Triple
-		res, err := Enumerate(edges, Config{Algorithm: alg, MemoryWords: 1 << 12, BlockWords: 1 << 5, Seed: 9},
-			func(a, b, c uint32) { got = append(got, graph.Triple{V1: a, V2: b, V3: c}) })
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if res.Triangles != want {
-			t.Errorf("%v: %d triangles, want %d", alg, res.Triangles, want)
-		}
-		sort.Slice(got, func(i, j int) bool {
-			a, b := got[i], got[j]
-			return a.V1 < b.V1 || (a.V1 == b.V1 && (a.V2 < b.V2 || (a.V2 == b.V2 && a.V3 < b.V3)))
-		})
-		if len(got) != len(wantSet) {
-			t.Fatalf("%v: emitted %d, want %d", alg, len(got), len(wantSet))
-		}
-		for i := range got {
-			if got[i] != wantSet[i] {
-				t.Fatalf("%v: triple %d = %v, want %v", alg, i, got[i], wantSet[i])
+		for _, workers := range []int{1, 4} {
+			var got []graph.Triple
+			res, err := buildQuery(edges, Options{MemoryWords: 1 << 12, BlockWords: 1 << 5, Workers: workers}, Query{Algorithm: alg, Seed: 9},
+				func(a, b, c uint32) { got = append(got, graph.Triple{V1: a, V2: b, V3: c}) })
+			if err != nil {
+				t.Fatalf("%v/workers=%d: %v", alg, workers, err)
 			}
-		}
-		if res.Stats.IOs() == 0 {
-			t.Errorf("%v: zero I/Os reported for out-of-core input", alg)
+			if res.Triangles != want {
+				t.Errorf("%v/workers=%d: %d triangles, want %d", alg, workers, res.Triangles, want)
+			}
+			sort.Slice(got, func(i, j int) bool {
+				a, b := got[i], got[j]
+				return a.V1 < b.V1 || (a.V1 == b.V1 && (a.V2 < b.V2 || (a.V2 == b.V2 && a.V3 < b.V3)))
+			})
+			if len(got) != len(wantSet) {
+				t.Fatalf("%v/workers=%d: emitted %d, want %d", alg, workers, len(got), len(wantSet))
+			}
+			for i := range got {
+				if got[i] != wantSet[i] {
+					t.Fatalf("%v/workers=%d: triple %d = %v, want %v", alg, workers, i, got[i], wantSet[i])
+				}
+			}
+			if res.Stats.IOs() == 0 {
+				t.Errorf("%v/workers=%d: zero I/Os reported for out-of-core input", alg, workers)
+			}
 		}
 	}
 }
 
 func TestCountOnly(t *testing.T) {
 	edges, _ := Generate("clique:n=30", 0)
-	res, err := Count(edges, Config{})
+	res, err := buildQuery(edges, Options{}, Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +95,48 @@ func TestCountOnly(t *testing.T) {
 	}
 }
 
+// TestCountMatchesEnumerate: a nil-emit (count-only) query reports the
+// same Result as one that delivers every triangle.
+func TestCountMatchesEnumerate(t *testing.T) {
+	edges, _ := Generate("gnm:n=150,m=1200", 3)
+	g, err := Build(FromEdges(edges), Options{MemoryWords: 1 << 10, BlockWords: 1 << 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	q := Query{Seed: 5}
+	a, err := g.TrianglesFunc(nil, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.TrianglesFunc(nil, q, func(_, _, _ uint32) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Individual WorkerStats entries are scheduling-dependent (visible
+	// under -cpu > 1); compare their scheduling-invariant aggregate.
+	if x, y := sumWorkerStats(a), sumWorkerStats(b); x != y {
+		t.Errorf("summed WorkerStats differ: count-only %+v, emitting %+v", x, y)
+	}
+	a.WorkerStats, b.WorkerStats = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("count-only %+v differs from emitting %+v", a, b)
+	}
+}
+
 func TestEnumerateValidatesConfig(t *testing.T) {
 	edges := [][2]uint32{{0, 1}}
-	if _, err := Enumerate(edges, Config{BlockWords: 100, MemoryWords: 100000}, nil); err == nil {
+	if _, err := buildQuery(edges, Options{BlockWords: 100, MemoryWords: 100000}, Query{}, nil); err == nil {
 		t.Error("non-power-of-two block accepted")
 	}
-	if _, err := Enumerate(edges, Config{BlockWords: 128, MemoryWords: 1000}, nil); err == nil {
+	if _, err := buildQuery(edges, Options{BlockWords: 128, MemoryWords: 1000}, Query{}, nil); err == nil {
 		t.Error("short cache accepted")
 	}
 }
 
 func TestEnumerateIgnoresJunkEdges(t *testing.T) {
 	edges := [][2]uint32{{1, 2}, {2, 1}, {3, 3}, {1, 2}, {2, 3}, {1, 3}}
-	res, err := Count(edges, Config{})
+	res, err := buildQuery(edges, Options{}, Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +147,13 @@ func TestEnumerateIgnoresJunkEdges(t *testing.T) {
 
 func TestFileBackedEnumeration(t *testing.T) {
 	edges, _ := Generate("gnm:n=200,m=2000", 5)
-	mem, err := Count(edges, Config{MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 1})
+	opts := Options{MemoryWords: 1 << 10, BlockWords: 1 << 5}
+	mem, err := buildQuery(edges, opts, Query{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := Count(edges, Config{
-		MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 1,
-		DiskPath: filepath.Join(t.TempDir(), "em.bin"),
-	})
+	opts.DiskPath = filepath.Join(t.TempDir(), "em.bin")
+	disk, err := buildQuery(edges, opts, Query{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +252,8 @@ func TestWorkersDeterminism(t *testing.T) {
 		for _, alg := range Algorithms() {
 			run := func(workers int) ([]graph.Triple, Result) {
 				var got []graph.Triple
-				res, err := Enumerate(edges, Config{
-					Algorithm: alg, MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 4, Workers: workers,
-				}, func(a, b, c uint32) { got = append(got, graph.Triple{V1: a, V2: b, V3: c}) })
+				res, err := buildQuery(edges, Options{MemoryWords: 1 << 10, BlockWords: 1 << 5, Workers: workers},
+					Query{Algorithm: alg, Seed: 4}, func(a, b, c uint32) { got = append(got, graph.Triple{V1: a, V2: b, V3: c}) })
 				if err != nil {
 					t.Fatalf("%s/%v/workers=%d: %v", spec, alg, workers, err)
 				}
@@ -226,11 +281,11 @@ func TestWorkersDeterminism(t *testing.T) {
 
 func TestWorkerStatsSumIntoTotals(t *testing.T) {
 	edges, _ := Generate("gnm:n=400,m=4000", 8)
-	seq, err := Count(edges, Config{MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 2, Workers: 1})
+	seq, err := buildQuery(edges, Options{MemoryWords: 1 << 10, BlockWords: 1 << 5, Workers: 1}, Query{Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Count(edges, Config{MemoryWords: 1 << 10, BlockWords: 1 << 5, Seed: 2, Workers: 4})
+	par, err := buildQuery(edges, Options{MemoryWords: 1 << 10, BlockWords: 1 << 5, Workers: 4}, Query{Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +309,13 @@ func TestWorkerStatsSumIntoTotals(t *testing.T) {
 
 func TestDeterministicSeedsMatch(t *testing.T) {
 	edges, _ := Generate("gnm:n=150,m=1500", 11)
-	a, err := Count(edges, Config{Algorithm: CacheAware, Seed: 123, MemoryWords: 1 << 10, BlockWords: 1 << 5})
+	opts := Options{MemoryWords: 1 << 10, BlockWords: 1 << 5}
+	q := Query{Algorithm: CacheAware, Seed: 123}
+	a, err := buildQuery(edges, opts, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(edges, Config{Algorithm: CacheAware, Seed: 123, MemoryWords: 1 << 10, BlockWords: 1 << 5})
+	b, err := buildQuery(edges, opts, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestReadTextEdges(t *testing.T) {
 			t.Errorf("edge %d = %v, want %v", i, edges[i], want[i])
 		}
 	}
-	res, err := Count(edges, Config{})
+	res, err := buildQuery(edges, Options{}, Query{}, nil)
 	if err != nil || res.Triangles != 1 {
 		t.Errorf("triangle count %d err %v", res.Triangles, err)
 	}
