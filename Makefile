@@ -35,10 +35,12 @@ docs:
 # The packages that own worker scheduling (the root package and
 # internal/trienum) additionally run at -cpu=1,4: GOMAXPROCS=1
 # serializes the goroutines, 4 exercises work stealing and the parallel
-# oblivious recursion under real preemption.
+# oblivious recursion under real preemption. The explicit -timeout
+# replaces go test's 10-minute default, which the root package alone
+# has reached under -race on 2 vCPUs.
 race:
-	$(GO) test -race -cpu=1,4 . ./internal/trienum
-	$(GO) test -race ./internal/extmem ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster
+	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/trienum
+	$(GO) test -race -timeout 30m ./internal/extmem ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster
 
 # One iteration of every benchmark in every package (the CI smoke); use
 # BENCHTIME=5x etc. for real measurements.

@@ -280,6 +280,8 @@ func BenchmarkE12ListingOverhead(b *testing.B) {
 // wall-clock scaling with the worker count. The aggregated block-I/O
 // totals are identical at every worker count (reported as a metric so the
 // invariance is visible in the bench output); only wall time changes.
+// build_ms and query_ms split each iteration's wall-clock between Build
+// and the TrianglesFunc query.
 func BenchmarkE13ParallelWorkers(b *testing.B) {
 	edges, err := Generate("powerlaw:n=12000,m=64000,beta=2.1", 13)
 	if err != nil {
@@ -288,11 +290,25 @@ func BenchmarkE13ParallelWorkers(b *testing.B) {
 	for _, w := range benchWorkerCounts(1, 2, 4, runtime.NumCPU()) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var last Result
+			var build, query time.Duration
 			for i := 0; i < b.N; i++ {
-				last = buildAndCount(b, edges, Options{MemoryWords: 1 << 12, BlockWords: 1 << 6, Workers: w}, Query{Seed: 3})
+				t0 := time.Now()
+				g, err := Build(FromEdges(edges), Options{MemoryWords: 1 << 12, BlockWords: 1 << 6, Workers: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				last, err = g.TrianglesFunc(nil, Query{Seed: 3}, nil)
+				build, query = build+t1.Sub(t0), query+time.Since(t1)
+				g.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(last.Stats.IOs()), "IOs")
 			b.ReportMetric(float64(last.Subproblems), "subproblems")
+			b.ReportMetric(float64(build.Nanoseconds())/1e6/float64(b.N), "build_ms")
+			b.ReportMetric(float64(query.Nanoseconds())/1e6/float64(b.N), "query_ms")
 		})
 	}
 }

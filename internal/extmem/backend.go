@@ -14,10 +14,9 @@ import (
 type Backend interface {
 	// ReadBlock fills dst (exactly B words) with block b.
 	ReadBlock(b int64, dst []Word) error
-	// WriteBlock stores src (exactly B words) as block b.
+	// WriteBlock stores src (exactly B words) as block b, growing the
+	// store as needed; blocks never written read as zero.
 	WriteBlock(b int64, src []Word) error
-	// Grow ensures the store can hold at least words words.
-	Grow(words int64) error
 	// Sync forces written blocks to stable storage (fsync for file
 	// backends; a no-op in memory). Durable images call it before they
 	// are considered committed.
@@ -27,7 +26,9 @@ type Backend interface {
 }
 
 // memBackend keeps external memory in process RAM; the default, and the
-// fastest choice for simulations.
+// fastest choice for simulations. words holds everything up to the highest
+// block written so far; its spare capacity is never written, so it is
+// still zero when a later write extends words over it.
 type memBackend struct {
 	words []Word
 }
@@ -48,16 +49,18 @@ func (m *memBackend) ReadBlock(b int64, dst []Word) error {
 func (m *memBackend) WriteBlock(b int64, src []Word) error {
 	off := b * int64(len(src))
 	need := off + int64(len(src))
-	if need > int64(len(m.words)) {
-		grown := make([]Word, need)
+	if need > int64(cap(m.words)) {
+		// Double, so ascending writes of N blocks reallocate O(log N)
+		// times and each written word costs amortized O(1).
+		grown := make([]Word, need, max(need, 2*int64(cap(m.words))))
 		copy(grown, m.words)
 		m.words = grown
+	} else if need > int64(len(m.words)) {
+		m.words = m.words[:need]
 	}
 	copy(m.words[off:], src)
 	return nil
 }
-
-func (m *memBackend) Grow(words int64) error { return nil } // lazy
 
 func (m *memBackend) Sync() error { return nil }
 
@@ -116,8 +119,6 @@ func (fb *fileBackend) WriteBlock(b int64, src []Word) error {
 	_, err := fb.f.WriteAt(buf, b*int64(len(buf)))
 	return err
 }
-
-func (fb *fileBackend) Grow(words int64) error { return nil } // sparse file
 
 func (fb *fileBackend) Sync() error { return fb.f.Sync() }
 

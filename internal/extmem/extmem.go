@@ -321,9 +321,6 @@ func (s *Space) Alloc(n int64) Extent {
 	if s.size > s.stats.PeakAlloc {
 		s.stats.PeakAlloc = s.size
 	}
-	if err := s.backend.Grow(s.size); err != nil {
-		panic(fmt.Sprintf("extmem: grow failed: %v", err))
-	}
 	if n == 0 {
 		return Extent{sp: s, base: base, n: 0}
 	}

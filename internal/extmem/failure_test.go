@@ -32,9 +32,8 @@ func (f *flakyBackend) WriteBlock(b int64, src []Word) error {
 	return f.inner.WriteBlock(b, src)
 }
 
-func (f *flakyBackend) Grow(words int64) error { return f.inner.Grow(words) }
-func (f *flakyBackend) Sync() error            { return f.inner.Sync() }
-func (f *flakyBackend) Close() error           { return f.inner.Close() }
+func (f *flakyBackend) Sync() error  { return f.inner.Sync() }
+func (f *flakyBackend) Close() error { return f.inner.Close() }
 
 func mustPanicWith(t *testing.T, substr string, fn func()) {
 	t.Helper()

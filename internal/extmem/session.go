@@ -101,8 +101,6 @@ func (sb *sessionBackend) WriteBlock(b int64, src []Word) error {
 	return sb.priv.WriteBlock(b-sb.coreBlocks, src)
 }
 
-func (sb *sessionBackend) Grow(words int64) error { return nil }
-
 func (sb *sessionBackend) Sync() error { return sb.priv.Sync() }
 
 func (sb *sessionBackend) Close() error { return sb.priv.Close() }

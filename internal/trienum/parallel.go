@@ -301,16 +301,18 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	// Task granularity. In simulated mode each color triple is one task:
 	// the unit the paper's accounting charges, and what keeps the I/O
 	// totals of the gated experiments stable. In native mode there is no
-	// accounting to preserve and wall-clock is the product, so a skewed
-	// triple — one hot color pair holding most pivot edges — is split at
-	// the kernel's own chunk boundaries into one task per memEdges pivot
-	// rows. The engine's pull-based dispatch (workers take the next task
-	// as they free up) then steals the hot triple's chunks across the
-	// pool instead of serializing them on one worker. memEdges replicates
-	// the kernel's auto-sizing under the c²+1-word bucket-index lease, so
-	// chunk boundaries — and the concatenated emission stream — are
-	// exactly the single-task kernel's.
-	chunked := cfg.Native
+	// accounting to preserve and wall-clock is the product, so with more
+	// than one worker a skewed triple — one hot color pair holding most
+	// pivot edges — is split at the kernel's own chunk boundaries into at
+	// most one task per worker. The engine's pull-based dispatch (workers
+	// take the next task as they free up) then steals the hot triple's
+	// pieces across the pool instead of serializing them on one worker.
+	// Each piece re-merges the triple's bucket union, so it is split no
+	// finer than the pool can use. memEdges replicates the kernel's
+	// auto-sizing under the c²+1-word bucket-index lease, so chunk
+	// boundaries — and the concatenated emission stream — are exactly the
+	// single-task kernel's.
+	chunked := cfg.Native && workers > 1
 	memEdges := 0
 	if chunked {
 		lease := c*c + 1
@@ -346,8 +348,10 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 			})
 			return
 		}
-		for lo := int64(0); lo < nPiv; lo += int64(memEdges) {
-			hi := lo + int64(memEdges)
+		chunks := (nPiv + int64(memEdges) - 1) / int64(memEdges)
+		step := (chunks + int64(workers) - 1) / int64(workers) * int64(memEdges)
+		for lo := int64(0); lo < nPiv; lo += step {
+			hi := lo + step
 			if hi > nPiv {
 				hi = nPiv
 			}

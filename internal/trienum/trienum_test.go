@@ -2,6 +2,9 @@ package trienum
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +239,203 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 	if ok, diag := oracle.SameSet(got); !ok {
 		t.Errorf("kernel: %s", diag)
 	}
+
+	// Hand-built inputs aimed at the flat tables, each as one chunk: the
+	// stream must equal the map-based reference's, order included, and
+	// between them the cases must take both enumeration branches.
+	var pairs, scans int
+	for _, kc := range kernelCases() {
+		want, p, s := referenceKernel(kc.edges, kc.pivots, len(kc.pivots))
+		pairs, scans = pairs+p, scans+s
+		if got := runKernel(t, kc, len(kc.pivots)); !slices.Equal(got, want) {
+			t.Errorf("%s: stream differs from the reference\n got %v\nwant %v", kc.name, got, want)
+		}
+	}
+	if pairs == 0 || scans == 0 {
+		t.Errorf("branch coverage: %d pair enumerations, %d pivot scans; want both > 0", pairs, scans)
+	}
+}
+
+// TestKernelReservedVertex pins the precondition of the kernel's tables:
+// vertex id 2^32-1 may not be a pivot endpoint (it panics), and as a
+// non-pivot neighbour in the edge scan it is never taken for a Γ_mem
+// vertex.
+func TestKernelReservedVertex(t *testing.T) {
+	r := reservedVertex
+	scanOnly := kernelCase{
+		name:   "scanOnly",
+		edges:  []extmem.Word{graph.Pack(0, 5), graph.Pack(0, 6), graph.Pack(0, r), graph.Pack(5, 6), graph.Pack(5, r)},
+		pivots: []extmem.Word{graph.Pack(5, 6)},
+	}
+	want := []graph.Triple{{V1: 0, V2: 5, V3: 6}}
+	if got := runKernel(t, scanOnly, 0); !slices.Equal(got, want) {
+		t.Errorf("reserved id in the scan: got %v, want %v", got, want)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "reserved") {
+			t.Errorf("pivot endpoint 2^32-1: recovered %q, want a panic about the reserved id", msg)
+		}
+	}()
+	runKernel(t, kernelCase{name: "pivot", edges: scanOnly.edges, pivots: []extmem.Word{graph.Pack(5, r)}}, 0)
+}
+
+// kernelCase is a hand-built kernel input: edges sorted canonically, and
+// pivots in the order the kernel loads them.
+type kernelCase struct {
+	name          string
+	edges, pivots []extmem.Word
+}
+
+// kernelCases are inputs that stress the kernel's tables: vertex id 0,
+// ids that share a home slot (including the last slot, so probes wrap),
+// unsorted pivots, pivots that share endpoints, and random graphs whose
+// cone vertices take both enumeration branches.
+func kernelCases() []kernelCase {
+	sorted := func(es []extmem.Word) []extmem.Word {
+		es = slices.Clone(es)
+		slices.Sort(es)
+		return slices.Compact(es)
+	}
+	shuffled := func(es []extmem.Word, seed int64) []extmem.Word {
+		es = slices.Clone(es)
+		rand.New(rand.NewSource(seed)).Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		return es
+	}
+	var cases []kernelCase
+
+	gnm := sorted(graph.GNM(50, 350, 30).Edges)
+	cases = append(cases,
+		kernelCase{"gnm", gnm, gnm},
+		kernelCase{"gnmUnsortedPivots", gnm, shuffled(gnm, 1)},
+		kernelCase{"gnmHalfPivots", gnm, shuffled(gnm, 2)[:len(gnm)/2]},
+	)
+
+	// K6 on 0..5: vertex 0 is a cone vertex and a pivot endpoint.
+	k6 := sorted(graph.Clique(6).Edges)
+	k6Reversed := slices.Clone(k6)
+	slices.Reverse(k6Reversed)
+	cases = append(cases, kernelCase{"k6", k6, k6}, kernelCase{"k6Reversed", k6, k6Reversed})
+
+	// Six ids whose home slots coincide in the Γ table of a 15-pivot
+	// chunk (45 slots): four at the last slot, two at slot 0, so the
+	// last four wrap around into the first two's probe sequence. All 15
+	// pairs are pivots; cone vertices 0, 1, 2 see all six, three, and a
+	// different three of them.
+	ids := append(collidingIDs(45, 44, 4, 1000), collidingIDs(45, 0, 2, 1000)...)
+	var pivots, edges []extmem.Word
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			pivots = append(pivots, graph.Pack(ids[i], ids[j]))
+		}
+		edges = append(edges, graph.Pack(0, ids[i]), graph.Pack(1+uint32(i%2), ids[i]))
+	}
+	edges = sorted(append(edges, pivots...))
+	cases = append(cases,
+		kernelCase{"collisions", edges, pivots},
+		kernelCase{"collisionsUnsortedPivots", edges, shuffled(pivots, 3)},
+	)
+
+	// A star of pivots around hub 100: every pivot shares it. Cone vertex
+	// v sees the hub and the leaves 101+v, 101+v+10, ....
+	var star []extmem.Word
+	var starEdges []extmem.Word
+	for leaf := uint32(101); leaf <= 130; leaf++ {
+		star = append(star, graph.Pack(100, leaf))
+	}
+	for v := uint32(0); v < 10; v++ {
+		starEdges = append(starEdges, graph.Pack(v, 100))
+		for leaf := 101 + v; leaf <= 130; leaf += 10 {
+			starEdges = append(starEdges, graph.Pack(v, leaf))
+		}
+	}
+	starEdges = sorted(append(starEdges, star...))
+	cases = append(cases, kernelCase{"sharedHub", starEdges, shuffled(star, 4)})
+	return cases
+}
+
+// collidingIDs returns the first k ids at or above from whose home slot in
+// a table of n slots is slot.
+func collidingIDs(n, slot, k int, from uint32) []uint32 {
+	var ids []uint32
+	for u := from; len(ids) < k; u++ {
+		if homeSlot(uint64(u), n) == slot {
+			ids = append(ids, u)
+		}
+	}
+	return ids
+}
+
+// runKernel stores kc in a fresh Space and returns the kernel's emission
+// stream with chunks of memEdges pivots (0 = automatic).
+func runKernel(t *testing.T, kc kernelCase, memEdges int) []graph.Triple {
+	t.Helper()
+	sp := newSpace()
+	edges, pivots := sp.Alloc(int64(len(kc.edges))), sp.Alloc(int64(len(kc.pivots)))
+	edges.Store(kc.edges)
+	pivots.Store(kc.pivots)
+	var got []graph.Triple
+	if err := kernel(nil, sp, edges, pivots, memEdges, nil, func(a, b, c uint32) {
+		got = append(got, graph.Triple{V1: a, V2: b, V3: c})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// referenceKernel is the kernel on Go maps, as it was first written: the
+// oracle for the emission order of the flat tables. It processes chunks of
+// memEdges pivots in order, each against a full scan of edges, and picks
+// the same branch per cone vertex; it also counts how often each branch
+// ran.
+func referenceKernel(edges, pivots []extmem.Word, memEdges int) (out []graph.Triple, pairs, scans int) {
+	for lo := 0; lo < len(pivots); lo += memEdges {
+		chunk := pivots[lo:min(lo+memEdges, len(pivots))]
+		pivotSet := map[extmem.Word]bool{}
+		gammaMem := map[uint32]bool{}
+		for _, e := range chunk {
+			pivotSet[e] = true
+			gammaMem[graph.U(e)] = true
+			gammaMem[graph.V(e)] = true
+		}
+		var lv []uint32
+		lvSet := map[uint32]bool{}
+		flush := func(v uint32) {
+			if len(lv) < 2 {
+				return
+			}
+			if len(lv)*len(lv) <= len(chunk) {
+				pairs++
+				for i := range lv {
+					for j := i + 1; j < len(lv); j++ {
+						if pivotSet[graph.PackOrdered(lv[i], lv[j])] {
+							out = append(out, graph.Triple{V1: v, V2: lv[i], V3: lv[j]})
+						}
+					}
+				}
+				return
+			}
+			scans++
+			for _, e := range chunk {
+				if lvSet[graph.U(e)] && lvSet[graph.V(e)] {
+					out = append(out, graph.Triple{V1: v, V2: graph.U(e), V3: graph.V(e)})
+				}
+			}
+		}
+		for i, e := range edges {
+			if i > 0 && graph.U(e) != graph.U(edges[i-1]) {
+				flush(graph.U(edges[i-1]))
+				lv, lvSet = lv[:0], map[uint32]bool{}
+			}
+			if gammaMem[graph.V(e)] {
+				lv = append(lv, graph.V(e))
+				lvSet[graph.V(e)] = true
+			}
+		}
+		if len(edges) > 0 {
+			flush(graph.U(edges[len(edges)-1]))
+		}
+	}
+	return out, pairs, scans
 }
 
 func TestKernelPivotRestriction(t *testing.T) {
@@ -277,6 +477,18 @@ func TestKernelTinyChunks(t *testing.T) {
 	}
 	if ok, diag := oracle.SameSet(got); !ok {
 		t.Errorf("chunked kernel: %s", diag)
+	}
+
+	// The table inputs over several chunks: each chunk builds its own
+	// tables, and the concatenated stream must still equal the
+	// reference's.
+	for _, kc := range kernelCases() {
+		for _, memEdges := range []int{1, 2, 3, 5, 7} {
+			want, _, _ := referenceKernel(kc.edges, kc.pivots, memEdges)
+			if got := runKernel(t, kc, memEdges); !slices.Equal(got, want) {
+				t.Errorf("%s, chunks of %d: stream differs from the reference\n got %v\nwant %v", kc.name, memEdges, got, want)
+			}
+		}
 	}
 }
 
