@@ -311,6 +311,7 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 	wg.Wait()
 
 	var err error
+	var stats cluster.IOStats
 	for i, st := range streams {
 		if st.err != nil {
 			err = errors.Join(err, fmt.Errorf("shard %d: %w", i, st.err))
@@ -324,7 +325,7 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 		cr.Subproblems += tr.Subproblems
 		cr.Builds += tr.Builds
 		cr.CanonIOs += tr.CanonIOs
-		addIOStats(&cr.Stats, tr.Stats)
+		stats.Add(tr.Stats)
 		cr.Shards = append(cr.Shards, ClusterShardRun{
 			Index:       i,
 			Delivered:   tr.Delivered,
@@ -337,6 +338,7 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 			cr.Vertices, cr.Edges = tr.Vertices, tr.Edges
 		}
 	}
+	cr.Stats = fromClusterStats(stats)
 	cr.Delivered = delivered
 	cr.Epoch = epoch
 	if err != nil {
@@ -590,17 +592,5 @@ func fromClusterStats(s cluster.IOStats) IOStats {
 		WordWrites:     s.WordWrites,
 		PeakLeaseWords: s.PeakLeaseWords,
 		PeakDiskWords:  s.PeakDiskWords,
-	}
-}
-
-// addIOStats accumulates wire statistics into a public aggregate.
-func addIOStats(dst *IOStats, s cluster.IOStats) {
-	dst.BlockReads += s.BlockReads
-	dst.BlockWrites += s.BlockWrites
-	dst.WordReads += s.WordReads
-	dst.WordWrites += s.WordWrites
-	dst.PeakLeaseWords += s.PeakLeaseWords
-	if s.PeakDiskWords > 0 {
-		dst.PeakDiskWords += s.PeakDiskWords
 	}
 }

@@ -6,9 +6,10 @@ package cluster
 // in declaration order, and the byte-identity tests compare encoded
 // streams directly.
 
-// IOStats mirrors repro.IOStats on the cluster wire (this package
-// cannot import repro; the fields and JSON keys match serve's
-// WireIOStats exactly).
+// IOStats is repro.IOStats on the wire of every daemon endpoint: serve's
+// WireIOStats is an alias of it, so query trailers, change streams and
+// the cluster trailers encode statistics one way. (This package cannot
+// import repro; serve holds the one converter from repro.IOStats.)
 type IOStats struct {
 	BlockReads     uint64 `json:"block_reads"`
 	BlockWrites    uint64 `json:"block_writes"`

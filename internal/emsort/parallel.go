@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/ctxutil"
 	"repro/internal/extmem"
@@ -15,10 +14,11 @@ import (
 // formation run (resp. one top-level funnel segment) per Θ(M) slice of
 // the input, and one top-level merge per key range of the output — that
 // share no mutable state once the coordinator has frozen the input with
-// extmem.Snapshot. This file dispatches those units to a pool of workers,
-// each executing on its own extmem shard (a private M-word cache over the
-// shared read-only region, the PEM accounting of shard.go), and replays
-// the units' output streams in the fixed unit order on the coordinator.
+// extmem.Snapshot. This file runs those units on extmem.RunOrdered — a
+// pool of workers, each executing on its own extmem shard (a private
+// M-word cache over the shared read-only region, the PEM accounting of
+// shard.go) — which replays the units' output streams in the fixed unit
+// order on the coordinator.
 //
 // Two properties hold by construction, for every worker count:
 //
@@ -56,114 +56,6 @@ const (
 	// at O(workers · sortStreamDepth · sortBatchWords) words.
 	sortStreamDepth = 4
 )
-
-// wordTask is one unit of parallel sort work: it runs against a worker's
-// shard Space and streams its output words (in the unit's canonical
-// order) through send, which reports false when the engine is unwinding.
-type wordTask func(shard *extmem.Space, send func([]extmem.Word) bool)
-
-// runWordTasks executes tasks on up to `workers` workers, each owning one
-// shard Space over the shared snapshot, and hands every task's output
-// batches to consume in task order on the calling goroutine. Between
-// tasks a worker releases its scratch and drops its cache, so each task
-// runs cold, exactly as on a fresh shard. Returns the per-worker stats.
-//
-// Cancellation is cooperative with unit granularity: when ctx is
-// cancelled the coordinator stops consuming and dispatching, in-flight
-// units unwind at their next blocked send, the pool drains cleanly (no
-// goroutine outlives the call), and the already-accumulated per-worker
-// stats are returned together with ctx.Err().
-func runWordTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, tasks []wordTask, workers int, consume func(task int, batch []extmem.Word)) ([]extmem.Stats, error) {
-	if len(tasks) == 0 {
-		return nil, ctxutil.Err(ctx)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	streams := make([]chan []extmem.Word, len(tasks))
-	for i := range streams {
-		streams[i] = make(chan []extmem.Word, sortStreamDepth)
-	}
-	jobs := make(chan int)
-	window := make(chan struct{}, 2*workers)
-	// done is closed when the merge layer stops consuming — normally
-	// after the last task, but also if consume panics — so blocked
-	// workers and the dispatcher always unwind instead of leaking.
-	done := make(chan struct{})
-	stats := make([]extmem.Stats, workers)
-	var wg sync.WaitGroup
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shard := extmem.NewShardSpace(cfg, shared)
-			base := shard.Mark()
-			for idx := range jobs {
-				alive := true
-				tasks[idx](shard, func(batch []extmem.Word) bool {
-					if !alive {
-						return false
-					}
-					select {
-					case streams[idx] <- batch:
-						return true
-					case <-done:
-						alive = false
-						return false
-					}
-				})
-				close(streams[idx])
-				shard.Release(base)
-				shard.DropCache()
-			}
-			stats[w] = shard.Stats()
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for i := range tasks {
-			select {
-			case window <- struct{}{}: // blocks while the merge cursor lags
-			case <-done:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-	cancelled := ctxutil.Done(ctx)
-	for i := range tasks {
-		stream := streams[i]
-		for stream != nil {
-			select {
-			case batch, ok := <-stream:
-				if !ok {
-					stream = nil
-					break
-				}
-				consume(i, batch)
-			case <-cancelled:
-				return stats, ctx.Err()
-			}
-		}
-		select {
-		case <-window:
-		case <-cancelled:
-			return stats, ctx.Err()
-		}
-	}
-	return stats, nil
-}
 
 // ParallelSortRecords sorts fixed-stride records like SortRecords —
 // producing byte-identical output — with run formation and the top-level
@@ -276,7 +168,7 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		defer releaseSamples()
 	}
 	samples := make([][]extmem.Word, numTop)
-	runTasks := make([]wordTask, numRuns)
+	runTasks := make([]extmem.ShardTask[[]extmem.Word], numRuns)
 	for r := 0; r < numRuns; r++ {
 		lo := int64(r) * plan.runWords
 		hi := lo + plan.runWords
@@ -301,7 +193,7 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		}
 	}
 	var cur int64
-	ws, err := runWordTasks(ctx, cfg, shared, runTasks, workers, func(task int, batch []extmem.Word) {
+	ws, err := extmem.RunOrdered(ctx, cfg, shared, runTasks, workers, sortStreamDepth, func(task int, batch []extmem.Word) {
 		runLo := int64(task) * plan.runWords
 		for _, w := range batch {
 			if passes == 0 {
@@ -372,7 +264,7 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 	}
 
 	shared2 := sp.Snapshot(runsBuf)
-	chunkTasks := make([]wordTask, len(splitters)+1)
+	chunkTasks := make([]extmem.ShardTask[[]extmem.Word], len(splitters)+1)
 	for j := range chunkTasks {
 		var sLo, sHi *extmem.Word
 		if j > 0 {
@@ -401,7 +293,7 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		}
 	}
 	var out int64
-	ws2, err := runWordTasks(ctx, cfg, shared2, chunkTasks, workers, func(_ int, batch []extmem.Word) {
+	ws2, err := extmem.RunOrdered(ctx, cfg, shared2, chunkTasks, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
 		for _, w := range batch {
 			ext.Write(out, w)
 			out++
@@ -498,7 +390,7 @@ func ParallelFunnelSortRecords(ext extmem.Extent, stride int, key Key, workers i
 	}
 	segs := funnelSplit(ext, stride)
 	shared := sp.Snapshot(ext)
-	tasks := make([]wordTask, len(segs))
+	tasks := make([]extmem.ShardTask[[]extmem.Word], len(segs))
 	for i, seg := range segs {
 		lo := seg.Base() - ext.Base()
 		segLen := seg.Len()
@@ -524,7 +416,7 @@ func ParallelFunnelSortRecords(ext extmem.Extent, stride int, key Key, workers i
 	}
 	var cur int64
 	// A nil context never cancels, so the pool runs every segment.
-	ws, _ := runWordTasks(nil, cfg, shared, tasks, workers, func(_ int, batch []extmem.Word) {
+	ws, _ := extmem.RunOrdered(nil, cfg, shared, tasks, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
 		for _, w := range batch {
 			ext.Write(cur, w)
 			cur++

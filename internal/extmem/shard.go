@@ -1,6 +1,12 @@
 package extmem
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"repro/internal/ctxutil"
+)
 
 // This file provides the pieces of the parallel execution engine that
 // belong to the memory model: snapshots of external memory and worker
@@ -13,7 +19,9 @@ import "fmt"
 // a shared disk (the PEM model of Arge et al.); because every shard is
 // charged its own block transfers against its own M-word cache, per-shard
 // counts are exact and their sum is independent of how tasks are scheduled
-// across shards.
+// across shards. RunOrdered is the worker pool built on these pieces; the
+// parallel sorts (emsort) and the parallel triangle engine (trienum) both
+// run their independent units through it.
 
 // Snapshot returns the contents of the whole blocks covering ext as a
 // native slice. Dirty cached blocks overlapping the extent are written
@@ -94,6 +102,112 @@ func NewShardSpace(cfg Config, shared []Word) *Space {
 		panic(err)
 	}
 	return sp
+}
+
+// ShardTask is one unit of pooled work: it runs against a worker's shard
+// Space and hands its output, in the unit's own order, to send. send
+// reports false once the pool is unwinding; the task should then return.
+type ShardTask[T any] func(shard *Space, send func(T) bool)
+
+// RunOrdered executes tasks on up to workers goroutines, each owning one
+// shard Space over the shared region (NewShardSpace), and hands every
+// task's outputs to consume in task order on the calling goroutine.
+// Between tasks a worker releases its scratch and drops its cache, so each
+// task runs cold, exactly as on a fresh shard. It returns the per-worker
+// stats.
+//
+// The pool streams: a task may run at most depth outputs ahead of the
+// consumer before its send blocks, and tasks are dispatched at most
+// 2·workers ahead of the task being consumed, so the pool holds
+// O(workers · depth) outputs however large the result is.
+//
+// When ctx is cancelled (a nil ctx never is) the consumer stops between
+// outputs, dispatch stops, in-flight tasks unwind at their next send, and
+// the pool drains before RunOrdered returns ctx.Err() with the stats
+// accumulated so far. A panicking consumer unwinds the pool the same way
+// before the panic propagates: no goroutine outlives the call.
+func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, tasks []ShardTask[T], workers, depth int, consume func(task int, out T)) ([]Stats, error) {
+	if len(tasks) == 0 {
+		return nil, ctxutil.Err(ctx)
+	}
+	workers = min(max(workers, 1), len(tasks))
+	streams := make([]chan T, len(tasks))
+	for i := range streams {
+		streams[i] = make(chan T, depth)
+	}
+	jobs := make(chan int)
+	window := make(chan struct{}, 2*workers)
+	// done is closed when the consumer stops — normally after the last
+	// task, but also on cancellation or a consumer panic — so blocked
+	// workers and the dispatcher always unwind instead of leaking.
+	done := make(chan struct{})
+	stats := make([]Stats, workers)
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shard := NewShardSpace(cfg, shared)
+			base := shard.Mark()
+			for idx := range jobs {
+				alive := true
+				tasks[idx](shard, func(out T) bool {
+					if alive {
+						select {
+						case streams[idx] <- out:
+						case <-done:
+							alive = false
+						}
+					}
+					return alive
+				})
+				close(streams[idx])
+				shard.Release(base)
+				shard.DropCache()
+			}
+			stats[w] = shard.Stats()
+		}()
+	}
+	go func() {
+		defer close(jobs)
+		for i := range tasks {
+			select {
+			case window <- struct{}{}: // blocks while the consumer lags
+			case <-done:
+				return
+			}
+			select {
+			case jobs <- i:
+			case <-done:
+				return
+			}
+		}
+	}()
+	cancelled := ctxutil.Done(ctx)
+	for i := range tasks {
+		for stream := streams[i]; stream != nil; {
+			select {
+			case out, ok := <-stream:
+				if !ok {
+					stream = nil
+					continue
+				}
+				consume(i, out)
+			case <-cancelled:
+				return stats, ctx.Err()
+			}
+		}
+		select {
+		case <-window:
+		case <-cancelled:
+			return stats, ctx.Err()
+		}
+	}
+	return stats, nil
 }
 
 // ExtentAt returns the extent [base, base+n) of already-allocated space.

@@ -1,8 +1,12 @@
 package extmem
 
 import (
+	"context"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 func shardCfg() Config { return Config{M: 1 << 8, B: 1 << 4, AllowShortCache: true} }
@@ -209,4 +213,143 @@ func TestNewShardSpaceRejectsRaggedRegion(t *testing.T) {
 		}
 	}()
 	NewShardSpace(shardCfg(), make([]Word, 17))
+}
+
+// TestRunOrderedDeliversInTaskOrder: tasks that finish in reverse order
+// still reach the consumer in task order.
+func TestRunOrderedDeliversInTaskOrder(t *testing.T) {
+	const n = 6
+	finished := make([]chan struct{}, n+1)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	close(finished[n])
+	var mu sync.Mutex
+	var finishOrder []int
+	tasks := make([]ShardTask[int], n)
+	for i := range tasks {
+		tasks[i] = func(_ *Space, send func(int) bool) {
+			<-finished[i+1] // task i ends only after task i+1 has
+			send(10 * i)
+			send(10*i + 1)
+			mu.Lock()
+			finishOrder = append(finishOrder, i)
+			mu.Unlock()
+			close(finished[i])
+		}
+	}
+	var got []int
+	_, err := RunOrdered(nil, shardCfg(), make([]Word, 16), tasks, n, 2, func(task, out int) {
+		if out/10 != task {
+			t.Errorf("task %d delivered output %d", task, out)
+		}
+		got = append(got, out)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{5, 4, 3, 2, 1, 0}; !slices.Equal(finishOrder, want) {
+		t.Fatalf("tasks finished in order %v, want %v", finishOrder, want)
+	}
+	if want := []int{0, 1, 10, 11, 20, 21, 30, 31, 40, 41, 50, 51}; !slices.Equal(got, want) {
+		t.Errorf("consumer saw %v, want %v", got, want)
+	}
+}
+
+// TestRunOrderedStatsInvariantAcrossWorkers: each task runs on a cold
+// cache, so the per-worker stats sum to the same total at every worker
+// count.
+func TestRunOrderedStatsInvariantAcrossWorkers(t *testing.T) {
+	cfg := shardCfg()
+	shared := make([]Word, 512)
+	for i := range shared {
+		shared[i] = Word(i)
+	}
+	tasks := make([]ShardTask[Word], 8)
+	for i := range tasks {
+		tasks[i] = func(sp *Space, send func(Word) bool) {
+			// Every task reads the same 64 words, so a task that found
+			// its predecessor's cache warm would read fewer blocks; the
+			// scratch of 2M words forces write-backs.
+			view := sp.ExtentAt(0, 64)
+			scratch := sp.Alloc(2 * int64(cfg.M))
+			for j := int64(0); j < scratch.Len(); j++ {
+				scratch.Write(j, view.Read(j%64)+Word(i))
+			}
+			send(scratch.Read(0))
+		}
+	}
+	var want Stats
+	for _, workers := range []int{1, 2, 8} {
+		ws, err := RunOrdered(nil, cfg, shared, tasks, workers, 1, func(int, Word) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ws) != workers {
+			t.Fatalf("%d workers reported %d stat entries", workers, len(ws))
+		}
+		var total Stats
+		for _, st := range ws {
+			total.Add(st)
+		}
+		total.PeakLease, total.PeakAlloc = 0, 0
+		if workers == 1 {
+			if total.BlockReads == 0 || total.BlockWrites == 0 {
+				t.Fatalf("tasks did no I/O: %+v", total)
+			}
+			want = total
+		} else if total != want {
+			t.Errorf("%d workers: total %+v, 1 worker: %+v", workers, total, want)
+		}
+	}
+}
+
+// TestRunOrderedUnwinds: a cancelled run stops consuming and returns
+// ctx.Err(), and a panicking consumer propagates its panic; either way
+// every worker and the dispatcher have exited.
+func TestRunOrderedUnwinds(t *testing.T) {
+	tasks := make([]ShardTask[int], 16)
+	for i := range tasks {
+		tasks[i] = func(_ *Space, send func(int) bool) {
+			for j := 0; j < 1000 && send(j); j++ {
+			}
+		}
+	}
+	waitNoLeak := func(before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines leaked: %d before the run, %d after", before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	consumed := 0
+	_, err := RunOrdered(ctx, shardCfg(), make([]Word, 16), tasks, 4, 1, func(int, int) {
+		consumed++
+		cancel()
+	})
+	if err != context.Canceled {
+		t.Fatalf("cancelled run returned %v, want %v", err, context.Canceled)
+	}
+	// Each later output races the cancellation in a select, so a few may
+	// still arrive; the rest of the first task's 1000 may not.
+	if consumed > 100 {
+		t.Errorf("consumer saw %d outputs after cancelling at the first", consumed)
+	}
+	waitNoLeak(before)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("consumer panic did not propagate")
+			}
+		}()
+		RunOrdered(nil, shardCfg(), make([]Word, 16), tasks, 4, 1, func(int, int) { panic("consumer failure") })
+	}()
+	waitNoLeak(before)
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -124,63 +123,6 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// clusterQuery is a resolved cluster query: the tuple size and the
-// per-subproblem query parameters shared by shard and coordinator
-// handlers.
-type clusterQuery struct {
-	kind    string
-	tupleK  int
-	pattern *repro.Pattern
-	alg     repro.Algorithm
-}
-
-func resolveClusterQuery(kind string, k int, patName, algName string) (clusterQuery, error) {
-	cq := clusterQuery{kind: kind}
-	if cq.kind == "" {
-		cq.kind = "triangles"
-	}
-	switch cq.kind {
-	case "triangles":
-		if k != 0 || patName != "" {
-			return cq, errors.New("k and pattern do not apply to a triangles query")
-		}
-		cq.tupleK = 3
-		if algName != "" {
-			alg, err := repro.ParseAlgorithm(algName)
-			if err != nil {
-				return cq, err
-			}
-			cq.alg = alg
-		} else {
-			cq.alg = repro.CacheAware
-		}
-	case "cliques":
-		if k < 3 {
-			return cq, fmt.Errorf("cliques query needs k >= 3, got %d", k)
-		}
-		if algName != "" || patName != "" {
-			return cq, errors.New("algorithm and pattern do not apply to a cliques query")
-		}
-		cq.tupleK = k
-	case "match":
-		if patName == "" {
-			return cq, errors.New("match query needs a pattern name")
-		}
-		if algName != "" || k != 0 {
-			return cq, errors.New("algorithm and k do not apply to a match query")
-		}
-		p, err := repro.ParsePattern(patName)
-		if err != nil {
-			return cq, err
-		}
-		cq.pattern = p
-		cq.tupleK = p.K()
-	default:
-		return cq, fmt.Errorf("unknown query kind %q (have triangles, cliques, match)", cq.kind)
-	}
-	return cq, nil
-}
-
 // runShardQuery executes the shard's share of one cluster query: every
 // owned color tuple, each as an independent in-memory sub-build plus
 // enumeration on the manifest's simulated machine. The returned flat
@@ -190,7 +132,7 @@ func resolveClusterQuery(kind string, k int, patName, algName string) (clusterQu
 // in a fixed deterministic order (lexicographic color pairs, each
 // bucket sorted by id pair), so no trace of this process's history or
 // placement leaks into the aggregates.
-func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRequest, cq clusterQuery) (flat []uint32, tr cluster.ShardQueryTrailer, err error) {
+func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRequest, f family) (flat []uint32, tr cluster.ShardQueryTrailer, err error) {
 	// Epoch read and edge snapshot under one read lock: the stream's
 	// (epoch, generation) pair is consistent.
 	st.mu.RLock()
@@ -233,9 +175,10 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 	if req.Native {
 		sq.Mode = repro.ModeNative
 	}
-	emColors := make([]uint32, cq.tupleK)
-	distinct := make([]uint32, 0, cq.tupleK)
-	err = st.man.OwnedTuples(st.index, cq.tupleK, func(t []uint32) error {
+	k := f.arity()
+	emColors := make([]uint32, k)
+	distinct := make([]uint32, 0, k)
+	err = st.man.OwnedTuples(st.index, k, func(t []uint32) error {
 		tr.Subproblems++
 		distinct = distinct[:0]
 		for _, c := range t {
@@ -281,21 +224,7 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 			}
 			flat = append(flat, vs...)
 		}
-		var res repro.Result
-		switch cq.kind {
-		case "triangles":
-			sq2 := sq
-			sq2.Algorithm = cq.alg
-			var tri [3]uint32
-			res, err = sg.TrianglesFunc(ctx, sq2, func(a, b, c uint32) {
-				tri[0], tri[1], tri[2] = a, b, c
-				collect(tri[:])
-			})
-		case "cliques":
-			res, err = sg.CliquesFunc(ctx, cq.tupleK, sq, collect)
-		case "match":
-			res, err = sg.MatchFunc(ctx, cq.pattern, sq, collect)
-		}
+		res, err := f.query(ctx, sg, sq, collect)
 		cerr := sg.Close()
 		if err != nil {
 			return err
@@ -303,76 +232,50 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		if cerr != nil {
 			return cerr
 		}
-		tr.Stats.Add(toClusterStats(res.Stats))
+		tr.Stats.Add(wireStats(res.Stats))
 		return nil
 	})
 	if err != nil {
 		return nil, tr, err
 	}
-	cluster.SortTuples(flat, cq.tupleK)
+	cluster.SortTuples(flat, k)
 	tr.Done = true
-	tr.Delivered = uint64(len(flat) / cq.tupleK)
+	tr.Delivered = uint64(len(flat) / k)
 	return flat, tr, nil
 }
 
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	st := s.shard
 	var req cluster.ShardQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard query: %v", err)
+	if !decodeBody(w, r, "shard query", &req) {
 		return
 	}
-	cq, err := resolveClusterQuery(req.Kind, req.K, req.Pattern, req.Algorithm)
+	f, err := resolveFamily(req.Kind, req.K, req.Pattern, req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	flat, tr, err := runShardQuery(r.Context(), st, req, cq)
+	flat, tr, err := runShardQuery(r.Context(), s.shard, req, f)
 	if err != nil {
 		// The stream has not started: every failure still gets a proper
 		// status line.
-		status := http.StatusInternalServerError
-		switch {
-		case req.Epoch != nil && tr.Epoch != *req.Epoch:
+		status := queryStatus(err)
+		if req.Epoch != nil && tr.Epoch != *req.Epoch {
 			status = http.StatusConflict
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusRequestTimeout
-		case errors.Is(err, repro.ErrGraphClosed):
-			status = http.StatusGone
 		}
 		writeError(w, status, "shard query: %v", err)
 		return
 	}
-	s.streamFlat(w, flat, cq.tupleK, tr)
-}
-
-// streamFlat writes an NDJSON stream of k-tuples followed by one
-// trailer line.
-func (s *Server) streamFlat(w http.ResponseWriter, flat []uint32, k int, trailer any) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw, flush := newStreamWriter(w)
-	var line []byte
-	since := 0
-	for i := 0; i+k <= len(flat); i += k {
-		line = AppendEmission(line[:0], flat[i:i+k])
-		if _, err := bw.Write(line); err != nil {
-			return
-		}
-		if since++; since >= s.cfg.FlushEvery {
-			flush()
-			since = 0
-		}
+	nw := s.newNDJSON(w, "")
+	k := f.arity()
+	for i := 0; i+k <= len(flat) && nw.emit(flat[i:i+k]) == nil; i += k {
 	}
-	tb, _ := json.Marshal(trailer)
-	bw.Write(append(tb, '\n'))
-	flush()
+	nw.send(tr)
 }
 
 func (s *Server) handleShardUpdate(w http.ResponseWriter, r *http.Request) {
 	st := s.shard
 	var req cluster.ShardUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard update: %v", err)
+	if !decodeBody(w, r, "shard update", &req) {
 		return
 	}
 	st.mu.Lock()
@@ -448,13 +351,11 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 // the merged tuples — the same {"v":[...]} lines a single-process
 // Query.Ordered stream carries, byte for byte.
 func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
-	cl := s.coord
 	var req cluster.CoordinatorQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cluster query: %v", err)
+	if !decodeBody(w, r, "cluster query", &req) {
 		return
 	}
-	cq, err := resolveClusterQuery(req.Kind, req.K, req.Pattern, req.Algorithm)
+	f, err := resolveFamily(req.Kind, req.K, req.Pattern, req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -463,56 +364,11 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Native {
 		q.Mode = repro.ModeNative
 	}
-
-	bw, flush := newStreamWriter(w)
-	var (
-		line     []byte
-		since    int
-		wroteAny bool
-		writeErr error
-	)
-	emit := func(vs []uint32) {
-		if writeErr != nil {
-			return
-		}
-		if !wroteAny {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			wroteAny = true
-		}
-		line = AppendEmission(line[:0], vs)
-		if _, err := bw.Write(line); err != nil {
-			writeErr = err
-			return
-		}
-		if since++; since >= s.cfg.FlushEvery {
-			flush()
-			since = 0
-		}
-	}
-
-	var cr repro.ClusterResult
-	switch cq.kind {
-	case "triangles":
-		q.Algorithm = cq.alg
-		cr, err = cl.TrianglesFunc(r.Context(), q, func(a, b, c uint32) { emit([]uint32{a, b, c}) })
-	case "cliques":
-		cr, err = cl.CliquesFunc(r.Context(), cq.tupleK, q, emit)
-	case "match":
-		cr, err = cl.MatchFunc(r.Context(), cq.pattern, q, emit)
-	}
-	if err != nil && !wroteAny {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusRequestTimeout
-		case errors.Is(err, repro.ErrClusterClosed):
-			status = http.StatusGone
-		}
-		writeError(w, status, "cluster query: %v", err)
+	nw := s.newNDJSON(w, "")
+	cr, err := f.gather(r.Context(), s.coord, q, func(vs []uint32) { nw.emit(vs) })
+	if err != nil && !nw.started {
+		writeError(w, queryStatus(err), "cluster query: %v", err)
 		return
-	}
-	if !wroteAny {
-		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	trailer := cluster.CoordinatorTrailer{
 		Done:        err == nil,
@@ -523,7 +379,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		Edges:       cr.Edges,
 		Subproblems: cr.Subproblems,
 		CanonIOs:    cr.CanonIOs,
-		Stats:       toClusterStats(cr.Stats),
+		Stats:       wireStats(cr.Stats),
 	}
 	for _, sr := range cr.Shards {
 		trailer.Shards = append(trailer.Shards, cluster.ShardRun{
@@ -532,22 +388,19 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 			Subproblems: sr.Subproblems,
 			Builds:      sr.Builds,
 			CanonIOs:    sr.CanonIOs,
-			Stats:       toClusterStats(sr.Stats),
+			Stats:       wireStats(sr.Stats),
 		})
 	}
 	if err != nil {
 		trailer.Error = err.Error()
 	}
-	tb, _ := json.Marshal(trailer)
-	bw.Write(append(tb, '\n'))
-	flush()
+	nw.send(trailer)
 }
 
 func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 	cl := s.coord
 	var req cluster.CoordinatorUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cluster update: %v", err)
+	if !decodeBody(w, r, "cluster update", &req) {
 		return
 	}
 	ur, err := cl.Update(r.Context(), repro.Delta{Add: req.Add, Remove: req.Remove})
@@ -567,16 +420,4 @@ func (s *Server) handleClusterUpdate(w http.ResponseWriter, r *http.Request) {
 		Edges:    ur.Edges,
 		MergeIOs: ur.MergeIOs,
 	})
-}
-
-// toClusterStats converts in-process statistics to the cluster wire.
-func toClusterStats(st repro.IOStats) cluster.IOStats {
-	return cluster.IOStats{
-		BlockReads:     st.BlockReads,
-		BlockWrites:    st.BlockWrites,
-		WordReads:      st.WordReads,
-		WordWrites:     st.WordWrites,
-		PeakLeaseWords: st.PeakLeaseWords,
-		PeakDiskWords:  st.PeakDiskWords,
-	}
 }

@@ -642,3 +642,52 @@ func TestQueryErrors(t *testing.T) {
 		t.Errorf("bad body: want 400, got %d", resp.StatusCode)
 	}
 }
+
+// repeatReader yields its pattern endlessly.
+type repeatReader struct {
+	pat []byte
+	off int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.pat[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.pat)
+	}
+	return n, nil
+}
+
+// TestOversizedBodyRejected: a request body past maxRequestBytes is
+// answered 413 with an ErrorResponse, and the update it carried is not
+// applied. The body is generated while it is sent, never held whole.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts, g := newTestServer(t, Config{}, "g", "gnm:n=50,m=200", repro.Options{})
+	size := int64(maxRequestBytes + 1<<16)
+	body := io.LimitReader(io.MultiReader(strings.NewReader(`{"add":[`), &repeatReader{pat: []byte("[1,2],")}), size)
+	// A raw connection: the response is read while the server has stopped
+	// reading the body, whatever the writer's fate.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		fmt.Fprintf(conn, "POST /v1/graphs/g/update HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", size)
+		io.Copy(conn, body) // fails once the server hangs up
+	}()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e ErrorResponse
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("oversized update: status %d, error %q; want 413 naming the cap", resp.StatusCode, e.Error)
+	}
+	if gen := g.Generation(); gen != 0 {
+		t.Errorf("oversized update moved the graph to generation %d", gen)
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -252,8 +251,7 @@ func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req LoadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad load request: %v", err)
+	if !decodeBody(w, r, "load request", &req) {
 		return
 	}
 	if err := validateID(req.ID); err != nil {
@@ -343,8 +341,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad update request: %v", err)
+	if !decodeBody(w, r, "update request", &req) {
 		return
 	}
 	tenant := tenantOf(r)
@@ -400,13 +397,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // resolvedQuery is a QueryRequest after defaulting, validation, and
 // cursor reconciliation: the exact query identity the emission order is
-// deterministic in, plus the resume position.
+// deterministic in, plus the resume position. patName and algName are the
+// names a cursor records.
 type resolvedQuery struct {
-	kind    string
-	k       int
-	pattern *repro.Pattern
+	family
 	patName string
-	alg     repro.Algorithm
 	algName string
 	seed    uint64
 	workers int
@@ -418,11 +413,10 @@ type resolvedQuery struct {
 
 // resolveQuery reconciles the request with its cursor, if any: zero
 // request fields inherit the cursor's query identity; non-zero fields
-// must match it (a cursor is a position in one specific stream).
+// must match it (a cursor is a position in one specific stream). The
+// reconciled family fields are then validated by resolveFamily.
 func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 	rq := resolvedQuery{
-		kind:    req.Kind,
-		k:       req.K,
 		patName: req.Pattern,
 		algName: req.Algorithm,
 		seed:    req.Seed,
@@ -431,6 +425,7 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 		ordered: req.Ordered,
 		limit:   req.Limit,
 	}
+	kind, k := req.Kind, req.K
 	if cur != nil {
 		rq.pos = cur.Pos
 		inherit := func(have *string, want string, what string) error {
@@ -441,7 +436,7 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 			}
 			return nil
 		}
-		if err := inherit(&rq.kind, cur.Kind, "kind"); err != nil {
+		if err := inherit(&kind, cur.Kind, "kind"); err != nil {
 			return rq, err
 		}
 		if err := inherit(&rq.patName, cur.Pattern, "pattern"); err != nil {
@@ -450,10 +445,10 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 		if err := inherit(&rq.algName, cur.Algorithm, "algorithm"); err != nil {
 			return rq, err
 		}
-		if rq.k == 0 {
-			rq.k = cur.K
-		} else if rq.k != cur.K {
-			return rq, fmt.Errorf("query k %d does not match cursor k %d", rq.k, cur.K)
+		if k == 0 {
+			k = cur.K
+		} else if k != cur.K {
+			return rq, fmt.Errorf("query k %d does not match cursor k %d", k, cur.K)
 		}
 		if rq.seed == 0 {
 			rq.seed = cur.Seed
@@ -476,46 +471,13 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 			return rq, errors.New("query requests the canonical order but the cursor was minted on an engine-order run")
 		}
 	}
-	if rq.kind == "" {
-		rq.kind = "triangles"
+	f, err := resolveFamily(kind, k, rq.patName, rq.algName)
+	if err != nil {
+		return rq, err
 	}
-	switch rq.kind {
-	case "triangles":
-		if rq.k != 0 || rq.patName != "" {
-			return rq, errors.New("k and pattern do not apply to a triangles query")
-		}
-		if rq.algName != "" {
-			alg, err := repro.ParseAlgorithm(rq.algName)
-			if err != nil {
-				return rq, err
-			}
-			rq.alg = alg
-			rq.algName = alg.String()
-		} else {
-			rq.alg = repro.CacheAware
-			rq.algName = rq.alg.String()
-		}
-	case "cliques":
-		if rq.k < 3 {
-			return rq, fmt.Errorf("cliques query needs k >= 3, got %d", rq.k)
-		}
-		if rq.algName != "" || rq.patName != "" {
-			return rq, errors.New("algorithm and pattern do not apply to a cliques query")
-		}
-	case "match":
-		if rq.patName == "" {
-			return rq, errors.New("match query needs a pattern name")
-		}
-		if rq.algName != "" || rq.k != 0 {
-			return rq, errors.New("algorithm and k do not apply to a match query")
-		}
-		p, err := repro.ParsePattern(rq.patName)
-		if err != nil {
-			return rq, err
-		}
-		rq.pattern = p
-	default:
-		return rq, fmt.Errorf("unknown query kind %q (have triangles, cliques, match)", rq.kind)
+	rq.family = f
+	if f.kind == "triangles" {
+		rq.algName = f.alg.String()
 	}
 	return rq, nil
 }
@@ -548,8 +510,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad query request: %v", err)
+	if !decodeBody(w, r, "query request", &req) {
 		return
 	}
 	var cur *cursor
@@ -600,102 +561,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	var (
-		skipped, delivered uint64
-		bytesOut           uint64
-		sinceFlush         int
-		writeErr           error
-		wroteAny           bool
-		line               []byte
-	)
-	flush := func() {
-		if err := bw.Flush(); err != nil && writeErr == nil {
-			writeErr = err
-			cancel()
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		sinceFlush = 0
-	}
-	emitVs := func(vs []uint32) {
-		unlock()
-		if writeErr != nil {
-			return
-		}
-		if skipped < rq.pos {
-			skipped++
-			return
-		}
-		if !wroteAny {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Graph-Generation", strconv.FormatUint(gen, 10))
-			wroteAny = true
-		}
-		line = AppendEmission(line[:0], vs)
-		n, err := bw.Write(line)
-		bytesOut += uint64(n)
-		if err != nil {
-			writeErr = err
-			cancel()
-			return
-		}
-		delivered++
-		if sinceFlush++; sinceFlush >= s.cfg.FlushEvery {
-			flush()
-		}
-	}
-
-	q := repro.Query{Algorithm: rq.alg, Seed: rq.seed, Workers: rq.workers, Ordered: rq.ordered}
+	nw := s.newNDJSON(w, strconv.FormatUint(gen, 10))
+	var skipped uint64
+	q := repro.Query{Seed: rq.seed, Workers: rq.workers, Ordered: rq.ordered}
 	if rq.native {
 		q.Mode = repro.ModeNative
 	}
 	if rq.limit > 0 {
 		q.Limit = rq.pos + rq.limit
 	}
-	var res repro.Result
-	var tri [3]uint32
-	switch rq.kind {
-	case "triangles":
-		res, err = e.g.TrianglesFunc(ctx, q, func(a, b, c uint32) {
-			tri[0], tri[1], tri[2] = a, b, c
-			emitVs(tri[:])
-		})
-	case "cliques":
-		res, err = e.g.CliquesFunc(ctx, rq.k, q, emitVs)
-	case "match":
-		res, err = e.g.MatchFunc(ctx, rq.pattern, q, emitVs)
-	}
+	res, err := rq.query(ctx, e.g, q, func(vs []uint32) {
+		unlock()
+		if skipped < rq.pos {
+			skipped++
+		} else if nw.emit(vs) != nil {
+			cancel() // the client went away: stop the producer
+		}
+	})
 	unlock() // a query with zero emissions never triggered the callback
 	e.queries.Add(1)
 
-	if err != nil && !wroteAny {
+	if err != nil && !nw.started {
 		// Nothing streamed yet: the failure can still be a proper status.
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, repro.ErrGraphClosed):
-			status = http.StatusGone
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusRequestTimeout
-		}
-		writeError(w, status, "query %q: %v", e.id, err)
+		writeError(w, queryStatus(err), "query %q: %v", e.id, err)
 		return
 	}
-	if writeErr != nil {
+	if nw.err != nil {
 		// The client went away mid-stream; the producer was cancelled and
 		// there is nobody left to read a trailer.
-		s.adm.recordQuery(tenant, delivered, res.Stats.BlockReads, res.Stats.BlockWrites, bytesOut)
+		s.adm.recordQuery(tenant, nw.lines, res.Stats.BlockReads, res.Stats.BlockWrites, nw.bytes)
 		return
-	}
-	if !wroteAny {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Graph-Generation", strconv.FormatUint(gen, 10))
 	}
 	trailer := QueryTrailer{
 		Done:       err == nil,
-		Delivered:  delivered,
+		Delivered:  nw.lines,
 		Generation: gen,
 		Result:     ToWireResult(res),
 	}
@@ -704,29 +603,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// A stream that stopped at its limit may have more behind it: hand
 	// back the position in the deterministic emission order.
-	if err == nil && rq.limit > 0 && delivered == rq.limit {
-		trailer.Cursor = rq.mintCursor(e.id, gen, delivered)
+	if err == nil && rq.limit > 0 && nw.lines == rq.limit {
+		trailer.Cursor = rq.mintCursor(e.id, gen, nw.lines)
 	}
-	tb, _ := json.Marshal(trailer)
-	n, werr := bw.Write(append(tb, '\n'))
-	bytesOut += uint64(n)
-	_ = werr
-	flush()
-	s.adm.recordQuery(tenant, delivered, res.Stats.BlockReads, res.Stats.BlockWrites, bytesOut)
-}
-
-// newStreamWriter pairs a buffered response writer with a flush that
-// also pushes the HTTP chunk to the client when the ResponseWriter
-// supports it.
-func newStreamWriter(w http.ResponseWriter) (*bufio.Writer, func()) {
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	return bw, func() {
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	nw.send(trailer)
+	s.adm.recordQuery(tenant, nw.lines, res.Stats.BlockReads, res.Stats.BlockWrites, nw.bytes)
 }
 
 // AppendEmission appends the NDJSON emission line for one result —

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,47 +27,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubscribeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad subscribe request: %v", err)
+	if !decodeBody(w, r, "subscribe request", &req) {
 		return
 	}
-	kind := req.Kind
-	if kind == "" {
-		kind = "triangles"
-	}
-	var pattern *repro.Pattern
-	switch kind {
-	case "triangles":
-		if req.K != 0 || req.Pattern != "" {
-			writeError(w, http.StatusBadRequest, "k and pattern do not apply to a triangles subscription")
-			return
-		}
-	case "cliques":
-		if req.K < 3 {
-			writeError(w, http.StatusBadRequest, "cliques subscription needs k >= 3, got %d", req.K)
-			return
-		}
-		if req.Pattern != "" {
-			writeError(w, http.StatusBadRequest, "pattern does not apply to a cliques subscription")
-			return
-		}
-	case "match":
-		if req.Pattern == "" {
-			writeError(w, http.StatusBadRequest, "match subscription needs a pattern name")
-			return
-		}
-		if req.K != 0 {
-			writeError(w, http.StatusBadRequest, "k does not apply to a match subscription")
-			return
-		}
-		p, err := repro.ParsePattern(req.Pattern)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		pattern = p
-	default:
-		writeError(w, http.StatusBadRequest, "unknown subscription kind %q (have triangles, cliques, match)", kind)
+	// A subscription names its family like a query; it has no algorithm.
+	f, err := resolveFamily(req.Kind, req.K, req.Pattern, "")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -85,16 +49,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// Register the standing query. The request context is the
 	// subscription's lifetime: a client disconnect cancels it, which ends
 	// the subscription and this stream.
-	q := repro.Query{Workers: req.Workers}
-	var sub *repro.Subscription
-	switch kind {
-	case "triangles":
-		sub, err = e.g.Subscribe(r.Context(), q)
-	case "cliques":
-		sub, err = e.g.SubscribeCliques(r.Context(), req.K, q)
-	case "match":
-		sub, err = e.g.SubscribeMatch(r.Context(), pattern, q)
-	}
+	sub, err := f.subscribe(r.Context(), e.g, repro.Query{Workers: req.Workers})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, repro.ErrGraphClosed) {
@@ -117,51 +72,22 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Graph-Generation", strconv.FormatUint(sub.Generation(), 10))
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	var bytesOut uint64
-	var writeErr error
-	writeLine := func(v any) {
-		if writeErr != nil {
-			return
-		}
-		line, err := json.Marshal(v)
-		if err != nil {
-			writeErr = err
-			return
-		}
-		n, err := bw.Write(append(line, '\n'))
-		bytesOut += uint64(n)
-		if err != nil {
-			writeErr = err
-			return
-		}
-		// A live stream flushes every line: a change the client cannot
-		// see yet is a change that did not happen for it.
-		if err := bw.Flush(); err != nil {
-			writeErr = err
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	writeLine(WireSubscribed{Subscribed: true, Generation: sub.Generation()})
+	// send flushes every line: a change the client cannot see yet is a
+	// change that did not happen for it.
+	nw := s.newNDJSON(w, strconv.FormatUint(sub.Generation(), 10))
+	nw.send(WireSubscribed{Subscribed: true, Generation: sub.Generation()})
 
 	var delivered, reads, writes uint64
 	lastGen := sub.Generation()
 	for cs := range sub.Changes() {
-		writeLine(ToWireChange(cs))
+		err := nw.send(ToWireChange(cs))
 		delivered++
 		lastGen = cs.Generation
 		reads += cs.Stats.BlockReads
 		writes += cs.Stats.BlockWrites
 		// The client went away: stop draining and let the deferred Close
 		// unregister the standing query.
-		if writeErr != nil {
+		if err != nil {
 			break
 		}
 	}
@@ -175,6 +101,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if subErr != nil {
 		end.Error = fmt.Sprintf("subscription ended: %v", subErr)
 	}
-	writeLine(end)
-	s.adm.recordQuery(tenant, delivered, reads, writes, bytesOut)
+	nw.send(end)
+	s.adm.recordQuery(tenant, delivered, reads, writes, nw.bytes)
 }

@@ -3,12 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/cluster"
 )
 
 // subStream is an open subscription stream: the live response body plus
@@ -191,35 +194,103 @@ func TestSubscribeResumeHandshake(t *testing.T) {
 	}
 }
 
-// TestSubscribeValidation covers the 4xx surface of the endpoint.
+// TestSubscribeValidation covers the endpoint's own 4xx surface: an
+// unknown graph. Its family validation is TestQueryFamilyValidation's.
 func TestSubscribeValidation(t *testing.T) {
 	opts := repro.Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: 1}
 	_, ts, _ := newTestServer(t, Config{}, "g", "gnm:n=60,m=240", opts)
+	resp, err := http.Post(ts.URL+"/v1/graphs/nope/subscriptions", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown graph: status %d, want %d", resp.StatusCode, http.StatusNotFound)
+	}
+}
 
+// TestQueryFamilyValidation posts one table of malformed requests and
+// invalid query families to the four endpoints that resolve a family —
+// graph query, subscription, shard query and coordinator query — and
+// expects 400 from each. A subscription has no algorithm field, so the
+// algorithm cases skip it.
+func TestQueryFamilyValidation(t *testing.T) {
+	ctx := context.Background()
+	opts := repro.Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: 1}
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=240"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := repro.Partition(ctx, g, repro.PartitionOptions{Dir: t.TempDir(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := cluster.Load(pr.ManifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, _, err := repro.Open(pr.Shards[0].Image, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := New(Config{})
+	t.Cleanup(func() { shard.Close() })
+	if err := shard.AddGraph("g", g, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.ServeShard(man, 0, sg); err != nil {
+		t.Fatal(err)
+	}
+	shardTS := httptest.NewServer(shard.Handler())
+	t.Cleanup(shardTS.Close)
+	cl, err := repro.DialCluster(ctx, pr.ManifestPath, []string{shardTS.URL}, repro.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := New(Config{})
+	t.Cleanup(func() { coord.Close() })
+	if err := coord.ServeCoordinator(cl); err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	t.Cleanup(coordTS.Close)
+
+	endpoints := []string{
+		shardTS.URL + "/v1/graphs/g/query",
+		shardTS.URL + "/v1/graphs/g/subscriptions",
+		shardTS.URL + "/v1/cluster/shard/query",
+		coordTS.URL + "/v1/cluster/query",
+	}
 	cases := []struct {
-		name   string
-		id     string
-		body   string
-		status int
+		name, body string
+		algorithm  bool
 	}{
-		{"unknown graph", "nope", `{}`, http.StatusNotFound},
-		{"bad json", "g", `{`, http.StatusBadRequest},
-		{"bad kind", "g", `{"kind":"rings"}`, http.StatusBadRequest},
-		{"cliques without k", "g", `{"kind":"cliques"}`, http.StatusBadRequest},
-		{"cliques k too small", "g", `{"kind":"cliques","k":2}`, http.StatusBadRequest},
-		{"match without pattern", "g", `{"kind":"match"}`, http.StatusBadRequest},
-		{"match unknown pattern", "g", `{"kind":"match","pattern":"heptagon"}`, http.StatusBadRequest},
-		{"triangles with k", "g", `{"k":3}`, http.StatusBadRequest},
-		{"match with k", "g", `{"kind":"match","pattern":"diamond","k":4}`, http.StatusBadRequest},
+		{"bad json", `{`, false},
+		{"bad kind", `{"kind":"rings"}`, false},
+		{"cliques without k", `{"kind":"cliques"}`, false},
+		{"cliques k too small", `{"kind":"cliques","k":2}`, false},
+		{"match without pattern", `{"kind":"match"}`, false},
+		{"match unknown pattern", `{"kind":"match","pattern":"heptagon"}`, false},
+		{"triangles with k", `{"k":3}`, false},
+		{"match with k", `{"kind":"match","pattern":"diamond","k":4}`, false},
+		{"unknown algorithm", `{"algorithm":"quantum"}`, true},
+		{"cliques with algorithm", `{"kind":"cliques","k":4,"algorithm":"cacheaware"}`, true},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/v1/graphs/"+c.id+"/subscriptions", "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != c.status {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		for _, url := range endpoints {
+			if c.algorithm && strings.HasSuffix(url, "/subscriptions") {
+				continue
+			}
+			resp, err := http.Post(url, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			var e ErrorResponse
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
+				t.Errorf("%s at %s: status %d (error %q), want 400 with an error", c.name, url, resp.StatusCode, e.Error)
+			}
 		}
 	}
 }

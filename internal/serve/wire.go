@@ -29,7 +29,10 @@
 // surfaced on /v1/stats. See docs/API.md for the wire contract.
 package serve
 
-import "repro"
+import (
+	"repro"
+	"repro/internal/cluster"
+)
 
 // Wire types: the JSON bodies of every endpoint. Field order is part of
 // the wire contract — encoding/json emits struct fields in declaration
@@ -192,17 +195,12 @@ type WireResult struct {
 	MaxSubproblem   int64       `json:"max_subproblem,omitempty"`
 }
 
-// WireIOStats is repro.IOStats on the wire.
-type WireIOStats struct {
-	BlockReads     uint64 `json:"block_reads"`
-	BlockWrites    uint64 `json:"block_writes"`
-	WordReads      uint64 `json:"word_reads"`
-	WordWrites     uint64 `json:"word_writes"`
-	PeakLeaseWords int    `json:"peak_lease_words"`
-	PeakDiskWords  int64  `json:"peak_disk_words"`
-}
+// WireIOStats is repro.IOStats on the wire: the same type as the cluster
+// wire's IOStats, so every endpoint encodes statistics one way.
+type WireIOStats = cluster.IOStats
 
-func toWireStats(s repro.IOStats) WireIOStats {
+// wireStats converts in-process statistics to the wire.
+func wireStats(s repro.IOStats) WireIOStats {
 	return WireIOStats{
 		BlockReads:     s.BlockReads,
 		BlockWrites:    s.BlockWrites,
@@ -222,7 +220,7 @@ func ToWireResult(r repro.Result) WireResult {
 		Matches:         r.Matches,
 		Vertices:        r.Vertices,
 		Edges:           r.Edges,
-		Stats:           toWireStats(r.Stats),
+		Stats:           wireStats(r.Stats),
 		CanonIOs:        r.CanonIOs,
 		Colors:          r.Colors,
 		HighDegVertices: r.HighDegVertices,
@@ -299,7 +297,7 @@ func ToWireChange(cs repro.ChangeSet) WireChange {
 		Removed:    removed,
 		Vertices:   cs.Vertices,
 		Edges:      cs.Edges,
-		Stats:      toWireStats(cs.Stats),
+		Stats:      wireStats(cs.Stats),
 	}
 }
 

@@ -3,7 +3,6 @@ package trienum
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/ctxutil"
 	"repro/internal/emio"
@@ -16,10 +15,10 @@ import (
 // decompose into independent units — one Lemma 1 pass per high-degree
 // vertex and one Lemma 2 kernel per color triple — that share no mutable
 // state once the coordinator has laid out the (sorted) edge array. The
-// engine freezes that array with extmem.Snapshot, dispatches the units to
-// a pool of workers, each executing on its own extmem shard (a private
-// M-word cache over the shared read-only region), and replays the
-// finished units' triangles in the canonical sequential order.
+// engine freezes that array with extmem.Snapshot and runs the units on
+// extmem.RunOrdered — a pool of workers, each executing on its own extmem
+// shard (a private M-word cache over the shared read-only region) — which
+// replays the finished units' triangles in the canonical sequential order.
 //
 // Two properties hold by construction, for any worker count:
 //
@@ -81,126 +80,40 @@ const (
 	streamDepth = 8
 )
 
-// runTasks executes tasks on up to `workers` workers, each worker owning
-// one shard Space over the shared snapshot, and emits every task's
-// triangles in task order on the calling goroutine. Between tasks a
-// worker releases its scratch and drops its cache, so each task runs
-// cold, exactly as on a fresh shard. Returns the per-worker stats.
-//
-// Emission is streamed: each in-flight task hands batches to the merge
-// layer over a bounded channel, and tasks are dispatched through a
-// bounded window ahead of the merge cursor, so workers exert
-// backpressure instead of materializing their output.
-//
-// When ctx is cancelled the merge layer stops consuming between batches,
-// the dispatcher stops handing out subproblems, in-flight tasks unwind at
-// their next blocked send, and the pool drains before the function
-// returns ctx.Err() with the stats accumulated so far.
+// runTasks runs tasks on the extmem ordered worker pool (a cold shard
+// Space per task, see extmem.RunOrdered) and emits every task's triangles
+// in task order on the calling goroutine. Each task's triangles travel in
+// batches of emitBatch, so workers exert backpressure instead of
+// materializing their output. Returns the per-worker stats and, on
+// cancellation, ctx.Err().
 func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, workers int, emit graph.Emit) ([]extmem.Stats, error) {
-	if len(tasks) == 0 {
-		return nil, ctxutil.Err(ctx)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	streams := make([]chan []graph.Triple, len(tasks))
-	for i := range streams {
-		streams[i] = make(chan []graph.Triple, streamDepth)
-	}
-	jobs := make(chan int)
-	window := make(chan struct{}, 2*workers)
-	// done is closed when the merge layer stops consuming — normally after
-	// the last task, but also if the caller's emit panics — so blocked
-	// workers and the dispatcher always unwind instead of leaking.
-	done := make(chan struct{})
-	stats := make([]extmem.Stats, workers)
-	var wg sync.WaitGroup
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shard := extmem.NewShardSpace(cfg, shared)
-			base := shard.Mark()
-			for idx := range jobs {
-				send := func(batch []graph.Triple) bool {
-					select {
-					case streams[idx] <- batch:
-						return true
-					case <-done:
-						return false
-					}
+	pooled := make([]extmem.ShardTask[[]graph.Triple], len(tasks))
+	for i, task := range tasks {
+		pooled[i] = func(shard *extmem.Space, send func([]graph.Triple) bool) {
+			alive := true
+			batch := make([]graph.Triple, 0, emitBatch)
+			task(shard, func(a, b, c uint32) {
+				if !alive {
+					return
 				}
-				abandoned := false
-				batch := make([]graph.Triple, 0, emitBatch)
-				tasks[idx](shard, func(a, b, c uint32) {
-					if abandoned {
-						return
-					}
-					batch = append(batch, graph.Triple{V1: a, V2: b, V3: c})
-					if len(batch) == emitBatch {
-						// The sent batch is owned by the merge layer now;
-						// start a fresh one.
-						abandoned = !send(batch)
-						batch = make([]graph.Triple, 0, emitBatch)
-					}
-				})
-				if !abandoned && len(batch) > 0 {
-					send(batch)
+				batch = append(batch, graph.Triple{V1: a, V2: b, V3: c})
+				if len(batch) == emitBatch {
+					// The sent batch belongs to the consumer now; start a
+					// fresh one.
+					alive = send(batch)
+					batch = make([]graph.Triple, 0, emitBatch)
 				}
-				close(streams[idx])
-				shard.Release(base)
-				shard.DropCache()
-			}
-			stats[w] = shard.Stats()
-		}(w)
-	}
-	go func() {
-		defer close(jobs)
-		for i := range tasks {
-			select {
-			case window <- struct{}{}: // blocks while the merge cursor lags
-			case <-done:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-done:
-				return
+			})
+			if alive && len(batch) > 0 {
+				send(batch)
 			}
 		}
-	}()
-	// Merge layer: consume the task streams strictly in task order.
-	cancelled := ctxutil.Done(ctx)
-	for i := range tasks {
-		stream := streams[i]
-		for stream != nil {
-			select {
-			case batch, ok := <-stream:
-				if !ok {
-					stream = nil
-					break
-				}
-				for _, t := range batch {
-					emit(t.V1, t.V2, t.V3)
-				}
-			case <-cancelled:
-				return stats, ctx.Err()
-			}
-		}
-		select {
-		case <-window:
-		case <-cancelled:
-			return stats, ctx.Err()
-		}
 	}
-	return stats, nil
+	return extmem.RunOrdered(ctx, cfg, shared, pooled, workers, streamDepth, func(_ int, batch []graph.Triple) {
+		for _, t := range batch {
+			emit(t.V1, t.V2, t.V3)
+		}
+	})
 }
 
 // highDegreeParallel runs step 1 — one Lemma 1 pass per vertex of degree
