@@ -15,7 +15,9 @@
 // All sorters order fixed-stride records by a key extracted from the first
 // word of each record (stride 1 sorts plain words). ParallelSortRecords
 // and ParallelFunnelSortRecords run the cache-aware and funnel sorts on a
-// worker pool with byte-identical output (parallel.go).
+// worker pool with byte-identical output (parallel.go). Distribute groups
+// words by a small key in O(n/B) I/Os per pass, stably, with no comparator
+// (distribute.go).
 package emsort
 
 import (
@@ -129,8 +131,8 @@ func mergePass(src, dst extmem.Extent, runLen int64, k, stride int, key Key) {
 // O(k) words and are leased from internal memory.
 //
 // Ties are broken first by the full first word — the contract every
-// sorter in this package shares (and that the color-pair bucketing in
-// trienum relies on to get buckets in canonical edge order) — and then by
+// sorter in this package shares, and the one Distribute matches on
+// word-sorted input — and then by
 // run index, so the merge is stable with respect to run order and the
 // multi-pass result equals one big stable merge of all runs.
 func mergeRuns(src, dst extmem.Extent, runLen int64, stride int, key Key) {

@@ -153,3 +153,18 @@ func CanonicalizeList(sp *extmem.Space, el EdgeList) Canonical {
 	raw := el.Write(sp)
 	return Canonicalize(sp, raw, emsort.SortRecords)
 }
+
+// ColorBuckets is the color-pair bucket layer of Sections 2 and 6. It
+// distributes edges, which must be in canonical order, into the c² buckets
+// of colorOf with one stable emsort.Distribute pass into a fresh extent of
+// sp, and returns that extent with the c²+1 bucket offsets. Bucket a·c+b
+// holds the edges (u,v) with colorOf(u) = a and colorOf(v) = b, in
+// canonical order.
+func ColorBuckets(sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int) (extmem.Extent, []int64) {
+	buckets := sp.Alloc(edges.Len())
+	cc := uint64(c)
+	off := emsort.Distribute(buckets, edges, c*c, func(e extmem.Word) uint64 {
+		return uint64(colorOf(U(e)))*cc + uint64(colorOf(V(e)))
+	})
+	return buckets, off
+}

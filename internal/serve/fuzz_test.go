@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -90,4 +93,54 @@ func TestCursorMalformedAlways4xx(t *testing.T) {
 	if _, _, status, _ := tryQuery(ts.URL, "g", "", QueryRequest{Cursor: valid}); status != http.StatusOK {
 		t.Errorf("control cursor rejected with %d", status)
 	}
+}
+
+// FuzzQueryRequest posts arbitrary bodies to the graph query handler. The
+// daemon must answer every one without a panic or a 5xx: a 400 or 413
+// carries an ErrorResponse, and a streamed answer ends in a trailer that
+// reports no producer error.
+func FuzzQueryRequest(f *testing.F) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=300"), repro.Options{Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.AddGraph("g", g, ""); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+
+	for _, c := range familyValidationCases {
+		f.Add([]byte(c.body))
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `{"kind":"cliques","k":4}`,
+		`{"kind":"match","pattern":"diamond","ordered":true}`,
+		`{"algorithm":"deterministic","workers":4,"native":true}`,
+		`{"limit":3,"seed":9}`, `{"cursor":"garbage"}`,
+		`{"kind":"cliques","k":1000000000000}`, `{"workers":1000000000}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/g/query", bytes.NewReader(body)))
+		switch code := rec.Code; {
+		case code >= 500:
+			t.Fatalf("body %q: status %d (%s)", body, code, rec.Body.Bytes())
+		case code == http.StatusBadRequest || code == http.StatusRequestEntityTooLarge:
+			var e ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("body %q: %d without an ErrorResponse: %q", body, code, rec.Body.Bytes())
+			}
+		case code == http.StatusOK:
+			lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+			var tr QueryTrailer
+			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || tr.Error != "" {
+				t.Fatalf("body %q: stream ends in %q", body, lines[len(lines)-1])
+			}
+		}
+	})
 }

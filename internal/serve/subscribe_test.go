@@ -214,6 +214,25 @@ func TestSubscribeValidation(t *testing.T) {
 // graph query, subscription, shard query and coordinator query — and
 // expects 400 from each. A subscription has no algorithm field, so the
 // algorithm cases skip it.
+// familyValidationCases are query bodies every query-shaped endpoint
+// must answer 400 with an ErrorResponse; algorithm marks the ones that
+// name a triangle algorithm, which subscriptions do not take.
+var familyValidationCases = []struct {
+	name, body string
+	algorithm  bool
+}{
+	{"bad json", `{`, false},
+	{"bad kind", `{"kind":"rings"}`, false},
+	{"cliques without k", `{"kind":"cliques"}`, false},
+	{"cliques k too small", `{"kind":"cliques","k":2}`, false},
+	{"match without pattern", `{"kind":"match"}`, false},
+	{"match unknown pattern", `{"kind":"match","pattern":"heptagon"}`, false},
+	{"triangles with k", `{"k":3}`, false},
+	{"match with k", `{"kind":"match","pattern":"diamond","k":4}`, false},
+	{"unknown algorithm", `{"algorithm":"quantum"}`, true},
+	{"cliques with algorithm", `{"kind":"cliques","k":4,"algorithm":"cacheaware"}`, true},
+}
+
 func TestQueryFamilyValidation(t *testing.T) {
 	ctx := context.Background()
 	opts := repro.Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: 1}
@@ -261,22 +280,7 @@ func TestQueryFamilyValidation(t *testing.T) {
 		shardTS.URL + "/v1/cluster/shard/query",
 		coordTS.URL + "/v1/cluster/query",
 	}
-	cases := []struct {
-		name, body string
-		algorithm  bool
-	}{
-		{"bad json", `{`, false},
-		{"bad kind", `{"kind":"rings"}`, false},
-		{"cliques without k", `{"kind":"cliques"}`, false},
-		{"cliques k too small", `{"kind":"cliques","k":2}`, false},
-		{"match without pattern", `{"kind":"match"}`, false},
-		{"match unknown pattern", `{"kind":"match","pattern":"heptagon"}`, false},
-		{"triangles with k", `{"k":3}`, false},
-		{"match with k", `{"kind":"match","pattern":"diamond","k":4}`, false},
-		{"unknown algorithm", `{"algorithm":"quantum"}`, true},
-		{"cliques with algorithm", `{"kind":"cliques","k":4,"algorithm":"cacheaware"}`, true},
-	}
-	for _, c := range cases {
+	for _, c := range familyValidationCases {
 		for _, url := range endpoints {
 			if c.algorithm && strings.HasSuffix(url, "/subscriptions") {
 				continue

@@ -7,12 +7,12 @@
 package subgraph
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ctxutil"
-	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
@@ -39,56 +39,34 @@ type Info struct {
 // checked cooperatively between color-tuple subproblems; on cancellation
 // the enumeration stops early and returns ctx.Err(), with the cliques
 // already emitted forming a prefix of the full stream.
+//
+// The coloring has c colors, c the smallest power of two with
+// c² >= ⌊E/M⌋, halved while the c^k color tuples exceed 2^22 so the tuple
+// loop stays tractable for the larger k this package exists for. The
+// edges are distributed into the c² color-pair buckets by
+// graph.ColorBuckets, and each tuple is solved on flat tables
+// (cliqueTables).
 func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, seed uint64, emit EmitK) (Info, error) {
 	var info Info
 	if k < 3 {
 		return info, fmt.Errorf("subgraph: k must be at least 3, got %d", k)
 	}
 	E := g.Edges.Len()
-	if E == 0 {
+	if int64(k-1) > 2*E/int64(k) {
+		// A k-clique has C(k,2) edges; with fewer there is nothing to
+		// find, and nothing below is sized by k until this holds.
 		return info, nil
 	}
-	cfg := sp.Config()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
-	// c = ceil(sqrt(E/M)) colors, as in Section 2. We cap c so the c^k
-	// tuple loop stays tractable for the larger k this package exists for.
-	c := 1
-	for c*c < int(E)/cfg.M {
-		c *= 2
-	}
-	for pow(c, k) > 1<<22 {
-		c /= 2
-	}
-	if c < 1 {
-		c = 1
-	}
+	c := tupleColors(E, sp.Config().M, k, 1<<22)
 	info.Colors = c
-	col := hashing.NewColoring(hashing.NewRand(seed), c)
-
-	edges := sp.Alloc(E)
-	g.Edges.CopyTo(edges)
-	cc := uint64(c)
-	pairKey := func(e extmem.Word) uint64 {
-		return uint64(col.Color(graph.U(e)))*cc + uint64(col.Color(graph.V(e)))
-	}
-	emsort.SortRecords(edges, 1, pairKey)
-
-	off := make([]int64, c*c+1)
-	counts := make([]int64, c*c)
-	for i := int64(0); i < E; i++ {
-		counts[pairKey(edges.Read(i))]++
-	}
-	var acc int64
-	for i, n := range counts {
-		off[i] = acc
-		acc += n
-	}
-	off[c*c] = acc
+	edges, off := graph.ColorBuckets(sp, g.Edges, hashing.NewColoring(hashing.NewRand(seed), c).Color, c)
 
 	// Iterate all c^k color tuples. A k-clique v1<...<vk with colors
 	// (ξ(v1),...,ξ(vk)) is found in exactly that tuple's subproblem.
+	tables := &cliqueTables{cands: make([][]extmem.Word, k)}
 	tuple := make([]int, k)
 	verts := make([]uint32, k)
 	var iterate func(pos int) error
@@ -97,7 +75,7 @@ func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, se
 			if err := ctxutil.Err(ctx); err != nil {
 				return err
 			}
-			return solveTuple(sp, edges, off, c, col.Color, tuple, verts, &info, emit)
+			return tables.solve(sp, edges, off, c, tuple, verts, &info, emit)
 		}
 		for t := 0; t < c; t++ {
 			tuple[pos] = t
@@ -111,14 +89,50 @@ func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, se
 	return info, err
 }
 
-// solveTuple loads the union of the C(k,2) buckets for one color tuple and
-// enumerates its properly colored k-cliques in internal memory.
-func solveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple []int, verts []uint32, info *Info, emit EmitK) error {
-	k := len(tuple)
-	// Gather the distinct bucket ranges for all position pairs.
+// tupleColors is the color count of the Section 6 decomposition: the
+// smallest power of two c with c² >= ⌊E/M⌋, halved while the c^k color
+// tuples exceed maxTuples.
+func tupleColors(E int64, M, k, maxTuples int) int {
+	c := 1
+	for c*c < int(E)/M {
+		c *= 2
+	}
+	for c > 1 && pow(c, k) > maxTuples {
+		c /= 2
+	}
+	return c
+}
+
+// cliqueTables holds one color tuple's subproblem in flat arrays, reused
+// from tuple to tuple. For T loaded edges the state is at most 3T words,
+// which is what solve leases:
+//
+//	load   T  the tuple's distinct buckets, read range by range
+//	nbr    T  v<<32 | ξ(v) for each loaded edge (u,v), in canonical order
+//	          (the ranges merged): grouped by cone vertex u, ascending
+//	          within a group
+//	cones ≤T  u<<32 | the start of u's group in nbr, ascending in u
+//
+// Colors come from bucket names — an edge of E_{a,b} joins a color-a cone
+// to a color-b neighbour — so the solver never hashes. The per-position
+// candidate lists (cands) are subsets of one nbr group.
+type cliqueTables struct {
+	load, nbr, cones []extmem.Word
+	cands            [][]extmem.Word
+}
+
+// solve enumerates the properly colored k-cliques of one color tuple: it
+// loads the union of the tuple's C(k,2) buckets and extends cliques
+// depth-first in ascending vertex order, so the stream is a pure function
+// of the subproblem.
+func (t *cliqueTables) solve(sp *extmem.Space, edges extmem.Extent, off []int64, c int, tuple []int, verts []uint32, info *Info, emit EmitK) error {
+	// The distinct bucket ranges of the position pairs; the pair (0,1)
+	// comes first, so range 0 is E_{τ0,τ1}.
 	type rng struct{ lo, hi int64 }
 	var ranges []rng
+	var colors []extmem.Word // ξ(v) of each range's edges (u,v)
 	var total int64
+	k := len(tuple)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			b := tuple[i]*c + tuple[j]
@@ -126,15 +140,9 @@ func solveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, color
 			if r.lo == r.hi {
 				return nil // a required bucket is empty: no cliques here
 			}
-			dup := false
-			for _, o := range ranges {
-				if o == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(ranges, r) {
 				ranges = append(ranges, r)
+				colors = append(colors, extmem.Word(tuple[j]))
 				total += r.hi - r.lo
 			}
 		}
@@ -143,59 +151,94 @@ func solveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, color
 	if total > info.MaxSubproblem {
 		info.MaxSubproblem = total
 	}
+	if total >= 1<<32 {
+		return fmt.Errorf("subgraph: color tuple of %d edges exceeds the solver's 2^32", total)
+	}
 
-	// Load the subproblem into internal memory. Expected size O(k²·M);
-	// the lease is charged for whatever it actually is.
+	// Load the ranges one after another: reading them interleaved through
+	// the cache would thrash, since the lease leaves it about two frames.
+	// Expected size O(k²·M); the lease is charged for whatever it is.
 	release := sp.LeaseAtMost(int(total) * 3)
 	defer release()
-	adj := make(map[uint32][]uint32)
-	for _, r := range ranges {
-		for i := r.lo; i < r.hi; i++ {
-			e := edges.Read(i)
-			adj[graph.U(e)] = append(adj[graph.U(e)], graph.V(e))
+	t.load = slices.Grow(t.load[:0], int(total))[:total]
+	cur, end := make([]int, len(ranges)), make([]int, len(ranges)) // range i is load[cur[i]:end[i]]
+	for i, r := range ranges {
+		if i > 0 {
+			cur[i] = end[i-1]
 		}
+		end[i] = cur[i] + int(r.hi-r.lo)
+		edges.Slice(r.lo, r.hi).Load(t.load[cur[i]:end[i]])
 	}
-	starts := make([]uint32, 0, len(adj))
-	for v, l := range adj {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		starts = append(starts, v)
-	}
-	// Iterate start vertices in sorted order, not map order: the emission
-	// stream of a subproblem must be a pure function of the subproblem,
-	// identical across runs (and across concurrent sessions).
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 
-	// Depth-first clique extension with per-position color constraints.
-	t0 := uint32(tuple[0])
-	var extend func(pos int, cands []uint32)
-	extend = func(pos int, cands []uint32) {
-		want := uint32(tuple[pos])
-		for _, v := range cands {
-			if colorOf(v) != want {
-				continue
+	// Merge the ranges into canonical order and index the cone groups.
+	t.nbr, t.cones = t.nbr[:0], t.cones[:0]
+	for {
+		best := -1
+		for i := range ranges {
+			if cur[i] < end[i] && (best < 0 || t.load[cur[i]] < t.load[cur[best]]) {
+				best = i
 			}
-			verts[pos] = v
-			if pos == k-1 {
-				info.Cliques++
-				emit(verts)
-				continue
-			}
-			extend(pos+1, intersectSorted(cands, adj[v], v))
 		}
+		if best < 0 {
+			break
+		}
+		e := t.load[cur[best]]
+		cur[best]++
+		if u := e >> 32; len(t.cones) == 0 || t.cones[len(t.cones)-1]>>32 != u {
+			t.cones = append(t.cones, u<<32|extmem.Word(len(t.nbr)))
+		}
+		t.nbr = append(t.nbr, e<<32|colors[best])
 	}
-	for _, v := range starts {
-		if colorOf(v) != t0 {
-			continue
+
+	// Start vertices: the cones of E_{τ0,τ1}, ascending. A color-τ0 cone
+	// with no neighbour of color τ1 starts no clique.
+	prev := ^extmem.Word(0)
+	for _, e := range t.load[:end[0]] {
+		if v := e >> 32; v != prev {
+			prev = v
+			verts[0] = uint32(v)
+			t.extend(1, t.adj(v), tuple, verts, info, emit)
 		}
-		verts[0] = v
-		extend(1, adj[v])
 	}
 	return nil
 }
 
-// intersectSorted returns elements > floor present in both sorted lists.
-func intersectSorted(a, b []uint32, floor uint32) []uint32 {
-	var out []uint32
+// extend places position pos of the clique: every candidate of color
+// τ_pos, in ascending order, followed by the candidates after it that are
+// also its neighbours.
+func (t *cliqueTables) extend(pos int, cands []extmem.Word, tuple []int, verts []uint32, info *Info, emit EmitK) {
+	want := extmem.Word(tuple[pos])
+	for i, e := range cands {
+		if e&0xffffffff != want {
+			continue
+		}
+		verts[pos] = uint32(e >> 32)
+		if pos == len(tuple)-1 {
+			info.Cliques++
+			emit(verts)
+			continue
+		}
+		t.cands[pos+1] = intersectSorted(t.cands[pos+1][:0], cands[i+1:], t.adj(e>>32))
+		t.extend(pos+1, t.cands[pos+1], tuple, verts, info, emit)
+	}
+}
+
+// adj returns cone vertex v's group of nbr, empty if v is no cone.
+func (t *cliqueTables) adj(v extmem.Word) []extmem.Word {
+	i, _ := slices.BinarySearchFunc(t.cones, v, func(c, v extmem.Word) int { return cmp.Compare(c>>32, v) })
+	if i == len(t.cones) || t.cones[i]>>32 != v {
+		return nil
+	}
+	hi := len(t.nbr)
+	if i+1 < len(t.cones) {
+		hi = int(t.cones[i+1] & 0xffffffff)
+	}
+	return t.nbr[t.cones[i]&0xffffffff : hi]
+}
+
+// intersectSorted appends to dst the words present in both ascending
+// lists.
+func intersectSorted(dst, a, b []extmem.Word) []extmem.Word {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -204,14 +247,12 @@ func intersectSorted(a, b []uint32, floor uint32) []uint32 {
 		case a[i] > b[j]:
 			j++
 		default:
-			if a[i] > floor {
-				out = append(out, a[i])
-			}
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 func pow(b, e int) int {

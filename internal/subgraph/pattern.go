@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/ctxutil"
-	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
@@ -296,31 +295,13 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 	if E == 0 {
 		return info, nil
 	}
-	cfg := sp.Config()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
-	c := 1
-	for c*c < int(E)/cfg.M {
-		c *= 2
-	}
-	for pow(c, p.k) > 1<<20 {
-		c /= 2
-	}
-	if c < 1 {
-		c = 1
-	}
+	c := tupleColors(E, sp.Config().M, p.k, 1<<20)
 	info.Colors = c
 	col := hashing.NewColoring(hashing.NewRand(seed), c)
-
-	edges := sp.Alloc(E)
-	g.Edges.CopyTo(edges)
-	cc := uint64(c)
-	pairKey := func(e extmem.Word) uint64 {
-		return uint64(col.Color(graph.U(e)))*cc + uint64(col.Color(graph.V(e)))
-	}
-	emsort.SortRecords(edges, 1, pairKey)
-	off := bucketOffsets(edges, c, pairKey)
+	edges, off := graph.ColorBuckets(sp, g.Edges, col.Color, c)
 
 	order, back := p.searchOrder()
 	tuple := make([]int, p.k)
@@ -342,22 +323,6 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 	}
 	err := iterate(0)
 	return info, err
-}
-
-func bucketOffsets(edges extmem.Extent, c int, key func(extmem.Word) uint64) []int64 {
-	off := make([]int64, c*c+1)
-	counts := make([]int64, c*c)
-	n := edges.Len()
-	for i := int64(0); i < n; i++ {
-		counts[key(edges.Read(i))]++
-	}
-	var acc int64
-	for i, k := range counts {
-		off[i] = acc
-		acc += k
-	}
-	off[c*c] = acc
-	return off
 }
 
 // solvePatternTuple loads the union of the buckets needed by the tuple

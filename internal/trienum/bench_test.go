@@ -3,7 +3,6 @@ package trienum
 import (
 	"testing"
 
-	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
@@ -13,10 +12,10 @@ import (
 // cache-aware algorithm, on the simulated and the native machine. Setup
 // mirrors CacheAwareParallel on powerlaw(n=8000, m=40000, β=2.1) at
 // M=2^12, B=2^6 — the high-degree cut, the c=4 coloring, the color-pair
-// sort, and the merge of the triple (0,1,2)'s buckets — and stays outside
-// the timer; each iteration runs the kernel over the merged edges from a
-// cold cache. Reports IOs (per kernel run; zero on the native machine)
-// and triangles.
+// distribution, and the merge of the triple (0,1,2)'s cone buckets — and
+// stays outside the timer; each iteration runs the kernel over the merged
+// cone edges from a cold cache. Reports IOs (per kernel run; zero on the
+// native machine) and triangles.
 func BenchmarkKernelTriple(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
@@ -31,12 +30,10 @@ func BenchmarkKernelTriple(b *testing.B) {
 			work = work.Prefix(compactBelow(sp, work, uint32(highDegreeCut(g, float64(E), float64(M)))))
 			c := ceilSqrt(float64(E) / float64(M))
 			col := hashing.NewColoring(hashing.NewRand(1), c)
-			emsort.SortRecords(work, 1, colorPairKey(col.Color, c))
-			off := bucketOffsets(work, col.Color, c, &Info{})
+			buckets, off := graph.ColorBuckets(sp, work, col.Color, c)
 			const t1, t2, t3 = 0, 1, 2
-			b01, b02, b12 := bucketAt(work, off, c, t1, t2), bucketAt(work, off, c, t1, t3), bucketAt(work, off, c, t2, t3)
-			edges := mergeSortedInto(sp.Alloc(b01.Len()+b02.Len()+b12.Len()), distinctExtents(b01, b02, b12))
-			filter := func(v, _, _ uint32) bool { return col.Color(v) == t1 }
+			b01, b02, b12 := bucketAt(buckets, off, c, t1, t2), bucketAt(buckets, off, c, t1, t3), bucketAt(buckets, off, c, t2, t3)
+			cones := mergeSortedInto(sp.Alloc(b01.Len()+b02.Len()), []extmem.Extent{b01, b02})
 
 			var triangles uint64
 			b.ReportAllocs()
@@ -45,7 +42,7 @@ func BenchmarkKernelTriple(b *testing.B) {
 				sp.DropCache()
 				sp.ResetStats()
 				triangles = 0
-				if err := kernel(nil, sp, edges, b12, 0, filter, graph.Counter(&triangles)); err != nil {
+				if err := kernel(nil, sp, cones, b12, 0, graph.Counter(&triangles)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ctxutil"
 	"repro/internal/emio"
-	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
@@ -19,11 +18,11 @@ import (
 //     the Lemma 1 subroutine, one vertex at a time, removing each vertex's
 //     edges afterwards. There are fewer than sqrt(E/M) such vertices.
 //  2. A 4-wise independent coloring ξ: V → [c], c = ceil(sqrt(E/M)),
-//     partitions the remaining edges into color-pair buckets E_{τ1,τ2}.
+//     partitions the remaining edges into color-pair buckets E_{τ1,τ2}
+//     in one stable distribution pass (graph.ColorBuckets).
 //  3. Each of the c³ color triples (τ1,τ2,τ3) is solved by the Lemma 2
-//     kernel with pivot set E_{τ2,τ3} and edge set
-//     E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3}, keeping only triangles whose
-//     cone vertex has color τ1.
+//     kernel with pivot set E_{τ2,τ3} and cone edges
+//     E_{τ1,τ2} ∪ E_{τ1,τ3}, whose cone vertices all have color τ1.
 //
 // Triangles are emitted in rank space, exactly once each. The Lemma 1
 // passes and the color-triple kernels run on exec.Workers shards of the
@@ -67,29 +66,34 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 }
 
 // solveTriple solves the pivot rows [pivLo, pivHi) of one color triple
-// (τ1,τ2,τ3): merge the triple's (distinct) buckets into scratch,
-// preserving sort order, and run the kernel with pivots E_{τ2,τ3}[pivLo,
-// pivHi) and an explicit kernel chunk size (0 = automatic), keeping
-// triangles whose cone vertex has color τ1. The whole triple is the range
-// [0, |E_{τ2,τ3}|). The kernel's pivot loop processes chunks of memEdges
-// rows independently — each chunk is one full scan of the triple's edge
-// union — so running the ranges [k·memEdges, (k+1)·memEdges) as separate
-// invocations and concatenating their emissions reproduces the whole
-// triple's stream exactly. That is the native mode's work-stealing grain:
-// a skewed triple splits into per-chunk tasks the engine's dynamic
-// dispatch balances across workers (parallel.go), at the price of
-// re-merging the bucket union per chunk.
-func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, colorOf func(uint32) uint32, scratch extmem.Extent, emit graph.Emit) {
-	b01 := bucketAt(edges, off, c, t1, t2)
-	b02 := bucketAt(edges, off, c, t1, t3)
-	b12 := bucketAt(edges, off, c, t2, t3)
-	parts := distinctExtents(b01, b02, b12)
-	un := mergeSortedInto(scratch, parts)
-	tau1 := uint32(t1)
+// (τ1,τ2,τ3): merge the (distinct) cone buckets E_{τ1,τ2} and E_{τ1,τ3}
+// into scratch, preserving sort order, and run the kernel with pivots
+// E_{τ2,τ3}[pivLo, pivHi) and an explicit kernel chunk size (0 =
+// automatic). The whole triple is the range [0, |E_{τ2,τ3}|).
+//
+// The two cone buckets are all the triple needs. A triangle v<u<w of
+// colors (τ1,τ2,τ3) has cone edges (v,u) ∈ E_{τ1,τ2} and (v,w) ∈ E_{τ1,τ3}
+// and pivot (u,w) ∈ E_{τ2,τ3}. Every cone vertex of the two buckets has
+// color τ1, and a τ1-cone has no other edge in E_{τ2,τ3}: when τ2 = τ1
+// that bucket is E_{τ1,τ3}. So each triangle is emitted in exactly its
+// own triple, and in the order the paper's edge set for the triple,
+// E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3} with only τ1-cones kept, gives it.
+//
+// The kernel's pivot loop processes chunks of memEdges rows independently
+// — each chunk is one full scan of the cone edges — so running the ranges
+// [k·memEdges, (k+1)·memEdges) as separate invocations and concatenating
+// their emissions reproduces the whole triple's stream exactly. That is
+// the native mode's work-stealing grain: a skewed triple splits into
+// per-chunk tasks the engine's dynamic dispatch balances across workers
+// (parallel.go), at the price of re-merging the cone buckets per chunk.
+func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, scratch extmem.Extent, emit graph.Emit) {
+	parts := []extmem.Extent{bucketAt(edges, off, c, t1, t2)}
+	if t3 != t2 { // else E_{τ1,τ3} is E_{τ1,τ2}
+		parts = append(parts, bucketAt(edges, off, c, t1, t3))
+	}
+	cones := mergeSortedInto(scratch, parts)
 	// A nil ctx never cancels: the engine cancels between tasks.
-	_ = kernel(nil, sp, un, b12.Slice(pivLo, pivHi), memEdges, func(v, _, _ uint32) bool {
-		return colorOf(v) == tau1
-	}, emit)
+	_ = kernel(nil, sp, cones, bucketAt(edges, off, c, t2, t3).Slice(pivLo, pivHi), memEdges, emit)
 }
 
 // highDegreeCut returns the lowest rank r0 whose degree exceeds the
@@ -105,37 +109,7 @@ func highDegreeCut(g graph.Canonical, e, m float64) int {
 	return r0
 }
 
-// colorPairKey is the (colorOf(u), colorOf(v)) bucket key of an edge.
-// The sorters tie-break equal keys by the full word, so each bucket comes
-// out internally sorted in canonical edge order.
-func colorPairKey(colorOf func(uint32) uint32, c int) emsort.Key {
-	cc := uint64(c)
-	return func(e extmem.Word) uint64 {
-		return uint64(colorOf(graph.U(e)))*cc + uint64(colorOf(graph.V(e)))
-	}
-}
-
-// bucketOffsets scans the color-sorted edges and returns the c²+1 bucket
-// boundary offsets, accumulating the partition potential X_ξ (pairs of
-// edges sharing a bucket, Lemma 3's random variable) into info.
-func bucketOffsets(edges extmem.Extent, colorOf func(uint32) uint32, c int, info *Info) []int64 {
-	pairKey := colorPairKey(colorOf, c)
-	off := make([]int64, c*c+1)
-	counts := make([]int64, c*c)
-	emio.ForEach(edges, func(_ int64, e extmem.Word) {
-		counts[pairKey(e)]++
-	})
-	var acc int64
-	for i, n := range counts {
-		off[i] = acc
-		acc += n
-		info.X += uint64(n) * uint64(n-1) / 2
-	}
-	off[c*c] = acc
-	return off
-}
-
-// bucketAt returns the (t1,t2) bucket of the color-sorted edge extent.
+// bucketAt returns the (t1,t2) bucket of the color-distributed edges.
 func bucketAt(edges extmem.Extent, off []int64, c, t1, t2 int) extmem.Extent {
 	i := t1*c + t2
 	return edges.Slice(off[i], off[i+1])
@@ -163,25 +137,6 @@ func forEachTriple(off []int64, c int, fn func(t1, t2, t3 int)) {
 			}
 		}
 	}
-}
-
-// distinctExtents drops duplicate extents (same base), which arise when
-// colors in a triple coincide and two bucket names alias one bucket.
-func distinctExtents(exts ...extmem.Extent) []extmem.Extent {
-	var out []extmem.Extent
-	for _, e := range exts {
-		dup := false
-		for _, o := range out {
-			if o.Base() == e.Base() {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // mergeSortedInto k-way merges the sorted extents in parts into the prefix

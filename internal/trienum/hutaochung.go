@@ -24,7 +24,7 @@ func HuTaoChung(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit g
 	if g.Edges.Len() == 0 {
 		return info, ctxutil.Err(ctx)
 	}
-	err := kernel(ctx, sp, g.Edges, g.Edges, 0, nil, emit)
+	err := kernel(ctx, sp, g.Edges, g.Edges, 0, emit)
 	info.Subproblems = 1
 	return info, err
 }

@@ -16,20 +16,17 @@ import (
 // edges must be sorted canonically (so each cone vertex's forward
 // adjacency list is consecutive). pivots need not be sorted. Vertex id
 // 2^32-1 is reserved (see reservedVertex); a pivot endpoint equal to it
-// panics. memEdges
-// caps how many pivot edges are loaded per iteration; pass 0 to size it
-// automatically from the Space's configured memory.
-//
-// filter, if non-nil, can veto an emission (used by the color-coded
-// algorithms to keep each triangle in exactly one subproblem).
+// panics. memEdges caps how many pivot edges are loaded per iteration;
+// pass 0 to size it automatically from the Space's configured memory.
+// The color-coded algorithms keep each triangle in exactly one subproblem
+// through the edges they pass (see solveTriple).
 //
 // ctx (which may be nil) is checked between pivot chunks — each chunk is
 // one full scan of the edge set, the algorithm's natural pass boundary —
 // and a cancelled run returns ctx.Err(). The kernel touches no state
 // outside sp, so concurrent invocations on distinct Spaces (the worker
-// shards of parallel.go) are safe; filter and emit must then be confined
-// or pure.
-func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, filter func(v, u, w uint32) bool, emit graph.Emit) error {
+// shards of parallel.go) are safe; emit must then be confined.
+func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, emit graph.Emit) error {
 	nPivots := pivots.Len()
 	if nPivots == 0 || edges.Len() == 0 {
 		return ctxutil.Err(ctx)
@@ -52,14 +49,14 @@ func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, 
 		if hi > nPivots {
 			hi = nPivots
 		}
-		kernelChunk(sp, edges, pivots.Slice(lo, hi), filter, emit)
+		kernelChunk(sp, edges, pivots.Slice(lo, hi), emit)
 	}
 	return nil
 }
 
 // kernelChunk processes one memory-resident chunk of pivot edges against a
 // full scan of the edge set.
-func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, filter func(v, u, w uint32) bool, emit graph.Emit) {
+func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) {
 	release := sp.LeaseAtMost(int(chunk.Len()) * 6)
 	defer release()
 
@@ -74,7 +71,7 @@ func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, filter func(v, u,
 		e := edges.Read(i)
 		v, u := graph.U(e), graph.V(e)
 		if c.epoch == 0 || v != c.curV {
-			c.flush(filter, emit)
+			c.flush(emit)
 			c.startCone(v)
 		}
 		if s := c.gammaFind(u); s >= 0 {
@@ -82,7 +79,7 @@ func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, filter func(v, u,
 			c.mark[s] = c.epoch
 		}
 	}
-	c.flush(filter, emit)
+	c.flush(emit)
 }
 
 // reservedVertex is the one vertex id the kernel cannot take: its tables
@@ -226,7 +223,7 @@ func (c *chunkTables) startCone(v uint32) {
 // flush enumerates the pivot edges with both endpoints in Γ_v, choosing the
 // cheaper of the two enumeration orders: all pairs of Γ_v (|Γ_v|² work) or
 // all chunk pivots (|chunk| work).
-func (c *chunkTables) flush(filter func(v, u, w uint32) bool, emit graph.Emit) {
+func (c *chunkTables) flush(emit graph.Emit) {
 	lv, v := c.lv, c.curV
 	if len(lv) < 2 {
 		return
@@ -235,10 +232,7 @@ func (c *chunkTables) flush(filter func(v, u, w uint32) bool, emit graph.Emit) {
 		for i := 0; i < len(lv); i++ {
 			for j := i + 1; j < len(lv); j++ {
 				if c.isPivot(uint64(lv[i])<<32 | uint64(lv[j])) {
-					u, w := c.gamma[lv[i]]-1, c.gamma[lv[j]]-1
-					if filter == nil || filter(v, u, w) {
-						emit(v, u, w)
-					}
+					emit(v, c.gamma[lv[i]]-1, c.gamma[lv[j]]-1)
 				}
 			}
 		}
@@ -249,9 +243,6 @@ func (c *chunkTables) flush(filter func(v, u, w uint32) bool, emit graph.Emit) {
 		if c.mark[su] != c.epoch || c.mark[sw] != c.epoch {
 			continue
 		}
-		u, w := c.gamma[su]-1, c.gamma[sw]-1
-		if filter == nil || filter(v, u, w) {
-			emit(v, u, w)
-		}
+		emit(v, c.gamma[su]-1, c.gamma[sw]-1)
 	}
 }

@@ -174,10 +174,11 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // solveColoredParallel runs steps 2 and 3 shared by the cache-aware
 // randomized and the deterministic algorithms: partition edges by the
 // color pair of their endpoints under colorOf, then solve every color
-// triple with the kernel. The coordinator sorts edges into color-pair
-// buckets with the parallel emsort engine and freezes them; each triple's
-// bucket union, kernel run, and color filter happen on a worker shard.
-// edges is clobbered (sorted by color pair).
+// triple with the kernel. The coordinator distributes the edges into
+// color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
+// not depend on the worker count — and freezes them; each triple's
+// cone-bucket merge and kernel run happen on a worker shard.
+// edges must be in canonical order; it is left unchanged.
 func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int, workers int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
 	E := edges.Len()
 	if E == 0 {
@@ -195,21 +196,24 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 		info.Subproblems++
 		task := func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
-			_ = kernel(nil, shard, seg, seg, 0, nil, emit) // nil ctx: cannot fail
+			_ = kernel(nil, shard, seg, seg, 0, emit) // nil ctx: cannot fail
 		}
 		ws, err := runTasks(ctx, cfg, shared, []shardTask{task}, 1, emit)
 		return extmem.AddStatsVec(sortWS, ws), err
 	}
-	sortWS, err := emsort.ParallelSortRecordsCtx(ctx, edges, 1, colorPairKey(colorOf, c), workers)
-	if err != nil {
-		return sortWS, err
+	// The c²+1 bucket offsets are native words of internal memory, leased
+	// by Distribute while it builds them and by every shard that consults
+	// them — within budget under the paper's assumption c² = E/M <= M,
+	// i.e. M >= sqrt(E).
+	buckets, off := graph.ColorBuckets(sp, edges, colorOf, c)
+	for b := 0; b < c*c; b++ {
+		n := uint64(off[b+1] - off[b])
+		info.X += n * (n - 1) / 2 // Lemma 3's X_ξ: pairs of edges sharing a bucket
 	}
-	// Bucket offsets: c² + 1 native words of internal memory — within
-	// budget under the paper's assumption c² = E/M <= M, i.e. M >= sqrt(E).
-	release := sp.LeaseAtMost(c*c + 1)
-	off := bucketOffsets(edges, colorOf, c, info)
-	release()
-	shared := sp.Snapshot(edges)
+	if err := ctxutil.Err(ctx); err != nil {
+		return nil, err
+	}
+	shared := sp.Snapshot(buckets)
 
 	// Task granularity. In simulated mode each color triple is one task:
 	// the unit the paper's accounting charges, and what keeps the I/O
@@ -220,7 +224,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	// most one task per worker. The engine's pull-based dispatch (workers
 	// take the next task as they free up) then steals the hot triple's
 	// pieces across the pool instead of serializing them on one worker.
-	// Each piece re-merges the triple's bucket union, so it is split no
+	// Each piece re-merges the triple's cone buckets, so it is split no
 	// finer than the pool can use. memEdges replicates the kernel's
 	// auto-sizing under the c²+1-word bucket-index lease, so chunk
 	// boundaries — and the concatenated emission stream — are exactly the
@@ -244,38 +248,29 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	var tasks []shardTask
 	forEachTriple(off, c, func(t1, t2, t3 int) {
 		info.Subproblems++
-		// Scratch for the bucket union; the three named buckets bound
-		// its size even when colors coincide and buckets alias.
-		need := bucketAt(edges, off, c, t1, t2).Len() +
-			bucketAt(edges, off, c, t1, t3).Len() +
-			bucketAt(edges, off, c, t2, t3).Len()
-		nPiv := bucketAt(edges, off, c, t2, t3).Len()
-		if !chunked || nPiv <= int64(memEdges) {
-			tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
+		// Scratch for the cone-bucket merge; the two named buckets bound
+		// its size even when τ2 = τ3 and they alias.
+		need := bucketAt(buckets, off, c, t1, t2).Len() + bucketAt(buckets, off, c, t1, t3).Len()
+		nPiv := bucketAt(buckets, off, c, t2, t3).Len()
+		solve := func(lo, hi int64, chunk int) shardTask {
+			return func(shard *extmem.Space, emit graph.Emit) {
 				// The shard consults the same c²+1-word bucket index the
 				// coordinator built; charge it the same internal memory.
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTriple(shard, seg, off, c, t1, t2, t3, 0, nPiv, 0, colorOf, shard.Alloc(need), emit)
-			})
+				solveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, chunk, shard.Alloc(need), emit)
+			}
+		}
+		if !chunked || nPiv <= int64(memEdges) {
+			tasks = append(tasks, solve(0, nPiv, 0))
 			return
 		}
 		chunks := (nPiv + int64(memEdges) - 1) / int64(memEdges)
 		step := (chunks + int64(workers) - 1) / int64(workers) * int64(memEdges)
 		for lo := int64(0); lo < nPiv; lo += step {
-			hi := lo + step
-			if hi > nPiv {
-				hi = nPiv
-			}
-			tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
-				release := shard.LeaseAtMost(c*c + 1)
-				defer release()
-				seg := shard.ExtentAt(0, E)
-				solveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, memEdges, colorOf, shard.Alloc(need), emit)
-			})
+			tasks = append(tasks, solve(lo, min(lo+step, nPiv), memEdges))
 		}
 	})
-	ws, err := runTasks(ctx, cfg, shared, tasks, workers, emit)
-	return extmem.AddStatsVec(sortWS, ws), err
+	return runTasks(ctx, cfg, shared, tasks, workers, emit)
 }

@@ -45,10 +45,10 @@ func TestQuickKernelPivotAdditivity(t *testing.T) {
 		}
 		k := int64(cut)%(e-1) + 1
 		var parts uint64
-		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(0, k), 0, nil, func(_, _, _ uint32) { parts++ })
-		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(k, e), 0, nil, func(_, _, _ uint32) { parts++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(0, k), 0, func(_, _, _ uint32) { parts++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges.Slice(k, e), 0, func(_, _, _ uint32) { parts++ })
 		var whole uint64
-		_ = kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { whole++ })
+		_ = kernel(nil, sp, g.Edges, g.Edges, 0, func(_, _, _ uint32) { whole++ })
 		return parts == whole && whole == graph.NewOracle(el).Count()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -103,11 +103,11 @@ func TestQuickRemoveIncidentConsistency(t *testing.T) {
 		g.Edges.CopyTo(work)
 		kept := compactBelow(sp, work, r0)
 		var after uint64
-		if err := kernel(nil, sp, work.Prefix(kept), work.Prefix(kept), 0, nil, func(_, _, _ uint32) { after++ }); err != nil {
+		if err := kernel(nil, sp, work.Prefix(kept), work.Prefix(kept), 0, func(_, _, _ uint32) { after++ }); err != nil {
 			return false
 		}
 		var before uint64
-		if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { before++ }); err != nil {
+		if err := kernel(nil, sp, g.Edges, g.Edges, 0, func(_, _, _ uint32) { before++ }); err != nil {
 			return false
 		}
 		return before == after+through
@@ -127,7 +127,7 @@ func TestQuickObliviousMatchesKernel(t *testing.T) {
 		sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 		g := graph.CanonicalizeList(sp, el)
 		var b uint64
-		if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(_, _, _ uint32) { b++ }); err != nil {
+		if err := kernel(nil, sp, g.Edges, g.Edges, 0, func(_, _, _ uint32) { b++ }); err != nil {
 			return false
 		}
 		for _, workers := range []int{1, 4} {

@@ -231,7 +231,7 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	if err := kernel(nil, sp, g.Edges, g.Edges, 0, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, g.Edges, 0, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 	}); err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func runKernel(t *testing.T, kc kernelCase, memEdges int) []graph.Triple {
 	edges.Store(kc.edges)
 	pivots.Store(kc.pivots)
 	var got []graph.Triple
-	if err := kernel(nil, sp, edges, pivots, memEdges, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, edges, pivots, memEdges, func(a, b, c uint32) {
 		got = append(got, graph.Triple{V1: a, V2: b, V3: c})
 	}); err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestKernelPivotRestriction(t *testing.T) {
 	pivot := g.Edges.Slice(g.Edges.Len()-1, g.Edges.Len())
 	pe := pivot.Read(0)
 	var got []graph.Triple
-	if err := kernel(nil, sp, g.Edges, pivot, 0, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, pivot, 0, func(a, b, c uint32) {
 		got = append(got, graph.Triple{V1: a, V2: b, V3: c})
 	}); err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestKernelTinyChunks(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	var got []graph.Triple
-	if err := kernel(nil, sp, g.Edges, g.Edges, 4, nil, func(a, b, c uint32) {
+	if err := kernel(nil, sp, g.Edges, g.Edges, 4, func(a, b, c uint32) {
 		got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 	}); err != nil {
 		t.Fatal(err)
