@@ -162,7 +162,7 @@ func main() {
 		algos = append(algos, a)
 	}
 
-	mode := repro.ModeAuto
+	mode := repro.ModeSimulated
 	if *native {
 		mode = repro.ModeNative
 	}

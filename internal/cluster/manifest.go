@@ -281,12 +281,16 @@ func CompareTuples(a, b []uint32) int {
 // SortTuples sorts n flattened k-tuples (flat has n*k elements) into
 // the canonical lexicographic order, in place. The sort is total —
 // duplicate tuples cannot occur in a shard's owned emissions — so the
-// output bytes are a pure function of the tuple set.
+// output bytes are a pure function of the tuple set. Fewer than two
+// tuples are already sorted, so no swap buffer is sized by k for them.
 func SortTuples(flat []uint32, k int) {
 	if k <= 0 {
 		return
 	}
 	n := len(flat) / k
+	if n < 2 {
+		return
+	}
 	sort.Sort(&tupleSorter{flat: flat, k: k, n: n, tmp: make([]uint32, k)})
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -216,7 +217,7 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 			for i, v := range vs {
 				emColors[i] = col.Color(v)
 			}
-			sort.Slice(emColors, func(i, j int) bool { return emColors[i] < emColors[j] })
+			slices.Sort(emColors)
 			for i := range emColors {
 				if emColors[i] != t[i] {
 					return

@@ -120,6 +120,7 @@ func FuzzQueryRequest(f *testing.F) {
 		`{"algorithm":"deterministic","workers":4,"native":true}`,
 		`{"limit":3,"seed":9}`, `{"cursor":"garbage"}`,
 		`{"kind":"cliques","k":1000000000000}`, `{"workers":1000000000}`,
+		`{"kind":"cliques","k":1000000000000,"ordered":true}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -20,13 +20,13 @@ const dementievCheckEvery = 1024
 // sharing their smaller endpoint), sort the wedges, and merge them against
 // the edge list to find the closing edges. O(sort(E^1.5)) I/Os.
 //
-// seg is not modified (the subroutine sorts a copy). filter, if non-nil,
-// vetoes emissions. sorter selects cache-aware or oblivious sorting. ctx
-// (which may be nil) is checked at the pass boundaries — after the edge
-// sort, after wedge generation, after the wedge sort — and periodically
-// inside the closing merge scan. On cancellation it returns ctx.Err(); the
-// triangles emitted before it are a prefix of the full stream.
-func DementievSortMerge(ctx context.Context, sp *extmem.Space, seg extmem.Extent, sorter graph.SortFunc, filter func(a, b, c uint32) bool, emit graph.Emit) error {
+// seg is not modified (the subroutine sorts a copy). sorter selects
+// cache-aware or oblivious sorting. ctx (which may be nil) is checked at
+// the pass boundaries — after the edge sort, after wedge generation, after
+// the wedge sort — and periodically inside the closing merge scan. On
+// cancellation it returns ctx.Err(); the triangles emitted before it are a
+// prefix of the full stream.
+func DementievSortMerge(ctx context.Context, sp *extmem.Space, seg extmem.Extent, sorter graph.SortFunc, emit graph.Emit) error {
 	n := seg.Len()
 	if n < 3 {
 		return ctxutil.Err(ctx)
@@ -94,9 +94,7 @@ func DementievSortMerge(ctx context.Context, sp *extmem.Space, seg extmem.Extent
 			v := uint32(cand.Read(ci + 1))
 			u, w := graph.U(key), graph.V(key)
 			// v < u < w: u, w are forward neighbors of v.
-			if filter == nil || filter(v, u, w) {
-				emit(v, u, w)
-			}
+			emit(v, u, w)
 		}
 	}
 	return nil

@@ -40,6 +40,6 @@ func Dementiev(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit gr
 	if g.Edges.Len() == 0 {
 		return info, ctxutil.Err(ctx)
 	}
-	err := DementievSortMerge(ctx, sp, g.Edges, emsort.SortRecords, nil, emit)
+	err := DementievSortMerge(ctx, sp, g.Edges, emsort.SortRecords, emit)
 	return info, err
 }

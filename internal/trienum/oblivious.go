@@ -87,7 +87,7 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 	if depth >= o.maxDepth || n <= obliviousBaseCutoff {
 		o.info.BaseCases++
 		// A nil ctx never cancels; the error is always nil.
-		_ = DementievSortMerge(nil, o.sp, seg, emsort.FunnelSortRecords, nil, o.properEmit(col, depth))
+		_ = DementievSortMerge(nil, o.sp, seg, emsort.FunnelSortRecords, o.properEmit(col, depth))
 		return
 	}
 

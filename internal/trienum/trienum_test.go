@@ -507,7 +507,7 @@ func TestDementievSortMerge(t *testing.T) {
 		sp := newSpace()
 		g := graph.CanonicalizeList(sp, el)
 		var got []graph.Triple
-		if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords, nil, func(a, b, c uint32) {
+		if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords, func(a, b, c uint32) {
 			got = append(got, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
 		}); err != nil {
 			t.Fatal(err)
@@ -523,9 +523,11 @@ func TestDementievFilter(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	count := 0
-	if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords,
-		func(a, b, c uint32) bool { return a == 0 }, // only cone rank 0
-		func(a, b, c uint32) { count++ }); err != nil {
+	if err := DementievSortMerge(nil, sp, g.Edges, emsort.SortRecords, func(a, b, c uint32) {
+		if a == 0 { // only cone rank 0
+			count++
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if count != 36 { // C(9,2)

@@ -45,8 +45,8 @@ type JoinOptions struct {
 	// are identical at every value.
 	Workers int
 	// Native runs the join's triangle enumeration natively on the
-	// canonical image: same reconstructed rows, zero I/O statistics.
-	// See Options.Native.
+	// canonical image (its query's Mode is ModeNative): same reconstructed
+	// rows, zero I/O statistics.
 	Native bool
 }
 
@@ -76,17 +76,16 @@ func (d JoinDecomposition) Join(opt JoinOptions, visit func(JoinRow)) (JoinStats
 		MemoryWords: opt.MemoryWords,
 		BlockWords:  opt.BlockWords,
 		Workers:     opt.Workers,
-		Native:      opt.Native,
 	})
 	if err != nil {
 		return JoinStats{}, err
 	}
 	defer g.Close()
-	res, err := g.TrianglesFunc(nil, Query{
-		Algorithm: opt.Algorithm,
-		Seed:      opt.Seed,
-		Workers:   opt.Workers,
-	}, func(a, b, c uint32) {
+	q := Query{Algorithm: opt.Algorithm, Seed: opt.Seed, Workers: opt.Workers}
+	if opt.Native {
+		q.Mode = ModeNative
+	}
+	res, err := g.TrianglesFunc(nil, q, func(a, b, c uint32) {
 		if visit != nil {
 			r := enc.Row(a, b, c)
 			visit(JoinRow{Salesperson: r.Salesperson, Brand: r.Brand, ProductType: r.ProductType})

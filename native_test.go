@@ -8,7 +8,7 @@ import (
 )
 
 // The native-execution oracle: for every query kind, native execution
-// (Options.Native / Query.Mode) must reproduce the simulated run's
+// (Query.Mode = ModeNative) must reproduce the simulated run's
 // emission stream byte for byte — same decomposition, same order — at
 // every worker count, memory- and disk-backed. The one documented
 // divergence is the accounting: a native run reports zero Stats and nil
@@ -103,16 +103,16 @@ func TestNativeMatchesSimulated(t *testing.T) {
 	}
 }
 
-// TestNativeModeResolution pins the Options.Native default and its
-// per-query override: ModeAuto inherits the handle's mode, ModeSimulated
-// forces the faithful path back on (with its full accounting), and the
-// emission stream never depends on the choice.
+// TestNativeModeResolution pins Query.Mode as the one mode switch: on
+// one handle, ModeNative runs natively (zero Stats), ModeSimulated runs
+// the faithful path with its full accounting, and the triangle count
+// never depends on the choice.
 func TestNativeModeResolution(t *testing.T) {
 	edges, err := Generate("gnm:n=200,m=1500", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(FromEdges(edges), Options{MemoryWords: 1 << 10, BlockWords: 1 << 5, Native: true})
+	g, err := Build(FromEdges(edges), Options{MemoryWords: 1 << 10, BlockWords: 1 << 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +125,15 @@ func TestNativeModeResolution(t *testing.T) {
 		}
 		return res
 	}
-	auto, sim := count(ModeAuto), count(ModeSimulated)
-	if auto.Stats != (IOStats{}) {
-		t.Errorf("ModeAuto on a Native handle should run natively, got Stats %+v", auto.Stats)
+	nat, sim := count(ModeNative), count(ModeSimulated)
+	if nat.Stats != (IOStats{}) {
+		t.Errorf("ModeNative should run natively, got Stats %+v", nat.Stats)
 	}
 	if sim.Stats == (IOStats{}) {
-		t.Error("ModeSimulated override reported zero Stats")
+		t.Error("ModeSimulated reported zero Stats")
 	}
-	if auto.Triangles != sim.Triangles {
-		t.Errorf("triangle counts differ across modes: %d vs %d", auto.Triangles, sim.Triangles)
+	if nat.Triangles != sim.Triangles {
+		t.Errorf("triangle counts differ across modes: %d vs %d", nat.Triangles, sim.Triangles)
 	}
 }
 
@@ -213,8 +213,8 @@ func TestNativeJoin(t *testing.T) {
 }
 
 // TestNativeEnumerateShim pins the one-call pipeline in native mode:
-// Options.Native on Build flows through to a TrianglesFunc query that
-// leaves Query.Mode at ModeAuto — same triangles, zero Stats.
+// Build plus a TrianglesFunc query with Mode ModeNative — same
+// triangles, zero Stats.
 func TestNativeEnumerateShim(t *testing.T) {
 	edges, err := Generate("gnm:n=150,m=1200", 3)
 	if err != nil {
@@ -226,8 +226,7 @@ func TestNativeEnumerateShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Native = true
-	natRes, err := buildQuery(edges, opts, Query{Seed: 5}, func(a, b, c uint32) { nat = append(nat, Triangle{a, b, c}) })
+	natRes, err := buildQuery(edges, opts, Query{Seed: 5, Mode: ModeNative}, func(a, b, c uint32) { nat = append(nat, Triangle{a, b, c}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,16 +66,26 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // ExecMode selects how a query executes its algorithm: on the simulated
 // external-memory machine (the faithful path, with exact block-I/O
 // accounting) or natively on the canonical image (the fast path, same
-// decomposition and emission stream, accounting compiled out). See
-// Options.Native for the contract.
+// decomposition and emission stream, accounting compiled out). A query
+// picks it through Query.Mode, the only mode switch; see ModeNative for
+// the contract.
 type ExecMode int
 
 const (
-	// ModeAuto inherits the handle's Options.Native. The default.
-	ModeAuto ExecMode = iota
-	// ModeSimulated forces the simulated machine for this query.
-	ModeSimulated
-	// ModeNative forces native execution for this query.
+	// ModeSimulated runs the query on the simulated machine. The zero
+	// value, so the default.
+	ModeSimulated ExecMode = iota
+	// ModeNative runs the query natively: the algorithms run their exact
+	// simulated-mode decomposition — same leases, same subproblem grain,
+	// same emission stream, byte-identical at every Workers value — but
+	// read and write the canonical image directly (memory-backed handles
+	// operate on the image's words in place; disk-backed handles decode
+	// the image once per session) instead of moving blocks through the
+	// simulated cache. The block-transfer accounting is compiled out of
+	// the hot path: a native query reports zero Stats and nil WorkerStats
+	// — the one documented divergence from simulated execution. Build,
+	// Open, and Update always canonicalize on the simulated machine, so
+	// CanonIOs remains meaningful for native queries.
 	ModeNative
 )
 
@@ -118,19 +128,6 @@ type Options struct {
 	// the log to the exact pre-crash generation. FORMAT.md specifies the
 	// on-disk formats; the image outlives the handle on disk.
 	DiskPath string
-	// Native makes queries execute natively by default (overridable per
-	// query via Query.Mode): the algorithms run their exact simulated-mode
-	// decomposition — same leases, same subproblem grain, same emission
-	// stream, byte-identical at every Workers value — but read and write
-	// the canonical image directly (memory-backed handles operate on the
-	// image's words in place; disk-backed handles decode the image once
-	// per session) instead of moving blocks through the simulated cache.
-	// The block-transfer accounting is compiled out of the hot path: a
-	// native query reports zero Stats and nil WorkerStats — the one
-	// documented divergence from simulated execution. Build, Open, and
-	// Update always canonicalize on the simulated machine, so CanonIOs
-	// remains meaningful on native handles.
-	Native bool
 }
 
 func (o Options) withDefaults() Options {

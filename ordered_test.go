@@ -58,29 +58,85 @@ func TestOrderedTriangles(t *testing.T) {
 	}
 }
 
-// TestOrderedLimit: a limit on an ordered query delivers the first
-// Limit tuples of the sorted stream, while the producer still
-// enumerates fully (Stats equal the unlimited run's).
+// TestOrderedLimit pins the query driver's contract for every query
+// kind on both machines: a limit on an ordered query delivers the first
+// Limit tuples of the sorted stream and counts them, while the producer
+// still enumerates fully (Stats equal the unlimited ordered run's); a
+// native run reports zero Stats and nil WorkerStats; and Query.Result
+// receives the Result the call returns.
 func TestOrderedLimit(t *testing.T) {
-	g, err := Build(FromSpec("gnm:n=200,m=900"), Options{})
+	g, err := Build(FromSpec("planted:n=200,m=1400,k=12"), Options{MemoryWords: 1 << 8, BlockWords: 1 << 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
 
-	full, fullRes := collectTriangles(t, g, Query{Ordered: true})
-	if len(full) < 3*8 {
-		t.Fatalf("test graph too sparse: %d triangles", len(full)/3)
+	type runFunc func(q Query, emit func([]uint32)) (Result, error)
+	kinds := []struct {
+		name      string
+		triangles bool
+		run       runFunc
+	}{
+		{"triangles", true, func(q Query, emit func([]uint32)) (Result, error) {
+			return g.TrianglesFunc(nil, q, func(a, b, c uint32) { emit([]uint32{a, b, c}) })
+		}},
+		{"cliques4", false, func(q Query, emit func([]uint32)) (Result, error) {
+			return g.CliquesFunc(nil, 4, q, emit)
+		}},
+		{"diamond", false, func(q Query, emit func([]uint32)) (Result, error) {
+			return g.MatchFunc(nil, PatternDiamond, q, emit)
+		}},
 	}
-	lim, limRes := collectTriangles(t, g, Query{Ordered: true, Limit: 5})
-	if !reflect.DeepEqual(lim, full[:3*5]) {
-		t.Fatalf("limited ordered stream is not a prefix of the ordered stream")
+	collect := func(t *testing.T, run runFunc, q Query) ([]uint32, Result) {
+		t.Helper()
+		var flat []uint32
+		var got Result
+		q.Result = &got
+		res, err := run(q, func(vs []uint32) { flat = append(flat, vs...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("Query.Result received %+v, the call returned %+v", got, res)
+		}
+		return flat, res
 	}
-	if limRes.Matches != 5 || limRes.Triangles != 5 {
-		t.Fatalf("limited Result counts = %d/%d, want 5/5", limRes.Matches, limRes.Triangles)
-	}
-	if limRes.Stats != fullRes.Stats {
-		t.Fatalf("ordered+limit Stats %+v != full Stats %+v (producer must run to completion)", limRes.Stats, fullRes.Stats)
+	const limit = 5
+	for _, kind := range kinds {
+		for mode, modeName := range []string{ModeSimulated: "simulated", ModeNative: "native"} {
+			mode := ExecMode(mode)
+			t.Run(kind.name+"/"+modeName, func(t *testing.T) {
+				q := Query{Seed: 3, Mode: mode, Ordered: true}
+				full, fullRes := collect(t, kind.run, q)
+				if fullRes.Matches < 8 {
+					t.Fatalf("test graph too sparse: %d matches", fullRes.Matches)
+				}
+				k := len(full) / int(fullRes.Matches)
+				q.Limit = limit
+				lim, limRes := collect(t, kind.run, q)
+				if !reflect.DeepEqual(lim, full[:k*limit]) {
+					t.Fatalf("limited ordered stream is not a prefix of the ordered stream")
+				}
+				wantTriangles := uint64(0)
+				if kind.triangles {
+					wantTriangles = limit
+				}
+				if limRes.Matches != limit || limRes.Triangles != wantTriangles {
+					t.Fatalf("limited Result Matches/Triangles = %d/%d, want %d/%d", limRes.Matches, limRes.Triangles, limit, wantTriangles)
+				}
+				if limRes.Stats != fullRes.Stats {
+					t.Fatalf("ordered+limit Stats %+v != full Stats %+v (producer must run to completion)", limRes.Stats, fullRes.Stats)
+				}
+				for _, res := range []Result{fullRes, limRes} {
+					if mode == ModeNative && (res.Stats != (IOStats{}) || res.WorkerStats != nil) {
+						t.Fatalf("native run reports Stats %+v and %d WorkerStats, want zero and nil", res.Stats, len(res.WorkerStats))
+					}
+					if mode == ModeSimulated && res.Stats == (IOStats{}) {
+						t.Fatal("simulated run reports zero Stats")
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/ctxutil"
 	"repro/internal/extmem"
-	"repro/internal/graph"
 	"repro/internal/subgraph"
 	"repro/internal/trienum"
 )
@@ -30,11 +29,12 @@ type Query struct {
 	// parallel phases; emission and aggregated statistics are identical
 	// at every worker count.
 	Workers int
-	// Mode overrides the handle's execution mode for this query:
-	// ModeAuto (default) inherits Options.Native, ModeSimulated forces
-	// the simulated machine, ModeNative forces native execution. The
-	// emission stream is byte-identical either way; a native run reports
-	// zero Stats and nil WorkerStats. See Options.Native.
+	// Mode selects the machine the query runs on, and is the only switch
+	// between the two: ModeSimulated (the zero value) runs the simulated
+	// machine with exact block-I/O accounting, ModeNative runs the same
+	// decomposition natively. The emission stream is byte-identical
+	// either way; a native run reports zero Stats and nil WorkerStats. See
+	// ModeNative.
 	Mode ExecMode
 	// FamilySize overrides the small-bias family size used by the
 	// Deterministic algorithm (0 = default).
@@ -89,7 +89,7 @@ type Result struct {
 	Vertices int
 	Edges    int64
 	// Stats covers the enumeration proper (canonicalization excluded).
-	// Native runs (Options.Native, Query.Mode) compile the accounting out
+	// Native runs (Query.Mode = ModeNative) compile the accounting out
 	// of the hot path and report a zero Stats.
 	Stats IOStats
 	// CanonIOs is the one-time cost of producing the canonical image the
@@ -109,9 +109,11 @@ type Result struct {
 	// O(k²·M) expectation of Section 6.
 	MaxSubproblem int64
 	// Workers is the resolved worker cap of the run: Query.Workers, or
-	// else Options.Workers, after defaulting; 1 for the sequential
-	// baselines. The engine engages at most one worker per subproblem, so
-	// fewer workers (len of WorkerStats) may actually run on small inputs.
+	// else Options.Workers, after defaulting. CacheAware, CacheOblivious
+	// and Deterministic report it whether or not the run succeeds; the
+	// sequential baselines, Cliques and Match report 1. The engine
+	// engages at most one worker per subproblem, so fewer workers (len of
+	// WorkerStats) may actually run on small inputs.
 	Workers int
 	// WorkerStats breaks the parallel phases down per worker. Which
 	// worker solved which subproblem depends on scheduling, so individual
@@ -128,18 +130,6 @@ func (g *Graph) resolveWorkers(q Query) int {
 		return q.Workers
 	}
 	return g.opts.workers()
-}
-
-// resolveNative applies the Query.Mode override to the handle's default
-// execution mode.
-func (g *Graph) resolveNative(q Query) bool {
-	switch q.Mode {
-	case ModeNative:
-		return true
-	case ModeSimulated:
-		return false
-	}
-	return g.opts.Native
 }
 
 // limiter implements Query.Limit: it counts delivered emissions,
@@ -178,19 +168,102 @@ func (l *limiter) admit() bool {
 }
 
 // finish translates the producer's wind-down into the limit contract:
-// the delivered-emission count replaces the producer's internal tally
-// (which may have raced past the limit), and when the limit was reached
-// and the only error is the limiter's own cancellation (not the
-// caller's), the query stopped cleanly and the error is dropped.
+// the delivered-emission count replaces the engine's tallies (which may
+// have raced past the limit), and when the limit was reached and the
+// only error is the limiter's own cancellation (not the caller's), the
+// query stopped cleanly and the error is dropped.
 func (l *limiter) finish(ctx context.Context, res *Result, err error) error {
 	if l == nil {
 		return err
 	}
 	res.Matches = l.count
+	if res.Triangles != 0 {
+		// Only the triangle engines tally Triangles, and they tally
+		// every emission, so a nonzero tally marks a triangle query.
+		res.Triangles = l.count
+	}
 	if l.count >= l.limit && errors.Is(err, context.Canceled) && ctxutil.Err(ctx) == nil {
 		return nil
 	}
 	return err
+}
+
+// engine runs one query kind's enumeration on a session, passing each
+// emission to emit as a tuple of ranks. It returns the Result fields the
+// engine owns — Matches and the decomposition internals, plus Triangles
+// and Workers for the triangle algorithms — and the per-worker
+// statistics of its parallel phases.
+type engine func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error)
+
+// query is the one driver behind every query kind. It opens a session,
+// runs the engine with each emitted tuple mapped back to input ids and
+// canonicalized in place (canon may be nil), applies Query.Limit and
+// Query.Ordered to the tuples of size k, flushes, and assembles the
+// Result. emit may be nil to count only.
+func (g *Graph) query(ctx context.Context, q Query, k int, canon func([]uint32), emit func([]uint32), run engine) (Result, error) {
+	native := q.Mode == ModeNative
+	s, err := g.acquire(native)
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.close()
+
+	lim, qctx, stop := newLimiter(ctx, q)
+	defer stop()
+	ord := newOrderedTuples(q, k)
+	if ord != nil {
+		// The canonical order is unknown until the enumeration is
+		// complete, so an ordered producer always runs to completion:
+		// the limit applies at delivery, below, not to the producer.
+		qctx = ctx
+	}
+	rankToID := s.cg.RankToID
+	var ids []uint32 // grown by the first emission, never sized by k
+	res, workerStats, err := run(qctx, s, func(ranks []uint32) {
+		if ord == nil && (!lim.admit() || emit == nil) {
+			return
+		}
+		ids = ids[:0]
+		for _, r := range ranks {
+			ids = append(ids, rankToID[r])
+		}
+		if canon != nil {
+			canon(ids)
+		}
+		if ord != nil {
+			ord.add(ids)
+			return
+		}
+		emit(ids)
+	})
+	if err == nil {
+		// Count the final write-backs into the run's statistics; a
+		// cancelled run reports its statistics as accumulated, unflushed.
+		s.sp.Flush()
+	}
+	st := s.sp.Stats()
+	if native {
+		// Native execution compiles the accounting out: Stats stays zero
+		// and WorkerStats nil, per the Result contract.
+		workerStats = nil
+	}
+	for _, w := range workerStats {
+		st.Add(w)
+		res.WorkerStats = append(res.WorkerStats, toIOStats(w))
+	}
+	res.Stats = toIOStats(st)
+	// The session's generation, so concurrent updates never leak into a
+	// running query's report.
+	res.Vertices, res.Edges, res.CanonIOs = s.gen.numVertices, s.gen.edgesLen, s.gen.canonIOs
+	res.Workers = max(res.Workers, 1) // sequential engines leave it zero
+	if ord != nil && err == nil {
+		ord.deliver(lim, emit)
+	}
+	err = lim.finish(ctx, &res, err)
+	if q.Result != nil {
+		*q.Result = res
+	}
+	return res, err
 }
 
 // TrianglesFunc enumerates every triangle of the graph with the
@@ -210,106 +283,50 @@ func (l *limiter) finish(ctx context.Context, res *Result, err error) error {
 // queries against the handle (but must not Close it — Close waits for the
 // query emit is running under).
 func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c uint32)) (Result, error) {
-	native := g.resolveNative(q)
-	s, err := g.acquire(native)
-	if err != nil {
-		return Result{}, err
+	var emitIDs func([]uint32)
+	if emit != nil {
+		emitIDs = func(t []uint32) { emit(t[0], t[1], t[2]) }
 	}
-	defer s.close()
-
-	lim, qctx, stop := newLimiter(ctx, q)
-	defer stop()
-	ord := newOrderedTuples(q, 3)
-	if ord != nil {
-		// The canonical order is unknown until the enumeration is
-		// complete, so an ordered producer always runs to completion:
-		// the limit applies at delivery, below, not to the producer.
-		qctx = ctx
-	}
-	res := s.baseResult()
-	workers := g.resolveWorkers(q)
-	exec := trienum.Exec{Workers: workers, Ctx: qctx}
-	wrapped := func(a, b, c uint32) {
-		if ord != nil {
-			t := graph.MakeTriple(s.cg.RankToID[a], s.cg.RankToID[b], s.cg.RankToID[c])
-			ord.add(t.V1, t.V2, t.V3)
-			return
+	return g.query(ctx, q, 3, slices.Sort[[]uint32], emitIDs, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+		var t [3]uint32
+		emit3 := func(a, b, c uint32) {
+			t = [3]uint32{a, b, c}
+			emit(t[:])
 		}
-		if !lim.admit() {
-			return
+		exec := trienum.Exec{Workers: g.resolveWorkers(q), Ctx: ctx}
+		var res Result
+		var info trienum.Info
+		var workerStats []extmem.Stats
+		var err error
+		switch q.Algorithm {
+		case CacheAware:
+			info, workerStats, err = trienum.CacheAwareParallel(s.sp, s.cg, q.Seed, exec, emit3)
+			res.Workers = exec.Workers
+		case CacheOblivious:
+			info, workerStats, err = trienum.ObliviousParallel(s.sp, s.cg, q.Seed, exec, emit3)
+			res.Workers = exec.Workers
+		case Deterministic:
+			info, workerStats, err = trienum.DeterministicParallel(s.sp, s.cg, q.FamilySize, exec, emit3)
+			res.Workers = exec.Workers
+		case HuTaoChung:
+			info, err = trienum.HuTaoChung(ctx, s.sp, s.cg, emit3)
+		case BlockNestedLoop:
+			info, err = baseline.BlockNestedLoop(ctx, s.sp, s.cg, emit3)
+		case EdgeIterator:
+			info, err = baseline.EdgeIterator(ctx, s.sp, s.cg, emit3)
+		case SortMerge:
+			info, err = trienum.Dementiev(ctx, s.sp, s.cg, emit3)
+		default:
+			return res, nil, fmt.Errorf("repro: unknown algorithm %v", q.Algorithm)
 		}
-		if emit != nil {
-			t := graph.MakeTriple(s.cg.RankToID[a], s.cg.RankToID[b], s.cg.RankToID[c])
-			emit(t.V1, t.V2, t.V3)
-		}
-	}
-
-	var info trienum.Info
-	var workerStats []extmem.Stats
-	switch q.Algorithm {
-	case CacheAware:
-		info, workerStats, err = trienum.CacheAwareParallel(s.sp, s.cg, q.Seed, exec, wrapped)
-		res.Workers = workers
-	case CacheOblivious:
-		info, workerStats, err = trienum.ObliviousParallel(s.sp, s.cg, q.Seed, exec, wrapped)
-		res.Workers = workers
-	case Deterministic:
-		info, workerStats, err = trienum.DeterministicParallel(s.sp, s.cg, q.FamilySize, exec, wrapped)
-		if err == nil {
-			res.Workers = workers
-		}
-	case HuTaoChung:
-		info, err = trienum.HuTaoChung(qctx, s.sp, s.cg, wrapped)
-	case BlockNestedLoop:
-		info, err = baseline.BlockNestedLoop(qctx, s.sp, s.cg, wrapped)
-	case EdgeIterator:
-		info, err = baseline.EdgeIterator(qctx, s.sp, s.cg, wrapped)
-	case SortMerge:
-		info, err = trienum.Dementiev(qctx, s.sp, s.cg, wrapped)
-	default:
-		return res, fmt.Errorf("repro: unknown algorithm %v", q.Algorithm)
-	}
-	if err == nil {
-		// Count the final write-backs into the run's statistics; a
-		// cancelled run reports its statistics as accumulated, unflushed.
-		s.sp.Flush()
-	}
-	st := s.sp.Stats()
-	if native {
-		// Native execution compiles the accounting out: Stats stays zero
-		// and WorkerStats nil, per the Result contract.
-		workerStats = nil
-	}
-	for _, w := range workerStats {
-		st.Add(w)
-		res.WorkerStats = append(res.WorkerStats, toIOStats(w))
-	}
-	res.Stats = toIOStats(st)
-	res.Triangles = info.Triangles
-	res.Matches = info.Triangles
-	res.Colors = info.Colors
-	res.HighDegVertices = info.HighDegVertices
-	res.Subproblems = info.Subproblems
-	res.X = info.X
-	if ord != nil && err == nil {
-		ord.deliver(lim, func(vs []uint32) {
-			if emit != nil {
-				emit(vs[0], vs[1], vs[2])
-			}
-		})
-	}
-	err = lim.finish(ctx, &res, err)
-	if lim != nil {
-		res.Triangles = res.Matches
-		if err == nil && q.Algorithm == Deterministic {
-			// A clean limit stop is a success: report the real worker
-			// cap for Deterministic too, whose normal path only sets it
-			// after an error-free run.
-			res.Workers = workers
-		}
-	}
-	deliverResult(q, res)
-	return res, err
+		res.Triangles = info.Triangles
+		res.Matches = info.Triangles
+		res.Colors = info.Colors
+		res.HighDegVertices = info.HighDegVertices
+		res.Subproblems = info.Subproblems
+		res.X = info.X
+		return res, workerStats, err
+	})
 }
 
 // Triangles returns the query as a Go 1.23 range-over-func iterator:
@@ -329,23 +346,10 @@ func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c ui
 // session is live: it may issue further queries against the same handle
 // (they run on sessions of their own), but must not Close it.
 func (g *Graph) Triangles(ctx context.Context, q Query) iter.Seq2[Triangle, error] {
-	return func(yield func(Triangle, error) bool) {
-		qctx, cancel := cancelableCtx(ctx)
-		defer cancel()
-		stopped := false
-		_, err := g.TrianglesFunc(qctx, q, func(a, b, c uint32) {
-			if stopped {
-				return
-			}
-			if !yield(Triangle{a, b, c}, nil) {
-				stopped = true
-				cancel()
-			}
-		})
-		if err != nil && !stopped {
-			yield(Triangle{}, err)
-		}
-	}
+	return seq(ctx, func(ctx context.Context, emit func(Triangle)) error {
+		_, err := g.TrianglesFunc(ctx, q, func(a, b, c uint32) { emit(Triangle{a, b, c}) })
+		return err
+	})
 }
 
 // CliquesFunc enumerates every k-clique (k >= 3) of the graph with the
@@ -357,17 +361,18 @@ func (g *Graph) Triangles(ctx context.Context, q Query) iter.Seq2[Triangle, erro
 // be nil. A nil emit counts only. Like every query, it runs on its own
 // session and may overlap other queries of the handle.
 func (g *Graph) CliquesFunc(ctx context.Context, k int, q Query, emit func(clique []uint32)) (Result, error) {
-	return g.subgraphQuery(ctx, q, emit, func(qctx context.Context, s *session, wrapped subgraph.EmitK) (subgraph.Info, error) {
-		return subgraph.KClique(qctx, s.sp, s.cg, k, q.Seed, wrapped)
-	}, true, k, nil)
+	return g.query(ctx, q, k, slices.Sort[[]uint32], emit, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+		info, err := subgraph.KClique(ctx, s.sp, s.cg, k, q.Seed, emit)
+		return subgraphResult(info), nil, err
+	})
 }
 
 // Cliques is CliquesFunc as a range-over-func iterator; the iteration
 // contract matches Triangles, and the yielded slice is reused between
 // elements — copy it to retain.
 func (g *Graph) Cliques(ctx context.Context, k int, q Query) iter.Seq2[[]uint32, error] {
-	return g.subgraphSeq(ctx, func(qctx context.Context, emit func([]uint32)) error {
-		_, err := g.CliquesFunc(qctx, k, q, emit)
+	return seq(ctx, func(ctx context.Context, emit func([]uint32)) error {
+		_, err := g.CliquesFunc(ctx, k, q, emit)
 		return err
 	})
 }
@@ -385,96 +390,36 @@ func (g *Graph) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(as
 	if p == nil || p.p == nil {
 		return Result{}, fmt.Errorf("repro: Match requires a non-nil pattern")
 	}
-	return g.subgraphQuery(ctx, q, emit, func(qctx context.Context, s *session, wrapped subgraph.EmitK) (subgraph.Info, error) {
-		return p.p.Enumerate(qctx, s.sp, s.cg, q.Seed, wrapped)
-	}, false, p.K(), p.Normalize)
+	// Embeddings are positional, so only the ordered stream rewrites them,
+	// to their orbit representative.
+	var canon func([]uint32)
+	if q.Ordered {
+		canon = p.Normalize
+	}
+	return g.query(ctx, q, p.K(), canon, emit, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+		info, err := p.p.Enumerate(ctx, s.sp, s.cg, q.Seed, emit)
+		return subgraphResult(info), nil, err
+	})
 }
 
 // Match is MatchFunc as a range-over-func iterator; the iteration
 // contract matches Triangles, and the yielded slice is reused between
 // elements — copy it to retain.
 func (g *Graph) Match(ctx context.Context, p *Pattern, q Query) iter.Seq2[[]uint32, error] {
-	return g.subgraphSeq(ctx, func(qctx context.Context, emit func([]uint32)) error {
-		_, err := g.MatchFunc(qctx, p, q, emit)
+	return seq(ctx, func(ctx context.Context, emit func([]uint32)) error {
+		_, err := g.MatchFunc(ctx, p, q, emit)
 		return err
 	})
 }
 
-// subgraphQuery is the shared engine room of Cliques and Match: open a
-// session, run the Section 6 enumerator with ranks mapped back to input
-// ids, collect the worker-invariant statistics, close the session.
-// sortIDs orders each emitted vertex set ascending (cliques are unordered
-// sets; pattern embeddings are positional and must not be reordered).
-// k is the emitted tuple size and normalize the Query.Ordered orbit
-// normalization (nil when the plain emission is already canonical).
-func (g *Graph) subgraphQuery(ctx context.Context, q Query, emit func([]uint32),
-	run func(qctx context.Context, s *session, wrapped subgraph.EmitK) (subgraph.Info, error), sortIDs bool,
-	k int, normalize func([]uint32)) (Result, error) {
-	s, err := g.acquire(g.resolveNative(q))
-	if err != nil {
-		return Result{}, err
+// subgraphResult is the part of the Result a Section 6 engine owns.
+func subgraphResult(info subgraph.Info) Result {
+	return Result{
+		Matches:       info.Cliques,
+		Colors:        info.Colors,
+		Subproblems:   info.Subproblems,
+		MaxSubproblem: info.MaxSubproblem,
 	}
-	defer s.close()
-
-	lim, qctx, stop := newLimiter(ctx, q)
-	defer stop()
-	ord := newOrderedTuples(q, k)
-	if ord != nil {
-		// As in TrianglesFunc: an ordered producer runs to completion,
-		// the limit applies at delivery.
-		qctx = ctx
-	}
-	res := s.baseResult()
-	var mapped []uint32
-	wrapped := func(vs []uint32) {
-		if ord == nil {
-			if !lim.admit() {
-				return
-			}
-			if emit == nil {
-				return
-			}
-		}
-		if cap(mapped) < len(vs) {
-			mapped = make([]uint32, len(vs))
-		}
-		mapped = mapped[:len(vs)]
-		for i, v := range vs {
-			mapped[i] = s.cg.RankToID[v]
-		}
-		if sortIDs {
-			sort.Slice(mapped, func(i, j int) bool { return mapped[i] < mapped[j] })
-		}
-		if ord != nil {
-			if normalize != nil {
-				normalize(mapped)
-			}
-			ord.add(mapped...)
-			return
-		}
-		emit(mapped)
-	}
-	info, err := run(qctx, s, wrapped)
-	res.Matches = info.Cliques
-	res.Colors = info.Colors
-	res.Subproblems = info.Subproblems
-	res.MaxSubproblem = info.MaxSubproblem
-	if err == nil {
-		// As in TrianglesFunc: flush on success, report a cancelled run's
-		// statistics as accumulated.
-		s.sp.Flush()
-	}
-	res.Stats = toIOStats(s.sp.Stats())
-	if ord != nil && err == nil {
-		ord.deliver(lim, func(vs []uint32) {
-			if emit != nil {
-				emit(vs)
-			}
-		})
-	}
-	err = lim.finish(ctx, &res, err)
-	deliverResult(q, res)
-	return res, err
 }
 
 // orderedTuples buffers a Query.Ordered run's emissions — flattened ids,
@@ -492,57 +437,43 @@ func newOrderedTuples(q Query, k int) *orderedTuples {
 	return &orderedTuples{k: k}
 }
 
-func (o *orderedTuples) add(vs ...uint32) { o.flat = append(o.flat, vs...) }
+func (o *orderedTuples) add(vs []uint32) { o.flat = append(o.flat, vs...) }
 
 // deliver sorts the buffered tuples into the canonical lexicographic
-// order and hands them to emit through the limiter, from the calling
-// goroutine.
+// order and hands them to emit (nil to count only) through the limiter,
+// from the calling goroutine.
 func (o *orderedTuples) deliver(lim *limiter, emit func([]uint32)) {
 	cluster.SortTuples(o.flat, o.k)
 	for i := 0; i+o.k <= len(o.flat); i += o.k {
 		if !lim.admit() {
 			return
 		}
-		emit(o.flat[i : i+o.k])
+		if emit != nil {
+			emit(o.flat[i : i+o.k])
+		}
 	}
 }
 
-// subgraphSeq adapts a callback-form subgraph query to an iterator,
-// translating an early break into a cancellation of the underlying run.
-func (g *Graph) subgraphSeq(ctx context.Context, run func(qctx context.Context, emit func([]uint32)) error) iter.Seq2[[]uint32, error] {
-	return func(yield func([]uint32, error) bool) {
+// seq adapts a callback-form query to an iterator, translating an early
+// break into a cancellation of the underlying run.
+func seq[T any](ctx context.Context, run func(ctx context.Context, emit func(T)) error) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
 		qctx, cancel := cancelableCtx(ctx)
 		defer cancel()
 		stopped := false
-		err := run(qctx, func(vs []uint32) {
+		err := run(qctx, func(v T) {
 			if stopped {
 				return
 			}
-			if !yield(vs, nil) {
+			if !yield(v, nil) {
 				stopped = true
 				cancel()
 			}
 		})
 		if err != nil && !stopped {
-			yield(nil, err)
+			var zero T
+			yield(zero, err)
 		}
-	}
-}
-
-// baseResult seeds a Result with the session's generation metadata, so
-// concurrent updates never leak into a running query's report.
-func (s *session) baseResult() Result {
-	return Result{
-		Vertices: s.gen.numVertices,
-		Edges:    s.gen.edgesLen,
-		CanonIOs: s.gen.canonIOs,
-		Workers:  1,
-	}
-}
-
-func deliverResult(q Query, res Result) {
-	if q.Result != nil {
-		*q.Result = res
 	}
 }
 

@@ -111,11 +111,11 @@
 //
 // # Execution modes
 //
-// Queries run in one of two modes over the same engine. The faithful
-// path (the default) routes every access through the simulated
-// external-memory machine and reports the paper's exact block counts —
-// use it to measure the algorithms. The fast path (Options.Native per
-// handle, Query.Mode = ModeNative per query) runs the identical
+// Queries run in one of two modes over the same engine, chosen by
+// Query.Mode alone. The faithful path (ModeSimulated, the zero value)
+// routes every access through the simulated external-memory machine and
+// reports the paper's exact block counts — use it to measure the
+// algorithms. The fast path (ModeNative) runs the identical
 // decomposition on direct slices with the accounting compiled out of
 // the hot path — use it to time the algorithms, or wherever only the
 // results matter. The emission stream is byte-identical between the

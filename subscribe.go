@@ -1,9 +1,10 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/diff"
@@ -112,7 +113,6 @@ func (g *Graph) SubscribeMatch(ctx context.Context, p *Pattern, q Query) (*Subsc
 
 func (g *Graph) subscribe(ctx context.Context, spec diff.Spec, pat *Pattern, q Query) (*Subscription, error) {
 	workers := g.resolveWorkers(q)
-	native := g.resolveNative(q)
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -126,7 +126,7 @@ func (g *Graph) subscribe(ctx context.Context, spec diff.Spec, pat *Pattern, q Q
 		spec:    spec,
 		pat:     pat,
 		workers: workers,
-		native:  native,
+		native:  q.Mode == ModeNative,
 		ch:      make(chan ChangeSet),
 		done:    make(chan struct{}),
 		dropped: make(chan struct{}),
@@ -261,7 +261,7 @@ func (g *Graph) snapshotSubsLocked() []*Subscription {
 	for _, s := range g.subs {
 		subs = append(subs, s)
 	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
+	slices.SortFunc(subs, func(a, b *Subscription) int { return cmp.Compare(a.id, b.id) })
 	return subs
 }
 
@@ -358,7 +358,7 @@ func (g *Graph) diffPass(s *Subscription, gen *generation, deltaIDs []extmem.Wor
 			// the id-space normalization is generation-independent.
 			s.pat.p.Minimize(ids)
 		} else {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			slices.Sort(ids)
 		}
 		out = append(out, ids)
 	})
@@ -366,19 +366,6 @@ func (g *Graph) diffPass(s *Subscription, gen *generation, deltaIDs []extmem.Wor
 		return nil, sp.Stats(), err
 	}
 	sp.Flush()
-	sortTuples(out)
+	slices.SortFunc(out, slices.Compare)
 	return out, sp.Stats(), nil
-}
-
-// sortTuples orders equal-length tuples lexicographically.
-func sortTuples(ts [][]uint32) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -23,7 +24,7 @@ func (s tupleSet) minus(o tupleSet) [][]uint32 {
 			out = append(out, v)
 		}
 	}
-	sortTuples(out)
+	slices.SortFunc(out, slices.Compare)
 	return out
 }
 
