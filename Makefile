@@ -29,9 +29,10 @@ docs:
 
 # Race-detect the parallel execution engine, its memory model, the
 # parallel sort substrate, the concurrent-query public surface, the
-# HTTP daemon layer, the differential kernel behind subscriptions, and
-# the cluster partitioning layer (whose coordinator interleaves
-# scatter–gather queries with 2PC updates).
+# HTTP daemon layer, the differential kernel behind subscriptions, the
+# cluster partitioning layer (whose coordinator interleaves
+# scatter–gather queries with 2PC updates), and the clique and pattern
+# tuple solvers (which shards run on the ordered worker pool).
 # The packages that own worker scheduling (the root package, the
 # ordered worker pool in internal/extmem, and internal/trienum)
 # additionally run at -cpu=1,4: GOMAXPROCS=1 serializes the goroutines,
@@ -41,7 +42,7 @@ docs:
 # 2 vCPUs.
 race:
 	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/extmem ./internal/trienum
-	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster
+	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster ./internal/subgraph
 
 # One iteration of every benchmark in every package (the CI smoke); use
 # BENCHTIME=5x etc. for real measurements.

@@ -151,15 +151,18 @@ type ClusterShardRun struct {
 	// Index is the shard; Delivered counts its owned emissions.
 	Index     int
 	Delivered uint64
-	// Subproblems counts the owned color tuples; Builds the non-empty
-	// ones actually built and enumerated.
+	// Subproblems counts the owned color tuples, empty ones included.
 	Subproblems int
-	Builds      int
-	// CanonIOs sums the per-tuple sub-build costs and Stats the
-	// per-tuple enumeration statistics — each a pure function of
-	// (graph, manifest, query), independent of shard placement.
+	// Builds and CanonIOs are always 0: shards solve their tuples in
+	// place, without sub-builds. They remain only because the benchmark
+	// module still reads them.
+	Builds   int
 	CanonIOs uint64
-	Stats    IOStats
+	// Stats sums the owned tuples' statistics, each taken from its tuple
+	// alone: laying out the tuple's color-pair buckets and solving it on
+	// a cold machine — a pure function of (graph, manifest, query),
+	// independent of shard placement.
+	Stats IOStats
 }
 
 // ClusterResult summarizes a gathered cluster query.
@@ -175,9 +178,10 @@ type ClusterResult struct {
 	// Epoch is the cluster epoch the query ran on; every shard executed
 	// at exactly this epoch.
 	Epoch uint64
-	// Subproblems, Builds, CanonIOs and Stats aggregate the shard
-	// breakdowns: deterministic cluster-wide totals, invariant in the
-	// shard count, shard placement, and Workers.
+	// Subproblems and Stats aggregate the shard breakdowns:
+	// deterministic cluster-wide totals, invariant in the shard count,
+	// shard placement, and Workers. Stats covers per-tuple work only;
+	// see ClusterShardRun. Builds and CanonIOs are always 0.
 	Subproblems int
 	Builds      int
 	CanonIOs    uint64
@@ -189,13 +193,20 @@ type ClusterResult struct {
 // TrianglesFunc enumerates every triangle of the cluster-wide graph,
 // gathered from all shards into the canonical global order — the stream
 // a single-process Query.Ordered triangles query of the full graph
-// emits, byte for byte. emit runs on the calling goroutine. Query
-// fields Algorithm, Seed, Workers, Mode and Limit apply (each shard
-// runs its color-tuple subproblems with them); Ordered is implied.
-// Under a Limit the shards still enumerate fully — the aggregate
-// statistics always describe the whole query — and the gathered stream
-// stops after Limit emissions.
+// emits, byte for byte. emit runs on the calling goroutine.
+//
+// Each shard solves every color triple it owns with the Lemma 2 kernel
+// of the CacheAware algorithm, under the manifest's coloring, so
+// Algorithm must be CacheAware (the zero value); any other is refused.
+// Seed has no effect: the manifest coloring is the only coloring.
+// Workers (owned tuples solved at once on each shard), Mode and Limit
+// apply; Ordered is implied. Under a Limit the shards still enumerate
+// fully — the aggregate statistics always describe the whole query —
+// and the gathered stream stops after Limit emissions.
 func (c *Cluster) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c uint32)) (ClusterResult, error) {
+	if err := cluster.CheckQuery("triangles", q.Algorithm.String(), c.man.Colors, 3); err != nil {
+		return ClusterResult{}, fmt.Errorf("repro: %w", err)
+	}
 	req := cluster.ShardQueryRequest{Kind: "triangles", Algorithm: q.Algorithm.String()}
 	var f func([]uint32)
 	if emit != nil {
@@ -206,10 +217,16 @@ func (c *Cluster) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c 
 
 // CliquesFunc enumerates every k-clique cluster-wide; the gathered
 // stream matches a single-process Query.Ordered cliques query byte for
-// byte. See TrianglesFunc for the query contract.
+// byte. k must be at least 3, and the C^k color-tuple orderings of the
+// cluster's C colors may not exceed 2^22 (the tuple-loop bound of the
+// single-process clique solver). See TrianglesFunc for the query
+// contract.
 func (c *Cluster) CliquesFunc(ctx context.Context, k int, q Query, emit func(clique []uint32)) (ClusterResult, error) {
 	if k < 3 {
 		return ClusterResult{}, fmt.Errorf("repro: cluster cliques query needs k >= 3, got %d", k)
+	}
+	if err := cluster.CheckQuery("cliques", "", c.man.Colors, k); err != nil {
+		return ClusterResult{}, fmt.Errorf("repro: %w", err)
 	}
 	return c.run(ctx, cluster.ShardQueryRequest{Kind: "cliques", K: k}, q, emit)
 }
@@ -218,14 +235,17 @@ func (c *Cluster) CliquesFunc(ctx context.Context, k int, q Query, emit func(cli
 // cluster-wide, normalized (Pattern.Normalize) and gathered into the
 // canonical global order — the single-process Query.Ordered match
 // stream, byte for byte. The pattern travels by name, so it must be one
-// of the predefined patterns (ParsePattern); see TrianglesFunc for the
-// query contract.
+// of the predefined patterns (ParsePattern), and its fan-out is bounded
+// as for CliquesFunc; see TrianglesFunc for the query contract.
 func (c *Cluster) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(assign []uint32)) (ClusterResult, error) {
 	if p == nil || p.p == nil {
 		return ClusterResult{}, fmt.Errorf("repro: cluster match requires a non-nil pattern")
 	}
 	if _, err := ParsePattern(p.Name()); err != nil {
 		return ClusterResult{}, fmt.Errorf("repro: cluster match requires a predefined pattern: %w", err)
+	}
+	if err := cluster.CheckQuery("match", "", c.man.Colors, p.K()); err != nil {
+		return ClusterResult{}, fmt.Errorf("repro: %w", err)
 	}
 	return c.run(ctx, cluster.ShardQueryRequest{Kind: "match", Pattern: p.Name()}, q, emit)
 }
@@ -255,7 +275,6 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 	}
 	epoch := c.epoch
 	req.Epoch = &epoch
-	req.Seed = q.Seed
 	req.Workers = q.Workers
 	req.Native = q.Mode == ModeNative
 
@@ -323,15 +342,11 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 		}
 		cr.Matches += tr.Delivered
 		cr.Subproblems += tr.Subproblems
-		cr.Builds += tr.Builds
-		cr.CanonIOs += tr.CanonIOs
 		stats.Add(tr.Stats)
 		cr.Shards = append(cr.Shards, ClusterShardRun{
 			Index:       i,
 			Delivered:   tr.Delivered,
 			Subproblems: tr.Subproblems,
-			Builds:      tr.Builds,
-			CanonIOs:    tr.CanonIOs,
 			Stats:       fromClusterStats(tr.Stats),
 		})
 		if i == 0 {

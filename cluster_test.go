@@ -16,7 +16,9 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -474,6 +476,57 @@ func TestClusterTinyGraph(t *testing.T) {
 	}
 }
 
+// TestClusterMaxVertexID: shards solve over original vertex ids, so the
+// largest uint32 id reaches the tuple solvers unranked — for one, as the
+// pivot endpoint of the triangle {1, 2, 2^32-1}. Every family's gathered
+// stream equals the single-process ordered stream, on a fresh partition
+// and after a routed update through that vertex.
+func TestClusterMaxVertexID(t *testing.T) {
+	const top = ^uint32(0)
+	edges := [][2]uint32{{1, 2}, {2, top}, {1, top}}
+	k5 := []uint32{0, 3, 4, top - 1, top} // triangles, 4-cliques, diamonds through top
+	for i, u := range k5 {
+		for _, v := range k5[i+1:] {
+			edges = append(edges, [2]uint32{u, v})
+		}
+	}
+	g, err := repro.Build(repro.FromEdges(edges), repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	families := []struct {
+		kind string
+		k    int
+		pat  *repro.Pattern
+	}{{kind: "triangles"}, {kind: "cliques", k: 4}, {kind: "match", pat: repro.PatternDiamond}}
+	check := func(cl *repro.Cluster, cell string) {
+		t.Helper()
+		for _, f := range families {
+			want, _ := orderedRef(t, g, f.kind, f.k, f.pat, Q{})
+			for _, workers := range []int{1, 4} {
+				if got, _ := gather(t, cl, f.kind, f.k, f.pat, Q{Workers: workers}); !bytes.Equal(got, want) {
+					t.Fatalf("%s %s workers=%d: gathered stream\n%s\ndiverges from the single-process ordered stream\n%s", cell, f.kind, workers, got, want)
+				}
+			}
+		}
+	}
+	for _, S := range []int{1, 2} {
+		manPath, urls := startCluster(t, g, S, 4, false)
+		check(dial(t, manPath, urls), fmt.Sprintf("S=%d", S))
+	}
+	manPath, urls := startCluster(t, g, 2, 4, false)
+	cl := dial(t, manPath, urls)
+	d := repro.Delta{Add: [][2]uint32{{5, top}, {1, 5}, {3, 5}}}
+	if _, err := cl.Update(context.Background(), d); err != nil {
+		t.Fatalf("routed update through vertex 2^32-1: %v", err)
+	}
+	if _, err := g.Update(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
+	check(cl, "after a routed update")
+}
+
 // TestPartitionManifestRoundtrip: the manifest records what Partition
 // did, and DialCluster rejects a shard serving the wrong range.
 func TestPartitionManifestRoundtrip(t *testing.T) {
@@ -496,5 +549,165 @@ func TestPartitionManifestRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual([]string{urls[0], urls[1]}, urls) {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestClusterFamiliesInvariant pins the shard contract for every query
+// family the cluster serves, in both modes: at S ∈ {1,2,4} and Workers ∈
+// {1,4}, the gathered stream equals the single-process ordered stream
+// byte for byte, the aggregate is identical across S and Workers for
+// each family and mode, and a native gather reports zero Stats.
+func TestClusterFamiliesInvariant(t *testing.T) {
+	g, err := repro.Build(repro.FromSpec("planted:n=300,m=2200,k=12"), repro.Options{MemoryWords: 1 << 10, BlockWords: 1 << 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	families := []struct {
+		name, kind string
+		k          int
+		pat        *repro.Pattern
+	}{
+		{name: "triangles", kind: "triangles"},
+		{name: "4-cliques", kind: "cliques", k: 4},
+		{name: "diamond", kind: "match", pat: repro.PatternDiamond},
+		{name: "path3", kind: "match", pat: repro.PatternPath3},
+	}
+	want := map[string][]byte{}
+	for _, f := range families {
+		want[f.name], _ = orderedRef(t, g, f.kind, f.k, f.pat, Q{})
+	}
+	agg := map[string]string{}
+	for _, S := range []int{1, 2, 4} {
+		manPath, urls := startCluster(t, g, S, 4, false)
+		cl := dial(t, manPath, urls)
+		for _, f := range families {
+			for _, native := range []bool{false, true} {
+				mode := repro.ModeSimulated
+				if native {
+					mode = repro.ModeNative
+				}
+				for _, workers := range []int{1, 4} {
+					cell := fmt.Sprintf("%s native=%v S=%d workers=%d", f.name, native, S, workers)
+					got, cr := gather(t, cl, f.kind, f.k, f.pat, Q{Workers: workers, Mode: mode})
+					if !bytes.Equal(got, want[f.name]) {
+						t.Fatalf("%s: gathered stream diverges from the single-process ordered stream", cell)
+					}
+					if native != (cr.Stats == repro.IOStats{}) {
+						t.Fatalf("%s: Stats %+v (a native gather reports zero Stats, a simulated one does not)", cell, cr.Stats)
+					}
+					key := fmt.Sprintf("%s native=%v", f.name, native)
+					if a, ok := agg[key]; !ok {
+						agg[key] = aggKey(cr)
+					} else if a != aggKey(cr) {
+						t.Fatalf("%s: aggregate changed with placement:\n got %s\nwant %s", cell, aggKey(cr), a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClusterAggregateBound: on the benchmark's sim-mem graph at S = 1,
+// with the color count Partition picks, a gathered triangle query costs
+// at most twice the I/Os of the single-process ordered query — solving
+// the owned tuples in place keeps the kernel within the paper's bound.
+func TestClusterAggregateBound(t *testing.T) {
+	g, err := repro.Build(repro.FromSpec("powerlaw:n=8000,m=40000,beta=2.1"), repro.Options{MemoryWords: 1 << 12, BlockWords: 1 << 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	want, res := orderedRef(t, g, "triangles", 0, nil, Q{})
+	manPath, urls := startCluster(t, g, 1, 0, false)
+	got, cr := gather(t, dial(t, manPath, urls), "triangles", 0, nil, Q{})
+	if !bytes.Equal(got, want) {
+		t.Fatal("gathered stream diverges from the single-process ordered stream")
+	}
+	single := res.Stats.BlockReads + res.Stats.BlockWrites
+	gathered := cr.Stats.BlockReads + cr.Stats.BlockWrites
+	t.Logf("gathered %d I/Os over %d subproblems, single-process %d", gathered, cr.Subproblems, single)
+	if gathered > 2*single {
+		t.Fatalf("gathered query cost %d I/Os, more than twice the single-process query's %d", gathered, single)
+	}
+}
+
+// TestClusterRefusals: a query the shards cannot run as asked — a
+// triangle algorithm other than CacheAware, or more than 2^22 color-tuple
+// orderings — is refused before any work: the Cluster methods return an
+// error, and both cluster endpoints answer 400 with an ErrorResponse.
+func TestClusterRefusals(t *testing.T) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=300"), repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	manPath, urls := startCluster(t, g, 1, 4, false)
+	cl := dial(t, manPath, urls)
+	ctx := context.Background()
+	if _, err := cl.TrianglesFunc(ctx, Q{Algorithm: repro.Deterministic}, nil); err == nil {
+		t.Error("a cluster triangles query with the Deterministic algorithm ran")
+	}
+	for _, k := range []int{12, 1 << 40} { // 4^12 = 2^24 orderings
+		if _, err := cl.CliquesFunc(ctx, k, Q{}, nil); err == nil {
+			t.Errorf("a cluster %d-cliques query over 4 colors ran", k)
+		}
+	}
+
+	coord := serve.New(serve.Config{})
+	t.Cleanup(func() { coord.Close() })
+	if err := coord.ServeCoordinator(cl); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	for _, url := range []string{urls[0] + "/v1/cluster/shard/query", ts.URL + "/v1/cluster/query"} {
+		for _, body := range []string{`{"algorithm":"deterministic"}`, `{"kind":"cliques","k":12}`, `{"kind":"cliques","k":1000000000000}`} {
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e serve.ErrorResponse
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
+				t.Errorf("%s at %s: status %d (error %q), want 400 with an error", body, url, resp.StatusCode, e.Error)
+			}
+		}
+	}
+}
+
+// TestPartitionDefaultColors: with Colors unset, Partition picks the
+// paper's c = ⌈√(E/M)⌉, at least 4 and at most 21 — the most colors at
+// which a 5-vertex query stays within the fan-out bound — then at least
+// Shards.
+func TestPartitionDefaultColors(t *testing.T) {
+	for _, tc := range []struct {
+		spec       string
+		opts       repro.Options
+		shards     int
+		wantColors int
+	}{
+		{"gnm:n=5000,m=25600", repro.Options{MemoryWords: 1 << 8, BlockWords: 1 << 4}, 1, 10}, // E = 100·M
+		{"gnm:n=100,m=500", repro.Options{}, 1, 4},
+		{"gnm:n=100,m=500", repro.Options{}, 6, 6},
+		{"gnm:n=3000,m=8000", repro.Options{MemoryWords: 1 << 4, BlockWords: 1 << 2}, 1, 21}, // ⌈√(E/M)⌉ = 23
+	} {
+		g, err := repro.Build(repro.FromSpec(tc.spec), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		E := g.NumEdges()
+		pr, err := repro.Partition(context.Background(), g, repro.PartitionOptions{Dir: t.TempDir(), Shards: tc.shards})
+		g.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Colors != tc.wantColors {
+			t.Errorf("%s (E=%d) at S=%d: Partition picked %d colors, want %d", tc.spec, E, tc.shards, pr.Colors, tc.wantColors)
+		}
+		if err := cluster.CheckQuery("cliques", "", pr.Colors, 5); err != nil {
+			t.Errorf("%s at S=%d: a 5-clique query is refused on the default partition: %v", tc.spec, tc.shards, err)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -217,6 +219,61 @@ func TestColoringStable(t *testing.T) {
 		}
 		if ca >= 8 {
 			t.Fatalf("color(%d) = %d out of range", v, ca)
+		}
+	}
+}
+
+// TestNextOrdering: from a nondecreasing tuple, NextOrdering visits every
+// distinct ordering of the multiset exactly once, in lexicographic order.
+func TestNextOrdering(t *testing.T) {
+	for _, tc := range []struct {
+		tuple []int
+		want  int // distinct orderings: k! over the multiplicities' factorials
+	}{
+		{[]int{3}, 1}, {[]int{1, 1, 1}, 1}, {[]int{0, 0, 1}, 3}, {[]int{0, 1, 2}, 6},
+		{[]int{0, 0, 1, 2}, 12}, {[]int{0, 0, 1, 1}, 6}, {[]int{0, 1, 2, 3, 4}, 120},
+	} {
+		o := append([]int{}, tc.tuple...)
+		seen := map[string]bool{}
+		var prev []int
+		for more := true; more; more = NextOrdering(o) {
+			if prev != nil && slices.Compare(prev, o) >= 0 {
+				t.Fatalf("%v: ordering %v after %v", tc.tuple, o, prev)
+			}
+			if s := fmt.Sprint(o); seen[s] {
+				t.Fatalf("%v: ordering %v visited twice", tc.tuple, o)
+			} else {
+				seen[s] = true
+			}
+			prev = append(prev[:0], o...)
+		}
+		if len(seen) != tc.want {
+			t.Fatalf("%v: %d orderings, want %d", tc.tuple, len(seen), tc.want)
+		}
+		if !slices.Equal(o, prev) {
+			t.Fatalf("%v: the last call changed the tuple to %v", tc.tuple, o)
+		}
+	}
+}
+
+// TestCheckQuery pins the cluster's query rules: triangles only with the
+// cache-aware algorithm, C^k ≤ 2^22 orderings, and no k above 22 even for
+// one color.
+func TestCheckQuery(t *testing.T) {
+	for _, tc := range []struct {
+		kind, algorithm string
+		colors, k       int
+		ok              bool
+	}{
+		{"triangles", "", 4, 3, true}, {"triangles", TriangleAlgorithm, 4, 3, true},
+		{"triangles", "deterministic", 4, 3, false}, {"cliques", "", 4, 11, true},
+		{"cliques", "", 4, 12, false}, {"match", "", 32, 4, true}, {"match", "", 32, 5, false},
+		{"cliques", "", 21, 5, true}, {"cliques", "", 22, 5, false},
+		{"cliques", "", 1, 22, true}, {"cliques", "", 1, 23, false}, {"cliques", "", 2, 22, true},
+		{"cliques", "", 32, 1 << 40, false},
+	} {
+		if err := CheckQuery(tc.kind, tc.algorithm, tc.colors, tc.k); (err == nil) != tc.ok {
+			t.Errorf("CheckQuery(%q, %q, %d, %d) = %v, want ok=%v", tc.kind, tc.algorithm, tc.colors, tc.k, err, tc.ok)
 		}
 	}
 }

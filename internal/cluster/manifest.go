@@ -21,6 +21,17 @@
 // cluster-wide — while edges are replicated down the suffix (shard 0,
 // whose range starts at color 0, always holds the full edge set).
 //
+// A shard solves each owned tuple T in place, with the single-process
+// engines' own color-tuple solvers under the manifest coloring — there is
+// no second coloring and no per-tuple Build. Each tuple runs on a cold
+// simulated machine (MemoryWords, BlockWords) that holds exactly the
+// color-pair buckets of T's colors, over original vertex ids, and the
+// solver runs once per distinct ordering of T: a match's colors in vertex
+// order (in position order, for a pattern) form exactly one ordering of
+// its color multiset. A tuple's emissions and I/O counts are therefore a
+// pure function of (edge set, manifest, tuple, query family), which is
+// what makes the aggregate statistics independent of the shard count.
+//
 // The gathered stream's order is the engine's canonical global emission
 // order (Query.Ordered): each shard sorts its owned emissions
 // lexicographically and the coordinator k-way merges the S sorted,
@@ -34,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/hashing"
@@ -43,9 +55,41 @@ import (
 const ManifestVersion = 1
 
 // MaxColors bounds a manifest's color count. A query of tuple size k
-// fans out into multiset(C, k) subproblems cluster-wide; the bound keeps
-// that fan-out (and the per-query sub-builds it implies) small.
+// fans out into multiset(C, k) owned tuples cluster-wide, solved in C^k
+// orderings, and every shard query indexes its edges by the C² ordered
+// color pairs; the bound keeps both small.
 const MaxColors = 32
+
+// MaxOrderings bounds the color-tuple orderings, C^k, one query of tuple
+// size k may fan out into cluster-wide: the tuple-loop bound
+// subgraph.KClique applies to its own coloring.
+const MaxOrderings = 1 << 22
+
+// TriangleAlgorithm names the one triangle algorithm a cluster runs: the
+// cache-aware decomposition, whose color triples the manifest coloring
+// implements (repro.CacheAware's name).
+const TriangleAlgorithm = "cacheaware"
+
+// CheckQuery refuses a cluster query the shards cannot run as asked: a
+// triangles query whose algorithm (by name; "" is the default) is not
+// TriangleAlgorithm, and any query of tuple size k over colors cluster
+// colors whose C^k orderings exceed MaxOrderings. Any k > 22 is refused
+// before anything is computed from it, so an absurd k from the wire is
+// cheap to reject. It is the one statement of both rules: the Cluster
+// query methods and the daemon's cluster endpoints all call it.
+func CheckQuery(kind, algorithm string, colors, k int) error {
+	if kind == "triangles" && algorithm != "" && algorithm != TriangleAlgorithm {
+		return fmt.Errorf("cluster: a triangles query runs only the %s algorithm, got %s", TriangleAlgorithm, algorithm)
+	}
+	n := 1
+	for i := 0; i < k && i <= 22 && n <= MaxOrderings; i++ {
+		n *= colors
+	}
+	if k > 22 || n > MaxOrderings {
+		return fmt.Errorf("cluster: a query of %d vertices over %d colors fans out past %d color-tuple orderings", k, colors, MaxOrderings)
+	}
+	return nil
+}
 
 // ManifestName is the conventional manifest file name Partition writes
 // next to the sub-images.
@@ -101,14 +145,18 @@ type Manifest struct {
 }
 
 // Validate checks the manifest's structural invariants: a known
-// version, a color count in (0, MaxColors], and shard ranges that are
-// dense, ordered, non-empty, and exactly cover [0, Colors).
+// version, a color count in (0, MaxColors], a tall-cache machine with a
+// power-of-two block, and shard ranges that are dense, ordered,
+// non-empty, and exactly cover [0, Colors).
 func (m *Manifest) Validate() error {
 	if m.Version != ManifestVersion {
 		return fmt.Errorf("cluster: unsupported manifest version %d", m.Version)
 	}
 	if m.Colors <= 0 || m.Colors > MaxColors {
 		return fmt.Errorf("cluster: colors must be in [1, %d], got %d", MaxColors, m.Colors)
+	}
+	if B := m.BlockWords; B <= 0 || B&(B-1) != 0 || m.MemoryWords/B < B {
+		return fmt.Errorf("cluster: machine M=%d, B=%d needs B a power of two and M >= B²", m.MemoryWords, B)
 	}
 	if len(m.Shards) == 0 {
 		return errors.New("cluster: manifest has no shards")
@@ -251,6 +299,28 @@ func (m *Manifest) OwnedTuples(i, k int, f func(t []uint32) error) error {
 		}
 	}
 	return nil
+}
+
+// NextOrdering advances t to its lexicographically next distinct
+// ordering and reports false, leaving t unchanged, after the last one.
+// Starting from a nondecreasing tuple — an OwnedTuples tuple — it visits
+// every distinct ordering of the multiset once: the color tuples, in
+// vertex or position order, whose matches the multiset owns.
+func NextOrdering(t []int) bool {
+	i := len(t) - 2
+	for i >= 0 && t[i] >= t[i+1] {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	j := len(t) - 1
+	for t[j] <= t[i] {
+		j--
+	}
+	t[i], t[j] = t[j], t[i]
+	slices.Reverse(t[i+1:])
+	return true
 }
 
 // CompareTuples orders two emission tuples lexicographically (shorter

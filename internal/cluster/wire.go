@@ -46,16 +46,16 @@ type ShardQueryRequest struct {
 	Kind    string `json:"kind,omitempty"`
 	K       int    `json:"k,omitempty"`
 	Pattern string `json:"pattern,omitempty"`
-	// Algorithm names the triangle algorithm (triangles only).
+	// Algorithm names the triangle algorithm (triangles only); a shard
+	// runs only "cacheaware" and answers any other 400.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Seed and Workers configure each per-tuple subproblem run; the
-	// emission stream and aggregate statistics are invariant in
-	// Workers.
-	Seed    uint64 `json:"seed,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// Native runs the per-tuple subproblems natively: same emission
-	// bytes, zero enumeration Stats (CanonIOs of the per-tuple builds
-	// are still simulated and reported).
+	// Workers is the number of owned color tuples solved at once (0 =
+	// GOMAXPROCS); the emission stream and aggregate statistics are
+	// invariant in it. There is no seed: the manifest coloring is the
+	// only coloring.
+	Workers int `json:"workers,omitempty"`
+	// Native solves the owned tuples natively: same emission bytes, zero
+	// Stats.
 	Native bool `json:"native,omitempty"`
 	// Epoch, when set, pins the cluster epoch the coordinator believes
 	// current; a mismatch is answered 409 before any work, so a fanned
@@ -77,17 +77,21 @@ type ShardQueryTrailer struct {
 	// cluster-wide truth).
 	Vertices int   `json:"vertices"`
 	Edges    int64 `json:"edges"`
-	// Subproblems counts the owned color tuples executed; Builds counts
-	// those that were non-empty and actually built + enumerated.
+	// Subproblems counts the owned color tuples executed, empty ones
+	// included.
 	Subproblems int `json:"subproblems"`
-	Builds      int `json:"builds"`
-	// CanonIOs sums the per-tuple sub-build canonicalization costs;
-	// Stats sums the per-tuple enumeration statistics. Both are pure
-	// functions of (graph, manifest, query) — invariant in Workers and
-	// in the cluster's shard count — so the coordinator's aggregates
-	// are deterministic.
-	CanonIOs uint64  `json:"canon_ios"`
-	Stats    IOStats `json:"stats"`
+	// Builds and CanonIOs are always 0: shards solve their tuples in
+	// place, without sub-builds. The fields stay on the wire only
+	// because the benchmark module still reads them.
+	Builds   int    `json:"builds"`
+	CanonIOs uint64 `json:"canon_ios"`
+	// Stats sums the owned tuples' statistics, each taken from its
+	// tuple alone: laying out the tuple's color-pair buckets plus
+	// solving it, on a cold machine. The shard's native bucket index is
+	// not charged. The sum is a pure function of (graph, manifest,
+	// query) — invariant in Workers and in the cluster's shard count —
+	// so the coordinator's aggregates are deterministic.
+	Stats IOStats `json:"stats"`
 	// Error reports a failure after streaming began. Empty on success.
 	Error string `json:"error,omitempty"`
 }
@@ -180,9 +184,11 @@ type Emission struct {
 
 // CoordinatorQueryRequest is the body of POST /v1/cluster/query on a
 // coordinator: the same query surface as ShardQueryRequest minus the
-// epoch (the coordinator pins epochs itself), plus a Limit. The
-// response is NDJSON: the gathered, k-way-merged emission lines in the
-// canonical global order, then one CoordinatorTrailer line.
+// epoch (the coordinator pins epochs itself), plus a Limit. Seed is
+// accepted and ignored: the manifest coloring is the only coloring, so
+// no seed changes a gather. The response is NDJSON: the gathered,
+// k-way-merged emission lines in the canonical global order, then one
+// CoordinatorTrailer line.
 type CoordinatorQueryRequest struct {
 	Kind      string `json:"kind,omitempty"`
 	K         int    `json:"k,omitempty"`
@@ -197,7 +203,8 @@ type CoordinatorQueryRequest struct {
 }
 
 // ShardRun is one shard's contribution to a gathered query, as reported
-// in the coordinator trailer.
+// in the coordinator trailer. Builds and CanonIOs are always 0 (see
+// ShardQueryTrailer).
 type ShardRun struct {
 	Index       int     `json:"index"`
 	Delivered   uint64  `json:"delivered"`
@@ -222,9 +229,9 @@ type CoordinatorTrailer struct {
 	// shard 0, the full suffix view).
 	Vertices int   `json:"vertices"`
 	Edges    int64 `json:"edges"`
-	// Subproblems, CanonIOs and Stats aggregate the shard trailers: the
+	// Subproblems and Stats aggregate the shard trailers: the
 	// deterministic cluster-wide totals, invariant in the shard count
-	// and Workers.
+	// and Workers. CanonIOs is always 0 (see ShardQueryTrailer).
 	Subproblems int     `json:"subproblems"`
 	CanonIOs    uint64  `json:"canon_ios"`
 	Stats       IOStats `json:"stats"`

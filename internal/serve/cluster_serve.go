@@ -5,25 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/extmem"
 )
 
 // Cluster roles of the daemon — the server side of the scatter–gather
 // layer (see the cluster package doc for the design).
 //
 // A shard daemon (trienumd -shard) serves one sub-image and executes
-// exactly the color tuples its manifest range owns: for each owned
-// tuple it assembles the tuple's edge set from a coloring-bucketed
-// snapshot of the sub-image, builds an in-memory sub-graph on the
-// manifest's simulated machine, runs the query ordered, and keeps the
-// emissions whose vertex-color multiset is exactly the tuple. The
-// collected emissions are sorted into the canonical order and streamed;
-// the coordinator k-way merges the (disjoint, sorted) shard streams.
+// exactly the color tuples its manifest range owns: it solves each owned
+// tuple in place with the family's own tuple solver, under the manifest
+// coloring, on a cold machine of the manifest's size that holds just the
+// tuple's color-pair buckets (runShardQuery). The collected emissions are
+// sorted into the canonical order and streamed; the coordinator k-way
+// merges the (disjoint, sorted) shard streams.
 //
 // The cluster endpoints are an operator-internal wire: they bypass
 // tenant admission (the coordinator is the only intended client) but
@@ -124,16 +124,20 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runShardQuery executes the shard's share of one cluster query: every
-// owned color tuple, each as an independent in-memory sub-build plus
-// enumeration on the manifest's simulated machine. The returned flat
-// tuple buffer is sorted into the canonical order. Everything about the
-// result — emissions, counts, CanonIOs, Stats — is a pure function of
-// (edge set, manifest, query): the per-tuple edge lists are assembled
-// in a fixed deterministic order (lexicographic color pairs, each
-// bucket sorted by id pair), so no trace of this process's history or
-// placement leaks into the aggregates.
+// runShardQuery executes the shard's share of one cluster query and
+// returns its emissions sorted into the canonical order. The shard reads
+// its edges once into C² native buckets, one per ordered color pair
+// (ξ(min id), ξ(max id)), each sorted by the packed id pair. Each owned
+// color tuple is then one task of the extmem worker pool: it lays out the
+// buckets of the tuple's colors on the pool's cold Space and runs the
+// family's tuple solver on every distinct ordering of the tuple. Vertices
+// are original ids, so a tuple's emissions and Stats are a pure function
+// of (edge set, manifest, tuple, family), whatever the shard count,
+// Workers value or backing store. Only the per-tuple work is charged.
 func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRequest, f family) (flat []uint32, tr cluster.ShardQueryTrailer, err error) {
+	C := st.man.Colors
+	col := st.man.Coloring()
+	buckets := make([][]extmem.Word, C*C)
 	// Epoch read and edge snapshot under one read lock: the stream's
 	// (epoch, generation) pair is consistent.
 	st.mu.RLock()
@@ -142,15 +146,10 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		st.mu.RUnlock()
 		return nil, tr, fmt.Errorf("epoch mismatch: coordinator at %d, shard at %d", *req.Epoch, epoch)
 	}
-	col := st.man.Coloring()
-	buckets := map[uint64][][2]uint32{}
 	snapErr := st.g.EdgesFunc(ctx, func(u, v uint32) {
-		cu, cv := col.Color(u), col.Color(v)
-		if cu > cv {
-			cu, cv = cv, cu
-		}
-		key := uint64(cu)<<32 | uint64(cv)
-		buckets[key] = append(buckets[key], [2]uint32{u, v})
+		u, v = min(u, v), max(u, v)
+		b := &buckets[col.Color(u)*uint32(C)+col.Color(v)]
+		*b = append(*b, extmem.Word(u)<<32|extmem.Word(v))
 	})
 	tr.Epoch = epoch
 	tr.Vertices = st.g.NumVertices()
@@ -159,84 +158,61 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 	if snapErr != nil {
 		return nil, tr, snapErr
 	}
-	// EdgesFunc emits in canonical rank order, which is an artifact of
-	// this sub-image's canonicalization; re-sort by id pair so the
-	// per-tuple input order (and with it the sub-build cost) depends
-	// only on the edge set.
 	for _, b := range buckets {
-		sort.Slice(b, func(i, j int) bool {
-			if b[i][0] != b[j][0] {
-				return b[i][0] < b[j][0]
-			}
-			return b[i][1] < b[j][1]
-		})
+		slices.Sort(b)
 	}
 
-	sq := repro.Query{Seed: req.Seed, Workers: req.Workers, Ordered: true}
-	if req.Native {
-		sq.Mode = repro.ModeNative
-	}
 	k := f.arity()
-	emColors := make([]uint32, k)
-	distinct := make([]uint32, 0, k)
-	err = st.man.OwnedTuples(st.index, k, func(t []uint32) error {
-		tr.Subproblems++
-		distinct = distinct[:0]
-		for _, c := range t {
-			if len(distinct) == 0 || distinct[len(distinct)-1] != c {
-				distinct = append(distinct, c)
-			}
+	// A task's one output: its tuple's emissions, Stats and error.
+	type tupleOut struct {
+		tuples []uint32
+		stats  extmem.Stats
+		err    error
+	}
+	var tasks []extmem.ShardTask[tupleOut]
+	// The callback never fails, so neither does the enumeration.
+	_ = st.man.OwnedTuples(st.index, k, func(t []uint32) error {
+		order := make([]int, k)
+		for j, c := range t {
+			order[j] = int(c)
 		}
-		var es [][2]uint32
-		for i := 0; i < len(distinct); i++ {
-			for j := i; j < len(distinct); j++ {
-				es = append(es, buckets[uint64(distinct[i])<<32|uint64(distinct[j])]...)
-			}
-		}
-		if len(es) == 0 {
-			// Nothing to build — and crucially, nothing any other shard
-			// count would have built either: the skip is a function of
-			// the edge set and tuple alone.
-			return nil
-		}
-		tr.Builds++
-		sg, err := repro.Build(repro.FromEdges(es), repro.Options{
-			MemoryWords: st.man.MemoryWords,
-			BlockWords:  st.man.BlockWords,
-			Workers:     req.Workers,
-		})
-		if err != nil {
-			return err
-		}
-		tr.CanonIOs += sg.CanonIOs()
-		// Keep exactly the emissions whose vertex-color multiset is the
-		// tuple: the sub-graph contains every edge among the tuple's
-		// colors, so it also finds matches belonging to sub-multisets —
-		// those belong to (and are found by) other tuples.
-		collect := func(vs []uint32) {
-			for i, v := range vs {
-				emColors[i] = col.Color(v)
-			}
-			slices.Sort(emColors)
-			for i := range emColors {
-				if emColors[i] != t[i] {
-					return
+		tasks = append(tasks, func(sp *extmem.Space, send func(tupleOut) bool) {
+			// The tuple's own Stats, peaks included: the pool's per-worker
+			// totals would mix in the tuples the worker drew before.
+			sp.ResetStats()
+			release := sp.LeaseAtMost(C*C + 1) // the offset index
+			edges, off := layOutTuple(sp, buckets, C, order)
+			solve := f.tupleSolver(C, col.Color)
+			var out tupleOut
+			emit := func(vs []uint32) { out.tuples = append(out.tuples, vs...) }
+			for more := true; more && out.err == nil; more = cluster.NextOrdering(order) {
+				// A cancelled query stops between orderings, as KClique
+				// stops between tuples.
+				if out.err = ctx.Err(); out.err == nil {
+					out.err = solve(sp, edges, off, order, emit)
 				}
 			}
-			flat = append(flat, vs...)
-		}
-		res, err := f.query(ctx, sg, sq, collect)
-		cerr := sg.Close()
-		if err != nil {
-			return err
-		}
-		if cerr != nil {
-			return cerr
-		}
-		tr.Stats.Add(wireStats(res.Stats))
+			release()
+			out.stats = sp.Stats()
+			send(out)
+		})
 		return nil
 	})
-	if err != nil {
+	tr.Subproblems = len(tasks)
+	workers := req.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cfg := extmem.Config{M: st.man.MemoryWords, B: st.man.BlockWords, Native: req.Native}
+	var solveErr error
+	_, err = extmem.RunOrdered(ctx, cfg, nil, tasks, workers, 1, func(_ int, out tupleOut) {
+		flat = append(flat, out.tuples...)
+		s := out.stats
+		tr.Stats.Add(cluster.IOStats{BlockReads: s.BlockReads, BlockWrites: s.BlockWrites, WordReads: s.WordReads,
+			WordWrites: s.WordWrites, PeakLeaseWords: s.PeakLease, PeakDiskWords: s.PeakAlloc})
+		solveErr = errors.Join(solveErr, out.err)
+	})
+	if err = errors.Join(err, solveErr); err != nil {
 		return nil, tr, err
 	}
 	cluster.SortTuples(flat, k)
@@ -245,12 +221,34 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 	return flat, tr, nil
 }
 
+// layOutTuple writes the buckets of every ordered pair of the tuple's
+// colors to one block-aligned extent of sp, in color-pair key order, and
+// returns it with its C²+1 offset index: bucket (a,b) at
+// [off[a·C+b], off[a·C+b+1]), empty unless both colors are in the tuple.
+// It flushes the writes, so the tuple's input is charged as written to
+// external memory before it is solved.
+func layOutTuple(sp *extmem.Space, buckets [][]extmem.Word, C int, tuple []int) (extmem.Extent, []int64) {
+	off := make([]int64, C*C+1)
+	for key := range C * C {
+		off[key+1] = off[key]
+		if slices.Contains(tuple, key/C) && slices.Contains(tuple, key%C) {
+			off[key+1] += int64(len(buckets[key]))
+		}
+	}
+	edges := sp.Alloc(off[C*C])
+	for key := range C * C {
+		edges.Slice(off[key], off[key+1]).Store(buckets[key][:off[key+1]-off[key]])
+	}
+	sp.Flush()
+	return edges, off
+}
+
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ShardQueryRequest
 	if !decodeBody(w, r, "shard query", &req) {
 		return
 	}
-	f, err := resolveFamily(req.Kind, req.K, req.Pattern, req.Algorithm)
+	f, err := clusterFamily(req.Kind, req.K, req.Pattern, req.Algorithm, s.shard.man.Colors)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -356,7 +354,7 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "cluster query", &req) {
 		return
 	}
-	f, err := resolveFamily(req.Kind, req.K, req.Pattern, req.Algorithm)
+	f, err := clusterFamily(req.Kind, req.K, req.Pattern, req.Algorithm, s.coord.Colors())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -379,7 +377,6 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		Vertices:    cr.Vertices,
 		Edges:       cr.Edges,
 		Subproblems: cr.Subproblems,
-		CanonIOs:    cr.CanonIOs,
 		Stats:       wireStats(cr.Stats),
 	}
 	for _, sr := range cr.Shards {
@@ -387,8 +384,6 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 			Index:       sr.Index,
 			Delivered:   sr.Delivered,
 			Subproblems: sr.Subproblems,
-			Builds:      sr.Builds,
-			CanonIOs:    sr.CanonIOs,
 			Stats:       wireStats(sr.Stats),
 		})
 	}

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/cluster"
 )
 
 // FuzzCursorDecode hammers the opaque-token codec: whatever bytes a
@@ -140,6 +143,76 @@ func FuzzQueryRequest(f *testing.F) {
 			lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
 			var tr QueryTrailer
 			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || tr.Error != "" {
+				t.Fatalf("body %q: stream ends in %q", body, lines[len(lines)-1])
+			}
+		}
+	})
+}
+
+// FuzzShardQueryRequest posts arbitrary bodies to the shard query handler
+// of a 1-shard partition. The shard must answer every one without a
+// panic or a 5xx: a 400, 409 or 413 carries an ErrorResponse, and a
+// streamed answer ends in a done trailer with no error. Its seeds include
+// a clique size that once made a shard allocate k words before checking
+// it. Each request carries a 2 s deadline, well inside the fuzzing
+// engine's 10 s limit per input: a legal query near the fan-out bound,
+// such as 11-cliques over the partition's 4 colors (4^11 orderings), runs
+// longer than that, and must then end as a timeout, not a 5xx.
+func FuzzShardQueryRequest(f *testing.F) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=300"), repro.Options{Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer g.Close()
+	pr, err := repro.Partition(context.Background(), g, repro.PartitionOptions{Dir: f.TempDir(), Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	man, err := cluster.Load(pr.ManifestPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sg, _, err := repro.Open(pr.Shards[0].Image, repro.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{})
+	f.Cleanup(func() { s.Close() })
+	if err := s.ServeShard(man, 0, sg); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+
+	for _, c := range familyValidationCases {
+		f.Add([]byte(c.body))
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `{"epoch":0}`, `{"epoch":3}`,
+		`{"kind":"cliques","k":1000000000000}`, `{"kind":"cliques","k":22}`,
+		`{"kind":"cliques","k":4,"workers":1000000000}`, `{"kind":"cliques","k":5,"native":true}`,
+		`{"kind":"match","pattern":"house","workers":-1}`, `{"algorithm":"deterministic"}`,
+		`{"kind":"cliques","k":9,"workers":1000000000}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, "POST", "/v1/cluster/shard/query", bytes.NewReader(body)))
+		switch code := rec.Code; {
+		case code >= 500:
+			t.Fatalf("body %q: status %d (%s)", body, code, rec.Body.Bytes())
+		case code == http.StatusBadRequest || code == http.StatusConflict || code == http.StatusRequestEntityTooLarge:
+			var e ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("body %q: %d without an ErrorResponse: %q", body, code, rec.Body.Bytes())
+			}
+		case code == http.StatusOK:
+			lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+			var tr cluster.ShardQueryTrailer
+			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.Done || tr.Error != "" {
 				t.Fatalf("body %q: stream ends in %q", body, lines[len(lines)-1])
 			}
 		}

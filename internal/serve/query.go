@@ -9,6 +9,10 @@ import (
 	"net/http"
 
 	"repro"
+	"repro/internal/cluster"
+	"repro/internal/extmem"
+	"repro/internal/subgraph"
+	"repro/internal/trienum"
 )
 
 // The daemon's one query path. The four query-shaped endpoints — graph
@@ -96,6 +100,16 @@ func resolveFamily(kind string, k int, patName, algName string) (family, error) 
 	return f, nil
 }
 
+// clusterFamily resolves a cluster query's family and refuses what the
+// cluster cannot run (cluster.CheckQuery). It sizes nothing by k.
+func clusterFamily(kind string, k int, pattern, algorithm string, colors int) (family, error) {
+	f, err := resolveFamily(kind, k, pattern, algorithm)
+	if err != nil {
+		return f, err
+	}
+	return f, cluster.CheckQuery(f.kind, f.alg.String(), colors, f.arity())
+}
+
 // arity is the number of vertices in one emission.
 func (f family) arity() int {
 	switch f.kind {
@@ -131,6 +145,44 @@ func (f family) gather(ctx context.Context, cl *repro.Cluster, q repro.Query, em
 	}
 	q.Algorithm = f.alg
 	return cl.TrianglesFunc(ctx, q, perTriangle(emit))
+}
+
+// tupleSolve solves one ordering of a color tuple over the color-pair
+// buckets laid out in edges at off, passing each match to emit.
+type tupleSolve func(sp *extmem.Space, edges extmem.Extent, off []int64, tuple []int, emit func([]uint32)) error
+
+// tupleSolver returns the solver of one color-tuple ordering for the
+// family — the one the single-process engine runs per tuple — under the
+// cluster coloring colorOf over C colors. It solves over the color-pair
+// buckets laid out in edges at off, emitting each match as original ids
+// in ascending order (by pattern position, for a match). The solver keeps
+// state between calls, so each task needs its own.
+//
+// A match's representative is the least of its Aut(H) orbit under the
+// ids the solver sees, and those are original ids here, so it is already
+// the embedding Pattern.Normalize picks: the stream needs no rewriting.
+func (f family) tupleSolver(C int, colorOf func(uint32) uint32) tupleSolve {
+	var info subgraph.Info
+	switch f.kind {
+	case "cliques":
+		var tables subgraph.CliqueTables
+		return func(sp *extmem.Space, edges extmem.Extent, off []int64, tuple []int, emit func([]uint32)) error {
+			return tables.Solve(sp, edges, off, C, tuple, &info, emit)
+		}
+	case "match":
+		// The engine's pattern, rebuilt from the public one: the same name
+		// and edges give the same automorphisms and search order, and the
+		// public pattern was built from them, so this cannot fail.
+		p := subgraph.MustPattern(f.pattern.Name(), f.pattern.K(), f.pattern.Edges())
+		return func(sp *extmem.Space, edges extmem.Extent, off []int64, tuple []int, emit func([]uint32)) error {
+			return p.SolveTuple(sp, edges, off, C, colorOf, tuple, &info, emit)
+		}
+	}
+	return func(sp *extmem.Space, edges extmem.Extent, off []int64, t []int, emit func([]uint32)) error {
+		pivots := t[1]*C + t[2]
+		trienum.SolveTriple(sp, edges, off, C, t[0], t[1], t[2], 0, off[pivots+1]-off[pivots], 0, perTriangle(emit))
+		return nil
+	}
 }
 
 // perTriangle adapts a vertex-slice callback to a triangle callback.

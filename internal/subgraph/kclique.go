@@ -45,7 +45,7 @@ type Info struct {
 // loop stays tractable for the larger k this package exists for. The
 // edges are distributed into the c² color-pair buckets by
 // graph.ColorBuckets, and each tuple is solved on flat tables
-// (cliqueTables).
+// (CliqueTables).
 func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, seed uint64, emit EmitK) (Info, error) {
 	var info Info
 	if k < 3 {
@@ -66,16 +66,15 @@ func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, se
 
 	// Iterate all c^k color tuples. A k-clique v1<...<vk with colors
 	// (ξ(v1),...,ξ(vk)) is found in exactly that tuple's subproblem.
-	tables := &cliqueTables{cands: make([][]extmem.Word, k)}
+	var tables CliqueTables
 	tuple := make([]int, k)
-	verts := make([]uint32, k)
 	var iterate func(pos int) error
 	iterate = func(pos int) error {
 		if pos == k {
 			if err := ctxutil.Err(ctx); err != nil {
 				return err
 			}
-			return tables.solve(sp, edges, off, c, tuple, verts, &info, emit)
+			return tables.Solve(sp, edges, off, c, tuple, &info, emit)
 		}
 		for t := 0; t < c; t++ {
 			tuple[pos] = t
@@ -103,9 +102,9 @@ func tupleColors(E int64, M, k, maxTuples int) int {
 	return c
 }
 
-// cliqueTables holds one color tuple's subproblem in flat arrays, reused
-// from tuple to tuple. For T loaded edges the state is at most 3T words,
-// which is what solve leases:
+// CliqueTables holds one color tuple's subproblem in flat arrays, reused
+// from tuple to tuple; the zero value is ready to use. For T loaded edges
+// the state is at most 3T words, which is what Solve leases:
 //
 //	load   T  the tuple's distinct buckets, read range by range
 //	nbr    T  v<<32 | ξ(v) for each loaded edge (u,v), in canonical order
@@ -116,16 +115,21 @@ func tupleColors(E int64, M, k, maxTuples int) int {
 // Colors come from bucket names — an edge of E_{a,b} joins a color-a cone
 // to a color-b neighbour — so the solver never hashes. The per-position
 // candidate lists (cands) are subsets of one nbr group.
-type cliqueTables struct {
+type CliqueTables struct {
 	load, nbr, cones []extmem.Word
 	cands            [][]extmem.Word
+	verts            []uint32
 }
 
-// solve enumerates the properly colored k-cliques of one color tuple: it
-// loads the union of the tuple's C(k,2) buckets and extends cliques
-// depth-first in ascending vertex order, so the stream is a pure function
-// of the subproblem.
-func (t *cliqueTables) solve(sp *extmem.Space, edges extmem.Extent, off []int64, c int, tuple []int, verts []uint32, info *Info, emit EmitK) error {
+// Solve enumerates the properly colored k-cliques of one color tuple,
+// k = len(tuple): the cliques v0 < … < v(k-1) with ξ(vi) = tuple[i], over
+// the color-pair buckets laid out in edges, bucket (a,b) at
+// [off[a·c+b], off[a·c+b+1]). It loads the union of the tuple's C(k,2)
+// buckets and extends cliques depth-first in ascending vertex order, so
+// the stream is a pure function of the subproblem. It is the one clique
+// tuple solver: KClique and the cluster shards, which lay out only the
+// buckets of their owned color tuples, both call it.
+func (t *CliqueTables) Solve(sp *extmem.Space, edges extmem.Extent, off []int64, c int, tuple []int, info *Info, emit EmitK) error {
 	// The distinct bucket ranges of the position pairs; the pair (0,1)
 	// comes first, so range 0 is E_{τ0,τ1}.
 	type rng struct{ lo, hi int64 }
@@ -192,6 +196,11 @@ func (t *cliqueTables) solve(sp *extmem.Space, edges extmem.Extent, off []int64,
 
 	// Start vertices: the cones of E_{τ0,τ1}, ascending. A color-τ0 cone
 	// with no neighbour of color τ1 starts no clique.
+	if len(t.cands) < k {
+		t.cands = make([][]extmem.Word, k)
+	}
+	t.verts = slices.Grow(t.verts[:0], k)[:k]
+	verts := t.verts
 	prev := ^extmem.Word(0)
 	for _, e := range t.load[:end[0]] {
 		if v := e >> 32; v != prev {
@@ -206,7 +215,7 @@ func (t *cliqueTables) solve(sp *extmem.Space, edges extmem.Extent, off []int64,
 // extend places position pos of the clique: every candidate of color
 // τ_pos, in ascending order, followed by the candidates after it that are
 // also its neighbours.
-func (t *cliqueTables) extend(pos int, cands []extmem.Word, tuple []int, verts []uint32, info *Info, emit EmitK) {
+func (t *CliqueTables) extend(pos int, cands []extmem.Word, tuple []int, verts []uint32, info *Info, emit EmitK) {
 	want := extmem.Word(tuple[pos])
 	for i, e := range cands {
 		if e&0xffffffff != want {
@@ -224,7 +233,7 @@ func (t *cliqueTables) extend(pos int, cands []extmem.Word, tuple []int, verts [
 }
 
 // adj returns cone vertex v's group of nbr, empty if v is no cone.
-func (t *cliqueTables) adj(v extmem.Word) []extmem.Word {
+func (t *CliqueTables) adj(v extmem.Word) []extmem.Word {
 	i, _ := slices.BinarySearchFunc(t.cones, v, func(c, v extmem.Word) int { return cmp.Compare(c>>32, v) })
 	if i == len(t.cones) || t.cones[i]>>32 != v {
 		return nil

@@ -18,10 +18,12 @@ import (
 // this type carries the pattern and its automorphism group, which the
 // enumerator uses to emit every copy of H exactly once.
 type Pattern struct {
-	k    int
-	adj  []uint8
-	auts [][]int // automorphism permutations of {0..k-1}
-	name string
+	k     int
+	adj   []uint8
+	auts  [][]int // automorphism permutations of {0..k-1}
+	order []int   // connected search order (searchOrder)
+	back  []uint8 // per search step, the earlier H-neighbours
+	name  string
 }
 
 // NewPattern builds a pattern from an edge list over vertices 0..k-1.
@@ -44,6 +46,7 @@ func NewPattern(name string, k int, edges [][2]int) (*Pattern, error) {
 		return nil, fmt.Errorf("subgraph: pattern %q is not connected", name)
 	}
 	p.auts = p.automorphisms()
+	p.order, p.back = p.searchOrder()
 	return p, nil
 }
 
@@ -303,7 +306,6 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 	col := hashing.NewColoring(hashing.NewRand(seed), c)
 	edges, off := graph.ColorBuckets(sp, g.Edges, col.Color, c)
 
-	order, back := p.searchOrder()
 	tuple := make([]int, p.k)
 	var iterate func(pos int) error
 	iterate = func(pos int) error {
@@ -311,7 +313,7 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 			if err := ctxutil.Err(ctx); err != nil {
 				return err
 			}
-			return p.solvePatternTuple(sp, edges, off, c, col.Color, tuple, order, back, &info, emit)
+			return p.SolveTuple(sp, edges, off, c, col.Color, tuple, &info, emit)
 		}
 		for t := 0; t < c; t++ {
 			tuple[pos] = t
@@ -325,9 +327,16 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 	return info, err
 }
 
-// solvePatternTuple loads the union of the buckets needed by the tuple
-// and enumerates embeddings in internal memory.
-func (p *Pattern) solvePatternTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple, order []int, back []uint8, info *Info, emit EmitK) error {
+// SolveTuple enumerates the embeddings of one color tuple — position i
+// mapped to a vertex of color tuple[i] under colorOf — over the color-pair
+// buckets laid out in edges, bucket (a,b) at [off[a·c+b], off[a·c+b+1]):
+// it loads the union of the buckets the tuple needs and enumerates in
+// internal memory, emitting each Aut(H) orbit's lexicographically least
+// embedding. It is the one pattern tuple solver: Enumerate and the
+// cluster shards, which lay out only the buckets of their owned color
+// tuples, both call it.
+func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple []int, info *Info, emit EmitK) error {
+	order, back := p.order, p.back
 	// Bucket for an H-edge (i, j): G stores an edge under the color pair
 	// (ξ(min), ξ(max)); since we do not know which mapped endpoint will be
 	// smaller, take both (τi, τj) and (τj, τi).

@@ -65,11 +65,15 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 
-// solveTriple solves the pivot rows [pivLo, pivHi) of one color triple
-// (τ1,τ2,τ3): merge the (distinct) cone buckets E_{τ1,τ2} and E_{τ1,τ3}
-// into scratch, preserving sort order, and run the kernel with pivots
-// E_{τ2,τ3}[pivLo, pivHi) and an explicit kernel chunk size (0 =
-// automatic). The whole triple is the range [0, |E_{τ2,τ3}|).
+// SolveTriple solves the pivot rows [pivLo, pivHi) of one color triple
+// (τ1,τ2,τ3) of the color-pair buckets laid out in edges, bucket (a,b) at
+// [off[a·c+b], off[a·c+b+1]): merge the (distinct) cone buckets E_{τ1,τ2}
+// and E_{τ1,τ3} into scratch it allocates on sp, preserving sort order,
+// and run the kernel with pivots E_{τ2,τ3}[pivLo, pivHi) and an explicit
+// kernel chunk size (0 = automatic). The whole triple is the range
+// [0, |E_{τ2,τ3}|). It is the one triple solver: the engine's tasks
+// (solveColoredParallel) and the cluster shards, which lay out only the
+// buckets of their owned color tuples, both call it.
 //
 // The two cone buckets are all the triple needs. A triangle v<u<w of
 // colors (τ1,τ2,τ3) has cone edges (v,u) ∈ E_{τ1,τ2} and (v,w) ∈ E_{τ1,τ3}
@@ -86,12 +90,20 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 // the native mode's work-stealing grain: a skewed triple splits into
 // per-chunk tasks the engine's dynamic dispatch balances across workers
 // (parallel.go), at the price of re-merging the cone buckets per chunk.
-func solveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, scratch extmem.Extent, emit graph.Emit) {
-	parts := []extmem.Extent{bucketAt(edges, off, c, t1, t2)}
-	if t3 != t2 { // else E_{τ1,τ3} is E_{τ1,τ2}
-		parts = append(parts, bucketAt(edges, off, c, t1, t3))
+func SolveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, pivLo, pivHi int64, memEdges int, emit graph.Emit) {
+	cone12, cone13 := bucketAt(edges, off, c, t1, t2), bucketAt(edges, off, c, t1, t3)
+	if pivLo >= pivHi || cone12.Len() == 0 || cone13.Len() == 0 {
+		return // an edge of every triangle of the triple is missing
 	}
-	cones := mergeSortedInto(scratch, parts)
+	parts := []extmem.Extent{cone12}
+	if t3 != t2 { // else E_{τ1,τ3} is E_{τ1,τ2}
+		parts = append(parts, cone13)
+	}
+	mark := sp.Mark()
+	defer sp.Release(mark)
+	// Scratch for the cone-bucket merge; the two named buckets bound its
+	// size even when τ2 = τ3 and they alias.
+	cones := mergeSortedInto(sp.Alloc(cone12.Len()+cone13.Len()), parts)
 	// A nil ctx never cancels: the engine cancels between tasks.
 	_ = kernel(nil, sp, cones, bucketAt(edges, off, c, t2, t3).Slice(pivLo, pivHi), memEdges, emit)
 }

@@ -14,12 +14,13 @@ import (
 // in edges. I/O complexity O(E/B + E'·E/(M·B)) where E' = |pivots|.
 //
 // edges must be sorted canonically (so each cone vertex's forward
-// adjacency list is consecutive). pivots need not be sorted. Vertex id
-// 2^32-1 is reserved (see reservedVertex); a pivot endpoint equal to it
-// panics. memEdges caps how many pivot edges are loaded per iteration;
-// pass 0 to size it automatically from the Space's configured memory.
+// adjacency list is consecutive). pivots need not be sorted. Every uint32
+// is a valid vertex id, 2^32-1 included (see reservedVertex): the cluster
+// shards run the kernel over original ids, not ranks. memEdges caps how
+// many pivot edges are loaded per iteration; pass 0 to size it
+// automatically from the Space's configured memory.
 // The color-coded algorithms keep each triangle in exactly one subproblem
-// through the edges they pass (see solveTriple).
+// through the edges they pass (see SolveTriple).
 //
 // ctx (which may be nil) is checked between pivot chunks — each chunk is
 // one full scan of the edge set, the algorithm's natural pass boundary —
@@ -82,9 +83,10 @@ func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) 
 	c.flush(emit)
 }
 
-// reservedVertex is the one vertex id the kernel cannot take: its tables
-// store a vertex u as u+1 so that a zero slot is free. Ranks lie in
-// [0, NumVertices), so only a graph of 2^32 vertices could reach it.
+// reservedVertex is the one vertex id the hashed Γ slots cannot hold: they
+// store a vertex u as u+1 so that a zero slot is free. It gets the slot
+// past the hashed ones instead, whose gamma entry stays 0, so the u+1
+// decoding (0-1 wraps to 2^32-1) names it like any other slot.
 const reservedVertex = ^uint32(0)
 
 // chunkTables is the internal-memory state of one pivot chunk: flat
@@ -101,17 +103,19 @@ const reservedVertex = ^uint32(0)
 //	              v with that vertex in Γ_v
 //	lv      ≤ P   Γ_v as Γ slots, at most 2P uint32
 //
-// six words per pivot edge in all, which is what the kernel leases. Each
+// six words per pivot edge in all, which is what the kernel leases; gamma
+// and mark carry one more uint32 each, the slot of reservedVertex. Each
 // cone vertex gets a fresh epoch, so Γ_v's membership set (mark) empties
 // without a clear.
 type chunkTables struct {
 	pivots []extmem.Word
 	pset   []uint32
-	gamma  []uint32
+	gamma  []uint32 // the 3P hashed slots, then reservedVertex's slot
 	mark   []uint32
 	lv     []uint32 // Γ_v in ascending vertex order (edges are sorted)
 	curV   uint32
 	epoch  uint32 // mark stamp of curV's group; 0 before the first group
+	top    int    // reservedVertex's slot, or -1 while it is not in Γ_mem
 }
 
 func newChunkTables(chunk extmem.Extent) *chunkTables {
@@ -119,9 +123,10 @@ func newChunkTables(chunk extmem.Extent) *chunkTables {
 	c := &chunkTables{
 		pivots: make([]extmem.Word, p),
 		pset:   make([]uint32, 2*p),
-		gamma:  make([]uint32, 3*p),
-		mark:   make([]uint32, 3*p),
+		gamma:  make([]uint32, 3*p+1),
+		mark:   make([]uint32, 3*p+1),
 		lv:     make([]uint32, 0, 2*p),
+		top:    -1,
 	}
 	chunk.Load(c.pivots)
 	for i, e := range c.pivots {
@@ -141,10 +146,11 @@ func homeSlot(key uint64, n int) int {
 
 // gammaInsert returns u's Γ slot, adding u if absent.
 func (c *chunkTables) gammaInsert(u uint32) int {
+	n := len(c.gamma) - 1
 	if u == reservedVertex {
-		panic("trienum: kernel vertex id 2^32-1 is reserved")
+		c.top = n
+		return n
 	}
-	n := len(c.gamma)
 	for i := homeSlot(uint64(u), n); ; {
 		if k := c.gamma[i]; k == 0 || k == u+1 {
 			c.gamma[i] = u + 1
@@ -157,12 +163,16 @@ func (c *chunkTables) gammaInsert(u uint32) int {
 }
 
 // gammaFind returns u's Γ slot, or -1 if u is not in Γ_mem. The free-slot
-// case comes first, so the reserved id (u+1 == 0) is never found.
+// case comes first, so reservedVertex (u+1 == 0) probes to a free slot
+// like any absent vertex and only then is looked up in its own slot.
 func (c *chunkTables) gammaFind(u uint32) int {
-	n := len(c.gamma)
+	n := len(c.gamma) - 1
 	for i := homeSlot(uint64(u), n); ; {
 		switch c.gamma[i] {
 		case 0:
+			if u == reservedVertex {
+				return c.top
+			}
 			return -1
 		case u + 1:
 			return i

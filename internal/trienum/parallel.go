@@ -248,9 +248,6 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	var tasks []shardTask
 	forEachTriple(off, c, func(t1, t2, t3 int) {
 		info.Subproblems++
-		// Scratch for the cone-bucket merge; the two named buckets bound
-		// its size even when τ2 = τ3 and they alias.
-		need := bucketAt(buckets, off, c, t1, t2).Len() + bucketAt(buckets, off, c, t1, t3).Len()
 		nPiv := bucketAt(buckets, off, c, t2, t3).Len()
 		solve := func(lo, hi int64, chunk int) shardTask {
 			return func(shard *extmem.Space, emit graph.Emit) {
@@ -259,7 +256,7 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
-				solveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, chunk, shard.Alloc(need), emit)
+				SolveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, chunk, emit)
 			}
 		}
 		if !chunked || nPiv <= int64(memEdges) {

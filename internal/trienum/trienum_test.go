@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,10 +255,11 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 	}
 }
 
-// TestKernelReservedVertex pins the precondition of the kernel's tables:
-// vertex id 2^32-1 may not be a pivot endpoint (it panics), and as a
-// non-pivot neighbour in the edge scan it is never taken for a Γ_mem
-// vertex.
+// TestKernelReservedVertex pins vertex id 2^32-1, which the Γ table's
+// u+1 encoding cannot hold: as a non-pivot neighbour in the edge scan it
+// is never taken for a Γ_mem vertex, and as a pivot endpoint it is found
+// through its own slot. (The "maxID" kernel cases run it through both
+// enumeration branches against the reference.)
 func TestKernelReservedVertex(t *testing.T) {
 	r := reservedVertex
 	scanOnly := kernelCase{
@@ -271,12 +271,11 @@ func TestKernelReservedVertex(t *testing.T) {
 	if got := runKernel(t, scanOnly, 0); !slices.Equal(got, want) {
 		t.Errorf("reserved id in the scan: got %v, want %v", got, want)
 	}
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "reserved") {
-			t.Errorf("pivot endpoint 2^32-1: recovered %q, want a panic about the reserved id", msg)
-		}
-	}()
-	runKernel(t, kernelCase{name: "pivot", edges: scanOnly.edges, pivots: []extmem.Word{graph.Pack(5, r)}}, 0)
+	pivot := kernelCase{name: "pivot", edges: scanOnly.edges, pivots: []extmem.Word{graph.Pack(5, r)}}
+	want = []graph.Triple{{V1: 0, V2: 5, V3: r}}
+	if got := runKernel(t, pivot, 0); !slices.Equal(got, want) {
+		t.Errorf("pivot endpoint 2^32-1: got %v, want %v", got, want)
+	}
 }
 
 // kernelCase is a hand-built kernel input: edges sorted canonically, and
@@ -315,6 +314,27 @@ func kernelCases() []kernelCase {
 	k6Reversed := slices.Clone(k6)
 	slices.Reverse(k6Reversed)
 	cases = append(cases, kernelCase{"k6", k6, k6}, kernelCase{"k6Reversed", k6, k6Reversed})
+
+	// K10 on 0..4, 2^32-1, and four ids whose hashed home slot in the
+	// 45-slot Γ table of a 15-pivot chunk is 2^32-1's: its lookups probe
+	// past them. The pivots are the pairs among the four and 2^32-1, and
+	// 2^32-1 with each of 0..4, so it is a Γ_mem vertex seen by every cone
+	// vertex under both enumeration branches.
+	maxID := append([]uint32{0, 1, 2, 3, 4, reservedVertex}, collidingIDs(45, homeSlot(uint64(reservedVertex), 45), 4, 1000)...)
+	var maxEdges, maxPivots []extmem.Word
+	for i, u := range maxID {
+		for _, w := range maxID[i+1:] {
+			e := graph.PackOrdered(u, w)
+			maxEdges = append(maxEdges, e)
+			if min(u, w) >= 1000 || max(u, w) == reservedVertex {
+				maxPivots = append(maxPivots, e)
+			}
+		}
+	}
+	cases = append(cases,
+		kernelCase{"maxID", sorted(maxEdges), maxPivots},
+		kernelCase{"maxIDUnsortedPivots", sorted(maxEdges), shuffled(maxPivots, 5)},
+	)
 
 	// Six ids whose home slots coincide in the Γ table of a 15-pivot
 	// chunk (45 slots): four at the last slot, two at slot 0, so the

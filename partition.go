@@ -17,11 +17,18 @@ type PartitionOptions struct {
 	// Shards is the shard count S (>= 1). Each shard owns a contiguous
 	// color range; S may not exceed Colors.
 	Shards int
-	// Colors is the cluster color count C (0 defaults to
-	// max(4, Shards); at most 32). A query of tuple size k decomposes
-	// into one subproblem per nondecreasing color k-tuple, so C governs
-	// the fan-out: small C means few, coarse subproblems; large C means
-	// many fine ones.
+	// Colors is the cluster color count C, at most 32. A query of tuple
+	// size k decomposes into one subproblem per nondecreasing color
+	// k-tuple, so C governs the fan-out: small C means few, coarse
+	// subproblems; large C means many fine ones. A cluster refuses a
+	// query whose C^k color-tuple orderings exceed 2^22 (so 5-vertex
+	// queries need C ≤ 21, 6-vertex ones C ≤ 12). 0 picks the paper's
+	// c = ⌈√(E/M)⌉ for the graph's E edges and MemoryWords M, at least
+	// 4 and at most 21, then at least Shards: a shard solves each
+	// triangle color triple with the Lemma 2 kernel on its buckets alone,
+	// which stays within the paper's bound only while E/C² = O(M), and
+	// the cap of 21 keeps 5-cliques and the house pattern runnable on a
+	// default partition of up to 21 shards.
 	Colors int
 	// Seed derives the cluster coloring — a 4-wise independent hash of
 	// original vertex ids, fixed for the cluster's lifetime (0 defaults
@@ -30,6 +37,11 @@ type PartitionOptions struct {
 	// on it.
 	Seed uint64
 }
+
+// defaultMaxColors caps the color count Partition picks when Colors is 0:
+// the largest C whose C^5 color-tuple orderings stay within
+// cluster.MaxOrderings, so 5-vertex queries run on a default partition.
+const defaultMaxColors = 21
 
 // PartitionShard describes one shard Partition produced.
 type PartitionShard struct {
@@ -92,10 +104,11 @@ func Partition(ctx context.Context, g *Graph, po PartitionOptions) (PartitionRes
 	}
 	colors := po.Colors
 	if colors == 0 {
-		colors = 4
-		if po.Shards > colors {
-			colors = po.Shards
+		c := 4
+		for c < defaultMaxColors && int64(c*c)*int64(g.opts.MemoryWords) < g.NumEdges() {
+			c++
 		}
+		colors = max(c, po.Shards)
 	}
 	if colors > cluster.MaxColors {
 		return pr, fmt.Errorf("repro: Partition supports at most %d colors, got %d", cluster.MaxColors, colors)
