@@ -50,12 +50,14 @@ BENCHTIME ?= 1x
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run='^$$' ./...
 
-# The benchmarks the CI regression gate watches — E9 (k-cliques), E10
-# (sorting), E13 (the triangle pipeline) and E15 (the parallel sort) —
-# written to a file that bench-compare can consume as OLD= or NEW=.
+# The benchmarks the CI regression gate watches — E2Oblivious (the
+# parallel cache-oblivious engine), E9 (k-cliques), E10 (sorting), E13
+# (the triangle pipeline) and E15 (the parallel sort) — written to a file
+# that bench-compare can consume as OLD= or NEW=. The pattern names
+# E2Oblivious, not E2, which would also match E21, E22 and E23.
 OUT ?= bench-gated.txt
 bench-gated:
-	$(GO) test -bench='E9|E10|E13|E15' -benchtime=$(BENCHTIME) -run='^$$' . | tee $(OUT)
+	$(GO) test -bench='E2Oblivious|E9|E10|E13|E15' -benchtime=$(BENCHTIME) -run='^$$' . | tee $(OUT)
 
 # Gate NEW against OLD on the deterministic block-I/O metric, as CI does:
 #   make bench-gated OUT=old.txt   (on the baseline commit)
@@ -64,7 +66,7 @@ bench-gated:
 OLD ?= bench-old.txt
 NEW ?= bench-new.txt
 bench-compare:
-	$(GO) run ./cmd/benchgate -match 'E9|E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match 'E2Oblivious|E9|E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
 
 # The end-to-end benchmark is a nested module (bench/go.mod), so the
 # root build, vet and test skip it; it imports internal names, so vet and

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchgate -match 'E9|E10|E13|E15' -metric IOs -max-regress 20 old.txt new.txt
+//	benchgate -match 'E2Oblivious|E9|E10|E13|E15' -metric IOs -max-regress 20 old.txt new.txt
 //	benchgate -json new.txt > BENCH_<sha>.json
 //
 // The default gated metric is the simulated block-I/O count ("IOs"), which

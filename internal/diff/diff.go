@@ -46,18 +46,17 @@
 // order is a pure function of (canonical image, anchors, spec) —
 // anchors ascending, then the deterministic per-anchor search order —
 // and both the emissions and the Space's I/O statistics are invariant
-// in workers. Parallelism partitions the anchors into fixed-size
-// chunks solved concurrently into private buffers that are drained in
-// chunk order, and phase 1 (all the I/O) is sequential by
-// construction.
+// in workers. Phase 1 (all the I/O) runs on the caller. Phase 2 runs on
+// the ordered worker pool, extmem.RunOrdered: each fixed-size chunk of
+// anchors is one task whose output is the chunk's copies, and the pool
+// hands the outputs on in chunk order, so the worker count decides only
+// which chunks run at once.
 package diff
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/ctxutil"
 	"repro/internal/extmem"
@@ -84,8 +83,8 @@ type Info struct {
 	Anchors int
 }
 
-// anchorChunk is the fixed parallel work grain: anchors are solved in
-// chunks of this size whose emission buffers are drained in chunk
+// anchorChunk is the fixed parallel work grain: each chunk of this many
+// anchors is one pool task, and the chunks' copies are emitted in chunk
 // order, so the stream is identical at every worker count.
 const anchorChunk = 64
 
@@ -99,7 +98,8 @@ const anchorChunk = 64
 // ranks, ascending); the slice is only valid during the call. workers
 // bounds the search parallelism; emissions and the Space's statistics
 // are invariant in it. ctx is checked cooperatively during scans and
-// between anchors; it may be nil.
+// between anchors; it may be nil. A cancelled pass returns ctx's error,
+// and the copies emitted before it are a prefix of the full stream.
 func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors []extmem.Word, spec Spec, workers int, emit func(verts []uint32)) (Info, error) {
 	var info Info
 	k := spec.K
@@ -137,72 +137,43 @@ func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors
 		plans = seedPlans(spec.Pattern)
 	}
 
-	chunks := (len(anchors) + anchorChunk - 1) / anchorChunk
-	runChunk := func(ci int, buf *[][]uint32) error {
-		lo := ci * anchorChunk
-		hi := lo + anchorChunk
-		if hi > len(anchors) {
-			hi = len(anchors)
-		}
-		for _, e := range anchors[lo:hi] {
-			if err := ctxutil.Err(ctx); err != nil {
-				return err
-			}
-			if spec.Pattern != nil {
-				anchorPattern(spec.Pattern, plans, e, adj, anchorSet, buf)
-			} else {
-				anchorClique(k, e, adj, anchorSet, buf)
-			}
-		}
-		return nil
-	}
-
-	results := make([][][]uint32, chunks)
-	if workers <= 1 || chunks <= 1 {
-		for ci := 0; ci < chunks; ci++ {
-			if err := runChunk(ci, &results[ci]); err != nil {
-				return info, err
-			}
-		}
-	} else {
-		if workers > chunks {
-			workers = chunks
-		}
-		var next atomic.Int64
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= chunks {
-						return
-					}
-					if errs[w] = runChunk(ci, &results[ci]); errs[w] != nil {
-						return
-					}
+	// One pool task per chunk of anchors; its output is the chunk's copies.
+	// The search reads no blocks, so the shards are native.
+	var tasks []extmem.ShardTask[[][]uint32]
+	for lo := 0; lo < len(anchors); lo += anchorChunk {
+		chunk := anchors[lo:min(lo+anchorChunk, len(anchors))]
+		tasks = append(tasks, func(_ *extmem.Space, send func([][]uint32) bool) {
+			var buf [][]uint32
+			for _, e := range chunk {
+				if ctxutil.Err(ctx) != nil {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return info, err
+				if spec.Pattern != nil {
+					anchorPattern(spec.Pattern, plans, e, adj, anchorSet, &buf)
+				} else {
+					anchorClique(k, e, adj, anchorSet, &buf)
+				}
 			}
-		}
+			send(buf)
+		})
 	}
-
-	for _, chunk := range results {
-		for _, verts := range chunk {
+	cfg := sp.Config()
+	cfg.Native = true
+	_, err = extmem.RunOrdered(ctx, cfg, nil, tasks, workers, 1, func(_ int, copies [][]uint32) {
+		if ctxutil.Err(ctx) != nil {
+			return // a task may have stopped short: keep the output a prefix
+		}
+		for _, verts := range copies {
 			info.Matches++
 			if emit != nil {
 				emit(verts)
 			}
 		}
+	})
+	if err == nil {
+		err = ctxutil.Err(ctx)
 	}
-	return info, nil
+	return info, err
 }
 
 // plan returns the closure radius (scan rounds collecting full
@@ -341,8 +312,8 @@ func anchorClique(k int, e extmem.Word, adj map[uint32][]uint32, anchorSet map[e
 			verts = append(verts, w)
 			if len(verts) == k {
 				if minimalAnchor(verts, e, anchorSet) {
-					out := append([]uint32(nil), verts...)
-					sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+					out := slices.Clone(verts)
+					slices.Sort(out)
 					*buf = append(*buf, out)
 				}
 			} else {
@@ -384,9 +355,8 @@ func anchorPattern(p *subgraph.Pattern, plans []patternSeed, e extmem.Word, adj 
 	k := p.K()
 	assign := make([]uint32, k)
 	has := func(a, b uint32) bool {
-		l := adj[a]
-		i := sort.Search(len(l), func(i int) bool { return l[i] >= b })
-		return i < len(l) && l[i] == b
+		_, ok := slices.BinarySearch(adj[a], b)
+		return ok
 	}
 	for _, seed := range plans {
 		assign[seed.i], assign[seed.j] = u, v
@@ -491,17 +461,7 @@ func intersectSorted(a, b []uint32) []uint32 {
 
 // dedupSorted sorts a copy of ws ascending and drops duplicates.
 func dedupSorted(ws []extmem.Word) []extmem.Word {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := append([]extmem.Word(nil), ws...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[n-1] {
-			out[n] = out[i]
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(ws)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

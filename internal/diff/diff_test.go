@@ -378,3 +378,46 @@ func TestPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffMultiChunk runs passes of more than three anchor chunks, so the
+// pool hands several chunks' copies on in order. At every worker count
+// the emissions, their order, the Info and the block I/O must be those of
+// Workers=1, and the copies exactly the brute-force difference.
+func TestDiffMultiChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 70
+	old := make(edgeSet)
+	for len(old) < 700 {
+		old.add(rng.Uint32()%n, rng.Uint32()%n)
+	}
+	next := old.clone()
+	var addIDs []extmem.Word
+	for len(addIDs) < 3*anchorChunk+5 {
+		a, b := rng.Uint32()%n, rng.Uint32()%n
+		if _, ok := next[graph.Pack(a, b)]; a != b && !ok {
+			next.add(a, b)
+			addIDs = append(addIDs, graph.Pack(a, b))
+		}
+	}
+	for _, spec := range []Spec{{K: 3}, {K: 4}, {Pattern: subgraph.Diamond}} {
+		t.Run(specName(spec), func(t *testing.T) {
+			want := setDiff(bruteforce(next, spec), bruteforce(old, spec))
+			base, baseStats, baseInfo := runPass(t, next, addIDs, spec, 1)
+			if baseInfo.Anchors <= 3*anchorChunk {
+				t.Fatalf("%d anchors: want more than %d", baseInfo.Anchors, 3*anchorChunk)
+			}
+			if !reflect.DeepEqual(asSet(t, base), want) {
+				t.Fatalf("added mismatch: got %d copies, want %d", len(base), len(want))
+			}
+			for _, workers := range []int{2, 4} {
+				got, stats, info := runPass(t, next, addIDs, spec, workers)
+				if !reflect.DeepEqual(got, base) {
+					t.Fatalf("workers=%d: emissions differ from workers=1", workers)
+				}
+				if stats != baseStats || !reflect.DeepEqual(info, baseInfo) {
+					t.Fatalf("workers=%d: stats %+v info %+v, workers=1 %+v %+v", workers, stats, info, baseStats, baseInfo)
+				}
+			}
+		})
+	}
+}

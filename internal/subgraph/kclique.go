@@ -64,28 +64,37 @@ func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, se
 	info.Colors = c
 	edges, off := graph.ColorBuckets(sp, g.Edges, hashing.NewColoring(hashing.NewRand(seed), c).Color, c)
 
-	// Iterate all c^k color tuples. A k-clique v1<...<vk with colors
-	// (ξ(v1),...,ξ(vk)) is found in exactly that tuple's subproblem.
+	// A k-clique v1<...<vk with colors (ξ(v1),...,ξ(vk)) is found in
+	// exactly that tuple's subproblem.
 	var tables CliqueTables
-	tuple := make([]int, k)
-	var iterate func(pos int) error
-	iterate = func(pos int) error {
-		if pos == k {
-			if err := ctxutil.Err(ctx); err != nil {
-				return err
-			}
-			return tables.Solve(sp, edges, off, c, tuple, &info, emit)
-		}
-		for t := 0; t < c; t++ {
-			tuple[pos] = t
-			if err := iterate(pos + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := iterate(0)
+	err := forEachTuple(ctx, c, k, func(tuple []int) error {
+		return tables.Solve(sp, edges, off, c, tuple, &info, emit)
+	})
 	return info, err
+}
+
+// forEachTuple calls solve on each of the c^k color tuples of length k,
+// in lexicographic order, checking ctx (which may be nil) before each. It
+// stops at the first error. The tuple slice is reused between calls.
+func forEachTuple(ctx context.Context, c, k int, solve func(tuple []int) error) error {
+	tuple := make([]int, k)
+	for {
+		if err := ctxutil.Err(ctx); err != nil {
+			return err
+		}
+		if err := solve(tuple); err != nil {
+			return err
+		}
+		i := k - 1
+		for i >= 0 && tuple[i] == c-1 {
+			tuple[i] = 0
+			i--
+		}
+		if i < 0 {
+			return nil
+		}
+		tuple[i]++
+	}
 }
 
 // tupleColors is the color count of the Section 6 decomposition: the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ctxutil"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
@@ -249,10 +248,21 @@ func (p *Pattern) AnchoredOrder(i, j int) (order []int, back []uint8) {
 
 // IsMinimalEmbedding reports whether assign is the representative its
 // Aut(H) orbit emits: the position-to-vertex tuple lexicographically
-// minimal among all automorphic reshuffles — the same test the
-// enumerator applies before emitting.
+// minimal among all automorphic reshuffles — the test the enumerator
+// applies before emitting, so each orbit is emitted exactly once.
 func (p *Pattern) IsMinimalEmbedding(assign []uint32) bool {
-	return p.isCanonicalEmbedding(assign)
+	for _, sigma := range p.auts {
+		for i := 0; i < p.k; i++ {
+			a, b := assign[i], assign[sigma[i]]
+			if a < b {
+				break // current tuple is smaller than this reshuffle
+			}
+			if a > b {
+				return false // a strictly smaller automorphic image exists
+			}
+		}
+	}
+	return true
 }
 
 // Minimize rewrites assign in place to the lexicographically minimal
@@ -306,24 +316,9 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 	col := hashing.NewColoring(hashing.NewRand(seed), c)
 	edges, off := graph.ColorBuckets(sp, g.Edges, col.Color, c)
 
-	tuple := make([]int, p.k)
-	var iterate func(pos int) error
-	iterate = func(pos int) error {
-		if pos == p.k {
-			if err := ctxutil.Err(ctx); err != nil {
-				return err
-			}
-			return p.SolveTuple(sp, edges, off, c, col.Color, tuple, &info, emit)
-		}
-		for t := 0; t < c; t++ {
-			tuple[pos] = t
-			if err := iterate(pos + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := iterate(0)
+	err := forEachTuple(ctx, c, p.k, func(tuple []int) error {
+		return p.SolveTuple(sp, edges, off, c, col.Color, tuple, &info, emit)
+	})
 	return info, err
 }
 
@@ -385,8 +380,8 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
 		starts = append(starts, v)
 	}
-	// Sorted start order, as in solveTuple: the embedding stream must be
-	// a pure function of the subproblem, identical across runs.
+	// Sorted start order: the embedding stream must be a pure function of
+	// the subproblem, identical across runs.
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	has := func(a, b uint32) bool {
 		l := adj[a]
@@ -398,7 +393,7 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 	var walk func(step int)
 	walk = func(step int) {
 		if step == p.k {
-			if p.isCanonicalEmbedding(assign) {
+			if p.IsMinimalEmbedding(assign) {
 				info.Cliques++
 				emit(assign)
 			}
@@ -454,22 +449,4 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 		walk(1)
 	}
 	return nil
-}
-
-// isCanonicalEmbedding keeps exactly one representative per Aut(H) orbit:
-// the embedding whose position-to-vertex tuple is lexicographically
-// minimal among all automorphic reshuffles.
-func (p *Pattern) isCanonicalEmbedding(assign []uint32) bool {
-	for _, sigma := range p.auts {
-		for i := 0; i < p.k; i++ {
-			a, b := assign[i], assign[sigma[i]]
-			if a < b {
-				break // current tuple is smaller than this reshuffle
-			}
-			if a > b {
-				return false // a strictly smaller automorphic image exists
-			}
-		}
-	}
-	return true
 }

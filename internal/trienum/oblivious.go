@@ -1,6 +1,8 @@
 package trienum
 
 import (
+	"slices"
+
 	"repro/internal/emio"
 	"repro/internal/emsort"
 	"repro/internal/extmem"
@@ -29,10 +31,15 @@ const obliviousBaseCutoff = 24
 // Rands with Split(bits). A node's random choices — and hence its entire
 // subtree's emission stream — are therefore a pure function of (segment
 // edge set, color vector, depth, chain, node Rand), independent of
-// whatever its siblings do. That is what lets the planner
-// (oblivious_parallel.go) hand subtrees to workers and reproduce the
-// stream of one depth-first recursion exactly. A subtree task runs to
-// completion: cancellation is the planner's and runTasks' job.
+// whatever its siblings do. That is what lets ObliviousParallel
+// (oblivious_parallel.go) hand nodes to workers and reproduce the stream
+// of one depth-first recursion exactly.
+//
+// plan is set only on ObliviousParallel's coordinator run: the recursion
+// then emits nothing itself, but hands each node at the split frontier,
+// and each local high-degree pass above it, to the pool as a task. A task
+// runs with plan nil, to completion: cancellation is the coordinator's
+// and runTasks' job.
 type oblivious struct {
 	sp       *extmem.Space
 	emit     graph.Emit
@@ -43,6 +50,7 @@ type oblivious struct {
 	scratchA extmem.Extent
 	chain    []hashing.Poly4
 	maxDepth int
+	plan     *obPlanner
 }
 
 // colorOf evaluates the current coloring ξ_i(v) = 2ξ_{i-1}(v) − b_i(v)
@@ -71,6 +79,9 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 	n := hi - lo
 	if n == 0 {
 		return
+	}
+	if o.plan != nil && o.plan.spawn(o, lo, hi, col, depth, rnd) {
+		return // the node is a task now, or the run was cancelled
 	}
 	o.info.Subproblems++
 	for len(o.info.Recursion) <= depth {
@@ -145,7 +156,8 @@ func (o *oblivious) recurse(lo, hi int64, col [3]uint32, depth int, rnd *hashing
 // localHighDegree enumerates (via Lemma 1) and removes all triangles with
 // a vertex of degree >= n/8 within the segment, returning the new length.
 // Removal is a permutation: removed edges are moved past the new length,
-// preserving the parent's multiset.
+// preserving the parent's multiset. On the coordinator's run each pass is
+// a task against the node's pre-pass segment instead (obPlanner).
 func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) int64 {
 	n := hi - lo
 	mark := o.sp.Mark()
@@ -172,23 +184,40 @@ func (o *oblivious) localHighDegree(lo, hi int64, col [3]uint32, depth int) int6
 	}
 	o.sp.Release(mark)
 
-	properEmit := o.properEmit(col, depth)
+	var frozen int64 // the pre-pass segment's arena offset
+	if o.plan != nil && len(high) > 0 {
+		frozen = o.plan.appendArena(seg)
+	}
 	cur := n
-	for _, v := range high {
+	for j, v := range high {
 		if cur == 0 {
 			break
 		}
-		segCur := o.work.Slice(lo, lo+cur)
-		enumerateContaining(o.sp, segCur, v, emsort.FunnelSortRecords, func(u, w uint32) {
-			t := graph.MakeTriple(v, u, w)
-			properEmit(t.V1, t.V2, t.V3)
-		})
+		if o.plan != nil {
+			o.plan.addHighDegTask(o, frozen, n, v, high[:j], col, depth)
+		} else {
+			o.highDegreePass(o.work.Slice(lo, lo+cur), v, nil, col, depth)
+		}
 		cur = o.partitionBy(lo, lo+cur, func(e extmem.Word) bool {
 			return graph.U(e) != v && graph.V(e) != v
 		})
 		o.info.HighDegVertices++
 	}
 	return cur
+}
+
+// highDegreePass is Lemma 1 for the local high-degree vertex v on seg: it
+// emits the triangles through v that are proper for col and whose other
+// two corners avoid skip.
+func (o *oblivious) highDegreePass(seg extmem.Extent, v uint32, skip []uint32, col [3]uint32, depth int) {
+	properEmit := o.properEmit(col, depth)
+	enumerateContaining(o.sp, seg, v, emsort.FunnelSortRecords, func(u, w uint32) {
+		if slices.Contains(skip, u) || slices.Contains(skip, w) {
+			return
+		}
+		t := graph.MakeTriple(v, u, w)
+		properEmit(t.V1, t.V2, t.V3)
+	})
 }
 
 // partitionCompatible permutes [lo,hi) of work (and annotations) so edges

@@ -1,7 +1,9 @@
 package trienum
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -211,6 +213,47 @@ func TestObliviousParallelMatchesSequentialStream(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestObliviousParallelInlineHighDegree drives the coordinator's Lemma 1
+// tasks on triangles with several high-degree corners: the root lies above
+// obSplitMinEdges, so the coordinator expands it inline, and its three
+// mutually adjacent hubs share a neighbourhood, so each later hub's task
+// must skip the wedges through the hubs before it. The stream and Info
+// must be those of one depth-first recursion at Workers 1 and 4.
+func TestObliviousParallelInlineHighDegree(t *testing.T) {
+	var el graph.EdgeList
+	hub := []uint32{500, 501, 502}
+	el.Add(hub[0], hub[1])
+	el.Add(hub[0], hub[2])
+	el.Add(hub[1], hub[2])
+	for v := uint32(0); v < 400; v++ {
+		for _, h := range hub {
+			el.Add(h, v)
+		}
+	}
+	if len(el.Edges) <= obSplitMinEdges {
+		t.Fatalf("%d edges: the root would be a subtree task", len(el.Edges))
+	}
+	cfg := extmem.Config{M: 1 << 8, B: 1 << 4}
+	sp := extmem.NewSpace(cfg)
+	g := graph.CanonicalizeList(sp, el)
+	var seq []graph.Triple
+	seqInfo := obliviousRecursion(sp, g, 12345, func(a, b, c uint32) {
+		seq = append(seq, graph.MakeTriple(g.RankToID[a], g.RankToID[b], g.RankToID[c]))
+	})
+	if seqInfo.HighDegVertices < len(hub) || len(seq) != 3*400+1 {
+		t.Fatalf("sequential run: %d high-degree vertices, %d triangles", seqInfo.HighDegVertices, len(seq))
+	}
+	for _, workers := range []int{1, 4} {
+		got, _, info := parallelRun(t, el, cfg, workers, parallelEngines[2].run)
+		if !slices.Equal(got, seq) {
+			t.Fatalf("workers=%d: %d triangles differ from the sequential %d (order must match)", workers, len(got), len(seq))
+		}
+		if !reflect.DeepEqual(info, seqInfo) {
+			t.Errorf("workers=%d: Info %+v, sequential %+v", workers, info, seqInfo)
+		}
 	}
 }
 
