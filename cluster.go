@@ -212,7 +212,7 @@ func (c *Cluster) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c 
 	if emit != nil {
 		f = func(vs []uint32) { emit(vs[0], vs[1], vs[2]) }
 	}
-	return c.run(ctx, req, q, f)
+	return c.run(ctx, req, 3, q, f)
 }
 
 // CliquesFunc enumerates every k-clique cluster-wide; the gathered
@@ -228,7 +228,7 @@ func (c *Cluster) CliquesFunc(ctx context.Context, k int, q Query, emit func(cli
 	if err := cluster.CheckQuery("cliques", "", c.man.Colors, k); err != nil {
 		return ClusterResult{}, fmt.Errorf("repro: %w", err)
 	}
-	return c.run(ctx, cluster.ShardQueryRequest{Kind: "cliques", K: k}, q, emit)
+	return c.run(ctx, cluster.ShardQueryRequest{Kind: "cliques", K: k}, k, q, emit)
 }
 
 // MatchFunc enumerates every embedding of the named pattern
@@ -247,7 +247,7 @@ func (c *Cluster) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(
 	if err := cluster.CheckQuery("match", "", c.man.Colors, p.K()); err != nil {
 		return ClusterResult{}, fmt.Errorf("repro: %w", err)
 	}
-	return c.run(ctx, cluster.ShardQueryRequest{Kind: "match", Pattern: p.Name()}, q, emit)
+	return c.run(ctx, cluster.ShardQueryRequest{Kind: "match", Pattern: p.Name()}, p.K(), q, emit)
 }
 
 // shardStream is one shard's live query stream during a gather.
@@ -257,16 +257,20 @@ type shardStream struct {
 	err     error
 }
 
-// run fans the query out, k-way merges the sorted shard streams, and
-// aggregates the trailers. The merge invariant: each shard's stream is
-// sorted (the shard sorts its owned emissions) and the owned sets are
-// pairwise disjoint (each emission's color multiset has exactly one
-// owner), so repeatedly taking the lexicographically least head yields
-// the globally sorted stream with no duplicates.
-func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Query, emit func([]uint32)) (ClusterResult, error) {
+// run fans the query out, k-way merges the sorted shard streams of
+// arity-vertex emissions, and aggregates the trailers. The merge
+// invariant: each shard's stream is sorted (the shard sorts its owned
+// emissions, and streamShard refuses a line out of order) and the owned
+// sets are pairwise disjoint (each emission's color multiset has exactly
+// one owner), so repeatedly taking the lexicographically least head
+// yields the globally sorted stream with no duplicates.
+func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, arity int, q Query, emit func([]uint32)) (ClusterResult, error) {
 	var cr ClusterResult
 	if q.FamilySize != 0 {
 		return cr, errors.New("repro: Query.FamilySize does not travel over the cluster wire")
+	}
+	if q.From != (Position{}) {
+		return cr, errors.New("repro: Query.From does not travel over the cluster wire")
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -290,7 +294,7 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 		go func(i int) {
 			defer wg.Done()
 			defer close(st.ch)
-			st.err = c.streamShard(qctx, i, req, st)
+			st.err = c.streamShard(qctx, i, req, arity, st)
 		}(i)
 	}
 
@@ -363,8 +367,10 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, q Quer
 }
 
 // streamShard issues one shard's query and feeds its emission lines to
-// st.ch in stream order.
-func (c *Cluster) streamShard(ctx context.Context, i int, req cluster.ShardQueryRequest, st *shardStream) error {
+// st.ch in stream order. A line that is not an arity-vertex emission
+// strictly after the shard's previous one ends the stream with an error,
+// so a faulty shard can neither crash nor silently misorder the merge.
+func (c *Cluster) streamShard(ctx context.Context, i int, req cluster.ShardQueryRequest, arity int, st *shardStream) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -384,6 +390,7 @@ func (c *Cluster) streamShard(ctx context.Context, i int, req cluster.ShardQuery
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	sawTrailer := false
+	var prev []uint32
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -394,6 +401,13 @@ func (c *Cluster) streamShard(ctx context.Context, i int, req cluster.ShardQuery
 			return fmt.Errorf("bad stream line %q: %v", line, err)
 		}
 		if e.V != nil {
+			switch {
+			case len(e.V) != arity:
+				return fmt.Errorf("stream line %q from %s has %d vertices where the query's emissions have %d", line, c.urls[i], len(e.V), arity)
+			case prev != nil && cluster.CompareTuples(prev, e.V) >= 0:
+				return fmt.Errorf("stream line %q from %s is not after the shard's previous line %v", line, c.urls[i], prev)
+			}
+			prev = e.V
 			select {
 			case st.ch <- e.V:
 			case <-ctx.Done():

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -673,6 +675,46 @@ func TestClusterRefusals(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
 				t.Errorf("%s at %s: status %d (error %q), want 400 with an error", body, url, resp.StatusCode, e.Error)
 			}
+		}
+	}
+}
+
+// TestClusterRejectsBadShardLines: a shard whose query stream carries a
+// line of the wrong arity, or a line not strictly after its previous one,
+// fails the gathered query with an error naming the shard — the
+// coordinator neither panics on the short line nor merges the misordered
+// one. The faulty shard passes a real shard's handshake through and
+// serves a crafted query body.
+func TestClusterRejectsBadShardLines(t *testing.T) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=300"), repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	manPath, urls := startCluster(t, g, 2, 4, false)
+	target, err := url.Parse(urls[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	for _, c := range []struct{ name, lines, want string }{
+		{"arity", `{"v":[1,2]}`, "has 2 vertices"},
+		{"order", `{"v":[5,6,7]}` + "\n" + `{"v":[1,2,3]}`, "is not after"},
+		{"duplicate", `{"v":[1,2,3]}` + "\n" + `{"v":[1,2,3]}`, "is not after"},
+	} {
+		faulty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/cluster/shard/query" {
+				proxy.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintf(w, "%s\n{\"done\":true}\n", c.lines)
+		}))
+		t.Cleanup(faulty.Close)
+		cl := dial(t, manPath, []string{urls[0], faulty.URL})
+		_, err := cl.TrianglesFunc(context.Background(), Q{}, func(a, b, c uint32) {})
+		if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: gathered query returned %v, want an error naming shard 1 and %q", c.name, err, c.want)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 // streamquery demonstrates the streaming, cancellable query API: one
 // graph handle serves many queries; results arrive as range-over-func
 // iterators that can be broken out of mid-stream (which cancels the
-// underlying worker pool), and whole queries can be cancelled through a
+// underlying worker pool), whole queries can be cancelled through a
 // context deadline — the pattern a production service uses to bound
-// per-request latency against a shared graph.
+// per-request latency against a shared graph — and a long stream can be
+// read in pages, each resumed from the position the previous one
+// reached. It exits non-zero if the pages do not concatenate to the
+// unpaged stream.
 package main
 
 import (
@@ -11,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro"
@@ -83,4 +87,37 @@ func main() {
 		}
 	}
 	fmt.Printf("4-clique stream: stopped after %d cliques\n", cliques)
+
+	// Query 5 — pagination: read the triangle stream in pages of 5,000,
+	// each starting from the position the previous page reached
+	// (Result.Next). A resumed page starts at the decomposition unit the
+	// previous one stopped in, so it costs its set-up plus the units it
+	// reads, not a replay from the first triangle. The pages concatenate
+	// to the unpaged stream.
+	var unpaged, paged []repro.Triangle
+	for t, err := range g.Triangles(context.Background(), repro.Query{Seed: 1}) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		unpaged = append(unpaged, t)
+	}
+	const pageSize = 5000
+	var page repro.Result
+	for pages := 1; ; pages++ {
+		n := 0
+		for t, err := range g.Triangles(context.Background(), repro.Query{Seed: 1, From: page.Next, Limit: pageSize, Result: &page}) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			paged = append(paged, t)
+			n++
+		}
+		if n < pageSize {
+			if !slices.Equal(paged, unpaged) {
+				log.Fatalf("%d pages hold %d triangles that differ from the unpaged stream of %d", pages, len(paged), len(unpaged))
+			}
+			fmt.Printf("paged stream: %d pages of up to %d concatenate to the unpaged %d triangles\n", pages, pageSize, len(unpaged))
+			return
+		}
+	}
 }

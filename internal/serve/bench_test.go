@@ -84,3 +84,76 @@ func BenchmarkE20ServeQuery(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/inprocNs, "xRTT")
 	}
 }
+
+// BenchmarkE20PagedStream reads a native CacheAware triangle stream of
+// the wire workload's stream graph (powerlaw:n=4000,m=20000,beta=2.1 on
+// M = 2^12, B = 2^6, Workers 1) through the handler in pages of 10,000,
+// each resumed from the previous page's cursor, and fails unless the
+// pages concatenate to the unpaged stream on every iteration. A resumed
+// page starts at the decomposition unit its cursor names, so the paged
+// stream costs one enumeration plus a set-up per page, not a replay of
+// the stream's prefix per page. Reported: pages (per stream) and
+// xUnpaged (the paged stream's wall-clock over the fastest of three
+// unpaged streams through the same handler; scheduling-dependent, not
+// gated). See EXPERIMENTS.md E20.
+func BenchmarkE20PagedStream(b *testing.B) {
+	opts := repro.Options{MemoryWords: 1 << 12, BlockWords: 1 << 6, Workers: 1, Seed: 5}
+	g, err := repro.Build(repro.FromSpec("powerlaw:n=4000,m=20000,beta=2.1"), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.AddGraph("g", g, ""); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	query := func(req QueryRequest) ([]byte, QueryTrailer) {
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/g/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		raw := rec.Body.Bytes()
+		nl := bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1
+		var trailer QueryTrailer
+		if err := json.Unmarshal(raw[nl:], &trailer); err != nil || !trailer.Done {
+			b.Fatalf("trailer %q: %v", raw[nl:], err)
+		}
+		return raw[:nl], trailer
+	}
+	first := QueryRequest{Seed: 1, Workers: 1, Native: true}
+	var want []byte
+	unpaged := time.Duration(1 << 62)
+	for range 3 {
+		t0 := time.Now()
+		want, _ = query(first)
+		unpaged = min(unpaged, time.Since(t0))
+	}
+
+	const pageSize = 10000
+	pages := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got []byte
+		req := first
+		req.Limit = pageSize
+		for pages = 1; ; pages++ {
+			data, trailer := query(req)
+			got = append(got, data...)
+			if trailer.Cursor == "" {
+				break
+			}
+			req = QueryRequest{Cursor: trailer.Cursor, Limit: pageSize}
+		}
+		if !bytes.Equal(got, want) {
+			b.Fatalf("%d pages concatenate to %d bytes, not the unpaged %d", pages, len(got), len(want))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(pages), "pages")
+	if b.N > 0 {
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(unpaged), "xUnpaged")
+	}
+}

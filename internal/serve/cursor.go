@@ -14,15 +14,21 @@ import (
 // query kind, k/pattern, algorithm, seed) — invariant in Workers,
 // concurrency, and time — so a position in the stream is fully
 // described by the number of emissions before it plus the query
-// identity and the generation whose image it ran on. Resuming replays
-// the producer and suppresses the first Pos emissions; the suffix
-// delivered is byte-identical to what the uncursored stream would have
-// carried from that position, which the wire-contract tests pin.
+// identity and the generation whose image it ran on. The token also
+// names the decomposition unit that holds the last emission delivered
+// and the unit's first emission (repro.Position), so a resumed page
+// starts the engine at that unit and drops only the unit's emissions
+// before Pos; queries without units (cliques, matches, ordered streams,
+// the sequential baselines) name unit 0 and replay from the start. A
+// token minted before the unit fields existed carries neither and
+// resumes by replay too. Either way the suffix delivered is
+// byte-identical to what the uncursored stream would have carried from
+// that position, which the wire-contract tests pin.
 //
 // The token is base64url(JSON) + "." + an FNV-1a checksum. The checksum
 // guards against truncation and accidental corruption in transit, not
 // against a malicious client — a forged cursor can only reposition that
-// client's own stream.
+// client's own stream, and one naming an impossible position is a 400.
 
 // cursor is the decoded token. Short JSON keys keep the token compact;
 // it is opaque to clients either way.
@@ -38,6 +44,8 @@ type cursor struct {
 	Native    bool   `json:"x,omitempty"` // native execution mode
 	Ordered   bool   `json:"d,omitempty"` // canonical global order
 	Pos       uint64 `json:"o"`           // emissions already delivered
+	Unit      int    `json:"u,omitempty"` // unit of the last delivered emission
+	UnitStart uint64 `json:"b,omitempty"` // emissions before that unit's first
 }
 
 const cursorVersion = 1

@@ -28,6 +28,13 @@ func FuzzCursorDecode(f *testing.F) {
 		{Graph: "g", Gen: 1, Kind: "match", Pattern: "diamond", Pos: 9},
 		// Cross-graph replay: valid codec-wise, rejected by the handler.
 		{Graph: "other", Gen: 3, Kind: "triangles", Pos: 2},
+		// Positions naming a unit, valid and not.
+		{Graph: "g", Gen: 2, Kind: "triangles", Algorithm: "cacheaware", Pos: 40, Unit: 3, UnitStart: 31},
+		{Graph: "g", Gen: 2, Kind: "triangles", Algorithm: "cacheaware", Pos: 3, Unit: 2, UnitStart: 4},
+		{Graph: "g", Gen: 2, Kind: "triangles", Algorithm: "oblivious", Ordered: true, Pos: 3, Unit: 1, UnitStart: 2},
+		{Graph: "g", Gen: 2, Kind: "cliques", K: 4, Pos: 3, Unit: 1, UnitStart: 2},
+		{Graph: "g", Gen: 2, Kind: "triangles", Algorithm: "deterministic", Pos: 3, Unit: 1 << 40, UnitStart: 3},
+		{Graph: "g", Gen: 2, Kind: "triangles", Pos: 3, Unit: -1},
 	}
 	for _, c := range seeds {
 		tok := encodeCursor(c)
@@ -72,11 +79,20 @@ func FuzzCursorDecode(f *testing.F) {
 
 // Malformed or misdirected cursors reaching the HTTP layer are always a
 // 4xx — the codec's error paths and the handler's graph check map to
-// client errors, never a 5xx or a served stream.
+// client errors, never a 5xx or a served stream. So are well-formed
+// tokens naming a position no stream of their query has
+// (repro.ErrInvalidPosition), each answered 400 with an ErrorResponse.
 func TestCursorMalformedAlways4xx(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, "g", "gnm:n=60,m=300", repro.Options{Seed: 5})
 	crossGraph := encodeCursor(cursor{Graph: "other", Kind: "triangles", Pos: 1})
 	valid := encodeCursor(cursor{Graph: "g", Kind: "triangles", Algorithm: "cacheaware"})
+	position := func(c cursor) string {
+		c.Graph = "g"
+		if c.Kind == "" {
+			c.Kind, c.Algorithm = "triangles", "cacheaware"
+		}
+		return encodeCursor(c)
+	}
 	for _, tok := range []string{
 		"garbage",
 		".",
@@ -84,6 +100,20 @@ func TestCursorMalformedAlways4xx(t *testing.T) {
 		valid[2:],
 		strings.ToUpper(valid),
 		crossGraph,
+		// The unit starts after the position.
+		position(cursor{Pos: 3, Unit: 2, UnitStart: 4}),
+		// A unit on an ordered stream, and on queries without units.
+		position(cursor{Ordered: true, Pos: 3, Unit: 1, UnitStart: 2}),
+		position(cursor{Kind: "triangles", Algorithm: "hutaochung", Pos: 3, Unit: 1, UnitStart: 2}),
+		position(cursor{Kind: "cliques", K: 4, Pos: 3, Unit: 1, UnitStart: 2}),
+		position(cursor{Kind: "match", Pattern: "diamond", Pos: 3, Unit: 1, UnitStart: 2}),
+		// A unit past the query's last: this graph is one color triple.
+		position(cursor{Pos: 3, Unit: 1, UnitStart: 3}),
+		position(cursor{Kind: "triangles", Algorithm: "oblivious", Pos: 3, Unit: 1 << 40, UnitStart: 3}),
+		position(cursor{Kind: "triangles", Algorithm: "deterministic", Pos: 3, Unit: 1 << 20, UnitStart: 3}),
+		// A negative unit, and a unit 0 that does not start the stream.
+		position(cursor{Pos: 3, Unit: -1}),
+		position(cursor{Pos: 3, UnitStart: 2}),
 	} {
 		raw, _, status, err := tryQuery(ts.URL, "g", "", QueryRequest{Cursor: tok})
 		if err != nil {
@@ -91,6 +121,10 @@ func TestCursorMalformedAlways4xx(t *testing.T) {
 		}
 		if status < 400 || status >= 500 {
 			t.Errorf("cursor %q: want 4xx, got %d (%s)", tok, status, raw)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+			t.Errorf("cursor %q: %d without an ErrorResponse: %q", tok, status, raw)
 		}
 	}
 	if _, _, status, _ := tryQuery(ts.URL, "g", "", QueryRequest{Cursor: valid}); status != http.StatusOK {

@@ -209,6 +209,8 @@ func (f family) subscribe(ctx context.Context, g *repro.Graph, q repro.Query) (*
 // stream began.
 func queryStatus(err error) int {
 	switch {
+	case errors.Is(err, repro.ErrInvalidPosition):
+		return http.StatusBadRequest // a forged or mangled cursor
 	case errors.Is(err, repro.ErrGraphClosed), errors.Is(err, repro.ErrClusterClosed):
 		return http.StatusGone
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

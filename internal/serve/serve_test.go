@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -186,9 +187,27 @@ func TestWireByteIdentity(t *testing.T) {
 
 // A cursor-resumed query emits exactly the uncursored stream's suffix:
 // paging through with Limit and concatenating the pages reproduces the
-// full stream byte for byte.
+// full stream byte for byte. The first graph is one color triple on the
+// default machine, so its cursors all name unit 0; the second has four
+// colors and a Lemma 1 vertex on M = 2^6, so its cursors start resumed
+// pages at later units.
 func TestCursorResumeEqualsSuffix(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{}, "g", "gnm:n=200,m=1600", repro.Options{Seed: 3})
+	for _, in := range []struct {
+		spec  string
+		opts  repro.Options
+		units bool
+	}{
+		{"gnm:n=200,m=1600", repro.Options{Seed: 3}, false},
+		{"powerlaw:n=800,m=1000,beta=1.6", repro.Options{Seed: 2, MemoryWords: 1 << 6, BlockWords: 1 << 3}, true},
+	} {
+		t.Run(in.spec, func(t *testing.T) {
+			testCursorResumeEqualsSuffix(t, in.spec, in.opts, in.units)
+		})
+	}
+}
+
+func testCursorResumeEqualsSuffix(t *testing.T, spec string, opts repro.Options, units bool) {
+	_, ts, g := newTestServer(t, Config{}, "g", spec, opts)
 	full, fullRes := referenceStream(t, g, "triangles", 0, "", repro.Query{Seed: 9})
 
 	// One limited page, then one unlimited resume: page + suffix == full.
@@ -210,7 +229,7 @@ func TestCursorResumeEqualsSuffix(t *testing.T) {
 	// Pagination loop: fixed-size pages until the cursor disappears.
 	var paged []byte
 	cur := ""
-	pages := 0
+	pages, maxUnit := 0, 0
 	for {
 		req := QueryRequest{Seed: 9, Limit: 13}
 		if cur != "" {
@@ -223,6 +242,11 @@ func TestCursorResumeEqualsSuffix(t *testing.T) {
 			break
 		}
 		cur = tr.Cursor
+		c, err := decodeCursor(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxUnit = max(maxUnit, c.Unit)
 		if pages > int(fullRes.Matches/13)+2 {
 			t.Fatal("pagination did not terminate")
 		}
@@ -230,6 +254,49 @@ func TestCursorResumeEqualsSuffix(t *testing.T) {
 	if !bytes.Equal(paged, full) {
 		t.Errorf("concatenated pages (%d bytes) != full stream (%d bytes)", len(paged), len(full))
 	}
+	if units != (maxUnit > 0) {
+		t.Errorf("cursors name units up to %d; the input should name units > 0: %v", maxUnit, units)
+	}
+}
+
+// A token minted before cursors named units carries no "u" or "b": it
+// still resumes byte-identically, by replaying the stream from emission
+// 0, on a graph whose cursors otherwise start at later units — and the
+// cursor the resumed page mints carries the unit again.
+func TestCursorWithoutUnitResumesByReplay(t *testing.T) {
+	_, ts, g := newTestServer(t, Config{}, "g", "powerlaw:n=800,m=1000,beta=1.6",
+		repro.Options{Seed: 2, MemoryWords: 1 << 6, BlockWords: 1 << 3})
+	full, fullRes := referenceStream(t, g, "triangles", 0, "", repro.Query{Seed: 9})
+	pos := fullRes.Matches / 2
+	old := encodeCursor(cursor{Graph: "g", Kind: "triangles", Algorithm: "cacheaware", Seed: 9, Pos: pos})
+	if b := mustPayload(t, old); bytes.Contains(b, []byte(`"u"`)) || bytes.Contains(b, []byte(`"b"`)) {
+		t.Fatalf("a unit-less token carries unit fields: %s", b)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	want := bytes.Join(lines[pos:], nil)
+
+	page, tr, status := postQuery(t, ts.URL, "g", "", QueryRequest{Cursor: old, Limit: 13})
+	if status != http.StatusOK || tr.Cursor == "" || tr.Result.Matches != pos+13 {
+		t.Fatalf("replayed page: status %d, trailer %+v", status, tr)
+	}
+	next, err := decodeCursor(tr.Cursor)
+	if err != nil || next.Unit == 0 {
+		t.Fatalf("the replayed page's cursor %+v (%v) names no unit > 0", next, err)
+	}
+	rest, _, _ := postQuery(t, ts.URL, "g", "", QueryRequest{Cursor: tr.Cursor})
+	if got := append(page, rest...); !bytes.Equal(got, want) {
+		t.Errorf("resumed from a unit-less token: %d bytes, want the %d-byte suffix", len(got), len(want))
+	}
+}
+
+// mustPayload returns a token's decoded JSON payload.
+func mustPayload(t *testing.T, tok string) []byte {
+	t.Helper()
+	b, err := base64.RawURLEncoding.DecodeString(tok[:strings.LastIndexByte(tok, '.')])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // A cursor pins the generation its emission order belongs to: an

@@ -408,7 +408,7 @@ type resolvedQuery struct {
 	native  bool
 	ordered bool
 	limit   uint64
-	pos     uint64
+	from    repro.Position
 }
 
 // resolveQuery reconciles the request with its cursor, if any: zero
@@ -427,7 +427,7 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 	}
 	kind, k := req.Kind, req.K
 	if cur != nil {
-		rq.pos = cur.Pos
+		rq.from = repro.Position{Emitted: cur.Pos, Unit: cur.Unit, UnitStart: cur.UnitStart}
 		inherit := func(have *string, want string, what string) error {
 			if *have == "" {
 				*have = want
@@ -483,7 +483,7 @@ func resolveQuery(req QueryRequest, cur *cursor) (resolvedQuery, error) {
 }
 
 // mintCursor encodes the position this stream stopped at.
-func (rq resolvedQuery) mintCursor(graphID string, gen, delivered uint64) string {
+func (rq resolvedQuery) mintCursor(graphID string, gen uint64, next repro.Position) string {
 	return encodeCursor(cursor{
 		Graph:     graphID,
 		Gen:       gen,
@@ -494,7 +494,9 @@ func (rq resolvedQuery) mintCursor(graphID string, gen, delivered uint64) string
 		Seed:      rq.seed,
 		Native:    rq.native,
 		Ordered:   rq.ordered,
-		Pos:       rq.pos + delivered,
+		Pos:       next.Emitted,
+		Unit:      next.Unit,
+		UnitStart: next.UnitStart,
 	})
 }
 
@@ -542,7 +544,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// Capture the generation under the read lock and hold it until the
-	// producer's first emission: the session acquired inside the query
+	// first emission delivered: the session acquired inside the query
 	// pins its generation before emitting, and updates install under the
 	// write lock, so gen is exactly the stream's generation — a stale
 	// cursor is rejected here with no install window to race through.
@@ -562,19 +564,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	nw := s.newNDJSON(w, strconv.FormatUint(gen, 10))
-	var skipped uint64
-	q := repro.Query{Seed: rq.seed, Workers: rq.workers, Ordered: rq.ordered}
+	q := repro.Query{Seed: rq.seed, Workers: rq.workers, Ordered: rq.ordered, Limit: rq.limit, From: rq.from}
 	if rq.native {
 		q.Mode = repro.ModeNative
 	}
-	if rq.limit > 0 {
-		q.Limit = rq.pos + rq.limit
-	}
 	res, err := rq.query(ctx, e.g, q, func(vs []uint32) {
 		unlock()
-		if skipped < rq.pos {
-			skipped++
-		} else if nw.emit(vs) != nil {
+		if nw.emit(vs) != nil {
 			cancel() // the client went away: stop the producer
 		}
 	})
@@ -604,7 +600,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A stream that stopped at its limit may have more behind it: hand
 	// back the position in the deterministic emission order.
 	if err == nil && rq.limit > 0 && nw.lines == rq.limit {
-		trailer.Cursor = rq.mintCursor(e.id, gen, nw.lines)
+		trailer.Cursor = rq.mintCursor(e.id, gen, res.Next)
 	}
 	nw.send(trailer)
 	s.adm.recordQuery(tenant, nw.lines, res.Stats.BlockReads, res.Stats.BlockWrites, nw.bytes)

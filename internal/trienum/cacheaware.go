@@ -31,7 +31,10 @@ import (
 // count, and deterministic in seed. The second return value is the
 // per-worker I/O breakdown of the parallel phases (the coordinator's own
 // I/Os accrue to sp as usual). A non-nil error is exec.Ctx's cancellation
-// error; the triangles emitted before it are a prefix of the full stream.
+// error, with the triangles emitted before it a prefix of the full
+// stream, or ErrFrom. The decomposition units exec.From and exec.OnUnit
+// count are the Lemma 1 passes, in step 1's order, then the color triples
+// (parallel.go).
 func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
@@ -41,7 +44,6 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 		return info, nil, err
 	}
 	cfg := sp.Config()
-	workers := exec.workers()
 	mark := sp.Mark()
 	defer sp.Release(mark)
 
@@ -52,7 +54,7 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 	var workerStats []extmem.Stats
 	if !exec.DisableHighDegree {
 		var err error
-		curLen, workerStats, err = highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
+		curLen, workerStats, err = highDegreeParallel(exec, sp, work, g, emit, &info)
 		if err != nil {
 			return info, workerStats, err
 		}
@@ -61,7 +63,7 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 	c := ceilSqrt(float64(E) / float64(cfg.M))
 	info.Colors = c
 	col := hashing.NewColoring(hashing.NewRand(seed), c)
-	ws, err := solveColoredParallel(ctx, sp, work.Prefix(curLen), col.Color, c, workers, &info, emit)
+	ws, err := solveColoredParallel(exec, sp, work.Prefix(curLen), col.Color, c, info.HighDegVertices, &info, emit)
 	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 

@@ -41,8 +41,8 @@ const DefaultFamilySize = 256
 // The greedy coloring construction is inherently sequential and runs on
 // the coordinator (checking exec.Ctx between levels); the high-degree
 // passes and the color-triple kernels run on the worker-pool engine as in
-// CacheAwareParallel, with the same stream, stats, and cancellation
-// contract. familySize <= 0 selects DefaultFamilySize.
+// CacheAwareParallel, with the same stream, stats, cancellation and
+// decomposition-unit contract. familySize <= 0 selects DefaultFamilySize.
 func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
@@ -58,7 +58,7 @@ func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, 
 	work := sp.Alloc(E)
 	g.Edges.CopyTo(work)
 
-	curLen, workerStats, err := highDegreeParallel(ctx, sp, work, g, workers, emit, &info)
+	curLen, workerStats, err := highDegreeParallel(exec, sp, work, g, emit, &info)
 	if err != nil {
 		return info, workerStats, err
 	}
@@ -84,7 +84,7 @@ func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, 
 	if err != nil {
 		return info, workerStats, err
 	}
-	ws, err := solveColoredParallel(ctx, sp, edges, colorOf, c, workers, &info, emit)
+	ws, err := solveColoredParallel(exec, sp, edges, colorOf, c, info.HighDegVertices, &info, emit)
 	return info, extmem.AddStatsVec(workerStats, ws), err
 }
 

@@ -119,7 +119,7 @@ const identitySeed = 0x5eed
 func referenceLowDegree(sp *extmem.Space, g graph.Canonical, info *Info, emit graph.Emit) extmem.Extent {
 	work := sp.Alloc(g.Edges.Len())
 	g.Edges.CopyTo(work)
-	n, _, err := highDegreeParallel(nil, sp, work, g, 1, emit, info)
+	n, _, err := highDegreeParallel(Exec{Workers: 1}, sp, work, g, emit, info)
 	if err != nil {
 		panic(err)
 	}

@@ -39,10 +39,12 @@ import (
 //
 // The worker-pool engine (runTasks) replays completed tasks strictly in
 // task order, so the overall stream is byte-identical to one depth-first
-// recursion from the root at every worker count. As with the cache-aware
-// engine, every task is charged a cold private cache, and the coordinator
-// is charged one scan (the root copy-in) rather than a per-level
-// repartition of the whole segment.
+// recursion from the root at every worker count. Each task is one
+// decomposition unit (Exec.From): a run from unit u plans every task but
+// keeps, and copies into the arena, only tasks u, u+1, and so on. As
+// with the cache-aware engine, every task is charged a cold private
+// cache, and the coordinator is charged one scan (the root copy-in)
+// rather than a per-level repartition of the whole segment.
 
 const (
 	// obSplitDepth is the depth of the split frontier: nodes at this depth
@@ -76,8 +78,9 @@ const (
 // stats are identical at every worker count and deterministic in seed.
 // The second return value is the per-worker I/O breakdown. A non-nil error
 // is exec.Ctx's cancellation error, checked at every inline-expanded node
-// and between tasks; the triangles emitted before it are a prefix of the
-// full stream.
+// and between tasks (the triangles emitted before it are a prefix of the
+// full stream), or ErrFrom. The units of exec.From and exec.OnUnit are
+// the planner's tasks, in order.
 func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
@@ -96,7 +99,7 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	g.Edges.CopyTo(work)
 	native := cfg
 	native.Native = true
-	p := &obPlanner{ctx: ctx}
+	p := &obPlanner{ctx: ctx, from: exec.From}
 	o := &oblivious{sp: extmem.NewSpace(native), info: &info, plan: p}
 	o.alloc(E)
 	o.work.Store(sp.Snapshot(work)[:E])
@@ -105,13 +108,16 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 		o.maxDepth++
 	}
 	o.recurse(0, E, [3]uint32{1, 1, 1}, 0, hashing.NewRand(seed))
+	if p.err == nil {
+		p.err = exec.checkFrom(p.units)
+	}
 	if p.err != nil {
 		return info, nil, p.err
 	}
 	for len(p.arena)%cfg.B != 0 {
 		p.arena = append(p.arena, 0) // shard cores are whole blocks
 	}
-	stats, err := runTasks(ctx, cfg, p.arena, p.tasks, exec.workers(), emit)
+	stats, err := runTasks(exec, cfg, p.arena, p.tasks, emit)
 	for _, u := range p.infos {
 		mergeObInfo(&info, u)
 	}
@@ -127,15 +133,25 @@ func (o *oblivious) alloc(n int64) {
 
 // obPlanner collects the coordinator's tasks in sequential emission order
 // and lays their inputs out in one arena, the shared region the worker
-// shards read. Each subtree task records its own recursion bookkeeping in
-// infos (the slice is fully grown before runTasks starts, so the
-// per-index writes race with nothing).
+// shards read. units counts the tasks planned; those before from are
+// counted but neither kept nor given arena space. Each subtree task
+// records its own recursion bookkeeping in infos (the slice is fully
+// grown before runTasks starts, so the per-index writes race with
+// nothing).
 type obPlanner struct {
 	ctx   context.Context
+	from  int
+	units int
 	arena []extmem.Word
 	tasks []shardTask
 	infos []Info
 	err   error
+}
+
+// unit numbers the next task and reports whether it runs.
+func (p *obPlanner) unit() (int, bool) {
+	p.units++
+	return p.units - 1, p.units > p.from
 }
 
 // appendArena copies the extents into the arena, one after another, and
@@ -167,6 +183,10 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 	if depth < obSplitDepth && n > obSplitMinEdges && depth < o.maxDepth && n > obliviousBaseCutoff {
 		return false
 	}
+	unit, run := p.unit()
+	if !run {
+		return true
+	}
 	off := p.appendArena(o.work.Slice(lo, hi), o.ann.Slice(lo, hi))
 	// A private chain: recurse appends to it, and the coordinator's own
 	// chain changes as it moves on to the node's siblings.
@@ -174,14 +194,14 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 	maxDepth, r := o.maxDepth, *rnd
 	idx := len(p.infos)
 	p.infos = append(p.infos, Info{})
-	p.tasks = append(p.tasks, func(shard *extmem.Space, emit graph.Emit) {
+	p.tasks = append(p.tasks, shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
 		loc := &oblivious{sp: shard, emit: emit, info: &p.infos[idx], chain: chain, maxDepth: maxDepth}
 		loc.alloc(n)
 		shard.ExtentAt(off, n).CopyTo(loc.work)
 		shard.ExtentAt(off+n, n).CopyTo(loc.ann)
 		rnd := r
 		loc.recurse(0, n, col, depth, &rnd)
-	})
+	}})
 	return true
 }
 
@@ -190,11 +210,15 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 // words at arena offset off, and skips the wedges through the vertices
 // processed before v, whose edges the recursion body has since removed.
 func (p *obPlanner) addHighDegTask(o *oblivious, off, n int64, v uint32, skip []uint32, col [3]uint32, depth int) {
+	unit, run := p.unit()
+	if !run {
+		return
+	}
 	chain := slices.Clone(o.chain)
-	p.tasks = append(p.tasks, func(shard *extmem.Space, emit graph.Emit) {
+	p.tasks = append(p.tasks, shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
 		loc := &oblivious{sp: shard, emit: emit, chain: chain}
 		loc.highDegreePass(shard.ExtentAt(off, n), v, skip, col, depth)
-	})
+	}})
 }
 
 // mergeObInfo folds a task's recursion bookkeeping into the run total.

@@ -2,6 +2,8 @@ package trienum
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 
 	"repro/internal/ctxutil"
@@ -34,6 +36,14 @@ import (
 // The engine charges each unit a cold start instead of letting it inherit
 // warm cache state from its predecessor — the accounting the paper's
 // per-subproblem analysis actually performs.
+//
+// Units are numbered in emission order across a run's phases, which is
+// what lets a run start part-way (Exec.From): the Lemma 1 passes come
+// first, then the color triples in forEachTriple order — a native piece
+// of a split triple stays in its triple's unit — or the one kernel of the
+// c ≤ 1 path. The numbering depends only on the input and the machine,
+// so a run from unit u emits exactly the full stream's suffix from u's
+// first emission.
 
 // Exec configures the parallel execution engine.
 type Exec struct {
@@ -55,7 +65,26 @@ type Exec struct {
 	// longer holds on skewed degree distributions, and the I/O cost of
 	// step 3 degrades accordingly.
 	DisableHighDegree bool
+	// From is the first decomposition unit to run, 0 for all of them;
+	// it must not be negative. ObliviousParallel's units are its
+	// planner's tasks, the others' are numbered as the engine notes
+	// above say. The set-up (copy-in, Lemma 1 compaction, color-pair
+	// distribution, oblivious planner) runs in full and earlier units
+	// are never dispatched, so the run emits the full stream's suffix
+	// from unit From's first emission. Its Info still describes the whole
+	// decomposition, except that ObliviousParallel's task counters cover
+	// only the tasks run. A From past the last unit fails with ErrFrom
+	// before any emission.
+	From int
+	// OnUnit, when non-nil, is called on the emitting goroutine before
+	// the first emission of each unit that emits anything, with the
+	// unit's number, so the caller knows which unit every emission
+	// belongs to.
+	OnUnit func(unit int)
 }
+
+// ErrFrom reports an Exec.From that names no unit of the run.
+var ErrFrom = errors.New("trienum: Exec.From names no unit of the run")
 
 func (x Exec) workers() int {
 	if x.Workers <= 0 {
@@ -64,10 +93,22 @@ func (x Exec) workers() int {
 	return x.Workers
 }
 
-// shardTask is one unit of parallel work: it runs against a worker's
-// shard Space, emitting its triangles (in the unit's canonical order)
-// through the supplied callback.
-type shardTask func(shard *extmem.Space, emit graph.Emit)
+// checkFrom fails a run of the given number of units when From names
+// none of them.
+func (x Exec) checkFrom(units int) error {
+	if x.From != 0 && x.From >= units {
+		return fmt.Errorf("%w: unit %d of %d", ErrFrom, x.From, units)
+	}
+	return nil
+}
+
+// shardTask is one piece of parallel work of decomposition unit unit: run
+// runs against a worker's shard Space, emitting its triangles (in the
+// piece's canonical order) through the supplied callback.
+type shardTask struct {
+	unit int
+	run  func(shard *extmem.Space, emit graph.Emit)
+}
 
 const (
 	// emitBatch is the number of triangles per merge handoff.
@@ -80,19 +121,20 @@ const (
 	streamDepth = 8
 )
 
-// runTasks runs tasks on the extmem ordered worker pool (a cold shard
-// Space per task, see extmem.RunOrdered) and emits every task's triangles
-// in task order on the calling goroutine. Each task's triangles travel in
-// batches of emitBatch, so workers exert backpressure instead of
-// materializing their output. Returns the per-worker stats and, on
-// cancellation, ctx.Err().
-func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, workers int, emit graph.Emit) ([]extmem.Stats, error) {
+// runTasks runs tasks on x.Workers of the extmem ordered worker pool (a
+// cold shard Space per task, see extmem.RunOrdered) and emits every
+// task's triangles in task order on the calling goroutine, calling
+// x.OnUnit whenever the emitting unit changes. Each task's triangles
+// travel in batches of emitBatch, so workers exert backpressure instead
+// of materializing their output. Returns the per-worker stats and, on
+// cancellation, x.Ctx's error.
+func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
 	pooled := make([]extmem.ShardTask[[]graph.Triple], len(tasks))
 	for i, task := range tasks {
 		pooled[i] = func(shard *extmem.Space, send func([]graph.Triple) bool) {
 			alive := true
 			batch := make([]graph.Triple, 0, emitBatch)
-			task(shard, func(a, b, c uint32) {
+			task.run(shard, func(a, b, c uint32) {
 				if !alive {
 					return
 				}
@@ -109,7 +151,14 @@ func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, task
 			}
 		}
 	}
-	return extmem.RunOrdered(ctx, cfg, shared, pooled, workers, streamDepth, func(_ int, batch []graph.Triple) {
+	last := -1
+	return extmem.RunOrdered(x.Ctx, cfg, shared, pooled, x.workers(), streamDepth, func(i int, batch []graph.Triple) {
+		if u := tasks[i].unit; u != last {
+			last = u
+			if x.OnUnit != nil {
+				x.OnUnit(u)
+			}
+		}
 		for _, t := range batch {
 			emit(t.V1, t.V2, t.V3)
 		}
@@ -117,9 +166,11 @@ func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, task
 }
 
 // highDegreeParallel runs step 1 — one Lemma 1 pass per vertex of degree
-// greater than sqrt(E·M) — as shard tasks over a frozen snapshot of the
-// full edge set, then compacts the surviving low-degree edges to the
-// prefix of work, returning the new length and the per-worker stats.
+// greater than sqrt(E·M), units 0, 1, … of the run, the passes before
+// x.From skipped — as shard tasks over a frozen snapshot of the full edge
+// set, then compacts the surviving low-degree edges to the prefix of
+// work, returning the new length and the per-worker stats. It counts
+// every pass, run or skipped, in info.HighDegVertices.
 //
 // The paper removes each vertex's edges before processing the next one,
 // which is what makes every triangle land at its highest-ranked
@@ -127,30 +178,35 @@ func runTasks(ctx context.Context, cfg extmem.Config, shared []extmem.Word, task
 // guarantee comes from a filter: a triangle {u,w,vr} found at vr is kept
 // only if u, w < vr, i.e. vr is the triangle's highest corner. The
 // per-vertex triangle sets coincide with those of the removal loop.
-func highDegreeParallel(ctx context.Context, sp *extmem.Space, work extmem.Extent, g graph.Canonical, workers int, emit graph.Emit, info *Info) (int64, []extmem.Stats, error) {
+func highDegreeParallel(x Exec, sp *extmem.Space, work extmem.Extent, g graph.Canonical, emit graph.Emit, info *Info) (int64, []extmem.Stats, error) {
 	E := work.Len()
 	cfg := sp.Config()
 	r0 := highDegreeCut(g, float64(E), float64(cfg.M))
 	if r0 >= g.NumVertices {
 		return E, nil, nil
 	}
-	shared := sp.Snapshot(work)
 	var tasks []shardTask
 	for r := g.NumVertices - 1; r >= r0; r-- {
+		info.HighDegVertices++
+		if unit := g.NumVertices - 1 - r; unit < x.From {
+			continue
+		}
 		vr := uint32(r)
-		tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
+		tasks = append(tasks, shardTask{g.NumVertices - 1 - r, func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
 			enumerateContaining(shard, seg, vr, emsort.SortRecords, func(u, w uint32) {
 				if w < vr {
 					emit(u, w, vr)
 				}
 			})
-		})
-		info.HighDegVertices++
+		}})
 	}
-	stats, err := runTasks(ctx, cfg, shared, tasks, workers, emit)
-	if err != nil {
-		return 0, stats, err
+	var stats []extmem.Stats
+	if len(tasks) > 0 {
+		var err error
+		if stats, err = runTasks(x, cfg, sp.Snapshot(work), tasks, emit); err != nil {
+			return 0, stats, err
+		}
 	}
 	return compactBelow(sp, work, uint32(r0)), stats, nil
 }
@@ -177,28 +233,35 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // triple with the kernel. The coordinator distributes the edges into
 // color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
 // not depend on the worker count — and freezes them; each triple's
-// cone-bucket merge and kernel run happen on a worker shard.
-// edges must be in canonical order; it is left unchanged.
-func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c int, workers int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
+// cone-bucket merge and kernel run happen on a worker shard. The triples
+// are units base, base+1, … of the run, and those before x.From are
+// skipped. edges must be in canonical order; it is left unchanged.
+func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c, base int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
+	ctx, workers := x.Ctx, x.workers()
 	E := edges.Len()
 	if E == 0 {
+		if err := x.checkFrom(base); err != nil {
+			return nil, err
+		}
 		return nil, ctxutil.Err(ctx)
 	}
 	cfg := sp.Config()
 	if c <= 1 {
+		// Single subproblem, unit base: this is exactly the Hu–Tao–Chung
+		// algorithm applied to the whole edge set.
+		if err := x.checkFrom(base + 1); err != nil {
+			return nil, err
+		}
 		sortWS, err := emsort.ParallelSortRecordsCtx(ctx, edges, 1, emsort.Identity, workers)
 		if err != nil {
 			return sortWS, err
 		}
-		// Single subproblem: this is exactly the Hu–Tao–Chung algorithm
-		// applied to the whole edge set.
-		shared := sp.Snapshot(edges)
 		info.Subproblems++
-		task := func(shard *extmem.Space, emit graph.Emit) {
+		task := shardTask{base, func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
 			_ = kernel(nil, shard, seg, seg, 0, emit) // nil ctx: cannot fail
-		}
-		ws, err := runTasks(ctx, cfg, shared, []shardTask{task}, 1, emit)
+		}}
+		ws, err := runTasks(x, cfg, sp.Snapshot(edges), []shardTask{task}, emit)
 		return extmem.AddStatsVec(sortWS, ws), err
 	}
 	// The c²+1 bucket offsets are native words of internal memory, leased
@@ -246,18 +309,24 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 	}
 
 	var tasks []shardTask
+	units := base
 	forEachTriple(off, c, func(t1, t2, t3 int) {
+		unit := units
+		units++
 		info.Subproblems++
+		if unit < x.From {
+			return
+		}
 		nPiv := bucketAt(buckets, off, c, t2, t3).Len()
 		solve := func(lo, hi int64, chunk int) shardTask {
-			return func(shard *extmem.Space, emit graph.Emit) {
+			return shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
 				// The shard consults the same c²+1-word bucket index the
 				// coordinator built; charge it the same internal memory.
 				release := shard.LeaseAtMost(c*c + 1)
 				defer release()
 				seg := shard.ExtentAt(0, E)
 				SolveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, chunk, emit)
-			}
+			}}
 		}
 		if !chunked || nPiv <= int64(memEdges) {
 			tasks = append(tasks, solve(0, nPiv, 0))
@@ -269,5 +338,8 @@ func solveColoredParallel(ctx context.Context, sp *extmem.Space, edges extmem.Ex
 			tasks = append(tasks, solve(lo, min(lo+step, nPiv), memEdges))
 		}
 	})
-	return runTasks(ctx, cfg, shared, tasks, workers, emit)
+	if err := x.checkFrom(units); err != nil {
+		return nil, err
+	}
+	return runTasks(x, cfg, shared, tasks, emit)
 }

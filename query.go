@@ -57,16 +57,32 @@ type Query struct {
 	// no emissions at all — a partial set has no canonical prefix.
 	Ordered bool
 	// Limit, when positive, stops the query cleanly after Limit
-	// emissions: the producer is cancelled cooperatively (as if the
-	// context had been cancelled), no further emissions are delivered,
-	// and the partial Result is returned with a nil error — its Matches
-	// (and Triangles) count the emissions actually delivered, which are
-	// a prefix of the full stream, and its Stats report whatever I/O had
+	// emissions from From: the producer is cancelled cooperatively (as
+	// if the context had been cancelled), no further emissions are
+	// delivered, and the partial Result is returned with a nil error —
+	// the emissions delivered are the stream's next Limit after From,
+	// its Matches (and Triangles) give the position reached, From.Emitted
+	// plus the emissions delivered, and its Stats report whatever I/O had
 	// accumulated when the producer wound down (like a cancelled run,
 	// this tail is scheduling-dependent for the parallel algorithms).
 	// Queries that finish under the limit are unaffected. Applies to the
 	// callback and iterator forms alike.
 	Limit uint64
+	// From resumes the stream at a position an earlier run of the same
+	// query on the same generation reported as its Result.Next: the run
+	// delivers the stream's emissions from From.Emitted on, so pages
+	// read with Limit and From = the previous page's Next concatenate to
+	// the unpaged stream. CacheAware, CacheOblivious and Deterministic
+	// triangle queries in engine order start at From's decomposition
+	// unit, so a resumed page costs its set-up plus the units from its
+	// position, and its Stats, and CacheOblivious's Subproblems and
+	// HighDegVertices, cover only that work; every other query replays
+	// its producer from the start and drops the first From.Emitted
+	// emissions. A position that cannot belong to the query fails with
+	// ErrInvalidPosition before any emission; one built by hand can only
+	// misplace this query's own stream. The zero Position is the
+	// stream's start.
+	From Position
 	// Result, when non-nil, receives the query's Result when the run
 	// finishes — the way the iterator forms report statistics. The
 	// callback forms also return it directly.
@@ -76,6 +92,47 @@ type Query struct {
 // Triangle is one emitted triangle in the caller's vertex ids, sorted so
 // that A < B < C.
 type Triangle struct{ A, B, C uint32 }
+
+// Position is a point in a query's deterministic emission stream, as
+// Result.Next reports it and Query.From resumes from it. Emitted is the
+// number of emissions before the point. Unit is the decomposition unit
+// that holds the last of them — a Lemma 1 pass or a color triple of
+// CacheAware and Deterministic, a planner task of CacheOblivious, and 0
+// for every other query — and UnitStart is the number of emissions
+// before that unit's first one. Units are a pure function of the image
+// and the query, invariant in Workers and Mode, so a Position is valid
+// for every run of the same query on the same generation.
+type Position struct {
+	Emitted   uint64
+	Unit      int
+	UnitStart uint64
+}
+
+// ErrInvalidPosition reports a Query.From that cannot be a position of
+// the query's stream: a unit starting after the position, a negative
+// unit or a unit 0 not starting at emission 0, a unit other than 0 on an
+// ordered stream or on a query without units, or a unit past the
+// query's last.
+var ErrInvalidPosition = errors.New("repro: invalid query position")
+
+// check reports whether p can be a position of a query whose engine
+// numbers its units (units false: the query has one unit, 0).
+func (p Position) check(units bool) error {
+	var why string
+	switch {
+	case p.UnitStart > p.Emitted:
+		why = fmt.Sprintf("unit start %d is after position %d", p.UnitStart, p.Emitted)
+	case p.Unit < 0:
+		why = fmt.Sprintf("unit %d is negative", p.Unit)
+	case p.Unit == 0 && p.UnitStart != 0:
+		why = fmt.Sprintf("unit 0 starts at emission 0, not %d", p.UnitStart)
+	case p.Unit > 0 && !units:
+		why = fmt.Sprintf("unit %d on a query whose stream is one unit", p.Unit)
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrInvalidPosition, why)
+}
 
 // Result summarizes an enumeration run.
 type Result struct {
@@ -115,6 +172,9 @@ type Result struct {
 	// engages at most one worker per subproblem, so fewer workers (len of
 	// WorkerStats) may actually run on small inputs.
 	Workers int
+	// Next is the stream position after the last emission delivered —
+	// From when none was — for Query.From to resume at.
+	Next Position
 	// WorkerStats breaks the parallel phases down per worker. Which
 	// worker solved which subproblem depends on scheduling, so individual
 	// entries vary run to run — their length may too: the engine engages
@@ -168,39 +228,36 @@ func (l *limiter) admit() bool {
 }
 
 // finish translates the producer's wind-down into the limit contract:
-// the delivered-emission count replaces the engine's tallies (which may
-// have raced past the limit), and when the limit was reached and the
-// only error is the limiter's own cancellation (not the caller's), the
-// query stopped cleanly and the error is dropped.
-func (l *limiter) finish(ctx context.Context, res *Result, err error) error {
-	if l == nil {
-		return err
-	}
-	res.Matches = l.count
-	if res.Triangles != 0 {
-		// Only the triangle engines tally Triangles, and they tally
-		// every emission, so a nonzero tally marks a triangle query.
-		res.Triangles = l.count
-	}
-	if l.count >= l.limit && errors.Is(err, context.Canceled) && ctxutil.Err(ctx) == nil {
+// when the limit was reached and the only error is the limiter's own
+// cancellation (not the caller's), the query stopped cleanly and the
+// error is dropped.
+func (l *limiter) finish(ctx context.Context, err error) error {
+	if l != nil && l.count >= l.limit && errors.Is(err, context.Canceled) && ctxutil.Err(ctx) == nil {
 		return nil
 	}
 	return err
 }
 
-// engine runs one query kind's enumeration on a session, passing each
-// emission to emit as a tuple of ranks. It returns the Result fields the
-// engine owns — Matches and the decomposition internals, plus Triangles
-// and Workers for the triangle algorithms — and the per-worker
-// statistics of its parallel phases.
-type engine func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error)
+// engine runs one query kind's enumeration on a session, under x's
+// context, workers and first unit, passing each emission to emit as a
+// tuple of ranks. It returns the Result fields the engine owns — Matches
+// and the decomposition internals, plus Triangles and Workers for the
+// triangle algorithms — and the per-worker statistics of its parallel
+// phases.
+type engine func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error)
 
 // query is the one driver behind every query kind. It opens a session,
 // runs the engine with each emitted tuple mapped back to input ids and
-// canonicalized in place (canon may be nil), applies Query.Limit and
-// Query.Ordered to the tuples of size k, flushes, and assembles the
-// Result. emit may be nil to count only.
-func (g *Graph) query(ctx context.Context, q Query, k int, canon func([]uint32), emit func([]uint32), run engine) (Result, error) {
+// canonicalized in place (canon may be nil), applies Query.From,
+// Query.Limit and Query.Ordered to the tuples of size k, flushes, and
+// assembles the Result. units says whether the engine numbers its
+// decomposition units (trienum.Exec.From); a query whose engine does not
+// is one unit and resumes by replay. emit may be nil to count only.
+func (g *Graph) query(ctx context.Context, q Query, k int, units bool, canon func([]uint32), emit func([]uint32), run engine) (Result, error) {
+	from := q.From
+	if err := from.check(units && !q.Ordered); err != nil {
+		return Result{}, err
+	}
 	native := q.Mode == ModeNative
 	s, err := g.acquire(native)
 	if err != nil {
@@ -214,14 +271,32 @@ func (g *Graph) query(ctx context.Context, q Query, k int, canon func([]uint32),
 	if ord != nil {
 		// The canonical order is unknown until the enumeration is
 		// complete, so an ordered producer always runs to completion:
-		// the limit applies at delivery, below, not to the producer.
+		// From and the limit apply at delivery, below, not to the
+		// producer.
 		qctx = ctx
 	}
+	// pos is the stream index after the engine's latest emission, and
+	// unit and unitStart are that emission's unit and the unit's first
+	// index. The engine starts at From's unit, whose first emission is
+	// From.UnitStart; the emissions before From.Emitted are dropped.
+	pos, unit, unitStart := from.UnitStart, from.Unit, from.UnitStart
+	next := from
+	x := trienum.Exec{Workers: g.resolveWorkers(q), Ctx: qctx, From: from.Unit, OnUnit: func(u int) {
+		unit, unitStart = u, pos
+	}}
 	rankToID := s.cg.RankToID
 	var ids []uint32 // grown by the first emission, never sized by k
-	res, workerStats, err := run(qctx, s, func(ranks []uint32) {
-		if ord == nil && (!lim.admit() || emit == nil) {
-			return
+	res, workerStats, err := run(s, x, func(ranks []uint32) {
+		if ord == nil {
+			if pos++; pos <= from.Emitted || !lim.admit() {
+				return
+			}
+			// Stragglers past the limit never get here, so Next stays
+			// at the last delivered emission.
+			next = Position{Emitted: pos, Unit: unit, UnitStart: unitStart}
+			if emit == nil {
+				return
+			}
 		}
 		ids = ids[:0]
 		for _, r := range ranks {
@@ -236,6 +311,9 @@ func (g *Graph) query(ctx context.Context, q Query, k int, canon func([]uint32),
 		}
 		emit(ids)
 	})
+	if errors.Is(err, trienum.ErrFrom) {
+		err = fmt.Errorf("%w: unit %d is past the query's last", ErrInvalidPosition, from.Unit)
+	}
 	if err == nil {
 		// Count the final write-backs into the run's statistics; a
 		// cancelled run reports its statistics as accumulated, unflushed.
@@ -257,9 +335,21 @@ func (g *Graph) query(ctx context.Context, q Query, k int, canon func([]uint32),
 	res.Vertices, res.Edges, res.CanonIOs = s.gen.numVertices, s.gen.edgesLen, s.gen.canonIOs
 	res.Workers = max(res.Workers, 1) // sequential engines leave it zero
 	if ord != nil && err == nil {
-		ord.deliver(lim, emit)
+		next.Emitted += ord.deliver(from.Emitted, lim, emit)
 	}
-	err = lim.finish(ctx, &res, err)
+	res.Next = next
+	if lim != nil || from != (Position{}) {
+		// A limited or resumed run reports the position it reached, not
+		// the engine's tallies, which count a resumed unit's dropped
+		// prefix and may have raced past the limit. Only the triangle
+		// engines tally Triangles, and they tally every emission, so a
+		// nonzero tally marks a triangle query.
+		res.Matches = next.Emitted
+		if res.Triangles != 0 {
+			res.Triangles = next.Emitted
+		}
+	}
+	err = lim.finish(ctx, err)
 	if q.Result != nil {
 		*q.Result = res
 	}
@@ -287,13 +377,14 @@ func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c ui
 	if emit != nil {
 		emitIDs = func(t []uint32) { emit(t[0], t[1], t[2]) }
 	}
-	return g.query(ctx, q, 3, slices.Sort[[]uint32], emitIDs, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+	units := q.Algorithm == CacheAware || q.Algorithm == CacheOblivious || q.Algorithm == Deterministic
+	return g.query(ctx, q, 3, units, slices.Sort[[]uint32], emitIDs, func(s *session, exec trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
 		var t [3]uint32
 		emit3 := func(a, b, c uint32) {
 			t = [3]uint32{a, b, c}
 			emit(t[:])
 		}
-		exec := trienum.Exec{Workers: g.resolveWorkers(q), Ctx: ctx}
+		ctx := exec.Ctx
 		var res Result
 		var info trienum.Info
 		var workerStats []extmem.Stats
@@ -361,8 +452,8 @@ func (g *Graph) Triangles(ctx context.Context, q Query) iter.Seq2[Triangle, erro
 // be nil. A nil emit counts only. Like every query, it runs on its own
 // session and may overlap other queries of the handle.
 func (g *Graph) CliquesFunc(ctx context.Context, k int, q Query, emit func(clique []uint32)) (Result, error) {
-	return g.query(ctx, q, k, slices.Sort[[]uint32], emit, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
-		info, err := subgraph.KClique(ctx, s.sp, s.cg, k, q.Seed, emit)
+	return g.query(ctx, q, k, false, slices.Sort[[]uint32], emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+		info, err := subgraph.KClique(x.Ctx, s.sp, s.cg, k, q.Seed, emit)
 		return subgraphResult(info), nil, err
 	})
 }
@@ -396,8 +487,8 @@ func (g *Graph) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(as
 	if q.Ordered {
 		canon = p.Normalize
 	}
-	return g.query(ctx, q, p.K(), canon, emit, func(ctx context.Context, s *session, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
-		info, err := p.p.Enumerate(ctx, s.sp, s.cg, q.Seed, emit)
+	return g.query(ctx, q, p.K(), false, canon, emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+		info, err := p.p.Enumerate(x.Ctx, s.sp, s.cg, q.Seed, emit)
 		return subgraphResult(info), nil, err
 	})
 }
@@ -440,18 +531,20 @@ func newOrderedTuples(q Query, k int) *orderedTuples {
 func (o *orderedTuples) add(vs []uint32) { o.flat = append(o.flat, vs...) }
 
 // deliver sorts the buffered tuples into the canonical lexicographic
-// order and hands them to emit (nil to count only) through the limiter,
-// from the calling goroutine.
-func (o *orderedTuples) deliver(lim *limiter, emit func([]uint32)) {
+// order and hands those after the first skip to emit (nil to count only)
+// through the limiter, from the calling goroutine. It returns the number
+// delivered.
+func (o *orderedTuples) deliver(skip uint64, lim *limiter, emit func([]uint32)) uint64 {
 	cluster.SortTuples(o.flat, o.k)
-	for i := 0; i+o.k <= len(o.flat); i += o.k {
-		if !lim.admit() {
-			return
-		}
+	n := uint64(len(o.flat) / o.k)
+	var delivered uint64
+	for i := min(skip, n); i < n && lim.admit(); i++ {
 		if emit != nil {
-			emit(o.flat[i : i+o.k])
+			emit(o.flat[i*uint64(o.k) : (i+1)*uint64(o.k)])
 		}
+		delivered++
 	}
+	return delivered
 }
 
 // seq adapts a callback-form query to an iterator, translating an early

@@ -83,7 +83,7 @@ type Subscription struct {
 // invariant in it. Query.Mode selects the execution mode as in Triangles,
 // captured once at registration: a native subscription's ChangeSets carry
 // the same Added/Removed tuples with a zero Stats. Query.Algorithm, Seed,
-// Limit, and Result do not apply to subscriptions and are ignored.
+// Limit, From and Result do not apply to subscriptions and are ignored.
 //
 // ctx bounds the subscription's lifetime: when it is cancelled the
 // subscription closes and Err reports ctx.Err(). ctx may be nil. The
