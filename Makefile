@@ -34,15 +34,16 @@ docs:
 # scatter–gather queries with 2PC updates), and the clique and pattern
 # tuple solvers (which shards run on the ordered worker pool).
 # The packages that own worker scheduling (the root package, the
-# ordered worker pool in internal/extmem, and internal/trienum)
-# additionally run at -cpu=1,4: GOMAXPROCS=1 serializes the goroutines,
-# 4 exercises work stealing and the parallel oblivious recursion under
-# real preemption. The explicit -timeout replaces go test's 10-minute
-# default, which the root package alone has reached under -race on
-# 2 vCPUs.
+# ordered worker pool in internal/extmem, internal/trienum, and
+# internal/subgraph, whose tuple engine schedules the Section 6 color
+# tuples on that pool) additionally run at -cpu=1,4: GOMAXPROCS=1
+# serializes the goroutines, 4 exercises work stealing and the parallel
+# oblivious recursion under real preemption. The explicit -timeout
+# replaces go test's 10-minute default, which the root package alone has
+# reached under -race on 2 vCPUs.
 race:
-	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/extmem ./internal/trienum
-	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster ./internal/subgraph
+	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/extmem ./internal/trienum ./internal/subgraph
+	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster
 
 # One iteration of every benchmark in every package (the CI smoke); use
 # BENCHTIME=5x etc. for real measurements.

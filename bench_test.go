@@ -175,12 +175,15 @@ func BenchmarkE9KClique(b *testing.B) {
 				g := graph.CanonicalizeList(sp, el)
 				sp.DropCache()
 				sp.ResetStats()
-				info, err := subgraph.KClique(nil, sp, g, 4, uint64(i)+1, func([]uint32) {})
+				info, workerStats, err := subgraph.KCliqueParallel(sp, g, 4, uint64(i)+1, trienum.Exec{}, func([]uint32) {})
 				if err != nil {
 					b.Fatal(err)
 				}
 				sp.Flush()
 				ios = sp.Stats().IOs()
+				for _, w := range workerStats {
+					ios += w.IOs()
+				}
 				cliques = info.Cliques
 			}
 			e := float64(n * (n - 1) / 2)

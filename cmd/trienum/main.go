@@ -38,9 +38,9 @@
 // For the cacheaware and deterministic algorithms, -workers runs the
 // independent subproblems and the sort(E) substrate (canonicalization and
 // color-pair ordering, via the parallel external-memory sorts of
-// internal/emsort) on a worker pool; the triangle stream and aggregated
-// I/O statistics are identical at every worker count, only wall-clock
-// time changes. The scaling is measured by BenchmarkE13ParallelWorkers /
+// internal/emsort) on a worker pool, and -k and -pattern run their color
+// tuples on the same pool; the streams and aggregated I/O statistics are
+// identical at every worker count, only wall-clock time changes. The scaling is measured by BenchmarkE13ParallelWorkers /
 // BenchmarkE14ParallelDeterministic (engine), BenchmarkE15ParallelSort
 // (sorts standalone) and BenchmarkE16ParallelPipeline (sorts
 // in-pipeline); see EXPERIMENTS.md at the repo root.
@@ -77,7 +77,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "seed for randomized algorithms and generators")
 		list    = flag.Bool("list", false, "print each triangle/clique/embedding")
 		disk    = flag.String("disk", "", "back external memory with this file instead of RAM")
-		workers = flag.Int("workers", 0, "parallel workers for cacheaware/deterministic subproblems and sorts (0 = one per CPU)")
+		workers = flag.Int("workers", 0, "parallel workers for cacheaware/deterministic subproblems, -k/-pattern color tuples and sorts (0 = one per CPU)")
 		wstats  = flag.Bool("workerstats", false, "print the per-worker I/O breakdown")
 		kFlag   = flag.Int("k", 0, "also enumerate k-cliques (k >= 3) via the Section 6 extension")
 		pattern = flag.String("pattern", "", "also enumerate a predefined pattern: triangle, path3, cycle4, diamond, k4, star3, house")

@@ -6,13 +6,17 @@
 //
 // The graph is built once — one O(sort(E)) canonicalization — and every
 // query (three clique sizes, four patterns) runs against the same
-// repro.Graph handle.
+// repro.Graph handle. Each clique size runs on one worker and on four,
+// and the program exits non-zero unless both give the same stream and
+// the same I/O statistics: the color tuples run on a worker pool, and
+// the worker count may change only the wall-clock time.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro"
 )
@@ -36,7 +40,9 @@ func main() {
 		// Collect which vertices appear in k-cliques: members of the
 		// planted community dominate for k >= 4.
 		members := map[uint32]int{}
-		res, err := g.CliquesFunc(ctx, k, repro.Query{Seed: 7}, func(vs []uint32) {
+		var stream []uint32
+		res, err := g.CliquesFunc(ctx, k, repro.Query{Seed: 7, Workers: 1}, func(vs []uint32) {
+			stream = append(stream, vs...)
 			for _, v := range vs {
 				members[v]++
 			}
@@ -44,8 +50,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("k=%d: %10d cliques, %7d I/Os, %d colors, %d subproblems (largest %d edges)\n",
-			k, res.Matches, res.Stats.IOs(), res.Colors, res.Subproblems, res.MaxSubproblem)
+		// The same query on four workers: same stream, same Stats.
+		var stream4 []uint32
+		res4, err := g.CliquesFunc(ctx, k, repro.Query{Seed: 7, Workers: 4}, func(vs []uint32) {
+			stream4 = append(stream4, vs...)
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !slices.Equal(stream4, stream) || res4.Stats != res.Stats {
+			log.Fatalf("k=%d: %d workers gave %d cliques and %+v, 1 worker %d and %+v",
+				k, res4.Workers, res4.Matches, res4.Stats, res.Matches, res.Stats)
+		}
+		fmt.Printf("k=%d: %10d cliques, %7d I/Os, %d colors, %d subproblems (largest %d edges); workers 1 and %d agree\n",
+			k, res.Matches, res.Stats.IOs(), res.Colors, res.Subproblems, res.MaxSubproblem, res4.Workers)
 		if k == 5 {
 			fmt.Printf("\nvertices in 5-cliques (the planted community surfaces):\n  ")
 			n := 0

@@ -139,27 +139,24 @@ func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors
 
 	// One pool task per chunk of anchors; its output is the chunk's copies.
 	// The search reads no blocks, so the shards are native.
-	var tasks []extmem.ShardTask[[][]uint32]
-	for lo := 0; lo < len(anchors); lo += anchorChunk {
-		chunk := anchors[lo:min(lo+anchorChunk, len(anchors))]
-		tasks = append(tasks, func(_ *extmem.Space, send func([][]uint32) bool) {
-			var buf [][]uint32
-			for _, e := range chunk {
-				if ctxutil.Err(ctx) != nil {
-					return
-				}
-				if spec.Pattern != nil {
-					anchorPattern(spec.Pattern, plans, e, adj, anchorSet, &buf)
-				} else {
-					anchorClique(k, e, adj, anchorSet, &buf)
-				}
+	chunk := func(i int, _ *extmem.Space, send func([][]uint32) bool) {
+		var buf [][]uint32
+		for _, e := range anchors[i*anchorChunk : min((i+1)*anchorChunk, len(anchors))] {
+			if ctxutil.Err(ctx) != nil {
+				return
 			}
-			send(buf)
-		})
+			if spec.Pattern != nil {
+				anchorPattern(spec.Pattern, plans, e, adj, anchorSet, &buf)
+			} else {
+				anchorClique(k, e, adj, anchorSet, &buf)
+			}
+		}
+		send(buf)
 	}
 	cfg := sp.Config()
 	cfg.Native = true
-	_, err = extmem.RunOrdered(ctx, cfg, nil, tasks, workers, 1, func(_ int, copies [][]uint32) {
+	chunks := (len(anchors) + anchorChunk - 1) / anchorChunk
+	_, err = extmem.RunOrdered(ctx, cfg, nil, chunks, chunk, workers, 1, func(_ int, copies [][]uint32) {
 		if ctxutil.Err(ctx) != nil {
 			return // a task may have stopped short: keep the output a prefix
 		}

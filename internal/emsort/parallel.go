@@ -168,32 +168,26 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		defer releaseSamples()
 	}
 	samples := make([][]extmem.Word, numTop)
-	runTasks := make([]extmem.ShardTask[[]extmem.Word], numRuns)
-	for r := 0; r < numRuns; r++ {
+	sortRun := func(r int, shard *extmem.Space, send func([]extmem.Word) bool) {
 		lo := int64(r) * plan.runWords
-		hi := lo + plan.runWords
-		if hi > n {
-			hi = n
-		}
-		runTasks[r] = func(shard *extmem.Space, send func([]extmem.Word) bool) {
-			release := shard.Lease(int(hi - lo))
-			defer release()
-			buf := make([]extmem.Word, hi-lo)
-			shard.ExtentAt(lo, hi-lo).Load(buf)
-			sortNative(buf, stride, key)
-			for o := 0; o < len(buf); o += sortBatchWords {
-				e := o + sortBatchWords
-				if e > len(buf) {
-					e = len(buf)
-				}
-				if !send(buf[o:e:e]) {
-					return
-				}
+		hi := min(lo+plan.runWords, n)
+		release := shard.Lease(int(hi - lo))
+		defer release()
+		buf := make([]extmem.Word, hi-lo)
+		shard.ExtentAt(lo, hi-lo).Load(buf)
+		sortNative(buf, stride, key)
+		for o := 0; o < len(buf); o += sortBatchWords {
+			e := o + sortBatchWords
+			if e > len(buf) {
+				e = len(buf)
+			}
+			if !send(buf[o:e:e]) {
+				return
 			}
 		}
 	}
 	var cur int64
-	ws, err := extmem.RunOrdered(ctx, cfg, shared, runTasks, workers, sortStreamDepth, func(task int, batch []extmem.Word) {
+	ws, err := extmem.RunOrdered(ctx, cfg, shared, numRuns, sortRun, workers, sortStreamDepth, func(task int, batch []extmem.Word) {
 		runLo := int64(task) * plan.runWords
 		for _, w := range batch {
 			if passes == 0 {
@@ -264,36 +258,26 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 	}
 
 	shared2 := sp.Snapshot(runsBuf)
-	chunkTasks := make([]extmem.ShardTask[[]extmem.Word], len(splitters)+1)
-	for j := range chunkTasks {
-		var sLo, sHi *extmem.Word
-		if j > 0 {
-			sLo = &splitters[j-1]
-		}
-		if j < len(splitters) {
-			sHi = &splitters[j]
-		}
-		chunkTasks[j] = func(shard *extmem.Space, send func([]extmem.Word) bool) {
-			release := shard.Lease(totalSamples + 4*numTop)
-			defer release()
-			view := shard.ExtentAt(0, n)
-			segs := make([][2]int64, numTop) // [pos, end) in words
-			for r := 0; r < numTop; r++ {
-				runLo := int64(r) * topRunWords
-				lo, hi := int64(0), runRecs[r]
-				if sLo != nil {
-					lo = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, *sLo)
-				}
-				if sHi != nil {
-					hi = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, *sHi)
-				}
-				segs[r] = [2]int64{runLo + lo*st, runLo + hi*st}
+	mergeTask := func(j int, shard *extmem.Space, send func([]extmem.Word) bool) {
+		release := shard.Lease(totalSamples + 4*numTop)
+		defer release()
+		view := shard.ExtentAt(0, n)
+		segs := make([][2]int64, numTop) // [pos, end) in words
+		for r := 0; r < numTop; r++ {
+			runLo := int64(r) * topRunWords
+			lo, hi := int64(0), runRecs[r]
+			if j > 0 {
+				lo = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j-1])
 			}
-			mergeChunk(view, segs, stride, key, send)
+			if j < len(splitters) {
+				hi = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j])
+			}
+			segs[r] = [2]int64{runLo + lo*st, runLo + hi*st}
 		}
+		mergeChunk(view, segs, stride, key, send)
 	}
 	var out int64
-	ws2, err := extmem.RunOrdered(ctx, cfg, shared2, chunkTasks, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
+	ws2, err := extmem.RunOrdered(ctx, cfg, shared2, len(splitters)+1, mergeTask, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
 		for _, w := range batch {
 			ext.Write(out, w)
 			out++
@@ -390,33 +374,30 @@ func ParallelFunnelSortRecords(ext extmem.Extent, stride int, key Key, workers i
 	}
 	segs := funnelSplit(ext, stride)
 	shared := sp.Snapshot(ext)
-	tasks := make([]extmem.ShardTask[[]extmem.Word], len(segs))
-	for i, seg := range segs {
-		lo := seg.Base() - ext.Base()
-		segLen := seg.Len()
-		tasks[i] = func(shard *extmem.Space, send func([]extmem.Word) bool) {
-			priv := shard.Alloc(segLen)
-			shard.ExtentAt(lo, segLen).CopyTo(priv)
-			funnelSortRec(priv, stride, key)
-			shard.Flush()
-			buf := make([]extmem.Word, sortBatchWords)
-			for o := int64(0); o < segLen; o += sortBatchWords {
-				e := o + sortBatchWords
-				if e > segLen {
-					e = segLen
-				}
-				b := buf[:e-o]
-				priv.Slice(o, e).Load(b)
-				if !send(b) {
-					return
-				}
-				buf = make([]extmem.Word, sortBatchWords)
+	sortSeg := func(i int, shard *extmem.Space, send func([]extmem.Word) bool) {
+		lo := segs[i].Base() - ext.Base()
+		segLen := segs[i].Len()
+		priv := shard.Alloc(segLen)
+		shard.ExtentAt(lo, segLen).CopyTo(priv)
+		funnelSortRec(priv, stride, key)
+		shard.Flush()
+		buf := make([]extmem.Word, sortBatchWords)
+		for o := int64(0); o < segLen; o += sortBatchWords {
+			e := o + sortBatchWords
+			if e > segLen {
+				e = segLen
 			}
+			b := buf[:e-o]
+			priv.Slice(o, e).Load(b)
+			if !send(b) {
+				return
+			}
+			buf = make([]extmem.Word, sortBatchWords)
 		}
 	}
 	var cur int64
 	// A nil context never cancels, so the pool runs every segment.
-	ws, _ := extmem.RunOrdered(nil, cfg, shared, tasks, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
+	ws, _ := extmem.RunOrdered(nil, cfg, shared, len(segs), sortSeg, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
 		for _, w := range batch {
 			ext.Write(cur, w)
 			cur++

@@ -309,12 +309,15 @@ func E9KClique() Table {
 		g := graph.CanonicalizeList(sp, w.el)
 		sp.DropCache()
 		sp.ResetStats()
-		info, err := subgraph.KClique(nil, sp, g, 4, 9, func([]uint32) {})
+		info, workerStats, err := subgraph.KCliqueParallel(sp, g, 4, 9, engine, func([]uint32) {})
 		if err != nil {
 			panic(err)
 		}
 		sp.Flush()
 		ios := sp.Stats().IOs()
+		for _, w := range workerStats {
+			ios += w.IOs()
+		}
 		e := float64(g.Edges.Len())
 		bound := e * e / (float64(m.M) * float64(m.B))
 		t.Rows = append(t.Rows, []string{w.name, d64(g.Edges.Len()), d(info.Cliques), d(ios),

@@ -104,39 +104,43 @@ func NewShardSpace(cfg Config, shared []Word) *Space {
 	return sp
 }
 
-// ShardTask is one unit of pooled work: it runs against a worker's shard
-// Space and hands its output, in the unit's own order, to send. send
-// reports false once the pool is unwinding; the task should then return.
-type ShardTask[T any] func(shard *Space, send func(T) bool)
-
-// RunOrdered executes tasks on up to workers goroutines, each owning one
-// shard Space over the shared region (NewShardSpace), and hands every
-// task's outputs to consume in task order on the calling goroutine.
-// Between tasks a worker releases its scratch and drops its cache, so each
-// task runs cold, exactly as on a fresh shard. It returns the per-worker
-// stats.
+// RunOrdered executes tasks 0, 1, …, n-1 on up to workers goroutines, each
+// owning one shard Space over the shared region (NewShardSpace): task(i,
+// shard, send) runs task i and hands its outputs, in the task's own order,
+// to send, which reports false once the pool is unwinding — the task
+// should then return. consume receives every task's outputs in task order
+// on the calling goroutine. Between tasks a worker releases its scratch
+// and drops its cache, so each task runs cold, exactly as on a fresh
+// shard. It returns the per-worker stats.
 //
 // The pool streams: a task may run at most depth outputs ahead of the
 // consumer before its send blocks, and tasks are dispatched at most
 // 2·workers ahead of the task being consumed, so the pool holds
-// O(workers · depth) outputs however large the result is.
+// O(workers · depth) outputs however large the result is. It holds no
+// state per task beyond that window either — a task's output stream is
+// made when the task is dispatched — so n may be as large as the caller's
+// index space.
 //
-// When ctx is cancelled (a nil ctx never is) the consumer stops between
-// outputs, dispatch stops, in-flight tasks unwind at their next send, and
-// the pool drains before RunOrdered returns ctx.Err() with the stats
-// accumulated so far. A panicking consumer unwinds the pool the same way
-// before the panic propagates: no goroutine outlives the call.
-func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, tasks []ShardTask[T], workers, depth int, consume func(task int, out T)) ([]Stats, error) {
-	if len(tasks) == 0 {
+// When ctx is cancelled (a nil ctx never is), the consumer takes no
+// further output, and none at all after a consume call that cancelled it;
+// dispatch stops, in-flight tasks unwind at their next send, and the pool
+// drains before RunOrdered returns ctx.Err() with the stats accumulated
+// so far. A panicking consumer unwinds the pool the same way before the
+// panic propagates: no goroutine outlives the call.
+func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, n int, task func(i int, shard *Space, send func(T) bool), workers, depth int, consume func(task int, out T)) ([]Stats, error) {
+	if n <= 0 {
 		return nil, ctxutil.Err(ctx)
 	}
-	workers = min(max(workers, 1), len(tasks))
-	streams := make([]chan T, len(tasks))
-	for i := range streams {
-		streams[i] = make(chan T, depth)
+	workers = min(max(workers, 1), n)
+	type job struct {
+		i      int
+		stream chan T
 	}
-	jobs := make(chan int)
-	window := make(chan struct{}, 2*workers)
+	jobs := make(chan job)
+	// queued holds the output streams of the dispatched tasks not yet
+	// being consumed, in task order; with the one being consumed, at most
+	// 2·workers tasks are in flight.
+	queued := make(chan chan T, 2*workers-1)
 	// done is closed when the consumer stops — normally after the last
 	// task, but also on cancellation or a consumer panic — so blocked
 	// workers and the dispatcher always unwind instead of leaking.
@@ -153,19 +157,19 @@ func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, tasks []S
 			defer wg.Done()
 			shard := NewShardSpace(cfg, shared)
 			base := shard.Mark()
-			for idx := range jobs {
+			for j := range jobs {
 				alive := true
-				tasks[idx](shard, func(out T) bool {
+				task(j.i, shard, func(out T) bool {
 					if alive {
 						select {
-						case streams[idx] <- out:
+						case j.stream <- out:
 						case <-done:
 							alive = false
 						}
 					}
 					return alive
 				})
-				close(streams[idx])
+				close(j.stream)
 				shard.Release(base)
 				shard.DropCache()
 			}
@@ -174,37 +178,44 @@ func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, tasks []S
 	}
 	go func() {
 		defer close(jobs)
-		for i := range tasks {
+		for i := range n {
+			stream := make(chan T, depth)
 			select {
-			case window <- struct{}{}: // blocks while the consumer lags
+			case queued <- stream: // blocks while the consumer lags
 			case <-done:
 				return
 			}
 			select {
-			case jobs <- i:
+			case jobs <- job{i, stream}:
 			case <-done:
 				return
 			}
 		}
 	}()
 	cancelled := ctxutil.Done(ctx)
-	for i := range tasks {
-		for stream := streams[i]; stream != nil; {
+	for i := range n {
+		var stream chan T
+		select {
+		case stream = <-queued:
+		case <-cancelled:
+			return stats, ctx.Err()
+		}
+		for stream != nil {
 			select {
 			case out, ok := <-stream:
 				if !ok {
 					stream = nil
 					continue
 				}
+				select {
+				case <-cancelled: // also when consume itself cancelled
+					return stats, ctx.Err()
+				default:
+				}
 				consume(i, out)
 			case <-cancelled:
 				return stats, ctx.Err()
 			}
-		}
-		select {
-		case <-window:
-		case <-cancelled:
-			return stats, ctx.Err()
 		}
 	}
 	return stats, nil

@@ -226,20 +226,17 @@ func TestRunOrderedDeliversInTaskOrder(t *testing.T) {
 	close(finished[n])
 	var mu sync.Mutex
 	var finishOrder []int
-	tasks := make([]ShardTask[int], n)
-	for i := range tasks {
-		tasks[i] = func(_ *Space, send func(int) bool) {
-			<-finished[i+1] // task i ends only after task i+1 has
-			send(10 * i)
-			send(10*i + 1)
-			mu.Lock()
-			finishOrder = append(finishOrder, i)
-			mu.Unlock()
-			close(finished[i])
-		}
+	task := func(i int, _ *Space, send func(int) bool) {
+		<-finished[i+1] // task i ends only after task i+1 has
+		send(10 * i)
+		send(10*i + 1)
+		mu.Lock()
+		finishOrder = append(finishOrder, i)
+		mu.Unlock()
+		close(finished[i])
 	}
 	var got []int
-	_, err := RunOrdered(nil, shardCfg(), make([]Word, 16), tasks, n, 2, func(task, out int) {
+	_, err := RunOrdered(nil, shardCfg(), make([]Word, 16), n, task, n, 2, func(task, out int) {
 		if out/10 != task {
 			t.Errorf("task %d delivered output %d", task, out)
 		}
@@ -265,23 +262,20 @@ func TestRunOrderedStatsInvariantAcrossWorkers(t *testing.T) {
 	for i := range shared {
 		shared[i] = Word(i)
 	}
-	tasks := make([]ShardTask[Word], 8)
-	for i := range tasks {
-		tasks[i] = func(sp *Space, send func(Word) bool) {
-			// Every task reads the same 64 words, so a task that found
-			// its predecessor's cache warm would read fewer blocks; the
-			// scratch of 2M words forces write-backs.
-			view := sp.ExtentAt(0, 64)
-			scratch := sp.Alloc(2 * int64(cfg.M))
-			for j := int64(0); j < scratch.Len(); j++ {
-				scratch.Write(j, view.Read(j%64)+Word(i))
-			}
-			send(scratch.Read(0))
+	task := func(i int, sp *Space, send func(Word) bool) {
+		// Every task reads the same 64 words, so a task that found its
+		// predecessor's cache warm would read fewer blocks; the scratch
+		// of 2M words forces write-backs.
+		view := sp.ExtentAt(0, 64)
+		scratch := sp.Alloc(2 * int64(cfg.M))
+		for j := int64(0); j < scratch.Len(); j++ {
+			scratch.Write(j, view.Read(j%64)+Word(i))
 		}
+		send(scratch.Read(0))
 	}
 	var want Stats
 	for _, workers := range []int{1, 2, 8} {
-		ws, err := RunOrdered(nil, cfg, shared, tasks, workers, 1, func(int, Word) {})
+		ws, err := RunOrdered(nil, cfg, shared, 8, task, workers, 1, func(int, Word) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +302,8 @@ func TestRunOrderedStatsInvariantAcrossWorkers(t *testing.T) {
 // ctx.Err(), and a panicking consumer propagates its panic; either way
 // every worker and the dispatcher have exited.
 func TestRunOrderedUnwinds(t *testing.T) {
-	tasks := make([]ShardTask[int], 16)
-	for i := range tasks {
-		tasks[i] = func(_ *Space, send func(int) bool) {
-			for j := 0; j < 1000 && send(j); j++ {
-			}
+	task := func(_ int, _ *Space, send func(int) bool) {
+		for j := 0; j < 1000 && send(j); j++ {
 		}
 	}
 	waitNoLeak := func(before int) {
@@ -329,16 +320,15 @@ func TestRunOrderedUnwinds(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	consumed := 0
-	_, err := RunOrdered(ctx, shardCfg(), make([]Word, 16), tasks, 4, 1, func(int, int) {
+	_, err := RunOrdered(ctx, shardCfg(), make([]Word, 16), 16, task, 4, 1, func(int, int) {
 		consumed++
 		cancel()
 	})
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want %v", err, context.Canceled)
 	}
-	// Each later output races the cancellation in a select, so a few may
-	// still arrive; the rest of the first task's 1000 may not.
-	if consumed > 100 {
+	// The consumer cancelled at its first output and takes no other.
+	if consumed != 1 {
 		t.Errorf("consumer saw %d outputs after cancelling at the first", consumed)
 	}
 	waitNoLeak(before)
@@ -349,7 +339,45 @@ func TestRunOrderedUnwinds(t *testing.T) {
 				t.Fatal("consumer panic did not propagate")
 			}
 		}()
-		RunOrdered(nil, shardCfg(), make([]Word, 16), tasks, 4, 1, func(int, int) { panic("consumer failure") })
+		RunOrdered(nil, shardCfg(), make([]Word, 16), 16, task, 4, 1, func(int, int) { panic("consumer failure") })
 	}()
 	waitNoLeak(before)
+}
+
+// TestRunOrderedHoldsNoStatePerTask: a run of 2^20 tasks — the size of a
+// Section 6 color-tuple plan — keeps only its dispatch window live. Half
+// way through, the live heap is within a few MiB of where it started,
+// where one output stream per task, made up front, would hold over
+// 100 MiB.
+func TestRunOrderedHoldsNoStatePerTask(t *testing.T) {
+	const n = 1 << 20
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	var mid uint64
+	next := 0
+	_, err := RunOrdered(nil, Config{M: 1 << 8, B: 1 << 4, Native: true}, nil, n, func(i int, _ *Space, send func(int) bool) {
+		send(i)
+	}, 2, 1, func(task, out int) {
+		if task != next || out != task {
+			t.Fatalf("task %d delivered %d, want task %d", task, out, next)
+		}
+		next++
+		if task == n/2 {
+			mid = heap()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != n {
+		t.Fatalf("consumed %d tasks, want %d", next, n)
+	}
+	if mid > before+16<<20 {
+		t.Errorf("live heap grew from %d to %d bytes half way through %d tasks", before, mid, n)
+	}
 }

@@ -169,43 +169,43 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		stats  extmem.Stats
 		err    error
 	}
-	var tasks []extmem.ShardTask[tupleOut]
+	var owned []int // the owned tuples, k colors each
 	// The callback never fails, so neither does the enumeration.
 	_ = st.man.OwnedTuples(st.index, k, func(t []uint32) error {
-		order := make([]int, k)
-		for j, c := range t {
-			order[j] = int(c)
+		for _, c := range t {
+			owned = append(owned, int(c))
 		}
-		tasks = append(tasks, func(sp *extmem.Space, send func(tupleOut) bool) {
-			// The tuple's own Stats, peaks included: the pool's per-worker
-			// totals would mix in the tuples the worker drew before.
-			sp.ResetStats()
-			release := sp.LeaseAtMost(C*C + 1) // the offset index
-			edges, off := layOutTuple(sp, buckets, C, order)
-			solve := f.tupleSolver(C, col.Color)
-			var out tupleOut
-			emit := func(vs []uint32) { out.tuples = append(out.tuples, vs...) }
-			for more := true; more && out.err == nil; more = cluster.NextOrdering(order) {
-				// A cancelled query stops between orderings, as KClique
-				// stops between tuples.
-				if out.err = ctx.Err(); out.err == nil {
-					out.err = solve(sp, edges, off, order, emit)
-				}
-			}
-			release()
-			out.stats = sp.Stats()
-			send(out)
-		})
 		return nil
 	})
-	tr.Subproblems = len(tasks)
+	solveTuple := func(i int, sp *extmem.Space, send func(tupleOut) bool) {
+		order := slices.Clone(owned[i*k : (i+1)*k])
+		// The tuple's own Stats, peaks included: the pool's per-worker
+		// totals would mix in the tuples the worker drew before.
+		sp.ResetStats()
+		release := sp.LeaseAtMost(C*C + 1) // the offset index
+		edges, off := layOutTuple(sp, buckets, C, order)
+		solve := f.tupleSolver(C, col.Color)
+		var out tupleOut
+		emit := func(vs []uint32) { out.tuples = append(out.tuples, vs...) }
+		for more := true; more && out.err == nil; more = cluster.NextOrdering(order) {
+			// A cancelled query stops between orderings, as the
+			// single-process engine stops between tuples.
+			if out.err = ctx.Err(); out.err == nil {
+				out.err = solve(sp, edges, off, order, emit)
+			}
+		}
+		release()
+		out.stats = sp.Stats()
+		send(out)
+	}
+	tr.Subproblems = len(owned) / k
 	workers := req.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cfg := extmem.Config{M: st.man.MemoryWords, B: st.man.BlockWords, Native: req.Native}
 	var solveErr error
-	_, err = extmem.RunOrdered(ctx, cfg, nil, tasks, workers, 1, func(_ int, out tupleOut) {
+	_, err = extmem.RunOrdered(ctx, cfg, nil, tr.Subproblems, solveTuple, workers, 1, func(_ int, out tupleOut) {
 		flat = append(flat, out.tuples...)
 		s := out.stats
 		tr.Stats.Add(cluster.IOStats{BlockReads: s.BlockReads, BlockWrites: s.BlockWrites, WordReads: s.WordReads,

@@ -4,18 +4,26 @@
 // same color-coding decomposition as the triangle algorithm — c = sqrt(E/M)
 // colors split the problem into c^k subproblems of expected size O(k²·M),
 // each solved in internal memory.
+//
+// One tuple engine serves both families, cliques (KCliqueParallel) and
+// connected patterns (Pattern.EnumerateParallel). Like the triangle
+// engine's color triples, the c^k color tuples share nothing once the
+// color-pair buckets are laid out, so the engine runs them as tasks of
+// the trienum worker pool, each on a cold worker shard, and replays their
+// emissions in tuple order: the stream, Info and summed statistics are
+// identical at every worker count.
 package subgraph
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
-	"repro/internal/ctxutil"
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
+	"repro/internal/trienum"
 )
 
 // EmitK receives each k-clique exactly once as strictly increasing ranks.
@@ -24,8 +32,8 @@ type EmitK func(verts []uint32)
 
 // Info reports decomposition statistics.
 type Info struct {
-	// Cliques counts the enumerated copies (k-cliques for KClique,
-	// pattern embeddings modulo Aut(H) for Pattern.Enumerate).
+	// Cliques counts the enumerated copies (k-cliques for KCliqueParallel,
+	// pattern embeddings modulo Aut(H) for Pattern.EnumerateParallel).
 	Cliques     uint64
 	Colors      int
 	Subproblems int
@@ -34,11 +42,16 @@ type Info struct {
 	MaxSubproblem int64
 }
 
-// KClique enumerates all k-cliques (k >= 3) of g. Emission order follows
-// the decomposition, not any global order. ctx (which may be nil) is
-// checked cooperatively between color-tuple subproblems; on cancellation
-// the enumeration stops early and returns ctx.Err(), with the cliques
-// already emitted forming a prefix of the full stream.
+// KCliqueParallel enumerates all k-cliques (k >= 3) of g on the tuple
+// engine (see the package notes), with x's workers and context. Emission
+// order follows the decomposition, not any global order, and is the same
+// at every x.Workers. x.Ctx (which may be nil) is checked cooperatively
+// between color-tuple subproblems; on cancellation the enumeration stops
+// early and returns x.Ctx.Err(), with the cliques already emitted forming
+// a prefix of the full stream. The color tuples are one decomposition
+// unit: x.From must be 0 and x.OnUnit is never called. It returns the
+// per-worker statistics of the tuple phase, which sp's Stats do not
+// include.
 //
 // The coloring has c colors, c the smallest power of two with
 // c² >= ⌊E/M⌋, halved while the c^k color tuples exceed 2^22 so the tuple
@@ -46,55 +59,106 @@ type Info struct {
 // edges are distributed into the c² color-pair buckets by
 // graph.ColorBuckets, and each tuple is solved on flat tables
 // (CliqueTables).
-func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, seed uint64, emit EmitK) (Info, error) {
-	var info Info
+func KCliqueParallel(sp *extmem.Space, g graph.Canonical, k int, seed uint64, x trienum.Exec, emit EmitK) (Info, []extmem.Stats, error) {
 	if k < 3 {
-		return info, fmt.Errorf("subgraph: k must be at least 3, got %d", k)
+		return Info{}, nil, fmt.Errorf("subgraph: k must be at least 3, got %d", k)
 	}
 	E := g.Edges.Len()
 	if int64(k-1) > 2*E/int64(k) {
 		// A k-clique has C(k,2) edges; with fewer there is nothing to
 		// find, and nothing below is sized by k until this holds.
-		return info, nil
+		return Info{}, nil, nil
 	}
-	mark := sp.Mark()
-	defer sp.Release(mark)
-
 	c := tupleColors(E, sp.Config().M, k, 1<<22)
-	info.Colors = c
-	edges, off := graph.ColorBuckets(sp, g.Edges, hashing.NewColoring(hashing.NewRand(seed), c).Color, c)
-
 	// A k-clique v1<...<vk with colors (ξ(v1),...,ξ(vk)) is found in
-	// exactly that tuple's subproblem.
-	var tables CliqueTables
-	err := forEachTuple(ctx, c, k, func(tuple []int) error {
-		return tables.Solve(sp, edges, off, c, tuple, &info, emit)
-	})
+	// exactly that tuple's subproblem. The workers reuse tables from
+	// tuple to tuple.
+	var tables sync.Pool
+	solve := func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error {
+		t, _ := tables.Get().(*CliqueTables)
+		if t == nil {
+			t = new(CliqueTables)
+		}
+		defer tables.Put(t)
+		return t.Solve(shard, edges, off, c, tuple, info, emit)
+	}
+	return solveTuples(sp, g, k, c, hashing.NewColoring(hashing.NewRand(seed), c).Color, x, solve, emit)
+}
+
+// KClique is KCliqueParallel on one worker, under ctx (which may be nil),
+// with the worker's statistics absorbed into sp's. It exists only for
+// bench/replay.go, which pins this signature, and goes when the
+// phase-ledger item deletes the replay.
+func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, seed uint64, emit EmitK) (Info, error) {
+	info, ws, err := KCliqueParallel(sp, g, k, seed, trienum.Exec{Workers: 1, Ctx: ctx}, emit)
+	for _, w := range ws {
+		sp.Absorb(w)
+	}
 	return info, err
 }
 
-// forEachTuple calls solve on each of the c^k color tuples of length k,
-// in lexicographic order, checking ctx (which may be nil) before each. It
-// stops at the first error. The tuple slice is reused between calls.
-func forEachTuple(ctx context.Context, c, k int, solve func(tuple []int) error) error {
-	tuple := make([]int, k)
-	for {
-		if err := ctxutil.Err(ctx); err != nil {
-			return err
-		}
-		if err := solve(tuple); err != nil {
-			return err
-		}
-		i := k - 1
-		for i >= 0 && tuple[i] == c-1 {
-			tuple[i] = 0
-			i--
-		}
-		if i < 0 {
-			return nil
-		}
-		tuple[i]++
+// tupleSolve solves one color tuple on a worker shard, over the
+// color-pair buckets laid out in edges, bucket (a,b) at
+// [off[a·c+b], off[a·c+b+1]), adding to info and passing every match to
+// emit.
+type tupleSolve func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error
+
+// tupleResult is one color tuple's share of the run: its Info and error.
+type tupleResult struct {
+	info Info
+	err  error
+}
+
+// solveTuples is the tuple engine behind KCliqueParallel and
+// Pattern.EnumerateParallel. The coordinator distributes g's edges into
+// the c² color-pair buckets under colorOf (graph.ColorBuckets, so its
+// I/Os do not depend on the worker count) and freezes them with
+// Snapshot. The c^k color tuples of length k, in lexicographic order,
+// are then the tasks of trienum.RunTuples: tuple i is built from i when
+// a worker takes it, and solved by solve on a cold shard that leases the
+// c²+1-word offset index, as the triangle tasks do. Emissions are
+// replayed and the tuples' Info merged in tuple order; the first failing
+// tuple ends the run with its error.
+func solveTuples(sp *extmem.Space, g graph.Canonical, k, c int, colorOf func(uint32) uint32, x trienum.Exec, solve tupleSolve, emit EmitK) (Info, []extmem.Stats, error) {
+	info := Info{Colors: c}
+	mark := sp.Mark()
+	defer sp.Release(mark)
+	edges, off := graph.ColorBuckets(sp, g.Edges, colorOf, c)
+	parent := x.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
+	if err := parent.Err(); err != nil {
+		return info, nil, err
+	}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	x.Ctx = ctx
+	var failed error
+	E := edges.Len()
+	ws, err := trienum.RunTuples(x, sp.Config(), sp.Snapshot(edges), k, pow(c, k), func(i int, shard *extmem.Space, emit func([]uint32)) tupleResult {
+		tuple := make([]int, k)
+		for j := k - 1; j >= 0; j-- {
+			tuple[j], i = i%c, i/c
+		}
+		release := shard.LeaseAtMost(c*c + 1)
+		defer release()
+		var r tupleResult
+		r.err = solve(shard, shard.ExtentAt(0, E), off, tuple, &r.info, emit)
+		return r
+	}, emit, func(r tupleResult) {
+		info.Cliques += r.info.Cliques
+		info.Subproblems += r.info.Subproblems
+		info.MaxSubproblem = max(info.MaxSubproblem, r.info.MaxSubproblem)
+		if r.err != nil && failed == nil {
+			failed = r.err
+			cancel() // the pool delivers no later tuple's emissions
+		}
+	})
+	if failed != nil {
+		err = failed // not the cancellation it caused
+	}
+	return info, ws, err
 }
 
 // tupleColors is the color count of the Section 6 decomposition: the
@@ -136,7 +200,7 @@ type CliqueTables struct {
 // [off[a·c+b], off[a·c+b+1]). It loads the union of the tuple's C(k,2)
 // buckets and extends cliques depth-first in ascending vertex order, so
 // the stream is a pure function of the subproblem. It is the one clique
-// tuple solver: KClique and the cluster shards, which lay out only the
+// tuple solver: KCliqueParallel and the cluster shards, which lay out only the
 // buckets of their owned color tuples, both call it.
 func (t *CliqueTables) Solve(sp *extmem.Space, edges extmem.Extent, off []int64, c int, tuple []int, info *Info, emit EmitK) error {
 	// The distinct bucket ranges of the position pairs; the pair (0,1)
@@ -243,7 +307,16 @@ func (t *CliqueTables) extend(pos int, cands []extmem.Word, tuple []int, verts [
 
 // adj returns cone vertex v's group of nbr, empty if v is no cone.
 func (t *CliqueTables) adj(v extmem.Word) []extmem.Word {
-	i, _ := slices.BinarySearchFunc(t.cones, v, func(c, v extmem.Word) int { return cmp.Compare(c>>32, v) })
+	// The first cone not below v, by hand: a comparator closure would
+	// cost a third of this function, which is half the solver's time.
+	i, j := 0, len(t.cones)
+	for i < j {
+		if m := int(uint(i+j) >> 1); t.cones[m]>>32 < v {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
 	if i == len(t.cones) || t.cones[i]>>32 != v {
 		return nil
 	}

@@ -13,6 +13,9 @@ import (
 	"repro/internal/trienum"
 )
 
+// testExec is the engine configuration of the tests that do not vary it.
+var testExec = trienum.Exec{Workers: 2}
+
 func newSpace() *extmem.Space {
 	return extmem.NewSpace(extmem.Config{M: 1 << 12, B: 1 << 6})
 }
@@ -33,7 +36,7 @@ func TestKCliqueOnCliques(t *testing.T) {
 		for _, k := range []int{3, 4, 5} {
 			sp := newSpace()
 			g := graph.CanonicalizeList(sp, graph.Clique(n))
-			info, err := KClique(nil, sp, g, k, 42, func([]uint32) {})
+			info, _, err := KCliqueParallel(sp, g, k, 42, testExec, func([]uint32) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +98,7 @@ func TestKCliqueAgainstBruteForce(t *testing.T) {
 			want := bruteCliques(el, k)
 			sp := newSpace()
 			g := graph.CanonicalizeList(sp, el)
-			info, err := KClique(nil, sp, g, k, 7, func([]uint32) {})
+			info, _, err := KCliqueParallel(sp, g, k, 7, testExec, func([]uint32) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +114,7 @@ func TestKCliqueEmitsSortedDistinct(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	seen := map[[4]uint32]bool{}
-	_, err := KClique(nil, sp, g, 4, 3, func(vs []uint32) {
+	_, _, err := KCliqueParallel(sp, g, 4, 3, testExec, func(vs []uint32) {
 		if len(vs) != 4 {
 			t.Fatal("wrong clique size")
 		}
@@ -138,7 +141,7 @@ func TestKCliqueSmallMemoryManyColors(t *testing.T) {
 	want := bruteCliques(el, 4)
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
-	info, err := KClique(nil, sp, g, 4, 11, func([]uint32) {})
+	info, _, err := KCliqueParallel(sp, g, 4, 11, testExec, func([]uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestKCliqueSmallMemoryManyColors(t *testing.T) {
 func TestKCliqueRejectsSmallK(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, graph.Clique(4))
-	if _, err := KClique(nil, sp, g, 2, 1, func([]uint32) {}); err == nil {
+	if _, _, err := KCliqueParallel(sp, g, 2, 1, testExec, func([]uint32) {}); err == nil {
 		t.Error("k=2 should be rejected")
 	}
 }
@@ -163,7 +166,7 @@ func TestKCliqueRejectsSmallK(t *testing.T) {
 func TestCountTrianglesBridge(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, graph.GNM(70, 500, 13))
-	info, err := KClique(nil, sp, g, 3, 99, func([]uint32) {})
+	info, _, err := KCliqueParallel(sp, g, 3, 99, testExec, func([]uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +346,7 @@ func TestKCliqueMatchesReference(t *testing.T) {
 				cfg.Native = native
 				sp := extmem.NewSpace(cfg)
 				var got [][]uint32
-				info, err := KClique(nil, sp, graph.CanonicalizeList(sp, tc.el), k, 17, func(vs []uint32) {
+				info, _, err := KCliqueParallel(sp, graph.CanonicalizeList(sp, tc.el), k, 17, testExec, func(vs []uint32) {
 					got = append(got, slices.Clone(vs))
 				})
 				if err != nil {

@@ -1,13 +1,13 @@
 package subgraph
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/hashing"
+	"repro/internal/trienum"
 )
 
 // Pattern is a small connected pattern graph H on k <= 8 vertices,
@@ -291,35 +291,28 @@ func (p *Pattern) Minimize(assign []uint32) {
 	copy(assign, best)
 }
 
-// Enumerate finds every copy of the pattern in g: each set of k vertices
-// carrying an H-isomorphic (not necessarily induced) subgraph is reported
-// exactly once per distinct embedding modulo Aut(H). The emitted slice
-// maps pattern position i to the G-vertex (rank) at that position; it is
-// reused across calls.
+// EnumerateParallel finds every copy of the pattern in g: each set of k
+// vertices carrying an H-isomorphic (not necessarily induced) subgraph is
+// reported exactly once per distinct embedding modulo Aut(H). The emitted
+// slice maps pattern position i to the G-vertex (rank) at that position;
+// it is reused across calls.
 //
 // The decomposition follows Section 6: a 4-wise independent coloring with
 // c colors splits the work into c^k color-tuple subproblems whose bucket
 // unions are expected to be small; each subproblem is solved in internal
-// memory. ctx (which may be nil) is checked cooperatively between
-// subproblems, as in KClique.
-func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, seed uint64, emit EmitK) (Info, error) {
-	var info Info
+// memory, as a task of the tuple engine (see the package notes). x's
+// workers, context and unit contract, the stream's determinism and the
+// returned per-worker statistics are as in KCliqueParallel.
+func (p *Pattern) EnumerateParallel(sp *extmem.Space, g graph.Canonical, seed uint64, x trienum.Exec, emit EmitK) (Info, []extmem.Stats, error) {
 	E := g.Edges.Len()
 	if E == 0 {
-		return info, nil
+		return Info{}, nil, nil
 	}
-	mark := sp.Mark()
-	defer sp.Release(mark)
-
 	c := tupleColors(E, sp.Config().M, p.k, 1<<20)
-	info.Colors = c
-	col := hashing.NewColoring(hashing.NewRand(seed), c)
-	edges, off := graph.ColorBuckets(sp, g.Edges, col.Color, c)
-
-	err := forEachTuple(ctx, c, p.k, func(tuple []int) error {
-		return p.SolveTuple(sp, edges, off, c, col.Color, tuple, &info, emit)
-	})
-	return info, err
+	colorOf := hashing.NewColoring(hashing.NewRand(seed), c).Color
+	return solveTuples(sp, g, p.k, c, colorOf, x, func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error {
+		return p.SolveTuple(shard, edges, off, c, colorOf, tuple, info, emit)
+	}, emit)
 }
 
 // SolveTuple enumerates the embeddings of one color tuple — position i
@@ -327,8 +320,8 @@ func (p *Pattern) Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canon
 // buckets laid out in edges, bucket (a,b) at [off[a·c+b], off[a·c+b+1]):
 // it loads the union of the buckets the tuple needs and enumerates in
 // internal memory, emitting each Aut(H) orbit's lexicographically least
-// embedding. It is the one pattern tuple solver: Enumerate and the
-// cluster shards, which lay out only the buckets of their owned color
+// embedding. It is the one pattern tuple solver: EnumerateParallel and
+// the cluster shards, which lay out only the buckets of their owned color
 // tuples, both call it.
 func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple []int, info *Info, emit EmitK) error {
 	order, back := p.order, p.back

@@ -111,7 +111,7 @@ func TestPatternEnumerateKnownCounts(t *testing.T) {
 		{Star3, 4 * binom(n, 4)},   // 4 claws per 4-set
 	}
 	for _, c := range cases {
-		info, err := c.p.Enumerate(nil, sp, g, 3, func([]uint32) {})
+		info, _, err := c.p.EnumerateParallel(sp, g, 3, testExec, func([]uint32) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestPatternEnumerateAgainstBruteForce(t *testing.T) {
 			want := brutePattern(el, p)
 			sp := newSpace()
 			g := graph.CanonicalizeList(sp, el)
-			info, err := p.Enumerate(nil, sp, g, 9, func([]uint32) {})
+			info, _, err := p.EnumerateParallel(sp, g, 9, testExec, func([]uint32) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +148,11 @@ func TestPatternTriangleAgreesWithKClique(t *testing.T) {
 	el := graph.GNM(60, 400, 5)
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
-	pi, err := Triangle.Enumerate(nil, sp, g, 3, func([]uint32) {})
+	pi, _, err := Triangle.EnumerateParallel(sp, g, 3, testExec, func([]uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ki, err := KClique(nil, sp, g, 3, 3, func([]uint32) {})
+	ki, _, err := KCliqueParallel(sp, g, 3, 3, testExec, func([]uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPatternEnumerateManyColors(t *testing.T) {
 	want := brutePattern(el, Diamond)
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 8, B: 1 << 4})
 	g := graph.CanonicalizeList(sp, el)
-	info, err := Diamond.Enumerate(nil, sp, g, 7, func([]uint32) {})
+	info, _, err := Diamond.EnumerateParallel(sp, g, 7, testExec, func([]uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPatternEmissionsAreValidEmbeddings(t *testing.T) {
 	sp := newSpace()
 	g := graph.CanonicalizeList(sp, el)
 	seen := map[[4]uint32]bool{}
-	_, err := Cycle4.Enumerate(nil, sp, g, 8, func(vs []uint32) {
+	_, _, err := Cycle4.EnumerateParallel(sp, g, 8, testExec, func(vs []uint32) {
 		// Translate ranks back to original ids and check all H-edges.
 		var orig [4]uint32
 		for i, v := range vs {

@@ -111,58 +111,160 @@ type shardTask struct {
 }
 
 const (
-	// emitBatch is the number of triangles per merge handoff.
+	// emitBatch is the number of emissions per merge handoff.
 	emitBatch = 1024
 	// streamDepth is the number of batches a not-yet-merged task may
 	// buffer before its worker blocks. Together with the dispatch window
 	// this bounds the engine's native memory at
-	// O(workers · streamDepth · emitBatch) triangles regardless of the
+	// O(workers · streamDepth · emitBatch) emissions regardless of the
 	// output size, keeping the engine streaming on triangle-dense graphs.
 	streamDepth = 8
 )
 
-// runTasks runs tasks on x.Workers of the extmem ordered worker pool (a
-// cold shard Space per task, see extmem.RunOrdered) and emits every
-// task's triangles in task order on the calling goroutine, calling
-// x.OnUnit whenever the emitting unit changes. Each task's triangles
-// travel in batches of emitBatch, so workers exert backpressure instead
-// of materializing their output. Returns the per-worker stats and, on
-// cancellation, x.Ctx's error.
-func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
-	pooled := make([]extmem.ShardTask[[]graph.Triple], len(tasks))
-	for i, task := range tasks {
-		pooled[i] = func(shard *extmem.Space, send func([]graph.Triple) bool) {
-			alive := true
-			batch := make([]graph.Triple, 0, emitBatch)
-			task.run(shard, func(a, b, c uint32) {
-				if !alive {
-					return
-				}
-				batch = append(batch, graph.Triple{V1: a, V2: b, V3: c})
-				if len(batch) == emitBatch {
-					// The sent batch belongs to the consumer now; start a
-					// fresh one.
-					alive = send(batch)
-					batch = make([]graph.Triple, 0, emitBatch)
-				}
-			})
-			if alive && len(batch) > 0 {
-				send(batch)
-			}
+// sink batches one task's emissions, k words each, into flat batches of
+// emitBatch emissions that send hands to the consumer, which returns them
+// to free once delivered. Once send reports the pool unwinding, the sink
+// drops the rest. Its emit methods grow flat by reslicing it in place,
+// which stores only the length, where an append would store the whole
+// slice header, with a write barrier, per emission.
+type sink struct {
+	k     int
+	flat  []uint32
+	free  chan []uint32
+	send  func(flat []uint32) bool
+	alive bool
+}
+
+// triangle is the sink's graph.Emit, for k = 3.
+func (s *sink) triangle(a, b, c uint32) {
+	if s.alive {
+		if len(s.flat) == cap(s.flat) {
+			s.handOff()
+		}
+		n := len(s.flat)
+		s.flat = s.flat[:n+3]
+		s.flat[n], s.flat[n+1], s.flat[n+2] = a, b, c
+	}
+}
+
+// tuple is the sink's emit for k-tuples; it copies t.
+func (s *sink) tuple(t []uint32) {
+	if s.alive {
+		if len(s.flat) == cap(s.flat) {
+			s.handOff()
+		}
+		n := len(s.flat)
+		s.flat = s.flat[:n+len(t)]
+		dst := s.flat[n:]
+		for i, v := range t[:len(dst)] { // k is small: no memmove call
+			dst[i] = v
 		}
 	}
+}
+
+// handOff sends the full batch, if any, and starts the next one, a
+// delivered batch when one is free: a task that emits nothing takes none.
+func (s *sink) handOff() {
+	if len(s.flat) > 0 {
+		s.alive = s.send(s.flat)
+	}
+	select {
+	case s.flat = <-s.free:
+	default:
+		s.flat = make([]uint32, 0, s.k*emitBatch)
+	}
+}
+
+// poolBatch is one handoff of a task to the consumer: emissions, and on
+// the task's last batch its result.
+type poolBatch[R any] struct {
+	flat []uint32
+	last bool
+	r    R
+}
+
+// runPool runs tasks 0, …, n-1 on x.Workers of the extmem ordered worker
+// pool (a cold shard Space per task, see extmem.RunOrdered), which holds
+// no state per task beyond its dispatch window. task(i, shard, out)
+// solves task i, passing its emissions of k words to out, and returns its
+// result. On the calling goroutine, in task order, deliver receives each
+// task's emissions in flat batches and done (when non-nil) its result,
+// after its last emission; a task the pool unwinds in is never done.
+// Batches hold at most emitBatch emissions, so workers exert backpressure
+// instead of materializing their output, and deliver must not retain
+// one: a delivered batch is reused, so a run allocates
+// O(workers · streamDepth) of them however much it emits. Returns the
+// per-worker stats and, on cancellation, x.Ctx's error.
+func runPool[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, out *sink) R, deliver func(i int, flat []uint32), done func(R)) ([]extmem.Stats, error) {
+	// Room for every batch the pool can hold: per task in flight, its
+	// stream's and the one being filled or delivered.
+	free := make(chan []uint32, 2*min(x.workers(), n)*(streamDepth+2))
+	return extmem.RunOrdered(x.Ctx, cfg, shared, n, func(i int, shard *extmem.Space, send func(poolBatch[R]) bool) {
+		out := sink{k: k, free: free, alive: true, send: func(flat []uint32) bool {
+			return send(poolBatch[R]{flat: flat})
+		}}
+		r := task(i, shard, &out)
+		if out.alive {
+			send(poolBatch[R]{flat: out.flat, last: true, r: r})
+		}
+	}, x.workers(), streamDepth, func(i int, b poolBatch[R]) {
+		if len(b.flat) > 0 {
+			deliver(i, b.flat)
+			select {
+			case free <- b.flat[:0]:
+			default:
+			}
+		}
+		if b.last && done != nil {
+			done(b.r)
+		}
+	})
+}
+
+// runTasks runs the triangle engines' tasks on the pool (runPool) and
+// emits every task's triangles in task order on the calling goroutine,
+// calling x.OnUnit whenever the emitting unit changes.
+func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
 	last := -1
-	return extmem.RunOrdered(x.Ctx, cfg, shared, pooled, x.workers(), streamDepth, func(i int, batch []graph.Triple) {
+	return runPool(x, cfg, shared, 3, len(tasks), func(i int, shard *extmem.Space, out *sink) struct{} {
+		tasks[i].run(shard, out.triangle)
+		return struct{}{}
+	}, func(i int, flat []uint32) {
 		if u := tasks[i].unit; u != last {
 			last = u
 			if x.OnUnit != nil {
 				x.OnUnit(u)
 			}
 		}
-		for _, t := range batch {
-			emit(t.V1, t.V2, t.V3)
+		for ; len(flat) >= 3; flat = flat[3:] {
+			emit(flat[0], flat[1], flat[2])
 		}
-	})
+	}, nil)
+}
+
+// RunTuples runs the n tasks of a k-tuple engine — Section 6's color
+// tuples — on the pool the triangle engines use, and emits every task's
+// k-tuples in task order on the calling goroutine. task(i, shard, emit)
+// solves task i on a cold shard Space over shared (the coordinator's
+// frozen layout at address 0), passing each k-tuple to emit, which copies
+// it, and returns the task's result; done, when non-nil, receives it on
+// the calling goroutine after the task's last emission. The plan is task
+// itself: the pool builds each task's state when it dispatches it, so
+// nothing is held per task and n may be as large as the engine's index
+// space. The tasks form one decomposition unit, so x.From must be 0 and
+// x.OnUnit is never called. Cancellation, backpressure and the returned
+// per-worker stats are runPool's.
+func RunTuples[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, emit func(t []uint32)) R, emit func(t []uint32), done func(R)) ([]extmem.Stats, error) {
+	if err := x.checkFrom(1); err != nil {
+		return nil, err
+	}
+	return runPool(x, cfg, shared, k, n, func(i int, shard *extmem.Space, out *sink) R {
+		return task(i, shard, out.tuple)
+	}, func(_ int, flat []uint32) {
+		for ; len(flat) >= k; flat = flat[k:] {
+			emit(flat[:k:k])
+		}
+	}, done)
 }
 
 // highDegreeParallel runs step 1 — one Lemma 1 pass per vertex of degree

@@ -25,9 +25,11 @@ type Query struct {
 	// in it.
 	Seed uint64
 	// Workers overrides the Graph's Options.Workers for this query
-	// (0 = inherit). CacheAware, CacheOblivious, and Deterministic run
-	// parallel phases; emission and aggregated statistics are identical
-	// at every worker count.
+	// (0 = inherit). CacheAware, CacheOblivious and Deterministic run
+	// parallel phases, and Cliques and Match solve their color tuples on
+	// the same worker pool; emission and aggregated statistics are
+	// identical at every worker count. The sequential baselines ignore
+	// it.
 	Workers int
 	// Mode selects the machine the query runs on, and is the only switch
 	// between the two: ModeSimulated (the zero value) runs the simulated
@@ -166,22 +168,24 @@ type Result struct {
 	// O(k²·M) expectation of Section 6.
 	MaxSubproblem int64
 	// Workers is the resolved worker cap of the run: Query.Workers, or
-	// else Options.Workers, after defaulting. CacheAware, CacheOblivious
-	// and Deterministic report it whether or not the run succeeds; the
-	// sequential baselines, Cliques and Match report 1. The engine
-	// engages at most one worker per subproblem, so fewer workers (len of
+	// else Options.Workers, after defaulting. CacheAware, CacheOblivious,
+	// Deterministic, Cliques and Match report it whether or not the run
+	// succeeds; the sequential baselines report 1. The engine engages at
+	// most one worker per subproblem, so fewer workers (len of
 	// WorkerStats) may actually run on small inputs.
 	Workers int
 	// Next is the stream position after the last emission delivered —
 	// From when none was — for Query.From to resume at.
 	Next Position
-	// WorkerStats breaks the parallel phases down per worker. Which
-	// worker solved which subproblem depends on scheduling, so individual
-	// entries vary run to run — their length may too: the engine engages
-	// at most one worker per task, so small inputs produce fewer entries
-	// than Workers. Only the aggregate is deterministic: the entry-wise
-	// sum is invariant across runs and worker counts, and is already
-	// included in Stats. Native runs report a nil WorkerStats.
+	// WorkerStats breaks the parallel phases down per worker: the Lemma 1
+	// passes and color triples of a triangle query, the color tuples of a
+	// Cliques or Match query. Which worker solved which subproblem
+	// depends on scheduling, so individual entries vary run to run —
+	// their length may too: the engine engages at most one worker per
+	// task, so small inputs produce fewer entries than Workers. Only the
+	// aggregate is deterministic: the entry-wise sum is invariant across
+	// runs and worker counts, and is already included in Stats. Native
+	// runs and the sequential baselines report a nil WorkerStats.
 	WorkerStats []IOStats
 }
 
@@ -446,15 +450,19 @@ func (g *Graph) Triangles(ctx context.Context, q Query) iter.Seq2[Triangle, erro
 // CliquesFunc enumerates every k-clique (k >= 3) of the graph with the
 // Section 6 color-coding decomposition, in O(E^(k/2)/(M^(k/2−1)·B))
 // expected I/Os. emit receives each clique exactly once as ascending
-// vertex ids of the caller's id space; the slice is reused between calls
-// — copy it to retain. Emission order follows the decomposition, not any
-// global order. ctx is checked between color-tuple subproblems; it may
-// be nil. A nil emit counts only. Like every query, it runs on its own
-// session and may overlap other queries of the handle.
+// vertex ids of the caller's id space, from the calling goroutine; the
+// slice is reused between calls — copy it to retain. Emission order
+// follows the decomposition, not any global order. The color tuples are
+// solved on Query.Workers workers of the pool the triangle engines use,
+// each on a cold cache, and replayed in tuple order, so the stream, Stats
+// and the sum of WorkerStats are identical at every worker count. ctx is
+// checked between color-tuple subproblems; it may be nil. A nil emit
+// counts only. Like every query, it runs on its own session and may
+// overlap other queries of the handle.
 func (g *Graph) CliquesFunc(ctx context.Context, k int, q Query, emit func(clique []uint32)) (Result, error) {
 	return g.query(ctx, q, k, false, slices.Sort[[]uint32], emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
-		info, err := subgraph.KClique(x.Ctx, s.sp, s.cg, k, q.Seed, emit)
-		return subgraphResult(info), nil, err
+		info, workerStats, err := subgraph.KCliqueParallel(s.sp, s.cg, k, q.Seed, x, emit)
+		return subgraphResult(info, x), workerStats, err
 	})
 }
 
@@ -474,9 +482,10 @@ func (g *Graph) Cliques(ctx context.Context, k int, q Query) iter.Seq2[[]uint32,
 // color-coding decomposition generalized to arbitrary connected patterns
 // on at most 8 vertices (Silvestri 2014). emit receives the embedding:
 // position i of the pattern maps to vertex assign[i] of the caller's id
-// space. The slice is reused between calls — copy it to retain. ctx is
-// checked between color-tuple subproblems; it may be nil. A nil emit
-// counts only.
+// space, from the calling goroutine. The slice is reused between calls —
+// copy it to retain. The color tuples run on Query.Workers workers as in
+// CliquesFunc, with the same determinism. ctx is checked between
+// color-tuple subproblems; it may be nil. A nil emit counts only.
 func (g *Graph) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(assign []uint32)) (Result, error) {
 	if p == nil || p.p == nil {
 		return Result{}, fmt.Errorf("repro: Match requires a non-nil pattern")
@@ -488,8 +497,8 @@ func (g *Graph) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(as
 		canon = p.Normalize
 	}
 	return g.query(ctx, q, p.K(), false, canon, emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
-		info, err := p.p.Enumerate(x.Ctx, s.sp, s.cg, q.Seed, emit)
-		return subgraphResult(info), nil, err
+		info, workerStats, err := p.p.EnumerateParallel(s.sp, s.cg, q.Seed, x, emit)
+		return subgraphResult(info, x), workerStats, err
 	})
 }
 
@@ -503,13 +512,15 @@ func (g *Graph) Match(ctx context.Context, p *Pattern, q Query) iter.Seq2[[]uint
 	})
 }
 
-// subgraphResult is the part of the Result a Section 6 engine owns.
-func subgraphResult(info subgraph.Info) Result {
+// subgraphResult is the part of the Result a Section 6 engine run under
+// x owns.
+func subgraphResult(info subgraph.Info, x trienum.Exec) Result {
 	return Result{
 		Matches:       info.Cliques,
 		Colors:        info.Colors,
 		Subproblems:   info.Subproblems,
 		MaxSubproblem: info.MaxSubproblem,
+		Workers:       x.Workers,
 	}
 }
 

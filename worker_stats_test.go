@@ -67,3 +67,69 @@ func TestWorkerStatsSchedulingContract(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerStatsSection6Contract pins the same contract for the Section 6
+// queries, whose color tuples run on the same worker pool: the resolved
+// Workers is reported, the breakdown never outgrows it, its sum is
+// invariant across runs and worker counts and is included in Stats, and
+// a native run reports nil.
+func TestWorkerStatsSection6Contract(t *testing.T) {
+	edges, err := Generate("powerlaw:n=200,m=1200,beta=2.1", 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(FromEdges(edges), Options{MemoryWords: 1 << 8, BlockWords: 1 << 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	queries := []struct {
+		name string
+		run  func(q Query) (Result, error)
+	}{
+		{"cliques/k=4", func(q Query) (Result, error) { return g.CliquesFunc(nil, 4, q, nil) }},
+		{"match/diamond", func(q Query) (Result, error) { return g.MatchFunc(nil, PatternDiamond, q, nil) }},
+	}
+	for _, qc := range queries {
+		var ref *IOStats
+		for _, workers := range []int{1, 2, 4} {
+			for run := 0; run < 2; run++ {
+				res, err := qc.run(Query{Seed: 6, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/workers=%d: %v", qc.name, workers, err)
+				}
+				if res.Colors < 2 {
+					t.Fatalf("%s: %d colors; the query must split into color tuples", qc.name, res.Colors)
+				}
+				if res.Workers != workers {
+					t.Errorf("%s/workers=%d: resolved Workers = %d", qc.name, workers, res.Workers)
+				}
+				if len(res.WorkerStats) == 0 || len(res.WorkerStats) > workers {
+					t.Errorf("%s/workers=%d: %d WorkerStats entries, want 1 to %d", qc.name, workers, len(res.WorkerStats), workers)
+				}
+				sum := sumWorkerStats(res)
+				if ref == nil {
+					r := sum
+					ref = &r
+				} else if sum != *ref {
+					t.Errorf("%s/workers=%d run %d: summed WorkerStats %+v, want the invariant %+v", qc.name, workers, run, sum, *ref)
+				}
+				if sum.BlockReads > res.Stats.BlockReads || sum.BlockWrites > res.Stats.BlockWrites ||
+					sum.WordReads > res.Stats.WordReads || sum.WordWrites > res.Stats.WordWrites {
+					t.Errorf("%s/workers=%d: summed WorkerStats %+v exceeds Stats %+v", qc.name, workers, sum, res.Stats)
+				}
+			}
+		}
+		if ref.BlockReads == 0 {
+			t.Errorf("%s: the workers read no blocks", qc.name)
+		}
+		res, err := qc.run(Query{Seed: 6, Workers: 4, Mode: ModeNative})
+		if err != nil {
+			t.Fatalf("%s/native: %v", qc.name, err)
+		}
+		if res.WorkerStats != nil {
+			t.Errorf("%s/native: WorkerStats = %d entries, want nil", qc.name, len(res.WorkerStats))
+		}
+	}
+}
