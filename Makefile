@@ -18,8 +18,12 @@ test:
 
 # Smoke-run every example program (main packages never execute under
 # `go test`); each self-checks and exits non-zero on inconsistencies.
+# Then run the trienum CLI on a triangle, a clique and a pattern query and
+# fail unless each of its three result lines ends in workers=2.
 examples:
 	for d in examples/*/; do echo "=== go run ./$$d"; $(GO) run ./$$d || exit 1; done
+	$(GO) run ./cmd/trienum -gen planted:n=300,m=1800,k=8 -m 256 -b 16 -k 4 -pattern diamond -workers 2 -workerstats | \
+		awk '{ print } /^[^ ]/ { n++; if ($$NF != "workers=2") bad = 1 } END { exit (n != 3 || bad) }'
 
 # Documentation gate: every relative markdown link must resolve (file
 # and #anchor), and every exported identifier of the public `repro`

@@ -35,15 +35,19 @@
 // re-canonicalizing). Queries then run on the updated generation,
 // byte-identical to a fresh build of the updated edge set.
 //
-// For the cacheaware and deterministic algorithms, -workers runs the
-// independent subproblems and the sort(E) substrate (canonicalization and
+// For the cacheaware, oblivious and deterministic algorithms, -workers
+// runs the independent subproblems (the oblivious engine's Section 3
+// recursion subtrees) and the sort(E) substrate (canonicalization and
 // color-pair ordering, via the parallel external-memory sorts of
 // internal/emsort) on a worker pool, and -k and -pattern run their color
 // tuples on the same pool; the streams and aggregated I/O statistics are
-// identical at every worker count, only wall-clock time changes. The scaling is measured by BenchmarkE13ParallelWorkers /
-// BenchmarkE14ParallelDeterministic (engine), BenchmarkE15ParallelSort
-// (sorts standalone) and BenchmarkE16ParallelPipeline (sorts
-// in-pipeline); see EXPERIMENTS.md at the repo root.
+// identical at every worker count, only wall-clock time changes. Every
+// result line ends with the workers the query ran on, and -workerstats
+// prints its per-worker I/O breakdown under it. The scaling is measured
+// by BenchmarkE13ParallelWorkers / BenchmarkE14ParallelDeterministic
+// (engine), BenchmarkE15ParallelSort (sorts standalone) and
+// BenchmarkE16ParallelPipeline (sorts in-pipeline); see EXPERIMENTS.md
+// at the repo root.
 //
 // -timeout arms a context deadline: queries stop cooperatively (between
 // subproblems), report the partial counts, and exit non-zero.
@@ -59,6 +63,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -68,25 +73,35 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, builds or opens the graph, and
+// writes the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("trienum", flag.ExitOnError)
 	var (
-		gen     = flag.String("gen", "", "graph spec, e.g. clique:n=100 or gnm:n=1000,m=8000 (see repro.Generate)")
-		in      = flag.String("in", "", "edge file to load (as written by graphgen)")
-		algo    = flag.String("algo", "cacheaware", "algorithm name or 'all'")
-		m       = flag.Int("m", 1<<16, "internal memory size M in words")
-		b       = flag.Int("b", 1<<7, "block size B in words")
-		seed    = flag.Uint64("seed", 1, "seed for randomized algorithms and generators")
-		list    = flag.Bool("list", false, "print each triangle/clique/embedding")
-		disk    = flag.String("disk", "", "back external memory with this file instead of RAM")
-		workers = flag.Int("workers", 0, "parallel workers for cacheaware/deterministic subproblems, -k/-pattern color tuples and sorts (0 = one per CPU)")
-		wstats  = flag.Bool("workerstats", false, "print the per-worker I/O breakdown")
-		kFlag   = flag.Int("k", 0, "also enumerate k-cliques (k >= 3) via the Section 6 extension")
-		pattern = flag.String("pattern", "", "also enumerate a predefined pattern: triangle, path3, cycle4, diamond, k4, star3, house")
-		timeout = flag.Duration("timeout", time.Duration(0), "cancel queries cooperatively after this duration (0 = none)")
-		update  = flag.String("update", "", `apply an edge delta before querying: comma-separated "+u-v" adds and "-u-v" removes`)
-		open    = flag.String("open", "", "adopt an existing canonical image instead of building (see repro.Open)")
-		native  = flag.Bool("native", false, "run queries natively on the canonical image: same results, no simulated I/O accounting (IOs print as 0)")
+		gen     = fs.String("gen", "", "graph spec, e.g. clique:n=100 or gnm:n=1000,m=8000 (see repro.Generate)")
+		in      = fs.String("in", "", "edge file to load (as written by graphgen)")
+		algo    = fs.String("algo", "cacheaware", "algorithm name or 'all'")
+		m       = fs.Int("m", 1<<16, "internal memory size M in words")
+		b       = fs.Int("b", 1<<7, "block size B in words")
+		seed    = fs.Uint64("seed", 1, "seed for randomized algorithms and generators")
+		list    = fs.Bool("list", false, "print each triangle/clique/embedding")
+		disk    = fs.String("disk", "", "back external memory with this file instead of RAM")
+		workers = fs.Int("workers", 0, "parallel workers for cacheaware/oblivious/deterministic subproblems, -k/-pattern color tuples and sorts (0 = one per CPU)")
+		wstats  = fs.Bool("workerstats", false, "print the per-worker I/O breakdown")
+		kFlag   = fs.Int("k", 0, "also enumerate k-cliques (k >= 3) via the Section 6 extension")
+		pattern = fs.String("pattern", "", "also enumerate a predefined pattern: triangle, path3, cycle4, diamond, k4, star3, house")
+		timeout = fs.Duration("timeout", time.Duration(0), "cancel queries cooperatively after this duration (0 = none)")
+		update  = fs.String("update", "", `apply an edge delta before querying: comma-separated "+u-v" adds and "-u-v" removes`)
+		open    = fs.String("open", "", "adopt an existing canonical image instead of building (see repro.Open)")
+		native  = fs.Bool("native", false, "run queries natively on the canonical image: same results, no simulated I/O accounting (IOs print as 0)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -100,10 +115,10 @@ func main() {
 		// Adopt a durable image: no canonicalization, replay the WAL if a
 		// crash left one behind.
 		if *gen != "" || *in != "" || *disk != "" {
-			fatal(fmt.Errorf("trienum: -open is mutually exclusive with -gen/-in/-disk"))
+			return fmt.Errorf("trienum: -open is mutually exclusive with -gen/-in/-disk")
 		}
 		blockWords := *b
-		if !flagSet("b") {
+		if !flagSet(fs, "b") {
 			blockWords = 0 // adopt the image's block size
 		}
 		var ores repro.OpenResult
@@ -115,14 +130,14 @@ func main() {
 			Seed:        *seed,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%-14s generation=%d V=%d E=%d adoptIOs=%d replayed=%d replayIOs=%d cleaned=%d\n",
+		fmt.Fprintf(out, "%-14s generation=%d V=%d E=%d adoptIOs=%d replayed=%d replayIOs=%d cleaned=%d\n",
 			"open", ores.Generation, ores.Vertices, ores.Edges, ores.AdoptIOs, ores.Replayed, ores.ReplayIOs, ores.Cleaned)
 	} else {
 		src, err := edgeSource(*gen, *in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// One build, many queries: the canonicalization runs exactly once.
 		g, err = repro.Build(src, repro.Options{
@@ -133,7 +148,7 @@ func main() {
 			DiskPath:    *disk,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	defer g.Close()
@@ -141,13 +156,13 @@ func main() {
 	if *update != "" {
 		delta, err := parseDelta(*update)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := g.Update(ctx, delta)
 		if err != nil {
-			fatal(fmt.Errorf("update: %w", err))
+			return fmt.Errorf("update: %w", err)
 		}
-		fmt.Printf("%-14s generation=%d added=%d removed=%d V=%d E=%d mergeIOs=%d\n",
+		fmt.Fprintf(out, "%-14s generation=%d added=%d removed=%d V=%d E=%d mergeIOs=%d\n",
 			"update", res.Generation, res.Added, res.Removed, res.Vertices, res.Edges, res.MergeIOs)
 	}
 
@@ -157,7 +172,7 @@ func main() {
 	} else {
 		a, err := repro.ParseAlgorithm(*algo)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		algos = append(algos, a)
 	}
@@ -171,50 +186,56 @@ func main() {
 		q := repro.Query{Algorithm: a, Seed: *seed, Mode: mode}
 		var emit func(x, y, z uint32)
 		if *list {
-			emit = func(x, y, z uint32) { fmt.Printf("%d %d %d\n", x, y, z) }
+			emit = func(x, y, z uint32) { fmt.Fprintf(out, "%d %d %d\n", x, y, z) }
 		}
 		res, err := g.TrianglesFunc(ctx, q, emit)
 		if err != nil {
-			fatal(fmt.Errorf("%v after %d triangles: %w", a, res.Matches, err))
+			return fmt.Errorf("%v after %d triangles: %w", a, res.Matches, err)
 		}
-		fmt.Printf("%-14s V=%-8d E=%-9d triangles=%-10d IOs=%-9d (reads=%d writes=%d) canonIOs=%d peakDisk=%d words workers=%d\n",
-			a, res.Vertices, res.Edges, res.Triangles, res.Stats.IOs(),
-			res.Stats.BlockReads, res.Stats.BlockWrites, res.CanonIOs, res.Stats.PeakDiskWords, res.Workers)
-		if *wstats {
-			for i, w := range res.WorkerStats {
-				fmt.Printf("  worker %-3d IOs=%-9d (reads=%d writes=%d)\n", i, w.IOs(), w.BlockReads, w.BlockWrites)
-			}
-		}
+		printResult(out, a.String(), fmt.Sprintf("triangles=%-10d", res.Triangles), res,
+			fmt.Sprintf("peakDisk=%d words", res.Stats.PeakDiskWords), *wstats)
 	}
 
 	if *kFlag > 0 {
-		emit := listEmit(*list)
-		res, err := g.CliquesFunc(ctx, *kFlag, repro.Query{Seed: *seed, Mode: mode}, emit)
+		res, err := g.CliquesFunc(ctx, *kFlag, repro.Query{Seed: *seed, Mode: mode}, listEmit(out, *list))
 		if err != nil {
-			fatal(fmt.Errorf("k=%d after %d cliques: %w", *kFlag, res.Matches, err))
+			return fmt.Errorf("k=%d after %d cliques: %w", *kFlag, res.Matches, err)
 		}
-		fmt.Printf("%-14s V=%-8d E=%-9d cliques=%-12d IOs=%-9d (reads=%d writes=%d) canonIOs=%d colors=%d subproblems=%d (largest %d edges)\n",
-			fmt.Sprintf("k=%d-clique", *kFlag), res.Vertices, res.Edges, res.Matches, res.Stats.IOs(),
-			res.Stats.BlockReads, res.Stats.BlockWrites, res.CanonIOs, res.Colors, res.Subproblems, res.MaxSubproblem)
+		printResult(out, fmt.Sprintf("k=%d-clique", *kFlag), fmt.Sprintf("cliques=%-12d", res.Matches), res,
+			fmt.Sprintf("colors=%d subproblems=%d (largest %d edges)", res.Colors, res.Subproblems, res.MaxSubproblem), *wstats)
 	}
 
 	if *pattern != "" {
 		p, err := repro.ParsePattern(*pattern)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit := listEmit(*list)
-		res, err := g.MatchFunc(ctx, p, repro.Query{Seed: *seed, Mode: mode}, emit)
+		res, err := g.MatchFunc(ctx, p, repro.Query{Seed: *seed, Mode: mode}, listEmit(out, *list))
 		if err != nil {
-			fatal(fmt.Errorf("pattern %s after %d embeddings: %w", p, res.Matches, err))
+			return fmt.Errorf("pattern %s after %d embeddings: %w", p, res.Matches, err)
 		}
-		fmt.Printf("%-14s V=%-8d E=%-9d copies=%-13d IOs=%-9d (reads=%d writes=%d) canonIOs=%d |Aut|=%d subproblems=%d (largest %d edges)\n",
-			p, res.Vertices, res.Edges, res.Matches, res.Stats.IOs(),
-			res.Stats.BlockReads, res.Stats.BlockWrites, res.CanonIOs, p.Automorphisms(), res.Subproblems, res.MaxSubproblem)
+		printResult(out, p.String(), fmt.Sprintf("copies=%-13d", res.Matches), res,
+			fmt.Sprintf("|Aut|=%d subproblems=%d (largest %d edges)", p.Automorphisms(), res.Subproblems, res.MaxSubproblem), *wstats)
+	}
+	return nil
+}
+
+// printResult writes one query's result line — label, graph size, the
+// count column, I/O statistics, the kind-specific detail, and the workers
+// the query ran on — and, with wstats, its per-worker I/O breakdown.
+// Triangle, clique and pattern queries all report through it.
+func printResult(out io.Writer, label, count string, res repro.Result, detail string, wstats bool) {
+	fmt.Fprintf(out, "%-14s V=%-8d E=%-9d %s IOs=%-9d (reads=%d writes=%d) canonIOs=%d %s workers=%d\n",
+		label, res.Vertices, res.Edges, count, res.Stats.IOs(),
+		res.Stats.BlockReads, res.Stats.BlockWrites, res.CanonIOs, detail, res.Workers)
+	if wstats {
+		for i, w := range res.WorkerStats {
+			fmt.Fprintf(out, "  worker %-3d IOs=%-9d (reads=%d writes=%d)\n", i, w.IOs(), w.BlockReads, w.BlockWrites)
+		}
 	}
 }
 
-func listEmit(list bool) func([]uint32) {
+func listEmit(out io.Writer, list bool) func([]uint32) {
 	if !list {
 		return nil
 	}
@@ -223,7 +244,7 @@ func listEmit(list bool) func([]uint32) {
 		for i, v := range vs {
 			parts[i] = fmt.Sprint(v)
 		}
-		fmt.Println(strings.Join(parts, " "))
+		fmt.Fprintln(out, strings.Join(parts, " "))
 	}
 }
 
@@ -282,17 +303,12 @@ func edgeSource(gen, in string) (repro.Source, error) {
 
 // flagSet reports whether the named flag was given on the command line
 // (as opposed to holding its default).
-func flagSet(name string) bool {
+func flagSet(fs *flag.FlagSet, name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}
 	})
 	return set
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

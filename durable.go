@@ -101,7 +101,7 @@ func Open(path string, opts Options) (*Graph, OpenResult, error) {
 	if opts.DiskPath != "" && opts.DiskPath != path {
 		return nil, or, fmt.Errorf("repro: Open(%q) conflicts with Options.DiskPath %q", path, opts.DiskPath)
 	}
-	meta, lay, coreWords, err := readImageMeta(path)
+	meta, lay, _, err := readImageMeta(path)
 	if err != nil {
 		return nil, or, err
 	}
@@ -126,20 +126,13 @@ func Open(path string, opts Options) (*Graph, OpenResult, error) {
 		return nil, or, err
 	}
 	gen := &generation{
-		gen:         meta.Generation,
-		core:        fc,
-		coreFile:    fc,
-		coreWords:   coreWords,
-		layout:      lay,
-		rawLen:      meta.RawLen,
-		numVertices: int(meta.NumVertices),
-		edgesBase:   lay.EdgeOut,
-		edgesLen:    meta.EdgesLen,
-		degBase:     lay.DegOut,
-		degLen:      meta.NumVertices,
-		canonIOs:    0, // adoption is free; the sort(E) was paid in a previous life
-		refs:        1, // the handle's current pointer
+		meta:     meta,
+		layout:   lay,
+		core:     fc,
+		coreFile: fc,
+		refs:     1, // the handle's current pointer
 	}
+	gen.meta.CanonIOs = 0 // adoption is free; the sort(E) was paid in a previous life
 	or.AdoptIOs, gen.rankToID, err = adoptRankTable(opts, gen)
 	if err != nil {
 		fc.Close()
@@ -211,32 +204,21 @@ func (g *Graph) Checkpoint() error {
 	g.updateMu.Lock()
 	defer g.updateMu.Unlock()
 
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrGraphClosed
+	cur, _, err := g.pin()
+	if err != nil {
+		return err
 	}
-	cur := g.cur
-	cur.refs++
-	g.active++
+	defer g.unpin(cur)
+	g.mu.Lock()
 	persisted := g.persistedGen
 	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		rel := g.unpinLocked(cur)
-		g.mu.Unlock()
-		g.releaseDetached(rel)
-		g.mu.Lock()
-		g.releaseRefLocked()
-		g.mu.Unlock()
-	}()
 
-	if cur.gen > persisted {
+	if cur.meta.Generation > persisted {
 		if err := g.promote(cur); err != nil {
 			return err
 		}
 		g.mu.Lock()
-		g.persistedGen = cur.gen
+		g.persistedGen = cur.meta.Generation
 		g.mu.Unlock()
 	}
 	return g.walReset()
@@ -308,12 +290,11 @@ func readImageMeta(path string) (graph.ImageMeta, graph.CanonLayout, int64, erro
 // over the adopted core, so its cost is exactly accounted: O(scan(V))
 // block reads, reported as OpenResult.AdoptIOs.
 func adoptRankTable(opts Options, gen *generation) (uint64, []uint32, error) {
-	nv := int64(gen.numVertices)
+	nv := gen.meta.NumVertices
 	if nv == 0 {
 		return 0, nil, nil
 	}
-	cfg := extmem.Config{M: opts.MemoryWords, B: opts.BlockWords}
-	sp, err := extmem.NewSessionSpace(cfg, gen.core, gen.coreWords, "")
+	sp, err := gen.open(opts, false, "")
 	if err != nil {
 		return 0, nil, err
 	}
@@ -359,18 +340,10 @@ func (g *Graph) promote(gen *generation) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := io.CopyN(out, in, gen.coreWords*8); err != nil && err != io.EOF {
+	if _, err := io.CopyN(out, in, gen.coreWords()*8); err != nil && err != io.EOF {
 		return fail(err)
 	}
-	meta := graph.ImageMeta{
-		BlockWords:  g.opts.BlockWords,
-		RawLen:      gen.rawLen,
-		EdgesLen:    gen.edgesLen,
-		NumVertices: int64(gen.numVertices),
-		Generation:  gen.gen,
-		CanonIOs:    gen.canonIOs,
-	}
-	if _, err := out.WriteAt(meta.EncodeFooter(), gen.coreWords*8); err != nil {
+	if _, err := out.WriteAt(gen.meta.EncodeFooter(), gen.coreWords()*8); err != nil {
 		return fail(err)
 	}
 	if err := out.Sync(); err != nil {

@@ -121,31 +121,50 @@ type Graph struct {
 }
 
 // generation is one immutable version of the graph: the frozen
-// external-memory image plus the canonical metadata, refcounted by the
-// sessions reading it and by the handle's current pointer. Disk-backed
-// update generations own a file (<DiskPath>.g<n>) that is removed when
-// the refcount drains; the Build image at DiskPath itself outlives the
+// external-memory image and the durable footer that describes it,
+// refcounted by the readers pinning it and by the handle's current
+// pointer. meta is exactly the footer a durable image of this generation
+// carries (graph.ImageMeta; CanonIOs is what this process paid), and
+// layout is its graph.LayoutFor address map: every dimension, base and
+// watermark of the image derives from the two. Disk-backed update
+// generations own a file (<DiskPath>.g<n>) that is removed when the
+// refcount drains; the Build image at DiskPath itself outlives the
 // handle, as before.
 type generation struct {
-	gen uint64
+	meta   graph.ImageMeta
+	layout graph.CanonLayout
 
-	core      extmem.Core
-	coreFile  *extmem.FileCore
-	path      string // file to remove on release ("" for gen 0 and memory graphs)
-	coreWords int64  // block-rounded watermark: session scratch starts here
-	layout    graph.CanonLayout
-	rawLen    int64 // the m of LayoutFor — what a footer for this image records
+	core     extmem.Core
+	coreFile *extmem.FileCore
+	path     string   // file to remove on release ("" for gen 0 and memory graphs)
+	rankToID []uint32 // the O(V) rank→id index the image's ByDeg table holds
 
-	numVertices int
-	edgesBase   int64
-	edgesLen    int64
-	degBase     int64
-	degLen      int64
-	rankToID    []uint32
-	canonIOs    uint64
+	refs int // readers pinning this generation, +1 while current
+}
 
-	refs     int // sessions reading this generation, +1 while current
-	released bool
+// coreWords is the block-rounded image watermark: sessions read below it,
+// their scratch starts at it, and a durable image's footer is written
+// there.
+func (gen *generation) coreWords() int64 { return gen.meta.ImageWords(gen.layout) }
+
+// open starts a private session Space over the generation's frozen core:
+// an M-word cache, private statistics, and scratch spilling to the file
+// scratch names ("" keeps it in memory). A native Space runs directly on
+// the core's words and keeps no statistics.
+func (gen *generation) open(opts Options, native bool, scratch string) (*extmem.Space, error) {
+	cfg := extmem.Config{M: opts.MemoryWords, B: opts.BlockWords, Native: native}
+	return extmem.NewSessionSpace(cfg, gen.core, gen.coreWords(), scratch)
+}
+
+// canonical rebinds the generation's canonical extents into sp, a Space
+// opened over its core.
+func (gen *generation) canonical(sp *extmem.Space) graph.Canonical {
+	return graph.Canonical{
+		Edges:       sp.ExtentAt(gen.layout.EdgeOut, gen.meta.EdgesLen),
+		NumVertices: int(gen.meta.NumVertices),
+		Degrees:     sp.ExtentAt(gen.layout.DegOut, gen.meta.NumVertices),
+		RankToID:    gen.rankToID,
+	}
 }
 
 // Build ingests edges from src, canonicalizes them once — O(sort(E))
@@ -202,17 +221,22 @@ func Build(src Source, opts Options) (*Graph, error) {
 	}
 
 	gen := &generation{
-		canonIOs:    canonStats.IOs(),
-		rawLen:      rawLen,
-		numVertices: cg.NumVertices,
-		edgesBase:   cg.Edges.Base(),
-		edgesLen:    cg.Edges.Len(),
-		degBase:     cg.Degrees.Base(),
-		degLen:      cg.Degrees.Len(),
-		rankToID:    cg.RankToID,
-		refs:        1, // the handle's current pointer
+		meta: graph.ImageMeta{
+			BlockWords:  opts.BlockWords,
+			RawLen:      rawLen,
+			EdgesLen:    cg.Edges.Len(),
+			NumVertices: int64(cg.NumVertices),
+			CanonIOs:    canonStats.IOs(),
+		},
+		layout:   graph.LayoutFor(rawLen, cg.Edges.Len(), int64(cg.NumVertices), opts.BlockWords),
+		rankToID: cg.RankToID,
+		refs:     1, // the handle's current pointer
 	}
-
+	mark := sp.Mark()
+	if gen.layout.EdgeOut != cg.Edges.Base() || gen.layout.DegOut != cg.Degrees.Base() || gen.layout.Mark != mark {
+		return nil, fmt.Errorf("repro: internal: canonical layout drift (edges %d/%d, degrees %d/%d, mark %d/%d)",
+			gen.layout.EdgeOut, cg.Edges.Base(), gen.layout.DegOut, cg.Degrees.Base(), gen.layout.Mark, mark)
+	}
 	// Freeze the canonicalized region [0, mark) into the immutable core.
 	// Memory-backed graphs take the one Snapshot here (writing back the
 	// build cache's dirty blocks; those write-backs are part of the build,
@@ -220,13 +244,6 @@ func Build(src Source, opts Options) (*Graph, error) {
 	// graphs flush the image to the backing file instead and serve the
 	// core from it read-only, so the frozen graph does not have to fit in
 	// process memory.
-	mark := sp.Mark()
-	gen.layout = graph.LayoutFor(rawLen, cg.Edges.Len(), int64(cg.NumVertices), opts.BlockWords)
-	if gen.layout.EdgeOut != gen.edgesBase || gen.layout.DegOut != gen.degBase || gen.layout.Mark != mark {
-		return nil, fmt.Errorf("repro: internal: canonical layout drift (edges %d/%d, degrees %d/%d, mark %d/%d)",
-			gen.layout.EdgeOut, gen.edgesBase, gen.layout.DegOut, gen.degBase, gen.layout.Mark, mark)
-	}
-	gen.coreWords = (mark + int64(opts.BlockWords) - 1) &^ int64(opts.BlockWords-1)
 	if opts.DiskPath != "" {
 		sp.Flush()
 		if err := sp.Sync(); err != nil {
@@ -240,15 +257,7 @@ func Build(src Source, opts Options) (*Graph, error) {
 		// never read at or beyond coreWords, so the image bytes stay
 		// identical to the model's view — making the file a self-describing
 		// artifact that Open can validate and adopt (see FORMAT.md).
-		meta := graph.ImageMeta{
-			BlockWords:  opts.BlockWords,
-			RawLen:      rawLen,
-			EdgesLen:    gen.edgesLen,
-			NumVertices: int64(gen.numVertices),
-			Generation:  0,
-			CanonIOs:    gen.canonIOs,
-		}
-		if err := writeImageFooter(opts.DiskPath, gen.coreWords, meta); err != nil {
+		if err := writeImageFooter(opts.DiskPath, gen.coreWords(), gen.meta); err != nil {
 			return nil, err
 		}
 		fc, err := extmem.NewFileCore(opts.DiskPath)
@@ -290,106 +299,78 @@ type session struct {
 // A native session runs directly on the generation's words (no
 // simulated cache, no scratch spill file) and reports zero Stats.
 func (g *Graph) acquire(native bool) (*session, error) {
+	gen, seq, err := g.pin()
+	if err != nil {
+		return nil, err
+	}
+	scratch := ""
+	if g.opts.DiskPath != "" && !native {
+		scratch = fmt.Sprintf("%s.q%d", g.opts.DiskPath, seq)
+	}
+	sp, err := gen.open(g.opts, native, scratch)
+	if err != nil {
+		g.unpin(gen)
+		return nil, err
+	}
+	return &session{g: g, gen: gen, sp: sp, cg: gen.canonical(sp)}, nil
+}
+
+// close releases the session's private machine and unpins its generation.
+func (s *session) close() {
+	s.sp.Close()
+	s.g.unpin(s.gen)
+}
+
+// pin registers a reader of the current generation — a query session, an
+// Update, a Checkpoint — with the close-guard and returns that generation
+// with a fresh handle-wide sequence number (the suffix of the reader's
+// scratch file). It fails with ErrGraphClosed after Close. Every pin is
+// matched by one unpin.
+func (g *Graph) pin() (*generation, uint64, error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
-		return nil, ErrGraphClosed
+		return nil, 0, ErrGraphClosed
 	}
 	gen := g.cur
 	gen.refs++
 	g.active++
 	g.seq++
-	scratch := ""
-	if g.opts.DiskPath != "" && !native {
-		scratch = fmt.Sprintf("%s.q%d", g.opts.DiskPath, g.seq)
-	}
+	return gen, g.seq, nil
+}
+
+// unpin ends a reader's pin. If gen is superseded and this was its last
+// reader, its core is released outside the lock (file syscalls for disk
+// generations must not stall every concurrent pin behind g.mu) but before
+// the drain signal, so a pending Close sees the release error, which is
+// kept for Close because the draining reader has already returned.
+// Nothing can re-pin a detached generation: pin only pins g.cur, and a
+// superseded generation never becomes current again.
+func (g *Graph) unpin(gen *generation) {
+	g.mu.Lock()
+	gen.refs--
+	detached := gen.refs == 0 && gen != g.cur
 	g.mu.Unlock()
-
-	cfg := extmem.Config{M: g.opts.MemoryWords, B: g.opts.BlockWords, Native: native}
-	sp, err := extmem.NewSessionSpace(cfg, gen.core, gen.coreWords, scratch)
-	if err != nil {
-		g.mu.Lock()
-		rel := g.unpinLocked(gen)
-		g.releaseRefLocked()
-		g.mu.Unlock()
-		g.releaseDetached(rel)
-		return nil, err
+	var err error
+	if detached {
+		err = gen.release()
 	}
-	return &session{
-		g:   g,
-		gen: gen,
-		sp:  sp,
-		cg: graph.Canonical{
-			Edges:       sp.ExtentAt(gen.edgesBase, gen.edgesLen),
-			NumVertices: gen.numVertices,
-			Degrees:     sp.ExtentAt(gen.degBase, gen.degLen),
-			RankToID:    gen.rankToID,
-		},
-	}, nil
-}
-
-// close releases the session's private machine, unpins its generation
-// (releasing a superseded generation's core when its last reader drains),
-// and wakes a pending Close when the last session finishes. The core
-// release — file syscalls for disk generations — runs outside the lock,
-// before the drain signal, so Close still observes any release error.
-func (s *session) close() {
-	s.sp.Close()
-	s.g.mu.Lock()
-	rel := s.g.unpinLocked(s.gen)
-	s.g.mu.Unlock()
-	s.g.releaseDetached(rel)
-	s.g.mu.Lock()
-	s.g.releaseRefLocked()
-	s.g.mu.Unlock()
-}
-
-func (g *Graph) releaseRefLocked() {
+	g.mu.Lock()
+	if g.releaseErr == nil {
+		g.releaseErr = err
+	}
 	g.active--
 	if g.active == 0 {
 		g.drain.Broadcast()
 	}
+	g.mu.Unlock()
 }
 
-// unpinLocked drops one reference to gen and, when no reader is left and
-// it is no longer the current generation, hands it back for the caller
-// to release with releaseDetached once the lock is dropped — releasing
-// means file syscalls for disk generations, which must not stall every
-// concurrent acquire behind g.mu. Nothing can re-pin the detached
-// generation: acquire only pins g.cur, and a superseded generation never
-// becomes current again.
-func (g *Graph) unpinLocked(gen *generation) *generation {
-	gen.refs--
-	if gen.refs == 0 && gen != g.cur {
-		return gen
-	}
-	return nil
-}
-
-// releaseDetached releases a generation handed out by unpinLocked (nil is
-// a no-op). The failure has no caller to report to — the draining query
-// already returned its Result — so the first one is kept for Close.
-func (g *Graph) releaseDetached(gen *generation) {
-	if gen == nil {
-		return
-	}
-	if err := gen.release(); err != nil {
-		g.mu.Lock()
-		if g.releaseErr == nil {
-			g.releaseErr = err
-		}
-		g.mu.Unlock()
-	}
-}
-
-// release frees the generation's core: superseded disk generations close
-// and remove their <DiskPath>.g<n> file; the Build image at DiskPath is
-// closed but kept. The canonical metadata survives for the accessors.
+// release frees the generation's core, once, when its last reference
+// goes: superseded disk generations close and remove their
+// <DiskPath>.g<n> file; the Build image at DiskPath is closed but kept.
+// The canonical metadata survives for the accessors.
 func (gen *generation) release() error {
-	if gen.released {
-		return nil
-	}
-	gen.released = true
 	gen.core = nil
 	var err error
 	if gen.coreFile != nil {
@@ -446,9 +427,9 @@ func (g *Graph) Close() error {
 		var promoteErr, walErr error
 		if g.opts.DiskPath != "" {
 			walObsolete := true
-			if g.cur.gen > g.persistedGen {
+			if g.cur.meta.Generation > g.persistedGen {
 				if promoteErr = g.promote(g.cur); promoteErr == nil {
-					g.persistedGen = g.cur.gen
+					g.persistedGen = g.cur.meta.Generation
 				} else {
 					// Keep the log: the durable state (persisted image plus
 					// WAL) still replays to the current generation on the
@@ -471,7 +452,7 @@ func (g *Graph) Close() error {
 func (g *Graph) NumVertices() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cur.numVertices
+	return int(g.cur.meta.NumVertices)
 }
 
 // NumEdges is the number of canonical (deduplicated) edges of the current
@@ -479,7 +460,7 @@ func (g *Graph) NumVertices() int {
 func (g *Graph) NumEdges() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cur.edgesLen
+	return g.cur.meta.EdgesLen
 }
 
 // CanonIOs is the one-time I/O cost paid to produce the current
@@ -490,7 +471,7 @@ func (g *Graph) NumEdges() int64 {
 func (g *Graph) CanonIOs() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cur.canonIOs
+	return g.cur.meta.CanonIOs
 }
 
 // Generation is the current generation number: 0 after Build,
@@ -498,7 +479,7 @@ func (g *Graph) CanonIOs() uint64 {
 func (g *Graph) Generation() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cur.gen
+	return g.cur.meta.Generation
 }
 
 // Options returns the (defaulted) build options of the handle. It remains

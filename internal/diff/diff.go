@@ -349,59 +349,15 @@ func seedPlans(p *subgraph.Pattern) []patternSeed {
 // so the seeds never produce a tuple twice.
 func anchorPattern(p *subgraph.Pattern, plans []patternSeed, e extmem.Word, adj map[uint32][]uint32, anchorSet map[extmem.Word]extmem.Word, buf *[][]uint32) {
 	u, v := graph.U(e), graph.V(e)
-	k := p.K()
-	assign := make([]uint32, k)
-	has := func(a, b uint32) bool {
-		_, ok := slices.BinarySearch(adj[a], b)
-		return ok
+	assign := make([]uint32, p.K())
+	found := func(assign []uint32) {
+		if minimalEmbeddingAnchor(p, assign, e, anchorSet) {
+			*buf = append(*buf, slices.Clone(assign))
+		}
 	}
 	for _, seed := range plans {
 		assign[seed.i], assign[seed.j] = u, v
-		var walk func(step int)
-		walk = func(step int) {
-			if step == k {
-				if p.IsMinimalEmbedding(assign) && minimalEmbeddingAnchor(p, assign, e, anchorSet) {
-					*buf = append(*buf, append([]uint32(nil), assign...))
-				}
-				return
-			}
-			pos := seed.order[step]
-			pivot := uint32(0)
-			found := false
-			for j := 0; j < k && !found; j++ {
-				if seed.back[step]&(1<<uint(j)) != 0 {
-					pivot = assign[j]
-					found = true
-				}
-			}
-			if !found {
-				return
-			}
-			for _, cand := range adj[pivot] {
-				dup := false
-				for s := 0; s < step; s++ {
-					if assign[seed.order[s]] == cand {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				ok := true
-				for j := 0; j < k; j++ {
-					if seed.back[step]&(1<<uint(j)) != 0 && !has(assign[j], cand) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					assign[pos] = cand
-					walk(step + 1)
-				}
-			}
-		}
-		walk(2)
+		p.Extend(adj, seed.order, seed.back, assign, 2, nil, found)
 	}
 }
 

@@ -2,6 +2,8 @@ package subgraph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/extmem"
@@ -324,7 +326,6 @@ func (p *Pattern) EnumerateParallel(sp *extmem.Space, g graph.Canonical, seed ui
 // the cluster shards, which lay out only the buckets of their owned color
 // tuples, both call it.
 func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple []int, info *Info, emit EmitK) error {
-	order, back := p.order, p.back
 	// Bucket for an H-edge (i, j): G stores an edge under the color pair
 	// (ξ(min), ξ(max)); since we do not know which mapped endpoint will be
 	// smaller, take both (τi, τj) and (τj, τi).
@@ -376,70 +377,64 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 	// Sorted start order: the embedding stream must be a pure function of
 	// the subproblem, identical across runs.
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	has := func(a, b uint32) bool {
-		l := adj[a]
-		i := sort.Search(len(l), func(i int) bool { return l[i] >= b })
-		return i < len(l) && l[i] == b
-	}
 
 	assign := make([]uint32, p.k) // by pattern position
-	var walk func(step int)
-	walk = func(step int) {
-		if step == p.k {
-			if p.IsMinimalEmbedding(assign) {
-				info.Cliques++
-				emit(assign)
-			}
-			return
-		}
-		pos := order[step]
-		want := uint32(tuple[pos])
-		// Candidates: neighbors of one already-placed H-neighbor.
-		var pivot uint32
-		found := false
-		for j := 0; j < p.k && !found; j++ {
-			if back[step]&(1<<uint(j)) != 0 {
-				pivot = assign[j]
-				found = true
-			}
-		}
-		if !found {
-			return // cannot happen for connected patterns beyond step 0
-		}
-		for _, v := range adj[pivot] {
-			if colorOf(v) != want {
-				continue
-			}
-			dup := false
-			for s := 0; s < step; s++ {
-				if assign[order[s]] == v {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			ok := true
-			for j := 0; j < p.k; j++ {
-				if back[step]&(1<<uint(j)) != 0 && !has(assign[j], v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				assign[pos] = v
-				walk(step + 1)
-			}
-		}
+	ok := func(pos int, v uint32) bool { return colorOf(v) == uint32(tuple[pos]) }
+	found := func(assign []uint32) {
+		info.Cliques++
+		emit(assign)
 	}
-	t0 := uint32(tuple[order[0]])
 	for _, v := range starts {
-		if colorOf(v) != t0 {
+		if !ok(p.order[0], v) {
 			continue
 		}
-		assign[order[0]] = v
-		walk(1)
+		assign[p.order[0]] = v
+		p.Extend(adj, p.order, p.back, assign, 1, ok, found)
 	}
 	return nil
+}
+
+// Extend is the one backtracking search behind pattern enumeration, both
+// the color-tuple solver and the differential kernel's anchored search:
+// with positions order[:step] placed in assign, it places order[step] on
+// each neighbour of its first placed H-neighbour (a candidate list of
+// adj, visited in list order) that is not already used, is adjacent in
+// adj to every placed H-neighbour (back[step]), and passes ok (nil admits
+// every vertex), then recurses. Each complete assignment that
+// IsMinimalEmbedding admits goes to found; assign is reused, so found
+// must copy what it keeps. The lists of adj must be sorted ascending, and
+// order/back must be a connected search order with its back masks
+// (searchOrder, AnchoredOrder).
+func (p *Pattern) Extend(adj map[uint32][]uint32, order []int, back []uint8, assign []uint32, step int, ok func(pos int, v uint32) bool, found func(assign []uint32)) {
+	if step == p.k {
+		if p.IsMinimalEmbedding(assign) {
+			found(assign)
+		}
+		return
+	}
+	pos := order[step]
+	pivot := bits.TrailingZeros8(back[step])
+	if pivot == 8 {
+		return // no placed H-neighbour: only step 0, which callers place
+	}
+next:
+	for _, v := range adj[assign[pivot]] {
+		if ok != nil && !ok(pos, v) {
+			continue
+		}
+		for _, q := range order[:step] {
+			if assign[q] == v {
+				continue next
+			}
+		}
+		for j := 0; j < p.k; j++ {
+			if back[step]&(1<<uint(j)) != 0 {
+				if _, adjacent := slices.BinarySearch(adj[assign[j]], v); !adjacent {
+					continue next
+				}
+			}
+		}
+		assign[pos] = v
+		p.Extend(adj, order, back, assign, step+1, ok, found)
+	}
 }

@@ -336,7 +336,7 @@ func (g *Graph) query(ctx context.Context, q Query, k int, units bool, canon fun
 	res.Stats = toIOStats(st)
 	// The session's generation, so concurrent updates never leak into a
 	// running query's report.
-	res.Vertices, res.Edges, res.CanonIOs = s.gen.numVertices, s.gen.edgesLen, s.gen.canonIOs
+	res.Vertices, res.Edges, res.CanonIOs = int(s.gen.meta.NumVertices), s.gen.meta.EdgesLen, s.gen.meta.CanonIOs
 	res.Workers = max(res.Workers, 1) // sequential engines leave it zero
 	if ord != nil && err == nil {
 		next.Emitted += ord.deliver(from.Emitted, lim, emit)

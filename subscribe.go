@@ -122,7 +122,7 @@ func (g *Graph) subscribe(ctx context.Context, spec diff.Spec, pat *Pattern, q Q
 	s := &Subscription{
 		g:       g,
 		id:      g.subSeq,
-		gen:     g.cur.gen,
+		gen:     g.cur.meta.Generation,
 		spec:    spec,
 		pat:     pat,
 		workers: workers,
@@ -300,11 +300,11 @@ func (g *Graph) diffOnce(s *Subscription, old, ng *generation, addedIDs, removed
 	}
 	remStats.Add(addStats)
 	return ChangeSet{
-		Generation: ng.gen,
+		Generation: ng.meta.Generation,
 		Added:      added,
 		Removed:    removed,
-		Vertices:   ng.numVertices,
-		Edges:      ng.edgesLen,
+		Vertices:   int(ng.meta.NumVertices),
+		Edges:      ng.meta.EdgesLen,
 		Stats:      toIOStats(remStats),
 	}, nil
 }
@@ -317,11 +317,10 @@ func (g *Graph) diffPass(s *Subscription, gen *generation, deltaIDs []extmem.Wor
 	if len(deltaIDs) == 0 {
 		return out, extmem.Stats{}, nil
 	}
-	cfg := extmem.Config{M: g.opts.MemoryWords, B: g.opts.BlockWords, Native: s.native}
 	// The kernel never allocates external scratch (its closure state is
 	// leased internal memory), so the session needs no scratch file even
 	// on disk-backed handles.
-	sp, err := extmem.NewSessionSpace(cfg, gen.core, gen.coreWords, "")
+	sp, err := gen.open(g.opts, s.native, "")
 	if err != nil {
 		return nil, extmem.Stats{}, err
 	}
@@ -337,18 +336,12 @@ func (g *Graph) diffPass(s *Subscription, gen *generation, deltaIDs []extmem.Wor
 		v, okV := idToRank[graph.V(e)]
 		if !okU || !okV {
 			return nil, extmem.Stats{}, fmt.Errorf("repro: internal: delta edge {%d, %d} unknown to generation %d",
-				graph.U(e), graph.V(e), gen.gen)
+				graph.U(e), graph.V(e), gen.meta.Generation)
 		}
 		anchors = append(anchors, graph.Pack(u, v))
 	}
 
-	cg := graph.Canonical{
-		Edges:       sp.ExtentAt(gen.edgesBase, gen.edgesLen),
-		NumVertices: gen.numVertices,
-		Degrees:     sp.ExtentAt(gen.degBase, gen.degLen),
-		RankToID:    gen.rankToID,
-	}
-	_, err = diff.Enumerate(nil, sp, cg, anchors, s.spec, s.workers, func(rverts []uint32) {
+	_, err = diff.Enumerate(nil, sp, gen.canonical(sp), anchors, s.spec, s.workers, func(rverts []uint32) {
 		ids := make([]uint32, len(rverts))
 		for i, r := range rverts {
 			ids[i] = gen.rankToID[r]

@@ -94,33 +94,17 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 
 	// Register with the close-guard (Close waits for updates like it
 	// waits for queries) and pin the generation being merged against.
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return UpdateResult{}, ErrGraphClosed
+	old, seq, err := g.pin()
+	if err != nil {
+		return UpdateResult{}, err
 	}
-	old := g.cur
-	old.refs++
-	g.active++
-	g.seq++
-	seq := g.seq
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		rel := g.unpinLocked(old)
-		g.mu.Unlock()
-		g.releaseDetached(rel)
-		g.mu.Lock()
-		g.releaseRefLocked()
-		g.mu.Unlock()
-	}()
+	defer g.unpin(old)
 
-	cfg := extmem.Config{M: g.opts.MemoryWords, B: g.opts.BlockWords}
 	scratch := ""
 	if g.opts.DiskPath != "" {
 		scratch = fmt.Sprintf("%s.u%d", g.opts.DiskPath, seq)
 	}
-	sp, err := extmem.NewSessionSpace(cfg, old.core, old.coreWords, scratch)
+	sp, err := old.open(g.opts, false, scratch)
 	if err != nil {
 		return UpdateResult{}, err
 	}
@@ -134,10 +118,10 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 		return err
 	}
 	view := graph.GenView{
-		IDEdges:  sp.ExtentAt(old.layout.Dedup, old.edgesLen),
-		Ends:     sp.ExtentAt(old.layout.Ends, 2*old.edgesLen),
-		ByDeg:    sp.ExtentAt(old.layout.ByDeg, int64(old.numVertices)),
-		RankByID: sp.ExtentAt(old.layout.RankByID, int64(old.numVertices)),
+		IDEdges:  sp.ExtentAt(old.layout.Dedup, old.meta.EdgesLen),
+		Ends:     sp.ExtentAt(old.layout.Ends, 2*old.meta.EdgesLen),
+		ByDeg:    sp.ExtentAt(old.layout.ByDeg, old.meta.NumVertices),
+		RankByID: sp.ExtentAt(old.layout.RankByID, old.meta.NumVertices),
 	}
 	m, err := graph.MergeDelta(ctx, sp, view, adds, removes, sorter)
 	if err != nil {
@@ -150,9 +134,9 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 			mergeStats.Add(w)
 		}
 		return UpdateResult{
-			Generation: old.gen,
-			Vertices:   old.numVertices,
-			Edges:      old.edgesLen,
+			Generation: old.meta.Generation,
+			Vertices:   int(old.meta.NumVertices),
+			Edges:      old.meta.EdgesLen,
 			MergeIOs:   mergeStats.IOs(),
 		}, nil
 	}
@@ -161,12 +145,12 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	// addresses, same watermark, scratch regions left empty — and freeze
 	// it into the next generation's core.
 	eNew := m.Edges.Len()
-	nvNew := int64(m.NumVertices)
-	lay := graph.LayoutFor(eNew, eNew, nvNew, g.opts.BlockWords)
+	lay := graph.LayoutFor(eNew, eNew, int64(m.NumVertices), g.opts.BlockWords)
 	genPath := ""
+	cfg := extmem.Config{M: g.opts.MemoryWords, B: g.opts.BlockWords}
 	var img *extmem.Space
 	if g.opts.DiskPath != "" {
-		genPath = fmt.Sprintf("%s.g%d", g.opts.DiskPath, old.gen+1)
+		genPath = fmt.Sprintf("%s.g%d", g.opts.DiskPath, old.meta.Generation+1)
 		img, err = extmem.NewFileSpace(cfg, genPath)
 		if err != nil {
 			return UpdateResult{}, err
@@ -195,19 +179,18 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	mergeIOs := mergeStats.IOs()
 
 	ng := &generation{
-		gen:         old.gen + 1,
-		path:        genPath,
-		coreWords:   (lay.Mark + int64(g.opts.BlockWords) - 1) &^ int64(g.opts.BlockWords-1),
-		layout:      lay,
-		rawLen:      eNew, // an update generation's layout is LayoutFor(e, e, nv)
-		numVertices: m.NumVertices,
-		edgesBase:   lay.EdgeOut,
-		edgesLen:    eNew,
-		degBase:     lay.DegOut,
-		degLen:      nvNew,
-		rankToID:    m.RankToID,
-		canonIOs:    old.canonIOs + mergeIOs,
-		refs:        1, // the handle's current pointer
+		meta: graph.ImageMeta{
+			BlockWords:  g.opts.BlockWords,
+			RawLen:      eNew, // an update generation's layout is LayoutFor(e, e, nv)
+			EdgesLen:    eNew,
+			NumVertices: int64(m.NumVertices),
+			Generation:  old.meta.Generation + 1,
+			CanonIOs:    old.meta.CanonIOs + mergeIOs,
+		},
+		layout:   lay,
+		path:     genPath,
+		rankToID: m.RankToID,
+		refs:     1, // the handle's current pointer
 	}
 	if genPath != "" {
 		if err := img.Close(); err != nil {
@@ -232,7 +215,7 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	// sorted merge input), so replay runs the identical deterministic
 	// merge.
 	if durable && g.opts.DiskPath != "" {
-		if err := g.walAppend(graph.WALRecord{Gen: ng.gen, Adds: adds, Removes: removes}); err != nil {
+		if err := g.walAppend(graph.WALRecord{Gen: ng.meta.Generation, Adds: adds, Removes: removes}); err != nil {
 			return UpdateResult{}, errors.Join(err, ng.release())
 		}
 	}
@@ -244,9 +227,10 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	g.mu.Lock()
 	g.cur = ng
 	subs := g.snapshotSubsLocked()
-	rel := g.unpinLocked(old) // the current pointer's reference moves to ng
+	// The current pointer's reference moves to ng. old cannot drain here:
+	// this update still pins it, and its unpin releases a detached old.
+	old.refs--
 	g.mu.Unlock()
-	g.releaseDetached(rel)
 
 	// Differential deliveries run inside the update (old is pinned until
 	// this function returns), anchored on the effective edges the merge
@@ -254,7 +238,7 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	g.deliverDiff(subs, old, ng, m.AddedEdges, m.RemovedEdges)
 
 	return UpdateResult{
-		Generation: ng.gen,
+		Generation: ng.meta.Generation,
 		Added:      m.Added,
 		Removed:    m.Removed,
 		Vertices:   m.NumVertices,
