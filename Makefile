@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race bench bench-gated bench-compare bench-module examples docs lint staticcheck fmt loc clean
+.PHONY: all build test race bench bench-gated bench-compare bench-pairs bench-module examples docs lint staticcheck fmt loc clean
 
 all: lint build test
 
@@ -41,10 +41,10 @@ docs:
 # ordered worker pool in internal/extmem, internal/trienum, and
 # internal/subgraph, whose tuple engine schedules the Section 6 color
 # tuples on that pool) additionally run at -cpu=1,4: GOMAXPROCS=1
-# serializes the goroutines, 4 exercises work stealing and the parallel
-# oblivious recursion under real preemption. The explicit -timeout
-# replaces go test's 10-minute default, which the root package alone has
-# reached under -race on 2 vCPUs.
+# serializes the goroutines, 4 exercises the pool's dynamic dispatch and
+# the parallel oblivious recursion under real preemption. The explicit
+# -timeout replaces go test's 10-minute default, which the root package
+# alone has reached under -race on 2 vCPUs.
 race:
 	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/extmem ./internal/trienum ./internal/subgraph
 	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/diff ./internal/cluster
@@ -72,6 +72,38 @@ OLD ?= bench-old.txt
 NEW ?= bench-new.txt
 bench-compare:
 	$(GO) run ./cmd/benchgate -match 'E2Oblivious|E9|E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
+
+# Alternating pairs of the end-to-end benchmark, BASE (a git ref) against
+# this checkout's working tree, e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=native-disk PAIRS=10 SEED=5
+# BASE is extracted with git archive into a temporary directory outside
+# the checkout, and starts from a copy of this checkout's benchmark build
+# cache (Go's cache is keyed by content, so sharing it is safe). Pair i
+# runs bench/run.sh once in each tree (BASE first in odd pairs, the
+# working tree first in even ones), appending to old.json and new.json
+# there; the -compare verdicts print last. The results files stay; the
+# extracted tree is removed.
+BASE ?= HEAD
+WORKLOAD ?= all
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp/base"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	if [ -d .bench_build/gocache ]; then \
+		mkdir "$$tmp/base/.bench_build"; cp -R .bench_build/gocache "$$tmp/base/.bench_build/"; \
+	fi; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="old new"; if [ $$((i % 2)) -eq 0 ]; then order="new old"; fi; \
+		for side in $$order; do \
+			dir="$(CURDIR)"; if [ $$side = old ]; then dir="$$tmp/base"; fi; \
+			echo "pair $$i: $$side" >&2; \
+			(cd "$$dir" && bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) \
+				--out "$$tmp/$$side.json" --label pair$$i >/dev/null); \
+		done; \
+	done; \
+	echo "results: $$tmp/old.json $$tmp/new.json"; \
+	bash bench/run.sh -compare "$$tmp/old.json" "$$tmp/new.json"
 
 # The end-to-end benchmark is a nested module (bench/go.mod), so the
 # root build, vet and test skip it; it imports internal names, so vet and

@@ -469,8 +469,10 @@ type ClusterUpdateResult struct {
 // is unchanged. If a commit fails after others committed, Update
 // returns an error and leaves the epoch unadvanced; the cluster is
 // degraded — subsequent queries fail on the epoch mismatch instead of
-// silently mixing — and the coordinator's commit is idempotent per
-// update id, so re-issuing the same Update repairs the lagging shards.
+// silently mixing. Re-issuing the same Update repairs it: a shard that
+// already committed answers the re-issued prepare and commit with its
+// remembered outcome, and the lagging shards stage and commit. A
+// different Update fails on such a shard until then.
 func (c *Cluster) Update(ctx context.Context, d Delta) (ClusterUpdateResult, error) {
 	var ur ClusterUpdateResult
 	c.mu.Lock()

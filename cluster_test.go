@@ -18,12 +18,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -318,6 +320,80 @@ func TestClusterRoutedUpdate(t *testing.T) {
 	if aggKey(gotCR) != aggKey(cr2) {
 		t.Fatalf("routed-updated cluster and fresh partition disagree on aggregates:\n upd   %s\n fresh %s",
 			aggKey(gotCR), aggKey(cr2))
+	}
+}
+
+// TestClusterUpdateRepair: a commit that fails on one shard after the
+// other committed leaves the cluster degraded, and re-issuing the same
+// Update, not another one, repairs it. Shard 1 sits behind a proxy that
+// fails its first commit with 500 without forwarding it.
+func TestClusterUpdateRepair(t *testing.T) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=120,m=700"), repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	manPath, urls := startCluster(t, g, 2, 4, false)
+	target, err := url.Parse(urls[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var failed atomic.Bool
+	faulty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cluster/shard/update" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			var req cluster.ShardUpdateRequest
+			if json.Unmarshal(body, &req) == nil && req.Phase == cluster.PhaseCommit && failed.CompareAndSwap(false, true) {
+				http.Error(w, "injected commit failure", http.StatusInternalServerError)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	t.Cleanup(faulty.Close)
+	urls = []string{urls[0], faulty.URL}
+	cl := dial(t, manPath, urls)
+
+	ctx := context.Background()
+	delta := repro.Delta{
+		Add:    [][2]uint32{{1, 2}, {3, 200}, {200, 201}, {2, 3}},
+		Remove: [][2]uint32{{0, 1}, {5, 9}},
+	}
+	if _, err := cl.Update(ctx, delta); err == nil {
+		t.Fatal("Update succeeded although shard 1's commit failed")
+	}
+	if _, err := cl.TrianglesFunc(ctx, Q{Seed: 4}, func(a, b, c uint32) {}); err == nil {
+		t.Fatal("a gather on the degraded cluster succeeded")
+	}
+	// Only the same Update repairs: a shard that committed refuses
+	// another delta under the committed id.
+	other := repro.Delta{Add: [][2]uint32{{1, 2}, {3, 200}}}
+	if _, err := cl.Update(ctx, other); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("a different Update on the degraded cluster returned %v, want shard 0 to refuse it", err)
+	}
+	ur, err := cl.Update(ctx, delta)
+	if err != nil {
+		t.Fatalf("re-issued Update: %v", err)
+	}
+	if ur.Epoch != 1 || cl.Epoch() != 1 {
+		t.Fatalf("epoch after the repair = %d/%d, want 1", ur.Epoch, cl.Epoch())
+	}
+
+	if _, err := g.Update(ctx, delta); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := orderedRef(t, g, "triangles", 0, nil, Q{Seed: 4})
+	if got, _ := gather(t, cl, "triangles", 0, nil, Q{Seed: 4}); !bytes.Equal(got, want) {
+		t.Fatal("repaired cluster's gathered stream diverges from the updated graph's ordered stream")
+	}
+	if e := dial(t, manPath, urls).Epoch(); e != 1 {
+		t.Fatalf("a fresh dial of the repaired cluster reports epoch %d, want 1", e)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package emio provides sequential streaming primitives over extmem
-// extents: readers, writers, and merge scans. Sequential access to an
+// extents: readers, writers, copies and filters. Sequential access to an
 // extent of n words costs ceil(n/B) + O(1) I/Os through the block cache,
 // which is the "scan" primitive every external-memory bound builds on.
 package emio
@@ -25,20 +25,6 @@ func (r *Reader) Next() (w extmem.Word, ok bool) {
 	return w, true
 }
 
-// Peek returns the next word without advancing.
-func (r *Reader) Peek() (w extmem.Word, ok bool) {
-	if r.pos >= r.ext.Len() {
-		return 0, false
-	}
-	return r.ext.Read(r.pos), true
-}
-
-// Pos returns the number of words consumed.
-func (r *Reader) Pos() int64 { return r.pos }
-
-// Remaining returns the number of words left.
-func (r *Reader) Remaining() int64 { return r.ext.Len() - r.pos }
-
 // Writer appends words sequentially to an extent.
 type Writer struct {
 	ext extmem.Extent
@@ -54,9 +40,6 @@ func (w *Writer) Append(v extmem.Word) {
 	w.ext.Write(w.pos, v)
 	w.pos++
 }
-
-// Len returns the number of words written.
-func (w *Writer) Len() int64 { return w.pos }
 
 // Written returns the prefix extent holding everything appended so far.
 func (w *Writer) Written() extmem.Extent { return w.ext.Prefix(w.pos) }
@@ -94,52 +77,4 @@ func Filter(dst *Writer, src extmem.Extent, keep func(extmem.Word) bool) int64 {
 		}
 	}
 	return kept
-}
-
-// MergeJoin scans two sorted extents and calls onMatch for every pair of
-// equal keys (one call per pair in the cross product of equal runs).
-// keyA/keyB extract comparison keys from the stored words.
-func MergeJoin(a, b extmem.Extent, key func(extmem.Word) uint64, onMatch func(wa, wb extmem.Word)) {
-	var i, j int64
-	na, nb := a.Len(), b.Len()
-	for i < na && j < nb {
-		wa, wb := a.Read(i), b.Read(j)
-		ka, kb := key(wa), key(wb)
-		switch {
-		case ka < kb:
-			i++
-		case ka > kb:
-			j++
-		default:
-			// Cross product of the equal-key runs.
-			jEnd := j
-			for jEnd < nb && key(b.Read(jEnd)) == ka {
-				jEnd++
-			}
-			for ; i < na && key(a.Read(i)) == ka; i++ {
-				wa = a.Read(i)
-				for jj := j; jj < jEnd; jj++ {
-					onMatch(wa, b.Read(jj))
-				}
-			}
-			j = jEnd
-		}
-	}
-}
-
-// Contains reports whether sorted extent ext contains a word with the given
-// key, via a merge-style scan from a reader (the caller drives ordering).
-// For point lookups in unsorted data, scan with Filter instead.
-func Contains(ext extmem.Extent, key func(extmem.Word) uint64, k uint64) bool {
-	// Binary search: O(log n) random block accesses.
-	lo, hi := int64(0), ext.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key(ext.Read(mid)) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < ext.Len() && key(ext.Read(lo)) == k
 }

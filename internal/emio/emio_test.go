@@ -17,16 +17,10 @@ func TestReaderWriter(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		w.Append(i * 2)
 	}
-	if w.Len() != 50 {
-		t.Fatalf("writer len %d", w.Len())
+	if n := w.Written().Len(); n != 50 {
+		t.Fatalf("writer wrote %d words", n)
 	}
 	r := NewReader(w.Written())
-	if r.Remaining() != 50 {
-		t.Fatalf("remaining %d", r.Remaining())
-	}
-	if v, ok := r.Peek(); !ok || v != 0 {
-		t.Fatal("peek")
-	}
 	for i := uint64(0); i < 50; i++ {
 		v, ok := r.Next()
 		if !ok || v != i*2 {
@@ -35,12 +29,6 @@ func TestReaderWriter(t *testing.T) {
 	}
 	if _, ok := r.Next(); ok {
 		t.Error("read past end")
-	}
-	if _, ok := r.Peek(); ok {
-		t.Error("peek past end")
-	}
-	if r.Pos() != 50 {
-		t.Error("pos")
 	}
 }
 
@@ -82,50 +70,5 @@ func TestFilter(t *testing.T) {
 		if out.Read(i)%3 != 0 {
 			t.Fatal("filter leak")
 		}
-	}
-}
-
-func TestMergeJoin(t *testing.T) {
-	sp := newSpace()
-	a := sp.Alloc(5)
-	b := sp.Alloc(6)
-	for i, v := range []uint64{1, 3, 3, 5, 9} {
-		a.Write(int64(i), v)
-	}
-	for i, v := range []uint64{2, 3, 3, 3, 5, 10} {
-		b.Write(int64(i), v)
-	}
-	pairs := 0
-	MergeJoin(a, b, func(w extmem.Word) uint64 { return w }, func(wa, wb extmem.Word) {
-		if wa != wb {
-			t.Fatalf("joined %d with %d", wa, wb)
-		}
-		pairs++
-	})
-	// 3 appears 2x in a and 3x in b (6 pairs); 5 appears 1x1 (1 pair).
-	if pairs != 7 {
-		t.Errorf("merge join found %d pairs, want 7", pairs)
-	}
-}
-
-func TestContainsBinarySearch(t *testing.T) {
-	sp := newSpace()
-	ext := sp.Alloc(128)
-	for i := int64(0); i < 128; i++ {
-		ext.Write(i, uint64(i*3))
-	}
-	id := func(w extmem.Word) uint64 { return w }
-	for i := uint64(0); i < 384; i++ {
-		want := i%3 == 0
-		if got := Contains(ext, id, i); got != want {
-			t.Fatalf("Contains(%d) = %v", i, got)
-		}
-	}
-	if Contains(ext, id, 999) {
-		t.Error("found beyond range")
-	}
-	empty := sp.Alloc(0)
-	if Contains(empty, id, 0) {
-		t.Error("found in empty extent")
 	}
 }

@@ -45,6 +45,7 @@ type shardState struct {
 	staged   map[uint64]stagedDelta
 	lastID   uint64
 	lastResp cluster.ShardUpdateResponse
+	last     stagedDelta // the sub-delta update lastID committed
 }
 
 // stagedDelta is a prepared-but-uncommitted sub-delta.
@@ -282,6 +283,15 @@ func (s *Server) handleShardUpdate(w http.ResponseWriter, r *http.Request) {
 	resp := cluster.ShardUpdateResponse{Phase: req.Phase, UpdateID: req.UpdateID, Epoch: st.epoch, Generation: st.g.Generation()}
 	switch req.Phase {
 	case cluster.PhasePrepare:
+		if req.UpdateID == st.lastID && req.Epoch+1 == st.epoch &&
+			slices.Equal(req.Add, st.last.add) && slices.Equal(req.Remove, st.last.remove) {
+			// This shard committed the round already: a coordinator
+			// re-issuing a partially committed update gets the remembered
+			// outcome and stages nothing, and its commit replays. Another
+			// delta under the same id is an epoch mismatch below.
+			writeJSON(w, http.StatusOK, st.lastResp)
+			return
+		}
 		if req.Epoch != st.epoch {
 			writeError(w, http.StatusConflict, "prepare against epoch %d but shard is at %d", req.Epoch, st.epoch)
 			return
@@ -326,6 +336,7 @@ func (s *Server) handleShardUpdate(w http.ResponseWriter, r *http.Request) {
 		resp.MergeIOs = res.MergeIOs
 		st.lastID = req.UpdateID
 		st.lastResp = resp
+		st.last = d
 	default:
 		writeError(w, http.StatusBadRequest, "unknown update phase %q", req.Phase)
 		return

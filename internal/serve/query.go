@@ -179,8 +179,7 @@ func (f family) tupleSolver(C int, colorOf func(uint32) uint32) tupleSolve {
 		}
 	}
 	return func(sp *extmem.Space, edges extmem.Extent, off []int64, t []int, emit func([]uint32)) error {
-		pivots := t[1]*C + t[2]
-		trienum.SolveTriple(sp, edges, off, C, t[0], t[1], t[2], 0, off[pivots+1]-off[pivots], 0, perTriangle(emit))
+		trienum.SolveTriple(sp, edges, off, C, t[0], t[1], t[2], perTriangle(emit))
 		return nil
 	}
 }

@@ -117,7 +117,7 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	for len(p.arena)%cfg.B != 0 {
 		p.arena = append(p.arena, 0) // shard cores are whole blocks
 	}
-	stats, err := runTasks(exec, cfg, p.arena, p.tasks, emit)
+	stats, err := runTasks(exec, cfg, p.arena, exec.From, p.tasks, emit)
 	for _, u := range p.infos {
 		mergeObInfo(&info, u)
 	}
@@ -148,10 +148,10 @@ type obPlanner struct {
 	err   error
 }
 
-// unit numbers the next task and reports whether it runs.
-func (p *obPlanner) unit() (int, bool) {
+// next counts the next task and reports whether it runs.
+func (p *obPlanner) next() bool {
 	p.units++
-	return p.units - 1, p.units > p.from
+	return p.units > p.from
 }
 
 // appendArena copies the extents into the arena, one after another, and
@@ -183,8 +183,7 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 	if depth < obSplitDepth && n > obSplitMinEdges && depth < o.maxDepth && n > obliviousBaseCutoff {
 		return false
 	}
-	unit, run := p.unit()
-	if !run {
+	if !p.next() {
 		return true
 	}
 	off := p.appendArena(o.work.Slice(lo, hi), o.ann.Slice(lo, hi))
@@ -194,14 +193,14 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 	maxDepth, r := o.maxDepth, *rnd
 	idx := len(p.infos)
 	p.infos = append(p.infos, Info{})
-	p.tasks = append(p.tasks, shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
+	p.tasks = append(p.tasks, func(shard *extmem.Space, emit graph.Emit) {
 		loc := &oblivious{sp: shard, emit: emit, info: &p.infos[idx], chain: chain, maxDepth: maxDepth}
 		loc.alloc(n)
 		shard.ExtentAt(off, n).CopyTo(loc.work)
 		shard.ExtentAt(off+n, n).CopyTo(loc.ann)
 		rnd := r
 		loc.recurse(0, n, col, depth, &rnd)
-	}})
+	})
 	return true
 }
 
@@ -210,15 +209,14 @@ func (p *obPlanner) spawn(o *oblivious, lo, hi int64, col [3]uint32, depth int, 
 // words at arena offset off, and skips the wedges through the vertices
 // processed before v, whose edges the recursion body has since removed.
 func (p *obPlanner) addHighDegTask(o *oblivious, off, n int64, v uint32, skip []uint32, col [3]uint32, depth int) {
-	unit, run := p.unit()
-	if !run {
+	if !p.next() {
 		return
 	}
 	chain := slices.Clone(o.chain)
-	p.tasks = append(p.tasks, shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
+	p.tasks = append(p.tasks, func(shard *extmem.Space, emit graph.Emit) {
 		loc := &oblivious{sp: shard, emit: emit, chain: chain}
 		loc.highDegreePass(shard.ExtentAt(off, n), v, skip, col, depth)
-	}})
+	})
 }
 
 // mergeObInfo folds a task's recursion bookkeeping into the run total.

@@ -37,13 +37,13 @@ import (
 // warm cache state from its predecessor — the accounting the paper's
 // per-subproblem analysis actually performs.
 //
-// Units are numbered in emission order across a run's phases, which is
-// what lets a run start part-way (Exec.From): the Lemma 1 passes come
-// first, then the color triples in forEachTriple order — a native piece
-// of a split triple stays in its triple's unit — or the one kernel of the
-// c ≤ 1 path. The numbering depends only on the input and the machine,
-// so a run from unit u emits exactly the full stream's suffix from u's
-// first emission.
+// Every task is one decomposition unit, in either mode and at any worker
+// count. Units are numbered in emission order across a run's phases,
+// which is what lets a run start part-way (Exec.From): the Lemma 1 passes
+// come first, then the color triples in forEachTriple order, or the one
+// kernel of the c ≤ 1 path. The numbering depends only on the input and
+// the machine, so a run from unit u emits exactly the full stream's
+// suffix from u's first emission.
 
 // Exec configures the parallel execution engine.
 type Exec struct {
@@ -66,9 +66,10 @@ type Exec struct {
 	// step 3 degrades accordingly.
 	DisableHighDegree bool
 	// From is the first decomposition unit to run, 0 for all of them;
-	// it must not be negative. ObliviousParallel's units are its
-	// planner's tasks, the others' are numbered as the engine notes
-	// above say. The set-up (copy-in, Lemma 1 compaction, color-pair
+	// it must not be negative. A unit is one pool task, in either mode
+	// and at any worker count: ObliviousParallel's units are its
+	// planner's tasks, the others' are the Lemma 1 passes and then the
+	// color triples, numbered as the engine notes above say. The set-up (copy-in, Lemma 1 compaction, color-pair
 	// distribution, oblivious planner) runs in full and earlier units
 	// are never dispatched, so the run emits the full stream's suffix
 	// from unit From's first emission. Its Info still describes the whole
@@ -102,13 +103,10 @@ func (x Exec) checkFrom(units int) error {
 	return nil
 }
 
-// shardTask is one piece of parallel work of decomposition unit unit: run
-// runs against a worker's shard Space, emitting its triangles (in the
-// piece's canonical order) through the supplied callback.
-type shardTask struct {
-	unit int
-	run  func(shard *extmem.Space, emit graph.Emit)
-}
+// shardTask is one decomposition unit of a triangle engine: it runs
+// against a worker's shard Space, emitting its triangles (in the unit's
+// canonical order) through the supplied callback.
+type shardTask func(shard *extmem.Space, emit graph.Emit)
 
 const (
 	// emitBatch is the number of emissions per merge handoff.
@@ -222,18 +220,19 @@ func runPool[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, t
 }
 
 // runTasks runs the triangle engines' tasks on the pool (runPool) and
-// emits every task's triangles in task order on the calling goroutine,
-// calling x.OnUnit whenever the emitting unit changes.
-func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
+// emits every task's triangles in task order on the calling goroutine.
+// Task i is unit first+i of the run, and x.OnUnit hears of it before its
+// first emission.
+func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, first int, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
 	last := -1
 	return runPool(x, cfg, shared, 3, len(tasks), func(i int, shard *extmem.Space, out *sink) struct{} {
-		tasks[i].run(shard, out.triangle)
+		tasks[i](shard, out.triangle)
 		return struct{}{}
 	}, func(i int, flat []uint32) {
-		if u := tasks[i].unit; u != last {
-			last = u
+		if i != last {
+			last = i
 			if x.OnUnit != nil {
-				x.OnUnit(u)
+				x.OnUnit(first + i)
 			}
 		}
 		for ; len(flat) >= 3; flat = flat[3:] {
@@ -290,23 +289,23 @@ func highDegreeParallel(x Exec, sp *extmem.Space, work extmem.Extent, g graph.Ca
 	var tasks []shardTask
 	for r := g.NumVertices - 1; r >= r0; r-- {
 		info.HighDegVertices++
-		if unit := g.NumVertices - 1 - r; unit < x.From {
+		if g.NumVertices-1-r < x.From {
 			continue
 		}
 		vr := uint32(r)
-		tasks = append(tasks, shardTask{g.NumVertices - 1 - r, func(shard *extmem.Space, emit graph.Emit) {
+		tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
 			enumerateContaining(shard, seg, vr, emsort.SortRecords, func(u, w uint32) {
 				if w < vr {
 					emit(u, w, vr)
 				}
 			})
-		}})
+		})
 	}
 	var stats []extmem.Stats
 	if len(tasks) > 0 {
 		var err error
-		if stats, err = runTasks(x, cfg, sp.Snapshot(work), tasks, emit); err != nil {
+		if stats, err = runTasks(x, cfg, sp.Snapshot(work), x.From, tasks, emit); err != nil {
 			return 0, stats, err
 		}
 	}
@@ -334,12 +333,13 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // color pair of their endpoints under colorOf, then solve every color
 // triple with the kernel. The coordinator distributes the edges into
 // color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
-// not depend on the worker count — and freezes them; each triple's
-// cone-bucket merge and kernel run happen on a worker shard. The triples
-// are units base, base+1, … of the run, and those before x.From are
-// skipped. edges must be in canonical order; it is left unchanged.
+// not depend on the worker count — and freezes them; each non-empty
+// triple is one task, whose cone-bucket merge and kernel run happen on a
+// worker shard (SolveTriple). The triples are units base, base+1, … of
+// the run, and those before x.From are skipped. edges must be in
+// canonical order; it is left unchanged.
 func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c, base int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
-	ctx, workers := x.Ctx, x.workers()
+	ctx := x.Ctx
 	E := edges.Len()
 	if E == 0 {
 		if err := x.checkFrom(base); err != nil {
@@ -348,22 +348,23 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 		return nil, ctxutil.Err(ctx)
 	}
 	cfg := sp.Config()
+	first := max(base, x.From)
 	if c <= 1 {
 		// Single subproblem, unit base: this is exactly the Hu–Tao–Chung
 		// algorithm applied to the whole edge set.
 		if err := x.checkFrom(base + 1); err != nil {
 			return nil, err
 		}
-		sortWS, err := emsort.ParallelSortRecordsCtx(ctx, edges, 1, emsort.Identity, workers)
+		sortWS, err := emsort.ParallelSortRecordsCtx(ctx, edges, 1, emsort.Identity, x.workers())
 		if err != nil {
 			return sortWS, err
 		}
 		info.Subproblems++
-		task := shardTask{base, func(shard *extmem.Space, emit graph.Emit) {
+		task := func(shard *extmem.Space, emit graph.Emit) {
 			seg := shard.ExtentAt(0, E)
 			_ = kernel(nil, shard, seg, seg, 0, emit) // nil ctx: cannot fail
-		}}
-		ws, err := runTasks(x, cfg, sp.Snapshot(edges), []shardTask{task}, emit)
+		}
+		ws, err := runTasks(x, cfg, sp.Snapshot(edges), first, []shardTask{task}, emit)
 		return extmem.AddStatsVec(sortWS, ws), err
 	}
 	// The c²+1 bucket offsets are native words of internal memory, leased
@@ -380,36 +381,6 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 	}
 	shared := sp.Snapshot(buckets)
 
-	// Task granularity. In simulated mode each color triple is one task:
-	// the unit the paper's accounting charges, and what keeps the I/O
-	// totals of the gated experiments stable. In native mode there is no
-	// accounting to preserve and wall-clock is the product, so with more
-	// than one worker a skewed triple — one hot color pair holding most
-	// pivot edges — is split at the kernel's own chunk boundaries into at
-	// most one task per worker. The engine's pull-based dispatch (workers
-	// take the next task as they free up) then steals the hot triple's
-	// pieces across the pool instead of serializing them on one worker.
-	// Each piece re-merges the triple's cone buckets, so it is split no
-	// finer than the pool can use. memEdges replicates the kernel's
-	// auto-sizing under the c²+1-word bucket-index lease, so chunk
-	// boundaries — and the concatenated emission stream — are exactly the
-	// single-task kernel's.
-	chunked := cfg.Native && workers > 1
-	memEdges := 0
-	if chunked {
-		lease := c*c + 1
-		if maxLease := cfg.M - 2*cfg.B; lease > maxLease {
-			lease = maxLease
-		}
-		if lease < 0 {
-			lease = 0
-		}
-		memEdges = (cfg.M - lease) / 8
-		if memEdges < 16 {
-			memEdges = 16
-		}
-	}
-
 	var tasks []shardTask
 	units := base
 	forEachTriple(off, c, func(t1, t2, t3 int) {
@@ -419,29 +390,16 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 		if unit < x.From {
 			return
 		}
-		nPiv := bucketAt(buckets, off, c, t2, t3).Len()
-		solve := func(lo, hi int64, chunk int) shardTask {
-			return shardTask{unit, func(shard *extmem.Space, emit graph.Emit) {
-				// The shard consults the same c²+1-word bucket index the
-				// coordinator built; charge it the same internal memory.
-				release := shard.LeaseAtMost(c*c + 1)
-				defer release()
-				seg := shard.ExtentAt(0, E)
-				SolveTriple(shard, seg, off, c, t1, t2, t3, lo, hi, chunk, emit)
-			}}
-		}
-		if !chunked || nPiv <= int64(memEdges) {
-			tasks = append(tasks, solve(0, nPiv, 0))
-			return
-		}
-		chunks := (nPiv + int64(memEdges) - 1) / int64(memEdges)
-		step := (chunks + int64(workers) - 1) / int64(workers) * int64(memEdges)
-		for lo := int64(0); lo < nPiv; lo += step {
-			tasks = append(tasks, solve(lo, min(lo+step, nPiv), memEdges))
-		}
+		tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
+			// The shard consults the same c²+1-word bucket index the
+			// coordinator built; charge it the same internal memory.
+			release := shard.LeaseAtMost(c*c + 1)
+			defer release()
+			SolveTriple(shard, shard.ExtentAt(0, E), off, c, t1, t2, t3, emit)
+		})
 	})
 	if err := x.checkFrom(units); err != nil {
 		return nil, err
 	}
-	return runTasks(x, cfg, shared, tasks, emit)
+	return runTasks(x, cfg, shared, first, tasks, emit)
 }

@@ -1,16 +1,12 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/join"
-)
+import "fmt"
 
 // The public face of the database application that motivates the paper
 // (Section 1): a ternary relation in 5th normal form stored as its three
 // binary projections is reconstructed by the three-way join
 // SB ⋈ BT ⋈ ST, which is exactly triangle enumeration on the union of
-// the three bipartite graphs.
+// the three bipartite graphs: every triangle is one row of the join.
 
 // JoinPair is one tuple of a binary relation.
 type JoinPair struct{ A, B string }
@@ -70,9 +66,8 @@ func (d JoinDecomposition) Join(opt JoinOptions, visit func(JoinRow)) (JoinStats
 	default:
 		return JoinStats{}, fmt.Errorf("repro: join does not support algorithm %v", opt.Algorithm)
 	}
-	dec := join.Decomposition{SB: toJoinPairs(d.SB), BT: toJoinPairs(d.BT), ST: toJoinPairs(d.ST)}
-	enc := dec.Encode()
-	g, err := Build(FromEdges(enc.Edges), Options{
+	enc := d.encode()
+	g, err := Build(FromEdges(enc.edges), Options{
 		MemoryWords: opt.MemoryWords,
 		BlockWords:  opt.BlockWords,
 		Workers:     opt.Workers,
@@ -87,8 +82,7 @@ func (d JoinDecomposition) Join(opt JoinOptions, visit func(JoinRow)) (JoinStats
 	}
 	res, err := g.TrianglesFunc(nil, q, func(a, b, c uint32) {
 		if visit != nil {
-			r := enc.Row(a, b, c)
-			visit(JoinRow{Salesperson: r.Salesperson, Brand: r.Brand, ProductType: r.ProductType})
+			visit(enc.row(a, b, c))
 		}
 	})
 	if err != nil {
@@ -106,26 +100,91 @@ func (d JoinDecomposition) Join(opt JoinOptions, visit func(JoinRow)) (JoinStats
 // projections, deduplicating pairs. If the relation is in 5th normal
 // form, Join(DecomposeJoinRows(R)) reconstructs R exactly.
 func DecomposeJoinRows(rows []JoinRow) JoinDecomposition {
-	in := make([]join.Row, len(rows))
-	for i, r := range rows {
-		in[i] = join.Row{Salesperson: r.Salesperson, Brand: r.Brand, ProductType: r.ProductType}
+	var dec JoinDecomposition
+	sb, bt, st := map[JoinPair]bool{}, map[JoinPair]bool{}, map[JoinPair]bool{}
+	add := func(seen map[JoinPair]bool, to *[]JoinPair, p JoinPair) {
+		if !seen[p] {
+			seen[p] = true
+			*to = append(*to, p)
+		}
 	}
-	dec := join.Decompose(in)
-	return JoinDecomposition{SB: fromJoinPairs(dec.SB), BT: fromJoinPairs(dec.BT), ST: fromJoinPairs(dec.ST)}
+	for _, r := range rows {
+		add(sb, &dec.SB, JoinPair{r.Salesperson, r.Brand})
+		add(bt, &dec.BT, JoinPair{r.Brand, r.ProductType})
+		add(st, &dec.ST, JoinPair{r.Salesperson, r.ProductType})
+	}
+	return dec
 }
 
-func toJoinPairs(ps []JoinPair) []join.Pair {
-	out := make([]join.Pair, len(ps))
-	for i, p := range ps {
-		out[i] = join.Pair{A: p.A, B: p.B}
-	}
-	return out
+// joinEncoding is a decomposition dictionary-encoded onto its tripartite
+// triangle graph: the three attribute classes occupy disjoint vertex-id
+// ranges (salespeople, then brands, then product types), and each
+// projection contributes one bipartite edge set.
+type joinEncoding struct {
+	edges      [][2]uint32 // the union of the three bipartite graphs
+	s, b, t    joinDict    // salespeople, brands, product types
+	bOff, tOff uint32      // the first brand and product-type ids
 }
 
-func fromJoinPairs(ps []join.Pair) []JoinPair {
-	out := make([]JoinPair, len(ps))
-	for i, p := range ps {
-		out[i] = JoinPair{A: p.A, B: p.B}
+// joinDict interns the strings of one attribute class into dense ids.
+type joinDict struct {
+	ids   map[string]uint32
+	names []string
+}
+
+func (d *joinDict) intern(s string) {
+	if _, ok := d.ids[s]; !ok {
+		if d.ids == nil {
+			d.ids = map[string]uint32{}
+		}
+		d.ids[s] = uint32(len(d.names))
+		d.names = append(d.names, s)
 	}
-	return out
+}
+
+// encode dictionary-encodes the decomposition.
+func (d JoinDecomposition) encode() *joinEncoding {
+	e := &joinEncoding{}
+	for _, p := range d.SB {
+		e.s.intern(p.A)
+		e.b.intern(p.B)
+	}
+	for _, p := range d.BT {
+		e.b.intern(p.A)
+		e.t.intern(p.B)
+	}
+	for _, p := range d.ST {
+		e.s.intern(p.A)
+		e.t.intern(p.B)
+	}
+	e.bOff = uint32(len(e.s.names))
+	e.tOff = e.bOff + uint32(len(e.b.names))
+	for _, p := range d.SB {
+		e.edges = append(e.edges, [2]uint32{e.s.ids[p.A], e.bOff + e.b.ids[p.B]})
+	}
+	for _, p := range d.BT {
+		e.edges = append(e.edges, [2]uint32{e.bOff + e.b.ids[p.A], e.tOff + e.t.ids[p.B]})
+	}
+	for _, p := range d.ST {
+		e.edges = append(e.edges, [2]uint32{e.s.ids[p.A], e.tOff + e.t.ids[p.B]})
+	}
+	return e
+}
+
+// row decodes one triangle (vertex ids of the encoded graph, any order)
+// into the join row it represents; the tripartite structure means each
+// triangle has exactly one vertex per attribute class.
+func (e *joinEncoding) row(a, b, c uint32) JoinRow {
+	var r JoinRow
+	for _, id := range [3]uint32{a, b, c} {
+		switch {
+		case id < e.bOff:
+			r.Salesperson = e.s.names[id]
+		case id < e.tOff:
+			r.Brand = e.b.names[id-e.bOff]
+		default:
+			r.ProductType = e.t.names[id-e.tOff]
+		}
+	}
+	return r
 }

@@ -185,3 +185,19 @@ func TestJoinRejectsBadMachine(t *testing.T) {
 		t.Error("non-power-of-two block size accepted")
 	}
 }
+
+func TestDecomposeDeduplicates(t *testing.T) {
+	dec := DecomposeJoinRows([]JoinRow{{"a", "b", "c"}, {"a", "b", "d"}})
+	if len(dec.SB) != 1 {
+		t.Errorf("SB has %d pairs, want 1", len(dec.SB))
+	}
+	if len(dec.BT) != 2 || len(dec.ST) != 2 {
+		t.Errorf("BT=%d ST=%d, want 2 and 2", len(dec.BT), len(dec.ST))
+	}
+	// Each projection deduplicates on its own: the pair (x, y) is both an
+	// SB and a BT pair here.
+	dec = DecomposeJoinRows([]JoinRow{{"x", "y", "x"}, {"y", "x", "y"}})
+	if len(dec.SB) != 2 || len(dec.BT) != 2 || len(dec.ST) != 2 {
+		t.Errorf("SB=%d BT=%d ST=%d, want 2, 2 and 2", len(dec.SB), len(dec.BT), len(dec.ST))
+	}
+}

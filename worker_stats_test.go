@@ -55,9 +55,8 @@ func TestWorkerStatsSchedulingContract(t *testing.T) {
 				}
 			}
 		}
-		// Native execution uses chunk-granular work stealing, where a
-		// per-worker transfer breakdown would be meaningless even if the
-		// accounting were on; the contract is nil, not empty.
+		// Native execution counts no transfers, so there is no per-worker
+		// breakdown to report; the contract is nil, not empty.
 		res, err := g.TrianglesFunc(nil, Query{Algorithm: alg, Seed: 6, Workers: 4, Mode: ModeNative}, nil)
 		if err != nil {
 			t.Fatalf("%v/native: %v", alg, err)
