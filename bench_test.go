@@ -354,44 +354,35 @@ func BenchmarkE14ParallelDeterministic(b *testing.B) {
 }
 
 // BenchmarkE15ParallelSort — the parallel sort(E) substrate standalone:
-// wall-clock scaling of ParallelSortRecords / ParallelFunnelSortRecords
-// with the worker count. The aggregated block-I/O totals are identical at
-// every worker count (reported as a metric so the invariance is visible
-// in the bench output); only wall time changes.
+// wall-clock scaling of ParallelSortRecords with the worker count. The
+// aggregated block-I/O totals are identical at every worker count
+// (reported as a metric so the invariance is visible in the bench output);
+// only wall time changes.
 func BenchmarkE15ParallelSort(b *testing.B) {
 	cfg := extmem.Config{M: 1 << 12, B: 1 << 6}
 	n := int64(1 << 15)
-	variants := []struct {
-		name string
-		fn   func(extmem.Extent, int, emsort.Key, int) []extmem.Stats
-	}{
-		{"multiway", emsort.ParallelSortRecords},
-		{"funnel", emsort.ParallelFunnelSortRecords},
-	}
-	for _, v := range variants {
-		for _, w := range benchWorkerCounts(1, 2, 4, runtime.NumCPU()) {
-			b.Run(fmt.Sprintf("%s/workers=%d", v.name, w), func(b *testing.B) {
-				var ios uint64
-				for i := 0; i < b.N; i++ {
-					sp := extmem.NewSpace(cfg)
-					ext := sp.Alloc(n)
-					rng := hashing.NewRand(uint64(i))
-					for j := int64(0); j < n; j++ {
-						ext.Write(j, rng.Next())
-					}
-					sp.DropCache()
-					sp.ResetStats()
-					ws := v.fn(ext, 1, emsort.Identity, w)
-					sp.Flush()
-					total := sp.Stats()
-					for _, s := range ws {
-						total.Add(s)
-					}
-					ios = total.IOs()
+	for _, w := range benchWorkerCounts(1, 2, 4, runtime.NumCPU()) {
+		b.Run(fmt.Sprintf("multiway/workers=%d", w), func(b *testing.B) {
+			var ios uint64
+			for i := 0; i < b.N; i++ {
+				sp := extmem.NewSpace(cfg)
+				ext := sp.Alloc(n)
+				rng := hashing.NewRand(uint64(i))
+				for j := int64(0); j < n; j++ {
+					ext.Write(j, rng.Next())
 				}
-				b.ReportMetric(float64(ios), "IOs")
-			})
-		}
+				sp.DropCache()
+				sp.ResetStats()
+				ws := emsort.ParallelSortRecords(ext, 1, emsort.Identity, w)
+				sp.Flush()
+				total := sp.Stats()
+				for _, s := range ws {
+					total.Add(s)
+				}
+				ios = total.IOs()
+			}
+			b.ReportMetric(float64(ios), "IOs")
+		})
 	}
 }
 
@@ -734,9 +725,9 @@ func BenchmarkEnumeratePublicAPI(b *testing.B) {
 // strictly faster — it runs the identical decomposition minus the
 // block-transfer bookkeeping — even single-threaded on one core; the
 // multi-core speedups are documented in EXPERIMENTS.md §E22. Instances
-// reuse the E13/E16 powerlaw graph, the E17 gnm graph, and the E15 sort
-// substrate, so the native numbers line up with the simulated baselines
-// of those experiments.
+// reuse the E13/E16 powerlaw graph, the E17 gnm graph, and E10's funnel
+// sort, so the native numbers line up with the simulated baselines of
+// those experiments.
 func BenchmarkE22Native(b *testing.B) {
 	instances := []struct {
 		name  string
@@ -794,14 +785,14 @@ func BenchmarkE22Native(b *testing.B) {
 		g.Close()
 	}
 
-	// The E15 substrate: the parallel funnel sort over the same 1<<15
-	// random words, simulated vs native Space, sorted output asserted
-	// word-identical each iteration.
-	b.Run("E15/funnel-sort", func(b *testing.B) {
+	// E10's funnel sort, the cache-oblivious sort the §3 tasks run, over
+	// E10's 1<<15 random words on its machine, simulated vs native Space,
+	// sorted output asserted word-identical each iteration.
+	b.Run("E10/funnel-sort", func(b *testing.B) {
 		n := int64(1 << 15)
 		var simT, natT time.Duration
 		sortOnce := func(native bool, seed uint64) ([]extmem.Word, time.Duration) {
-			cfg := extmem.Config{M: 1 << 12, B: 1 << 6, Native: native}
+			cfg := extmem.Config{M: 1 << 10, B: 1 << 5, Native: native}
 			sp := extmem.NewSpace(cfg)
 			ext := sp.Alloc(n)
 			rng := hashing.NewRand(seed)
@@ -810,7 +801,7 @@ func BenchmarkE22Native(b *testing.B) {
 			}
 			sp.DropCache()
 			start := time.Now()
-			emsort.ParallelFunnelSortRecords(ext, 1, emsort.Identity, 1)
+			emsort.FunnelSortRecords(ext, 1, emsort.Identity)
 			d := time.Since(start)
 			out := sp.Snapshot(ext)
 			sp.Close()

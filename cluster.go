@@ -266,9 +266,6 @@ type shardStream struct {
 // yields the globally sorted stream with no duplicates.
 func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, arity int, q Query, emit func([]uint32)) (ClusterResult, error) {
 	var cr ClusterResult
-	if q.FamilySize != 0 {
-		return cr, errors.New("repro: Query.FamilySize does not travel over the cluster wire")
-	}
 	if q.From != (Position{}) {
 		return cr, errors.New("repro: Query.From does not travel over the cluster wire")
 	}
@@ -351,13 +348,13 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, arity 
 			Index:       i,
 			Delivered:   tr.Delivered,
 			Subproblems: tr.Subproblems,
-			Stats:       fromClusterStats(tr.Stats),
+			Stats:       IOStats(tr.Stats),
 		})
 		if i == 0 {
 			cr.Vertices, cr.Edges = tr.Vertices, tr.Edges
 		}
 	}
-	cr.Stats = fromClusterStats(stats)
+	cr.Stats = IOStats(stats)
 	cr.Delivered = delivered
 	cr.Epoch = epoch
 	if err != nil {
@@ -612,16 +609,4 @@ func decodeHTTPError(resp *http.Response) error {
 		return fmt.Errorf("%s: %s", resp.Status, e.Error)
 	}
 	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-}
-
-// fromClusterStats converts wire statistics to the public IOStats.
-func fromClusterStats(s cluster.IOStats) IOStats {
-	return IOStats{
-		BlockReads:     s.BlockReads,
-		BlockWrites:    s.BlockWrites,
-		WordReads:      s.WordReads,
-		WordWrites:     s.WordWrites,
-		PeakLeaseWords: s.PeakLeaseWords,
-		PeakDiskWords:  s.PeakDiskWords,
-	}
 }

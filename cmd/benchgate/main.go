@@ -11,8 +11,10 @@
 // this repository's benchmarks report as a custom metric: unlike ns/op on
 // a shared CI runner, it is deterministic for a fixed seed, so a >20%
 // change is a real algorithmic regression, never scheduler noise.
-// Benchmarks present in only one input (newly added or retired) are
-// skipped; CI is expected to compare against a freshly regenerated
+// A watched benchmark present in only one input is not compared; the gate
+// prints "retired <name>" for one found only in OLD and "new <name>" for
+// one found only in NEW, so a rename cannot drop a benchmark from the
+// gate unseen. CI is expected to compare against a freshly regenerated
 // baseline from the PR's base commit.
 package main
 
@@ -76,8 +78,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	regressions, compared := gate(old, new_, re, *metric, *maxRegress)
+	regressions, compared, unpaired := gate(old, new_, re, *metric, *maxRegress)
 	fmt.Printf("benchgate: compared %d benchmarks on %q (threshold +%.0f%%)\n", compared, *metric, *maxRegress)
+	for _, u := range unpaired {
+		fmt.Println("  " + u)
+	}
 	for _, r := range regressions {
 		fmt.Println("  REGRESSION " + r)
 	}
@@ -100,8 +105,10 @@ func main() {
 }
 
 // gate compares the watched metric of every benchmark present in both
-// result sets and returns the regression report lines.
-func gate(old, new_ []benchResult, match *regexp.Regexp, metric string, maxRegress float64) (regressions []string, compared int) {
+// result sets and returns the regression report lines and the number
+// compared. unpaired names every watched benchmark found in one input
+// only, sorted: "retired <name>" for OLD, then "new <name>" for NEW.
+func gate(old, new_ []benchResult, match *regexp.Regexp, metric string, maxRegress float64) (regressions []string, compared int, unpaired []string) {
 	oldBy := make(map[string]benchResult, len(old))
 	for _, r := range old {
 		oldBy[r.Name] = r
@@ -113,13 +120,21 @@ func gate(old, new_ []benchResult, match *regexp.Regexp, metric string, maxRegre
 		names = append(names, r.Name)
 	}
 	sort.Strings(names)
+	var retired, added []string
+	for name := range oldBy {
+		if _, ok := newBy[name]; !ok && match.MatchString(name) {
+			retired = append(retired, "retired "+name)
+		}
+	}
+	sort.Strings(retired)
 	for _, name := range names {
 		if !match.MatchString(name) {
 			continue
 		}
 		o, ok := oldBy[name]
 		if !ok {
-			continue // newly added benchmark: nothing to compare against
+			added = append(added, "new "+name)
+			continue
 		}
 		ov, ook := o.Metrics[metric]
 		nv, nok := newBy[name].Metrics[metric]
@@ -132,7 +147,7 @@ func gate(old, new_ []benchResult, match *regexp.Regexp, metric string, maxRegre
 				fmt.Sprintf("%s: %s %.0f -> %.0f (%+.1f%%, limit +%.0f%%)", name, metric, ov, nv, change, maxRegress))
 		}
 	}
-	return regressions, compared
+	return regressions, compared, append(retired, added...)
 }
 
 func parseFile(path string) ([]benchResult, error) {

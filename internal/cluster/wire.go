@@ -8,8 +8,9 @@ package cluster
 
 // IOStats is repro.IOStats on the wire of every daemon endpoint: serve's
 // WireIOStats is an alias of it, so query trailers, change streams and
-// the cluster trailers encode statistics one way. (This package cannot
-// import repro; serve holds the one converter from repro.IOStats.)
+// the cluster trailers encode statistics one way. It has repro.IOStats'
+// fields, so the two convert directly (a conversion ignores struct tags),
+// and a field added to one alone stops the conversions compiling.
 type IOStats struct {
 	BlockReads     uint64 `json:"block_reads"`
 	BlockWrites    uint64 `json:"block_writes"`

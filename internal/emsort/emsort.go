@@ -14,10 +14,10 @@
 //
 // All sorters order fixed-stride records by a key extracted from the first
 // word of each record (stride 1 sorts plain words). ParallelSortRecords
-// and ParallelFunnelSortRecords run the cache-aware and funnel sorts on a
-// worker pool with byte-identical output (parallel.go). Distribute groups
-// words by a small key in O(n/B) I/Os per pass, stably, with no comparator
-// (distribute.go).
+// runs the cache-aware sort on a worker pool with output byte-identical
+// to SortRecords' (parallel.go); it is the one parallel sort. Distribute
+// groups words by a small key in O(n/B) I/Os per pass, stably, with no
+// comparator (distribute.go).
 package emsort
 
 import (

@@ -41,43 +41,20 @@ func funnelSortRec(ext extmem.Extent, stride int, key Key) {
 		}
 		return
 	}
-	segs := funnelSplit(ext, stride)
-	for _, seg := range segs {
-		funnelSortRec(seg, stride, key)
-	}
-	funnelMergeSegs(ext, segs, stride, key)
-}
-
-// funnelSplit returns the top-level partition of the funnel recursion:
-// k ~ n^(1/3) segments of ~n^(2/3) records each. The boundaries are a pure
-// function of the extent geometry, so the sequential recursion and the
-// parallel variant (parallel.go) partition identically.
-func funnelSplit(ext extmem.Extent, stride int) []extmem.Extent {
-	nRec := ext.Len() / int64(stride)
+	// Split into k ~ n^(1/3) segments of ~n^(2/3) records each and sort
+	// them recursively.
 	k := int(math.Ceil(math.Cbrt(float64(nRec))))
-	if k < 2 {
-		k = 2
-	}
 	segRec := (nRec + int64(k) - 1) / int64(k)
 	var segs []extmem.Extent
 	for lo := int64(0); lo < nRec; lo += segRec {
-		hi := lo + segRec
-		if hi > nRec {
-			hi = nRec
-		}
-		segs = append(segs, ext.Slice(lo*int64(stride), hi*int64(stride)))
+		seg := ext.Slice(lo*int64(stride), min(lo+segRec, nRec)*int64(stride))
+		funnelSortRec(seg, stride, key)
+		segs = append(segs, seg)
 	}
-	return segs
-}
-
-// funnelMergeSegs merges the sorted segments of ext (as produced by
-// funnelSplit + recursive sorting) back into ext with a k-funnel.
-func funnelMergeSegs(ext extmem.Extent, segs []extmem.Extent, stride int, key Key) {
-	if len(segs) <= 1 {
-		return
-	}
+	// Merge the sorted segments back into ext with a k-funnel.
 	sp := ext.Space()
 	mark := sp.Mark()
+	defer sp.Release(mark)
 	out := sp.Alloc(ext.Len())
 	leaves := make([]*funnelNode, len(segs))
 	for i, s := range segs {
@@ -88,7 +65,6 @@ func funnelMergeSegs(ext extmem.Extent, segs []extmem.Extent, stride int, key Ke
 	root.outCapRec = out.Len() / int64(stride)
 	root.refill()
 	out.CopyTo(ext)
-	sp.Release(mark)
 }
 
 // funnelNode is either a leaf (stream != zero extent semantics, streaming a

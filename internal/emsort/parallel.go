@@ -9,30 +9,29 @@ import (
 	"repro/internal/extmem"
 )
 
-// The parallel sort(E) substrate. The cache-aware multiway mergesort and
-// the funnel recursion both decompose into independent units — one
-// formation run (resp. one top-level funnel segment) per Θ(M) slice of
-// the input, and one top-level merge per key range of the output — that
-// share no mutable state once the coordinator has frozen the input with
-// extmem.Snapshot. This file runs those units on extmem.RunOrdered — a
-// pool of workers, each executing on its own extmem shard (a private
+// The parallel sort(E) substrate. The cache-aware multiway mergesort
+// decomposes into independent units — one formation run per Θ(M) slice
+// of the input, and one top-level merge per key range of the output —
+// that share no mutable state once the coordinator has frozen the input
+// with extmem.Snapshot. This file runs those units on extmem.RunOrdered —
+// a pool of workers, each executing on its own extmem shard (a private
 // M-word cache over the shared read-only region, the PEM accounting of
 // shard.go) — which replays the units' output streams in the fixed unit
 // order on the coordinator.
 //
 // Two properties hold by construction, for every worker count:
 //
-//   - Byte-identity: the parallel sorts emit exactly the bytes of their
-//     sequential counterparts. Formation runs use the geometry of
-//     planSort (resp. funnelSplit), so run contents match; the key-range
-//     merges partition the output at value boundaries with the stable
-//     (key, word, run) comparator of mergeRuns, so the concatenated
-//     chunks equal the sequential stable multi-pass merge.
+//   - Byte-identity: the parallel sort emits exactly the bytes of
+//     SortRecords. Formation runs use the geometry of planSort, so run
+//     contents match; the key-range merges partition the output at value
+//     boundaries with the stable (key, word, run) comparator of
+//     mergeRuns, so the concatenated chunks equal the sequential stable
+//     multi-pass merge.
 //   - Exact accounting: every unit runs against the same frozen input
 //     from a cold private cache, so its I/O counts do not depend on
 //     scheduling; summed per-worker Stats plus the coordinator's equal
 //     the one-worker parallel run exactly. (As with the trienum engine,
-//     parallel totals differ from the *sequential reference sorts* by a
+//     parallel totals differ from the *sequential reference sort* by a
 //     constant factor — units are charged cold starts and the coordinator
 //     re-writes the streamed results — which is the accounting the PEM
 //     model performs.)
@@ -347,62 +346,4 @@ func mergeChunk(view extmem.Extent, segs [][2]int64, stride int, key Key, send f
 	if len(batch) > 0 {
 		send(batch)
 	}
-}
-
-// ParallelFunnelSortRecords sorts fixed-stride records like
-// FunnelSortRecords — producing byte-identical output — with the
-// top-level recursion's k ~ n^(1/3) independent segment sorts fanned out
-// across worker shards. Each task funnel-sorts a private copy of its
-// segment (the recursion itself never consults M or B; only the engine
-// around it does) and streams it back; the coordinator then runs the
-// top-level k-funnel merge, which is inherently sequential. workers <= 0
-// selects runtime.GOMAXPROCS(0); the stats contract matches
-// ParallelSortRecords.
-func ParallelFunnelSortRecords(ext extmem.Extent, stride int, key Key, workers int) []extmem.Stats {
-	n := ext.Len()
-	if n%int64(stride) != 0 {
-		panic("emsort: extent length not a multiple of record stride")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sp := ext.Space()
-	cfg := sp.Config()
-	if n/int64(stride) <= funnelBaseRecords || ext.Base()&int64(cfg.B-1) != 0 {
-		FunnelSortRecords(ext, stride, key)
-		return nil
-	}
-	segs := funnelSplit(ext, stride)
-	shared := sp.Snapshot(ext)
-	sortSeg := func(i int, shard *extmem.Space, send func([]extmem.Word) bool) {
-		lo := segs[i].Base() - ext.Base()
-		segLen := segs[i].Len()
-		priv := shard.Alloc(segLen)
-		shard.ExtentAt(lo, segLen).CopyTo(priv)
-		funnelSortRec(priv, stride, key)
-		shard.Flush()
-		buf := make([]extmem.Word, sortBatchWords)
-		for o := int64(0); o < segLen; o += sortBatchWords {
-			e := o + sortBatchWords
-			if e > segLen {
-				e = segLen
-			}
-			b := buf[:e-o]
-			priv.Slice(o, e).Load(b)
-			if !send(b) {
-				return
-			}
-			buf = make([]extmem.Word, sortBatchWords)
-		}
-	}
-	var cur int64
-	// A nil context never cancels, so the pool runs every segment.
-	ws, _ := extmem.RunOrdered(nil, cfg, shared, len(segs), sortSeg, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {
-		for _, w := range batch {
-			ext.Write(cur, w)
-			cur++
-		}
-	})
-	funnelMergeSegs(ext, segs, stride, key)
-	return ws
 }

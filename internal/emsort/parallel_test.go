@@ -55,7 +55,6 @@ type parallelSorter struct {
 
 var parallelSorters = []parallelSorter{
 	{"multiway", SortRecords, ParallelSortRecords},
-	{"funnel", FunnelSortRecords, ParallelFunnelSortRecords},
 }
 
 // parallelSortRun executes one measured parallel sort on a fresh space
@@ -203,7 +202,6 @@ func TestSortersWordTieOrder(t *testing.T) {
 		{"oblivious", ObliviousSortRecords},
 		{"funnel", FunnelSortRecords},
 		{"parallel-multiway", func(ext extmem.Extent, stride int, key Key) { ParallelSortRecords(ext, stride, key, 4) }},
-		{"parallel-funnel", func(ext extmem.Extent, stride int, key Key) { ParallelFunnelSortRecords(ext, stride, key, 4) }},
 	}
 	for _, s := range fns {
 		t.Run(s.name, func(t *testing.T) {

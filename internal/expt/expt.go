@@ -111,7 +111,7 @@ func Runners() []Run {
 			return trienum.ObliviousParallel(sp, g, seed, engine, e)
 		}},
 		{"deterministic", func(sp *extmem.Space, g graph.Canonical, _ uint64, e graph.Emit) (trienum.Info, []extmem.Stats, error) {
-			return trienum.DeterministicParallel(sp, g, 0, engine, e)
+			return trienum.DeterministicParallel(sp, g, engine, e)
 		}},
 		{"hutaochung", sequential(trienum.HuTaoChung)},
 		{"sortmerge", sequential(trienum.Dementiev)},

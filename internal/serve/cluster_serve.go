@@ -388,14 +388,14 @@ func (s *Server) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		Vertices:    cr.Vertices,
 		Edges:       cr.Edges,
 		Subproblems: cr.Subproblems,
-		Stats:       wireStats(cr.Stats),
+		Stats:       WireIOStats(cr.Stats),
 	}
 	for _, sr := range cr.Shards {
 		trailer.Shards = append(trailer.Shards, cluster.ShardRun{
 			Index:       sr.Index,
 			Delivered:   sr.Delivered,
 			Subproblems: sr.Subproblems,
-			Stats:       wireStats(sr.Stats),
+			Stats:       WireIOStats(sr.Stats),
 		})
 	}
 	if err != nil {

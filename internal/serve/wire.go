@@ -199,18 +199,6 @@ type WireResult struct {
 // wire's IOStats, so every endpoint encodes statistics one way.
 type WireIOStats = cluster.IOStats
 
-// wireStats converts in-process statistics to the wire.
-func wireStats(s repro.IOStats) WireIOStats {
-	return WireIOStats{
-		BlockReads:     s.BlockReads,
-		BlockWrites:    s.BlockWrites,
-		WordReads:      s.WordReads,
-		WordWrites:     s.WordWrites,
-		PeakLeaseWords: s.PeakLeaseWords,
-		PeakDiskWords:  s.PeakDiskWords,
-	}
-}
-
 // ToWireResult converts an in-process Result to its wire form — exported
 // so tests and clients can assert the trailer equals the in-process
 // query bit for bit.
@@ -220,7 +208,7 @@ func ToWireResult(r repro.Result) WireResult {
 		Matches:         r.Matches,
 		Vertices:        r.Vertices,
 		Edges:           r.Edges,
-		Stats:           wireStats(r.Stats),
+		Stats:           WireIOStats(r.Stats),
 		CanonIOs:        r.CanonIOs,
 		Colors:          r.Colors,
 		HighDegVertices: r.HighDegVertices,
@@ -297,7 +285,7 @@ func ToWireChange(cs repro.ChangeSet) WireChange {
 		Removed:    removed,
 		Vertices:   cs.Vertices,
 		Edges:      cs.Edges,
-		Stats:      wireStats(cs.Stats),
+		Stats:      WireIOStats(cs.Stats),
 	}
 }
 

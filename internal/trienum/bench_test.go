@@ -33,7 +33,7 @@ func BenchmarkKernelTriple(b *testing.B) {
 			buckets, off := graph.ColorBuckets(sp, work, col.Color, c)
 			const t1, t2, t3 = 0, 1, 2
 			b01, b02, b12 := bucketAt(buckets, off, c, t1, t2), bucketAt(buckets, off, c, t1, t3), bucketAt(buckets, off, c, t2, t3)
-			cones := mergeSortedInto(sp.Alloc(b01.Len()+b02.Len()), []extmem.Extent{b01, b02})
+			cones := mergeSortedInto(sp.Alloc(b01.Len()+b02.Len()), b01, b02)
 
 			var triangles uint64
 			b.ReportAllocs()

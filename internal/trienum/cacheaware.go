@@ -69,12 +69,14 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 
 // SolveTriple solves one color triple (τ1,τ2,τ3) of the color-pair
 // buckets laid out in edges, bucket (a,b) at [off[a·c+b], off[a·c+b+1]):
-// merge the (distinct) cone buckets E_{τ1,τ2} and E_{τ1,τ3} into scratch
-// it allocates on sp, preserving sort order, and run the kernel with all
-// of E_{τ2,τ3} as pivots. It is the one triple solver: the engine's tasks
-// (solveColoredParallel), one per triple in either mode, and the cluster
-// shards, which lay out only the buckets of their owned color tuples,
-// both call it.
+// run the kernel with all of E_{τ2,τ3} as pivots and the cone buckets
+// E_{τ1,τ2} and E_{τ1,τ3} as its sorted edge set. When τ3 = τ2 the two
+// are one bucket, which the kernel reads in place (one color is the
+// triple (0,0,0), so it too runs with no copy); otherwise they are merged
+// into scratch allocated on sp, preserving sort order. It is the one
+// triple solver: the engine's tasks (solveColoredParallel), one per
+// triple in either mode, and the cluster shards, which lay out only the
+// buckets of their owned color tuples, both call it.
 //
 // The two cone buckets are all the triple needs. A triangle v<u<w of
 // colors (τ1,τ2,τ3) has cone edges (v,u) ∈ E_{τ1,τ2} and (v,w) ∈ E_{τ1,τ3}
@@ -84,20 +86,16 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 // own triple, and in the order the paper's edge set for the triple,
 // E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3} with only τ1-cones kept, gives it.
 func SolveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, emit graph.Emit) {
-	cone12, cone13 := bucketAt(edges, off, c, t1, t2), bucketAt(edges, off, c, t1, t3)
+	cones, cone13 := bucketAt(edges, off, c, t1, t2), bucketAt(edges, off, c, t1, t3)
 	pivots := bucketAt(edges, off, c, t2, t3)
-	if pivots.Len() == 0 || cone12.Len() == 0 || cone13.Len() == 0 {
+	if pivots.Len() == 0 || cones.Len() == 0 || cone13.Len() == 0 {
 		return // an edge of every triangle of the triple is missing
 	}
-	parts := []extmem.Extent{cone12}
-	if t3 != t2 { // else E_{τ1,τ3} is E_{τ1,τ2}
-		parts = append(parts, cone13)
+	if t3 != t2 {
+		mark := sp.Mark()
+		defer sp.Release(mark)
+		cones = mergeSortedInto(sp.Alloc(cones.Len()+cone13.Len()), cones, cone13)
 	}
-	mark := sp.Mark()
-	defer sp.Release(mark)
-	// Scratch for the cone-bucket merge; the two named buckets bound its
-	// size even when τ2 = τ3 and they alias.
-	cones := mergeSortedInto(sp.Alloc(cone12.Len()+cone13.Len()), parts)
 	// A nil ctx never cancels: the engine cancels between tasks.
 	_ = kernel(nil, sp, cones, pivots, 0, emit)
 }
@@ -145,33 +143,21 @@ func forEachTriple(off []int64, c int, fn func(t1, t2, t3 int)) {
 	}
 }
 
-// mergeSortedInto k-way merges the sorted extents in parts into the prefix
-// of dst and returns that prefix.
-func mergeSortedInto(dst extmem.Extent, parts []extmem.Extent) extmem.Extent {
-	if len(parts) == 1 {
-		parts[0].CopyTo(dst.Prefix(parts[0].Len()))
-		return dst.Prefix(parts[0].Len())
-	}
-	readers := make([]*emio.Reader, len(parts))
-	heads := make([]extmem.Word, len(parts))
-	alive := make([]bool, len(parts))
-	for i, p := range parts {
-		readers[i] = emio.NewReader(p)
-		heads[i], alive[i] = readers[i].Next()
-	}
+// mergeSortedInto merges the sorted extents a and b into the prefix of
+// dst and returns that prefix.
+func mergeSortedInto(dst, a, b extmem.Extent) extmem.Extent {
+	ra, rb := emio.NewReader(a), emio.NewReader(b)
+	x, okA := ra.Next()
+	y, okB := rb.Next()
 	w := emio.NewWriter(dst)
-	for {
-		best := -1
-		for i := range parts {
-			if alive[i] && (best < 0 || heads[i] < heads[best]) {
-				best = i
-			}
+	for okA || okB {
+		if okA && (!okB || x <= y) {
+			w.Append(x)
+			x, okA = ra.Next()
+		} else {
+			w.Append(y)
+			y, okB = rb.Next()
 		}
-		if best < 0 {
-			break
-		}
-		w.Append(heads[best])
-		heads[best], alive[best] = readers[best].Next()
 	}
 	return w.Written()
 }

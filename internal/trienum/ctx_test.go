@@ -33,7 +33,7 @@ func TestParallelCtxCancellation(t *testing.T) {
 			return err
 		},
 		"deterministic": func(exec Exec, emit graph.Emit) error {
-			_, _, err := DeterministicParallel(sp, g, 0, exec, emit)
+			_, _, err := DeterministicParallel(sp, g, exec, emit)
 			return err
 		},
 		"oblivious": func(exec Exec, emit graph.Emit) error {

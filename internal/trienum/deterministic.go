@@ -13,8 +13,7 @@ import (
 )
 
 // DefaultFamilySize is the number of small-bias candidate colorings the
-// deterministic algorithm examines per greedy level when the caller does
-// not specify one.
+// deterministic algorithm examines per greedy level.
 const DefaultFamilySize = 256
 
 // DeterministicParallel enumerates all triangles of g with the
@@ -42,8 +41,8 @@ const DefaultFamilySize = 256
 // the coordinator (checking exec.Ctx between levels); the high-degree
 // passes and the color-triple kernels run on the worker-pool engine as in
 // CacheAwareParallel, with the same stream, stats, cancellation and
-// decomposition-unit contract. familySize <= 0 selects DefaultFamilySize.
-func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
+// decomposition-unit contract.
+func DeterministicParallel(sp *extmem.Space, g graph.Canonical, exec Exec, emit graph.Emit) (Info, []extmem.Stats, error) {
 	var info Info
 	emit = countingEmit(&info, emit)
 	E := g.Edges.Len()
@@ -77,7 +76,7 @@ func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, 
 		workerStats = extmem.AddStatsVec(workerStats, ws)
 		sortErr = err
 	}
-	colorOf, c, err := buildDeterministicColoring(ctx, sp, g, edges, familySize, sorter, &info)
+	colorOf, c, err := buildDeterministicColoring(ctx, sp, g, edges, sorter, &info)
 	if sortErr != nil {
 		return info, workerStats, sortErr
 	}
@@ -101,11 +100,8 @@ func DeterministicParallel(sp *extmem.Space, g graph.Canonical, familySize int, 
 // cancelled run stops without scanning the remaining levels; cancellation
 // inside the sorter itself is the caller's to detect (the engine records
 // it and checks after this function unwinds).
-func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.Canonical, edges extmem.Extent, familySize int, sorter graph.SortFunc, info *Info) (func(uint32) uint32, int, error) {
+func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.Canonical, edges extmem.Extent, sorter graph.SortFunc, info *Info) (func(uint32) uint32, int, error) {
 	E := g.Edges.Len()
-	if familySize <= 0 {
-		familySize = DefaultFamilySize
-	}
 	cfg := sp.Config()
 	curLen := edges.Len()
 
@@ -125,7 +121,7 @@ func buildDeterministicColoring(ctx context.Context, sp *extmem.Space, g graph.C
 	alpha := 1.0 / float64(logc)
 	budget := float64(E) * float64(cfg.M)
 
-	fam := bias.NewFamily(g.NumVertices, familySize)
+	fam := bias.NewFamily(g.NumVertices, DefaultFamilySize)
 
 	// The endpoint-doubled list (v<<32 | other), sorted by v, built once:
 	// it drives the per-vertex adjacent-pair counting at every level.

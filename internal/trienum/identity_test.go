@@ -27,11 +27,6 @@ func referenceColored(sp *extmem.Space, edges extmem.Extent, colorOf func(uint32
 	defer sp.Release(mark)
 	sorted := sp.Alloc(E)
 	edges.CopyTo(sorted)
-	if c <= 1 {
-		info.Subproblems++
-		_ = kernel(nil, sp, sorted, sorted, 0, emit)
-		return
-	}
 	key := func(e extmem.Word) uint64 {
 		return uint64(colorOf(graph.U(e)))*uint64(c) + uint64(colorOf(graph.V(e)))
 	}
@@ -100,13 +95,13 @@ var referenceEngines = []struct {
 	}},
 	{"deterministic", func(sp *extmem.Space, g graph.Canonical, info *Info, emit graph.Emit) {
 		edges := referenceLowDegree(sp, g, info, emit)
-		colorOf, c, err := buildDeterministicColoring(nil, sp, g, edges, 0, emsort.SortRecords, info)
+		colorOf, c, err := buildDeterministicColoring(nil, sp, g, edges, emsort.SortRecords, info)
 		if err != nil {
 			panic(err)
 		}
 		referenceColored(sp, edges, colorOf, c, info, emit)
 	}, func(sp *extmem.Space, g graph.Canonical, exec Exec, emit graph.Emit) (Info, error) {
-		info, _, err := DeterministicParallel(sp, g, 0, exec, emit)
+		info, _, err := DeterministicParallel(sp, g, exec, emit)
 		return info, err
 	}},
 }
@@ -129,27 +124,31 @@ func referenceLowDegree(sp *extmem.Space, g graph.Canonical, info *Info, emit gr
 // TestColoredStreamMatchesReference pins the two-bucket decomposition
 // against the three-bucket reference: the triangle stream, order
 // included, Info.X and Info.Subproblems, for both color-coded engines at
-// Workers 1 and 4, simulated and native, on a skewed and a uniform graph
-// and on a machine whose color-pair distribution needs two passes.
+// Workers 1 and 4, simulated and native, on a skewed and a uniform graph,
+// on a machine whose color-pair distribution needs two passes, and on a
+// graph small enough (E <= M) for one color, whose one triple is the
+// whole edge set.
 func TestColoredStreamMatchesReference(t *testing.T) {
 	cases := []struct {
-		name string
-		el   graph.EdgeList
-		cfg  extmem.Config
+		name   string
+		el     graph.EdgeList
+		cfg    extmem.Config
+		colors [2]int // Info.Colors per engine of referenceEngines
 	}{
-		{"powerlaw", graph.PowerLaw(1000, 6000, 2.1, 21), extmem.Config{M: 1 << 10, B: 1 << 5}},
-		{"gnm", graph.GNM(800, 5000, 22), extmem.Config{M: 1 << 10, B: 1 << 5}},
-		{"two-pass", graph.GNM(800, 5000, 23), extmem.Config{M: 1 << 8, B: 1 << 4}},
+		{"powerlaw", graph.PowerLaw(1000, 6000, 2.1, 21), extmem.Config{M: 1 << 10, B: 1 << 5}, [2]int{3, 4}},
+		{"gnm", graph.GNM(800, 5000, 22), extmem.Config{M: 1 << 10, B: 1 << 5}, [2]int{3, 4}},
+		{"two-pass", graph.GNM(800, 5000, 23), extmem.Config{M: 1 << 8, B: 1 << 4}, [2]int{5, 8}},
+		{"one-color", graph.GNM(300, 900, 24), extmem.Config{M: 1 << 10, B: 1 << 5}, [2]int{1, 1}},
 	}
 	for _, tc := range cases {
-		for _, eng := range referenceEngines {
+		for i, eng := range referenceEngines {
 			sp := extmem.NewSpace(tc.cfg)
 			g := graph.CanonicalizeList(sp, tc.el)
 			var want []graph.Triple
 			var ref Info
 			eng.ref(sp, g, &ref, func(a, b, c uint32) { want = append(want, graph.Triple{V1: a, V2: b, V3: c}) })
-			if ref.Colors < 2 {
-				t.Fatalf("%s/%s: %d colors; the case must exercise the color triples", tc.name, eng.name, ref.Colors)
+			if ref.Colors != tc.colors[i] {
+				t.Fatalf("%s/%s: %d colors, the case is for %d", tc.name, eng.name, ref.Colors, tc.colors[i])
 			}
 			// On M=2^8, B=2^4 more than 16 buckets take at least two
 			// distribution passes (pinned in emsort's Distribute tests).

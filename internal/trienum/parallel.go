@@ -40,10 +40,10 @@ import (
 // Every task is one decomposition unit, in either mode and at any worker
 // count. Units are numbered in emission order across a run's phases,
 // which is what lets a run start part-way (Exec.From): the Lemma 1 passes
-// come first, then the color triples in forEachTriple order, or the one
-// kernel of the c ≤ 1 path. The numbering depends only on the input and
-// the machine, so a run from unit u emits exactly the full stream's
-// suffix from u's first emission.
+// come first, then the color triples in forEachTriple order (one color
+// has one triple). The numbering depends only on the input and the
+// machine, so a run from unit u emits exactly the full stream's suffix
+// from u's first emission.
 
 // Exec configures the parallel execution engine.
 type Exec struct {
@@ -335,37 +335,17 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
 // not depend on the worker count — and freezes them; each non-empty
 // triple is one task, whose cone-bucket merge and kernel run happen on a
-// worker shard (SolveTriple). The triples are units base, base+1, … of
-// the run, and those before x.From are skipped. edges must be in
-// canonical order; it is left unchanged.
+// worker shard (SolveTriple). One color is no special case: its one
+// triple (0,0,0) is the kernel over the whole edge set, Hu–Tao–Chung. The
+// triples are units base, base+1, … of the run, and those before x.From
+// are skipped. edges must be in canonical order; it is left unchanged.
 func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c, base int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
-	ctx := x.Ctx
 	E := edges.Len()
 	if E == 0 {
 		if err := x.checkFrom(base); err != nil {
 			return nil, err
 		}
-		return nil, ctxutil.Err(ctx)
-	}
-	cfg := sp.Config()
-	first := max(base, x.From)
-	if c <= 1 {
-		// Single subproblem, unit base: this is exactly the Hu–Tao–Chung
-		// algorithm applied to the whole edge set.
-		if err := x.checkFrom(base + 1); err != nil {
-			return nil, err
-		}
-		sortWS, err := emsort.ParallelSortRecordsCtx(ctx, edges, 1, emsort.Identity, x.workers())
-		if err != nil {
-			return sortWS, err
-		}
-		info.Subproblems++
-		task := func(shard *extmem.Space, emit graph.Emit) {
-			seg := shard.ExtentAt(0, E)
-			_ = kernel(nil, shard, seg, seg, 0, emit) // nil ctx: cannot fail
-		}
-		ws, err := runTasks(x, cfg, sp.Snapshot(edges), first, []shardTask{task}, emit)
-		return extmem.AddStatsVec(sortWS, ws), err
+		return nil, ctxutil.Err(x.Ctx)
 	}
 	// The c²+1 bucket offsets are native words of internal memory, leased
 	// by Distribute while it builds them and by every shard that consults
@@ -376,7 +356,7 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 		n := uint64(off[b+1] - off[b])
 		info.X += n * (n - 1) / 2 // Lemma 3's X_ξ: pairs of edges sharing a bucket
 	}
-	if err := ctxutil.Err(ctx); err != nil {
+	if err := ctxutil.Err(x.Ctx); err != nil {
 		return nil, err
 	}
 	shared := sp.Snapshot(buckets)
@@ -401,5 +381,5 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 	if err := x.checkFrom(units); err != nil {
 		return nil, err
 	}
-	return runTasks(x, cfg, shared, first, tasks, emit)
+	return runTasks(x, sp.Config(), shared, max(base, x.From), tasks, emit)
 }

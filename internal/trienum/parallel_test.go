@@ -46,7 +46,7 @@ var parallelEngines = []struct {
 		return info, ws
 	}},
 	{"deterministic", func(sp *extmem.Space, g graph.Canonical, exec Exec, emit graph.Emit) (Info, []extmem.Stats) {
-		info, ws, err := DeterministicParallel(sp, g, 0, exec, emit)
+		info, ws, err := DeterministicParallel(sp, g, exec, emit)
 		if err != nil {
 			panic(err)
 		}

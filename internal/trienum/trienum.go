@@ -47,8 +47,9 @@ type Info struct {
 	HighDegVertices int
 	// Colors is the number of colors c used by the flat algorithms.
 	Colors int
-	// X is the realized partition potential X_ξ = Σ C(|E_τ1,τ2}|, 2); the
-	// quantity Lemma 3 bounds in expectation by E·M.
+	// X is the realized partition potential X_ξ = Σ C(|E_{τ1,τ2}|, 2) over
+	// the c² color-pair buckets, C(E, 2) with one color; the quantity
+	// Lemma 3 bounds in expectation by E·M.
 	X uint64
 	// Subproblems counts kernel invocations (flat algorithms) or recursion
 	// nodes (oblivious).

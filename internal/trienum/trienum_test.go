@@ -561,7 +561,7 @@ func TestDeterministicInvariantRecorded(t *testing.T) {
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 6, B: 1 << 3})
 	g := graph.CanonicalizeList(sp, el)
 	var n uint64
-	info, _, err := DeterministicParallel(sp, g, 0, Exec{Workers: 4}, graph.Counter(&n))
+	info, _, err := DeterministicParallel(sp, g, Exec{Workers: 4}, graph.Counter(&n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ type Query struct {
 	// either way; a native run reports zero Stats and nil WorkerStats. See
 	// ModeNative.
 	Mode ExecMode
-	// FamilySize overrides the small-bias family size used by the
-	// Deterministic algorithm (0 = default).
-	FamilySize int
 	// Ordered delivers the emissions in the canonical global order:
 	// ascending lexicographic vertex tuples, with Match embeddings
 	// first normalized to their orbit representative
@@ -401,7 +398,7 @@ func (g *Graph) TrianglesFunc(ctx context.Context, q Query, emit func(a, b, c ui
 			info, workerStats, err = trienum.ObliviousParallel(s.sp, s.cg, q.Seed, exec, emit3)
 			res.Workers = exec.Workers
 		case Deterministic:
-			info, workerStats, err = trienum.DeterministicParallel(s.sp, s.cg, q.FamilySize, exec, emit3)
+			info, workerStats, err = trienum.DeterministicParallel(s.sp, s.cg, exec, emit3)
 			res.Workers = exec.Workers
 		case HuTaoChung:
 			info, err = trienum.HuTaoChung(ctx, s.sp, s.cg, emit3)
