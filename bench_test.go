@@ -718,10 +718,11 @@ func BenchmarkEnumeratePublicAPI(b *testing.B) {
 }
 
 // BenchmarkE22Native — the native execution mode (PR 9) against the
-// simulated machine it mirrors: the same query runs both ways each
-// iteration, the transcripts are asserted byte-identical, and the two
-// wall-clock totals are timed separately (reported as simNs/op and
-// natNs/op, plus their ratio as the speedup metric). Native must be
+// simulated machine it mirrors: the same query runs three times each way
+// per iteration, alternating which mode goes first, every pair of
+// transcripts is asserted byte-identical, and each mode is timed as its
+// fastest run of the three (reported as simNs/op and natNs/op, plus
+// their ratio as the speedup metric). Native must be
 // strictly faster — it runs the identical decomposition minus the
 // block-transfer bookkeeping — even single-threaded on one core; the
 // multi-core speedups are documented in EXPERIMENTS.md §E22. Instances
@@ -761,15 +762,27 @@ func BenchmarkE22Native(b *testing.B) {
 					return buf, time.Since(start), err
 				}
 				for i := 0; i < b.N; i++ {
+					// Each mode counts its fastest of three runs, and the
+					// mode that goes first alternates: on a loaded box one
+					// run of a query tens of ms long can lose to noise.
 					var dSim, dNat time.Duration
-					if sim, dSim, err = run(ModeSimulated, sim); err != nil {
-						b.Fatal(err)
-					}
-					if nat, dNat, err = run(ModeNative, nat); err != nil {
-						b.Fatal(err)
-					}
-					if !slices.Equal(sim, nat) {
-						b.Fatalf("iteration %d: native emission differs from simulated (%d vs %d vertices)", i, len(nat), len(sim))
+					for r := range 3 {
+						for j := range 2 {
+							mode, out, best := ModeSimulated, &sim, &dSim
+							if (3*i+r+j)%2 == 1 {
+								mode, out, best = ModeNative, &nat, &dNat
+							}
+							var d time.Duration
+							if *out, d, err = run(mode, *out); err != nil {
+								b.Fatal(err)
+							}
+							if *best == 0 || d < *best {
+								*best = d
+							}
+						}
+						if !slices.Equal(sim, nat) {
+							b.Fatalf("iteration %d, run %d: native emission differs from simulated (%d vs %d vertices)", i, r, len(nat), len(sim))
+						}
 					}
 					simT += dSim
 					natT += dNat

@@ -84,7 +84,7 @@ func DialCluster(ctx context.Context, manifestPath string, shardURLs []string, o
 	var epoch uint64
 	for i := range c.urls {
 		var info cluster.ShardInfoResponse
-		if err := c.getJSON(ctx, i, "/v1/cluster/shard/info", &info); err != nil {
+		if err := c.doJSON(ctx, i, http.MethodGet, "/v1/cluster/shard/info", nil, &info); err != nil {
 			return nil, fmt.Errorf("repro: shard %d handshake: %w", i, err)
 		}
 		sh := man.Shards[i]
@@ -368,22 +368,11 @@ func (c *Cluster) run(ctx context.Context, req cluster.ShardQueryRequest, arity 
 // strictly after the shard's previous one ends the stream with an error,
 // so a faulty shard can neither crash nor silently misorder the merge.
 func (c *Cluster) streamShard(ctx context.Context, i int, req cluster.ShardQueryRequest, arity int, st *shardStream) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := c.newRequest(ctx, http.MethodPost, i, "/v1/cluster/shard/query", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.do(ctx, i, http.MethodPost, "/v1/cluster/shard/query", req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeHTTPError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	sawTrailer := false
@@ -508,7 +497,7 @@ func (c *Cluster) Update(ctx context.Context, d Delta) (ClusterUpdateResult, err
 				if req.Phase == cluster.PhasePrepare {
 					req.Add, req.Remove = subAdd[i], subRemove[i]
 				}
-				errs[i] = c.postJSON(ctx, i, "/v1/cluster/shard/update", req, &resps[i])
+				errs[i] = c.doJSON(ctx, i, http.MethodPost, "/v1/cluster/shard/update", req, &resps[i])
 			}(i)
 		}
 		wg.Wait()
@@ -544,8 +533,19 @@ func (c *Cluster) Update(ctx context.Context, d Delta) (ClusterUpdateResult, err
 	return ur, nil
 }
 
-// newRequest builds a shard request with the handle's auth token.
-func (c *Cluster) newRequest(ctx context.Context, method string, i int, path string, body io.Reader) (*http.Request, error) {
+// do sends one shard request with the handle's auth token, and in, when
+// non-nil, as its JSON body. It returns the response, whose body the
+// caller closes, when the status is 200, and decodeHTTPError's error
+// otherwise.
+func (c *Cluster) do(ctx context.Context, i int, method, path string, in any) (*http.Response, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -559,42 +559,24 @@ func (c *Cluster) newRequest(ctx context.Context, method string, i int, path str
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
-	return req, nil
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, decodeHTTPError(resp)
+	}
+	return resp, nil
 }
 
-func (c *Cluster) getJSON(ctx context.Context, i int, path string, out any) error {
-	req, err := c.newRequest(ctx, http.MethodGet, i, path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+// doJSON is do with the response's JSON body decoded into out.
+func (c *Cluster) doJSON(ctx context.Context, i int, method, path string, in, out any) error {
+	resp, err := c.do(ctx, i, method, path, in)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeHTTPError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (c *Cluster) postJSON(ctx context.Context, i int, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := c.newRequest(ctx, http.MethodPost, i, path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeHTTPError(resp)
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 

@@ -497,6 +497,17 @@ func TestClusterEpochPinning(t *testing.T) {
 	if !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("stale coordinator failed with %v; want an epoch mismatch", err)
 	}
+	// A pin to the shard's previous epoch, 0, is a conflict like any other.
+	for _, body := range []string{`{"epoch":0}`, `{"epoch":5}`} {
+		resp, err := http.Post(urls[0]+"/v1/cluster/shard/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("shard query %s at shard epoch 1: status %d, want 409", body, resp.StatusCode)
+		}
+	}
 }
 
 // TestClusterShardExactlyOnce: summing the per-shard Delivered counts

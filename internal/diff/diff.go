@@ -47,10 +47,10 @@
 // anchors ascending, then the deterministic per-anchor search order —
 // and both the emissions and the Space's I/O statistics are invariant
 // in workers. Phase 1 (all the I/O) runs on the caller. Phase 2 runs on
-// the ordered worker pool, extmem.RunOrdered: each fixed-size chunk of
-// anchors is one task whose output is the chunk's copies, and the pool
-// hands the outputs on in chunk order, so the worker count decides only
-// which chunks run at once.
+// trienum.RunTuples, the runner the enumeration engines share: each
+// fixed-size chunk of anchors is one task that streams its copies, and
+// the runner emits the chunks' copies in chunk order, so the worker
+// count decides only which chunks run at once.
 package diff
 
 import (
@@ -62,6 +62,7 @@ import (
 	"repro/internal/extmem"
 	"repro/internal/graph"
 	"repro/internal/subgraph"
+	"repro/internal/trienum"
 )
 
 // Spec selects the subgraph family a differential pass enumerates:
@@ -137,36 +138,29 @@ func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors
 		plans = seedPlans(spec.Pattern)
 	}
 
-	// One pool task per chunk of anchors; its output is the chunk's copies.
-	// The search reads no blocks, so the shards are native.
-	chunk := func(i int, _ *extmem.Space, send func([][]uint32) bool) {
-		var buf [][]uint32
-		for _, e := range anchors[i*anchorChunk : min((i+1)*anchorChunk, len(anchors))] {
-			if ctxutil.Err(ctx) != nil {
-				return
-			}
-			if spec.Pattern != nil {
-				anchorPattern(spec.Pattern, plans, e, adj, anchorSet, &buf)
-			} else {
-				anchorClique(k, e, adj, anchorSet, &buf)
-			}
-		}
-		send(buf)
-	}
+	// One RunTuples task per chunk of anchors, streaming the chunk's
+	// copies. The search reads no blocks, so the shards are native.
 	cfg := sp.Config()
 	cfg.Native = true
 	chunks := (len(anchors) + anchorChunk - 1) / anchorChunk
-	_, err = extmem.RunOrdered(ctx, cfg, nil, chunks, chunk, workers, 1, func(_ int, copies [][]uint32) {
-		if ctxutil.Err(ctx) != nil {
-			return // a task may have stopped short: keep the output a prefix
-		}
-		for _, verts := range copies {
-			info.Matches++
-			if emit != nil {
-				emit(verts)
+	_, err = trienum.RunTuples(trienum.Exec{Workers: workers, Ctx: ctx}, cfg, nil, k, chunks, func(i int, _ *extmem.Space, out *trienum.Sink) struct{} {
+		for _, e := range anchors[i*anchorChunk : min((i+1)*anchorChunk, len(anchors))] {
+			if ctxutil.Err(ctx) != nil {
+				break // the pool delivers nothing more: the output stays a prefix
+			}
+			if spec.Pattern != nil {
+				anchorPattern(spec.Pattern, plans, e, adj, anchorSet, out.Tuple)
+			} else {
+				anchorClique(k, e, adj, anchorSet, out.Tuple)
 			}
 		}
-	})
+		return struct{}{}
+	}, func(verts []uint32) {
+		info.Matches++
+		if emit != nil {
+			emit(verts)
+		}
+	}, nil)
 	if err == nil {
 		err = ctxutil.Err(ctx)
 	}
@@ -295,7 +289,7 @@ func buildClosure(ctx context.Context, sp *extmem.Space, edges extmem.Extent, an
 // anchorClique emits every k-clique through anchor edge e that has no
 // smaller anchor among its edges: candidates are the common neighbors
 // of the endpoints, extended ascending as in the full enumerator.
-func anchorClique(k int, e extmem.Word, adj map[uint32][]uint32, anchorSet map[extmem.Word]extmem.Word, buf *[][]uint32) {
+func anchorClique(k int, e extmem.Word, adj map[uint32][]uint32, anchorSet map[extmem.Word]extmem.Word, emit func(verts []uint32)) {
 	u, v := graph.U(e), graph.V(e)
 	cands := intersectSorted(adj[u], adj[v])
 	if len(cands) < k-2 {
@@ -303,15 +297,16 @@ func anchorClique(k int, e extmem.Word, adj map[uint32][]uint32, anchorSet map[e
 	}
 	verts := make([]uint32, 2, k)
 	verts[0], verts[1] = u, v
+	sorted := make([]uint32, k)
 	var rec func(cands []uint32)
 	rec = func(cands []uint32) {
 		for i, w := range cands {
 			verts = append(verts, w)
 			if len(verts) == k {
 				if minimalAnchor(verts, e, anchorSet) {
-					out := slices.Clone(verts)
-					slices.Sort(out)
-					*buf = append(*buf, out)
+					copy(sorted, verts)
+					slices.Sort(sorted)
+					emit(sorted)
 				}
 			} else {
 				rec(intersectSorted(cands[i+1:], adj[w]))
@@ -347,12 +342,12 @@ func seedPlans(p *subgraph.Pattern) []patternSeed {
 // the anchored search order. A given minimal-representative tuple maps
 // exactly one H-edge onto the anchor pair in exactly one orientation,
 // so the seeds never produce a tuple twice.
-func anchorPattern(p *subgraph.Pattern, plans []patternSeed, e extmem.Word, adj map[uint32][]uint32, anchorSet map[extmem.Word]extmem.Word, buf *[][]uint32) {
+func anchorPattern(p *subgraph.Pattern, plans []patternSeed, e extmem.Word, adj map[uint32][]uint32, anchorSet map[extmem.Word]extmem.Word, emit func(assign []uint32)) {
 	u, v := graph.U(e), graph.V(e)
 	assign := make([]uint32, p.K())
 	found := func(assign []uint32) {
 		if minimalEmbeddingAnchor(p, assign, e, anchorSet) {
-			*buf = append(*buf, slices.Clone(assign))
+			emit(assign)
 		}
 	}
 	for _, seed := range plans {

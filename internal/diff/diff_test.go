@@ -1,11 +1,16 @@
 package diff
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/extmem"
 	"repro/internal/graph"
@@ -162,16 +167,7 @@ func setDiff(a, b map[string][]uint32) map[string][]uint32 {
 // tuples mapped back to id space and normalized like bruteforce output.
 func runPass(t *testing.T, set edgeSet, deltaIDs []extmem.Word, spec Spec, workers int) ([][]uint32, extmem.Stats, Info) {
 	t.Helper()
-	sp, cg, idToRank := image(t, set)
-	anchors := make([]extmem.Word, 0, len(deltaIDs))
-	for _, e := range deltaIDs {
-		u, ok1 := idToRank[graph.U(e)]
-		v, ok2 := idToRank[graph.V(e)]
-		if !ok1 || !ok2 {
-			t.Fatalf("delta edge %x has endpoints unknown to the image", e)
-		}
-		anchors = append(anchors, graph.Pack(u, v))
-	}
+	sp, cg, anchors := passImage(t, set, deltaIDs)
 	pre := sp.Stats()
 	var got [][]uint32
 	info, err := Enumerate(nil, sp, cg, anchors, spec, workers, func(rverts []uint32) {
@@ -195,6 +191,22 @@ func runPass(t *testing.T, set edgeSet, deltaIDs []extmem.Word, spec Spec, worke
 		BlockWrites: post.BlockWrites - pre.BlockWrites,
 	}
 	return got, stats, info
+}
+
+// passImage builds set's image and maps the delta edges to its ranks.
+func passImage(t *testing.T, set edgeSet, deltaIDs []extmem.Word) (*extmem.Space, graph.Canonical, []extmem.Word) {
+	t.Helper()
+	sp, cg, idToRank := image(t, set)
+	anchors := make([]extmem.Word, 0, len(deltaIDs))
+	for _, e := range deltaIDs {
+		u, ok1 := idToRank[graph.U(e)]
+		v, ok2 := idToRank[graph.V(e)]
+		if !ok1 || !ok2 {
+			t.Fatalf("delta edge %x has endpoints unknown to the image", e)
+		}
+		anchors = append(anchors, graph.Pack(u, v))
+	}
+	return sp, cg, anchors
 }
 
 func asSet(t *testing.T, tuples [][]uint32) map[string][]uint32 {
@@ -384,21 +396,7 @@ func TestPlan(t *testing.T) {
 // the emissions, their order, the Info and the block I/O must be those of
 // Workers=1, and the copies exactly the brute-force difference.
 func TestDiffMultiChunk(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 70
-	old := make(edgeSet)
-	for len(old) < 700 {
-		old.add(rng.Uint32()%n, rng.Uint32()%n)
-	}
-	next := old.clone()
-	var addIDs []extmem.Word
-	for len(addIDs) < 3*anchorChunk+5 {
-		a, b := rng.Uint32()%n, rng.Uint32()%n
-		if _, ok := next[graph.Pack(a, b)]; a != b && !ok {
-			next.add(a, b)
-			addIDs = append(addIDs, graph.Pack(a, b))
-		}
-	}
+	old, next, addIDs := multiChunkInstance()
 	for _, spec := range []Spec{{K: 3}, {K: 4}, {Pattern: subgraph.Diamond}} {
 		t.Run(specName(spec), func(t *testing.T) {
 			want := setDiff(bruteforce(next, spec), bruteforce(old, spec))
@@ -419,5 +417,75 @@ func TestDiffMultiChunk(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// multiChunkInstance is a 700-edge graph on 70 vertices and the graph
+// after 3·anchorChunk+5 added edges, which anchor four chunks.
+func multiChunkInstance() (old, next edgeSet, addIDs []extmem.Word) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 70
+	old = make(edgeSet)
+	for len(old) < 700 {
+		old.add(rng.Uint32()%n, rng.Uint32()%n)
+	}
+	next = old.clone()
+	for len(addIDs) < 3*anchorChunk+5 {
+		a, b := rng.Uint32()%n, rng.Uint32()%n
+		if _, ok := next[graph.Pack(a, b)]; a != b && !ok {
+			next.add(a, b)
+			addIDs = append(addIDs, graph.Pack(a, b))
+		}
+	}
+	return old, next, addIDs
+}
+
+// TestDiffCancellation: cancelling a pass after n copies stops it with
+// the context's error, having emitted a proper prefix of the one-worker
+// stream (the copies racing the cancellation included), and leaves no
+// worker behind.
+func TestDiffCancellation(t *testing.T) {
+	const n = 50
+	_, next, addIDs := multiChunkInstance()
+	for _, spec := range []Spec{{K: 3}, {K: 4}, {Pattern: subgraph.Diamond}} {
+		sp, cg, anchors := passImage(t, next, addIDs)
+		var full [][]uint32
+		if _, err := Enumerate(nil, sp, cg, anchors, spec, 1, func(vs []uint32) {
+			full = append(full, slices.Clone(vs))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(full) < 4*n {
+			t.Fatalf("%s: %d copies; the stream must outlast the cancellation", specName(spec), len(full))
+		}
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/workers=%d", specName(spec), workers)
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			var got [][]uint32
+			_, err := Enumerate(ctx, sp, cg, anchors, spec, workers, func(vs []uint32) {
+				got = append(got, slices.Clone(vs))
+				if len(got) == n {
+					cancel()
+				}
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err %v, want %v", name, err, context.Canceled)
+			}
+			if len(got) < n || len(got) >= len(full) {
+				t.Errorf("%s: %d copies, want at least %d and fewer than the full %d", name, len(got), n, len(full))
+			}
+			if !slices.EqualFunc(got, full[:min(len(got), len(full))], slices.Equal[[]uint32]) {
+				t.Errorf("%s: the %d copies are not a prefix of the full stream", name, len(got))
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before+1 {
+				t.Errorf("%s leaked goroutines: %d before, %d after", name, before, after)
+			}
+		}
 	}
 }

@@ -19,9 +19,11 @@ import (
 // a shared disk (the PEM model of Arge et al.); because every shard is
 // charged its own block transfers against its own M-word cache, per-shard
 // counts are exact and their sum is independent of how tasks are scheduled
-// across shards. RunOrdered is the worker pool built on these pieces; the
-// parallel sorts (emsort) and the parallel triangle engine (trienum) both
-// run their independent units through it.
+// across shards. RunOrdered is the worker pool built on these pieces. It
+// has two clients: emsort's parallel sorts, whose outputs are word
+// batches, and trienum.RunTuples, the runner of every engine that emits
+// tuples (the triangle engines, the Section 6 tuple engine, the diff
+// kernel and the cluster shards).
 
 // Snapshot returns the contents of the whole blocks covering ext as a
 // native slice. Dirty cached blocks overlapping the extent are written

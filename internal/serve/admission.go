@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -28,45 +27,29 @@ func (e errOverBudget) Error() string {
 	return fmt.Sprintf("tenant %q over %s budget", e.tenant, e.what)
 }
 
-// admission tracks per-tenant budgets and cumulative usage statistics.
-// A zero cap means unlimited.
+// admission tracks per-tenant budgets and cumulative usage statistics,
+// one TenantStats per tenant (the live budget is its ActiveSessions and
+// ActiveMemoryWords), guarded by mu. A zero cap means unlimited.
 type admission struct {
 	maxSessions int
 	maxWords    int64
 
 	mu      sync.Mutex
-	tenants map[string]*tenantState
-}
-
-// tenantState is the live budget plus the cumulative counters surfaced
-// on /v1/stats. Guarded by admission.mu.
-type tenantState struct {
-	sessions int
-	words    int64
-
-	admitted  uint64
-	rejected  uint64
-	queries   uint64
-	updates   uint64
-	emissions uint64
-	reads     uint64
-	writes    uint64
-	updateIOs uint64
-	bytes     uint64
+	tenants map[string]*TenantStats
 }
 
 func newAdmission(maxSessions int, maxWords int64) *admission {
 	return &admission{
 		maxSessions: maxSessions,
 		maxWords:    maxWords,
-		tenants:     map[string]*tenantState{},
+		tenants:     map[string]*TenantStats{},
 	}
 }
 
-func (a *admission) state(tenant string) *tenantState {
+func (a *admission) state(tenant string) *TenantStats {
 	st := a.tenants[tenant]
 	if st == nil {
-		st = &tenantState{}
+		st = &TenantStats{}
 		a.tenants[tenant] = st
 	}
 	return st
@@ -79,23 +62,23 @@ func (a *admission) acquire(tenant string, words int64) (func(), error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := a.state(tenant)
-	if a.maxSessions > 0 && st.sessions+1 > a.maxSessions {
-		st.rejected++
+	if a.maxSessions > 0 && st.ActiveSessions+1 > a.maxSessions {
+		st.Rejected++
 		return nil, errOverBudget{tenant, "session"}
 	}
-	if a.maxWords > 0 && st.words+words > a.maxWords {
-		st.rejected++
+	if a.maxWords > 0 && st.ActiveMemoryWords+words > a.maxWords {
+		st.Rejected++
 		return nil, errOverBudget{tenant, "memory"}
 	}
-	st.sessions++
-	st.words += words
-	st.admitted++
+	st.ActiveSessions++
+	st.ActiveMemoryWords += words
+	st.Admitted++
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			a.mu.Lock()
-			st.sessions--
-			st.words -= words
+			st.ActiveSessions--
+			st.ActiveMemoryWords -= words
 			a.mu.Unlock()
 		})
 	}, nil
@@ -106,11 +89,11 @@ func (a *admission) acquire(tenant string, words int64) (func(), error) {
 func (a *admission) recordQuery(tenant string, emissions, reads, writes, bytes uint64) {
 	a.mu.Lock()
 	st := a.state(tenant)
-	st.queries++
-	st.emissions += emissions
-	st.reads += reads
-	st.writes += writes
-	st.bytes += bytes
+	st.Queries++
+	st.Emissions += emissions
+	st.BlockReads += reads
+	st.BlockWrites += writes
+	st.BytesStreamed += bytes
 	a.mu.Unlock()
 }
 
@@ -119,44 +102,19 @@ func (a *admission) recordQuery(tenant string, emissions, reads, writes, bytes u
 func (a *admission) recordUpdate(tenant string, mergeIOs uint64) {
 	a.mu.Lock()
 	st := a.state(tenant)
-	st.updates++
-	st.updateIOs += mergeIOs
+	st.Updates++
+	st.UpdateIOs += mergeIOs
 	a.mu.Unlock()
 }
 
-// snapshot renders every tenant seen so far, for /v1/stats. Map
-// iteration order does not leak: the JSON encoder sorts map keys, and
-// tenantNames gives tests a deterministic view too.
+// snapshot copies every tenant seen so far, for /v1/stats. Map iteration
+// order does not leak: the JSON encoder sorts map keys.
 func (a *admission) snapshot() map[string]TenantStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make(map[string]TenantStats, len(a.tenants))
 	for name, st := range a.tenants {
-		out[name] = TenantStats{
-			ActiveSessions:    st.sessions,
-			ActiveMemoryWords: st.words,
-			Admitted:          st.admitted,
-			Rejected:          st.rejected,
-			Queries:           st.queries,
-			Updates:           st.updates,
-			Emissions:         st.emissions,
-			BlockReads:        st.reads,
-			BlockWrites:       st.writes,
-			UpdateIOs:         st.updateIOs,
-			BytesStreamed:     st.bytes,
-		}
+		out[name] = *st
 	}
 	return out
-}
-
-// tenantNames lists the tenants seen so far, sorted.
-func (a *admission) tenantNames() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.tenants))
-	for n := range a.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"slices"
 	"sync"
 
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/extmem"
+	"repro/internal/trienum"
 )
 
 // Cluster roles of the daemon — the server side of the scatter–gather
@@ -129,12 +129,15 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // returns its emissions sorted into the canonical order. The shard reads
 // its edges once into C² native buckets, one per ordered color pair
 // (ξ(min id), ξ(max id)), each sorted by the packed id pair. Each owned
-// color tuple is then one task of the extmem worker pool: it lays out the
-// buckets of the tuple's colors on the pool's cold Space and runs the
-// family's tuple solver on every distinct ordering of the tuple. Vertices
-// are original ids, so a tuple's emissions and Stats are a pure function
-// of (edge set, manifest, tuple, family), whatever the shard count,
-// Workers value or backing store. Only the per-tuple work is charged.
+// color tuple is then one task of trienum.RunTuples, the runner the
+// engines share: it lays out the buckets of the tuple's colors on the
+// pool's cold Space and runs the family's tuple solver on every distinct
+// ordering of the tuple, and its result, its own Stats and error, is
+// summed into the trailer in tuple order. Vertices are original ids, so
+// a tuple's emissions and Stats are a pure function of (edge set,
+// manifest, tuple, family), whatever the shard count, Workers value or
+// backing store. Only the per-tuple work is charged. On an epoch
+// mismatch the returned trailer carries the shard's epoch.
 func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRequest, f family) (flat []uint32, tr cluster.ShardQueryTrailer, err error) {
 	C := st.man.Colors
 	col := st.man.Coloring()
@@ -142,17 +145,16 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 	// Epoch read and edge snapshot under one read lock: the stream's
 	// (epoch, generation) pair is consistent.
 	st.mu.RLock()
-	epoch := st.epoch
-	if req.Epoch != nil && *req.Epoch != epoch {
+	tr.Epoch = st.epoch // set first: the handler answers a mismatch with 409
+	if req.Epoch != nil && *req.Epoch != tr.Epoch {
 		st.mu.RUnlock()
-		return nil, tr, fmt.Errorf("epoch mismatch: coordinator at %d, shard at %d", *req.Epoch, epoch)
+		return nil, tr, fmt.Errorf("epoch mismatch: coordinator at %d, shard at %d", *req.Epoch, tr.Epoch)
 	}
 	snapErr := st.g.EdgesFunc(ctx, func(u, v uint32) {
 		u, v = min(u, v), max(u, v)
 		b := &buckets[col.Color(u)*uint32(C)+col.Color(v)]
 		*b = append(*b, extmem.Word(u)<<32|extmem.Word(v))
 	})
-	tr.Epoch = epoch
 	tr.Vertices = st.g.NumVertices()
 	tr.Edges = st.g.NumEdges()
 	st.mu.RUnlock()
@@ -164,12 +166,6 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 	}
 
 	k := f.arity()
-	// A task's one output: its tuple's emissions, Stats and error.
-	type tupleOut struct {
-		tuples []uint32
-		stats  extmem.Stats
-		err    error
-	}
 	var owned []int // the owned tuples, k colors each
 	// The callback never fails, so neither does the enumeration.
 	_ = st.man.OwnedTuples(st.index, k, func(t []uint32) error {
@@ -178,40 +174,42 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		}
 		return nil
 	})
-	solveTuple := func(i int, sp *extmem.Space, send func(tupleOut) bool) {
+	// A tuple's result: its own Stats, peaks included (the pool's
+	// per-worker totals would mix in the tuples the worker drew before),
+	// and its error.
+	type tupleResult struct {
+		stats extmem.Stats
+		err   error
+	}
+	solveTuple := func(i int, sp *extmem.Space, out *trienum.Sink) tupleResult {
 		order := slices.Clone(owned[i*k : (i+1)*k])
-		// The tuple's own Stats, peaks included: the pool's per-worker
-		// totals would mix in the tuples the worker drew before.
 		sp.ResetStats()
 		release := sp.LeaseAtMost(C*C + 1) // the offset index
 		edges, off := layOutTuple(sp, buckets, C, order)
 		solve := f.tupleSolver(C, col.Color)
-		var out tupleOut
-		emit := func(vs []uint32) { out.tuples = append(out.tuples, vs...) }
-		for more := true; more && out.err == nil; more = cluster.NextOrdering(order) {
+		var r tupleResult
+		for more := true; more && r.err == nil; more = cluster.NextOrdering(order) {
 			// A cancelled query stops between orderings, as the
 			// single-process engine stops between tuples.
-			if out.err = ctx.Err(); out.err == nil {
-				out.err = solve(sp, edges, off, order, emit)
+			if r.err = ctx.Err(); r.err == nil {
+				r.err = solve(sp, edges, off, order, out.Tuple)
 			}
 		}
 		release()
-		out.stats = sp.Stats()
-		send(out)
+		r.stats = sp.Stats()
+		return r
 	}
 	tr.Subproblems = len(owned) / k
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	x := trienum.Exec{Workers: req.Workers, Ctx: ctx}
 	cfg := extmem.Config{M: st.man.MemoryWords, B: st.man.BlockWords, Native: req.Native}
 	var solveErr error
-	_, err = extmem.RunOrdered(ctx, cfg, nil, tr.Subproblems, solveTuple, workers, 1, func(_ int, out tupleOut) {
-		flat = append(flat, out.tuples...)
-		s := out.stats
+	_, err = trienum.RunTuples(x, cfg, nil, k, tr.Subproblems, solveTuple, func(t []uint32) {
+		flat = append(flat, t...)
+	}, func(r tupleResult) {
+		s := r.stats
 		tr.Stats.Add(cluster.IOStats{BlockReads: s.BlockReads, BlockWrites: s.BlockWrites, WordReads: s.WordReads,
 			WordWrites: s.WordWrites, PeakLeaseWords: s.PeakLease, PeakDiskWords: s.PeakAlloc})
-		solveErr = errors.Join(solveErr, out.err)
+		solveErr = errors.Join(solveErr, r.err)
 	})
 	if err = errors.Join(err, solveErr); err != nil {
 		return nil, tr, err

@@ -88,8 +88,8 @@ func TestAdmissionCaps(t *testing.T) {
 	if st.Admitted != 3 || st.Rejected != 2 {
 		t.Errorf("admission counters: %+v", st)
 	}
-	if names := a.tenantNames(); len(names) != 2 || names[0] != "t" || names[1] != "u" {
-		t.Errorf("tenantNames: %v", names)
+	if _, ok := snap["u"]; len(snap) != 2 || !ok {
+		t.Errorf("snapshot tenants: %v", snap)
 	}
 }
 

@@ -49,9 +49,9 @@ type Info struct {
 // between color-tuple subproblems; on cancellation the enumeration stops
 // early and returns x.Ctx.Err(), with the cliques already emitted forming
 // a prefix of the full stream. The color tuples are one decomposition
-// unit: x.From must be 0 and x.OnUnit is never called. It returns the
-// per-worker statistics of the tuple phase, which sp's Stats do not
-// include.
+// unit: x.From must be 0 (ErrFrom otherwise) and x.OnUnit is never
+// called. It returns the per-worker statistics of the tuple phase, which
+// sp's Stats do not include.
 //
 // The coloring has c colors, c the smallest power of two with
 // c² >= ⌊E/M⌋, halved while the c^k color tuples exceed 2^22 so the tuple
@@ -121,6 +121,10 @@ type tupleResult struct {
 // tuple ends the run with its error.
 func solveTuples(sp *extmem.Space, g graph.Canonical, k, c int, colorOf func(uint32) uint32, x trienum.Exec, solve tupleSolve, emit EmitK) (Info, []extmem.Stats, error) {
 	info := Info{Colors: c}
+	if x.From != 0 {
+		return info, nil, fmt.Errorf("%w: unit %d of 1", trienum.ErrFrom, x.From)
+	}
+	x.OnUnit = nil // the tuples are one unit, not RunTuples' one per task
 	mark := sp.Mark()
 	defer sp.Release(mark)
 	edges, off := graph.ColorBuckets(sp, g.Edges, colorOf, c)
@@ -136,7 +140,7 @@ func solveTuples(sp *extmem.Space, g graph.Canonical, k, c int, colorOf func(uin
 	x.Ctx = ctx
 	var failed error
 	E := edges.Len()
-	ws, err := trienum.RunTuples(x, sp.Config(), sp.Snapshot(edges), k, pow(c, k), func(i int, shard *extmem.Space, emit func([]uint32)) tupleResult {
+	ws, err := trienum.RunTuples(x, sp.Config(), sp.Snapshot(edges), k, pow(c, k), func(i int, shard *extmem.Space, out *trienum.Sink) tupleResult {
 		tuple := make([]int, k)
 		for j := k - 1; j >= 0; j-- {
 			tuple[j], i = i%c, i/c
@@ -144,7 +148,7 @@ func solveTuples(sp *extmem.Space, g graph.Canonical, k, c int, colorOf func(uin
 		release := shard.LeaseAtMost(c*c + 1)
 		defer release()
 		var r tupleResult
-		r.err = solve(shard, shard.ExtentAt(0, E), off, tuple, &r.info, emit)
+		r.err = solve(shard, shard.ExtentAt(0, E), off, tuple, &r.info, out.Tuple)
 		return r
 	}, emit, func(r tupleResult) {
 		info.Cliques += r.info.Cliques

@@ -39,7 +39,7 @@ const obliviousBaseCutoff = 24
 // then emits nothing itself, but hands each node at the split frontier,
 // and each local high-degree pass above it, to the pool as a task. A task
 // runs with plan nil, to completion: cancellation is the coordinator's
-// and runTasks' job.
+// and RunTuples' job.
 type oblivious struct {
 	sp       *extmem.Space
 	emit     graph.Emit

@@ -37,8 +37,8 @@ import (
 //     recursion body on a private copy of the node's segment and
 //     annotations.
 //
-// The worker-pool engine (runTasks) replays completed tasks strictly in
-// task order, so the overall stream is byte-identical to one depth-first
+// The pool runner (RunTuples) replays completed tasks strictly in task
+// order, so the overall stream is byte-identical to one depth-first
 // recursion from the root at every worker count. Each task is one
 // decomposition unit (Exec.From): a run from unit u plans every task but
 // keeps, and copies into the arena, only tasks u, u+1, and so on. As
@@ -117,7 +117,10 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	for len(p.arena)%cfg.B != 0 {
 		p.arena = append(p.arena, 0) // shard cores are whole blocks
 	}
-	stats, err := runTasks(exec, cfg, p.arena, exec.From, p.tasks, emit)
+	stats, err := RunTuples(exec, cfg, p.arena, 3, len(p.tasks), func(i int, shard *extmem.Space, out *Sink) struct{} {
+		p.tasks[i](shard, out.Triangle)
+		return struct{}{}
+	}, triangles(emit), nil)
 	for _, u := range p.infos {
 		mergeObInfo(&info, u)
 	}
@@ -136,14 +139,14 @@ func (o *oblivious) alloc(n int64) {
 // shards read. units counts the tasks planned; those before from are
 // counted but neither kept nor given arena space. Each subtree task
 // records its own recursion bookkeeping in infos (the slice is fully
-// grown before runTasks starts, so the per-index writes race with
+// grown before RunTuples starts, so the per-index writes race with
 // nothing).
 type obPlanner struct {
 	ctx   context.Context
 	from  int
 	units int
 	arena []extmem.Word
-	tasks []shardTask
+	tasks []func(shard *extmem.Space, emit graph.Emit)
 	infos []Info
 	err   error
 }

@@ -17,8 +17,9 @@ import (
 // decompose into independent units — one Lemma 1 pass per high-degree
 // vertex and one Lemma 2 kernel per color triple — that share no mutable
 // state once the coordinator has laid out the (sorted) edge array. The
-// engine freezes that array with extmem.Snapshot and runs the units on
-// extmem.RunOrdered — a pool of workers, each executing on its own extmem
+// engine freezes that array with extmem.Snapshot and runs the units with
+// RunTuples — the one runner of every engine that emits tuples, over the
+// extmem.RunOrdered pool of workers, each executing on its own extmem
 // shard (a private M-word cache over the shared read-only region) — which
 // replays the finished units' triangles in the canonical sequential order.
 //
@@ -103,11 +104,6 @@ func (x Exec) checkFrom(units int) error {
 	return nil
 }
 
-// shardTask is one decomposition unit of a triangle engine: it runs
-// against a worker's shard Space, emitting its triangles (in the unit's
-// canonical order) through the supplied callback.
-type shardTask func(shard *extmem.Space, emit graph.Emit)
-
 const (
 	// emitBatch is the number of emissions per merge handoff.
 	emitBatch = 1024
@@ -119,13 +115,13 @@ const (
 	streamDepth = 8
 )
 
-// sink batches one task's emissions, k words each, into flat batches of
-// emitBatch emissions that send hands to the consumer, which returns them
-// to free once delivered. Once send reports the pool unwinding, the sink
-// drops the rest. Its emit methods grow flat by reslicing it in place,
-// which stores only the length, where an append would store the whole
-// slice header, with a write barrier, per emission.
-type sink struct {
+// Sink is a RunTuples task's output: it batches the task's emissions,
+// k words each, into flat batches of emitBatch emissions that it hands
+// to the consumer, which returns them for reuse once delivered. Once the
+// pool unwinds, the sink drops the rest. Its emit methods grow flat by
+// reslicing it in place, which stores only the length, where an append
+// would store the whole slice header, with a write barrier, per emission.
+type Sink struct {
 	k     int
 	flat  []uint32
 	free  chan []uint32
@@ -133,8 +129,8 @@ type sink struct {
 	alive bool
 }
 
-// triangle is the sink's graph.Emit, for k = 3.
-func (s *sink) triangle(a, b, c uint32) {
+// Triangle is the sink's graph.Emit, for k = 3.
+func (s *Sink) Triangle(a, b, c uint32) {
 	if s.alive {
 		if len(s.flat) == cap(s.flat) {
 			s.handOff()
@@ -145,8 +141,8 @@ func (s *sink) triangle(a, b, c uint32) {
 	}
 }
 
-// tuple is the sink's emit for k-tuples; it copies t.
-func (s *sink) tuple(t []uint32) {
+// Tuple emits one k-tuple; it copies t.
+func (s *Sink) Tuple(t []uint32) {
 	if s.alive {
 		if len(s.flat) == cap(s.flat) {
 			s.handOff()
@@ -162,7 +158,7 @@ func (s *sink) tuple(t []uint32) {
 
 // handOff sends the full batch, if any, and starts the next one, a
 // delivered batch when one is free: a task that emits nothing takes none.
-func (s *sink) handOff() {
+func (s *Sink) handOff() {
 	if len(s.flat) > 0 {
 		s.alive = s.send(s.flat)
 	}
@@ -181,24 +177,35 @@ type poolBatch[R any] struct {
 	r    R
 }
 
-// runPool runs tasks 0, …, n-1 on x.Workers of the extmem ordered worker
-// pool (a cold shard Space per task, see extmem.RunOrdered), which holds
-// no state per task beyond its dispatch window. task(i, shard, out)
-// solves task i, passing its emissions of k words to out, and returns its
-// result. On the calling goroutine, in task order, deliver receives each
-// task's emissions in flat batches and done (when non-nil) its result,
-// after its last emission; a task the pool unwinds in is never done.
-// Batches hold at most emitBatch emissions, so workers exert backpressure
-// instead of materializing their output, and deliver must not retain
-// one: a delivered batch is reused, so a run allocates
-// O(workers · streamDepth) of them however much it emits. Returns the
-// per-worker stats and, on cancellation, x.Ctx's error.
-func runPool[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, out *sink) R, deliver func(i int, flat []uint32), done func(R)) ([]extmem.Stats, error) {
+// RunTuples is the one runner of every engine that emits tuples: the
+// triangle engines' Lemma 1 passes, color triples and §3 planner tasks,
+// Section 6's color tuples, the diff kernel's anchor chunks and a
+// cluster shard's owned tuples. It runs tasks 0, …, n-1 on x.Workers of
+// the extmem ordered worker pool, each on a cold shard Space over shared
+// (the coordinator's frozen layout at address 0, see extmem.RunOrdered),
+// and emits every task's k-tuples in task order on the calling
+// goroutine. task(i, shard, out) solves task i, passing its emissions to
+// out, and returns its result; done, when non-nil, receives it on the
+// calling goroutine after the task's last emission, and a task the pool
+// unwinds in is never done. Task i is decomposition unit x.From+i, and
+// x.OnUnit, when set, hears of it before its first emission; the caller
+// checks x.From against its units. The plan is task itself: the pool
+// builds each task's state when it dispatches it, so nothing is held per
+// task and n may be as large as the engine's index space.
+//
+// emit receives each k-tuple as a slice of a delivered batch, valid only
+// during the call. Batches hold at most emitBatch emissions, so workers
+// exert backpressure instead of materializing their output, and a
+// delivered batch is reused, so a run allocates O(workers · streamDepth)
+// of them however much it emits. Returns the per-worker stats and, on
+// cancellation, x.Ctx's error.
+func RunTuples[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, out *Sink) R, emit func(t []uint32), done func(R)) ([]extmem.Stats, error) {
 	// Room for every batch the pool can hold: per task in flight, its
 	// stream's and the one being filled or delivered.
 	free := make(chan []uint32, 2*min(x.workers(), n)*(streamDepth+2))
+	last := -1
 	return extmem.RunOrdered(x.Ctx, cfg, shared, n, func(i int, shard *extmem.Space, send func(poolBatch[R]) bool) {
-		out := sink{k: k, free: free, alive: true, send: func(flat []uint32) bool {
+		out := Sink{k: k, free: free, alive: true, send: func(flat []uint32) bool {
 			return send(poolBatch[R]{flat: flat})
 		}}
 		r := task(i, shard, &out)
@@ -207,7 +214,15 @@ func runPool[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, t
 		}
 	}, x.workers(), streamDepth, func(i int, b poolBatch[R]) {
 		if len(b.flat) > 0 {
-			deliver(i, b.flat)
+			if i != last {
+				last = i
+				if x.OnUnit != nil {
+					x.OnUnit(x.From + i)
+				}
+			}
+			for flat := b.flat; len(flat) >= k; flat = flat[k:] {
+				emit(flat[:k:k])
+			}
 			select {
 			case free <- b.flat[:0]:
 			default:
@@ -219,57 +234,15 @@ func runPool[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, t
 	})
 }
 
-// runTasks runs the triangle engines' tasks on the pool (runPool) and
-// emits every task's triangles in task order on the calling goroutine.
-// Task i is unit first+i of the run, and x.OnUnit hears of it before its
-// first emission.
-func runTasks(x Exec, cfg extmem.Config, shared []extmem.Word, first int, tasks []shardTask, emit graph.Emit) ([]extmem.Stats, error) {
-	last := -1
-	return runPool(x, cfg, shared, 3, len(tasks), func(i int, shard *extmem.Space, out *sink) struct{} {
-		tasks[i](shard, out.triangle)
-		return struct{}{}
-	}, func(i int, flat []uint32) {
-		if i != last {
-			last = i
-			if x.OnUnit != nil {
-				x.OnUnit(first + i)
-			}
-		}
-		for ; len(flat) >= 3; flat = flat[3:] {
-			emit(flat[0], flat[1], flat[2])
-		}
-	}, nil)
-}
-
-// RunTuples runs the n tasks of a k-tuple engine — Section 6's color
-// tuples — on the pool the triangle engines use, and emits every task's
-// k-tuples in task order on the calling goroutine. task(i, shard, emit)
-// solves task i on a cold shard Space over shared (the coordinator's
-// frozen layout at address 0), passing each k-tuple to emit, which copies
-// it, and returns the task's result; done, when non-nil, receives it on
-// the calling goroutine after the task's last emission. The plan is task
-// itself: the pool builds each task's state when it dispatches it, so
-// nothing is held per task and n may be as large as the engine's index
-// space. The tasks form one decomposition unit, so x.From must be 0 and
-// x.OnUnit is never called. Cancellation, backpressure and the returned
-// per-worker stats are runPool's.
-func RunTuples[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, emit func(t []uint32)) R, emit func(t []uint32), done func(R)) ([]extmem.Stats, error) {
-	if err := x.checkFrom(1); err != nil {
-		return nil, err
-	}
-	return runPool(x, cfg, shared, k, n, func(i int, shard *extmem.Space, out *sink) R {
-		return task(i, shard, out.tuple)
-	}, func(_ int, flat []uint32) {
-		for ; len(flat) >= k; flat = flat[k:] {
-			emit(flat[:k:k])
-		}
-	}, done)
+// triangles adapts a triangle engine's emit to RunTuples'.
+func triangles(emit graph.Emit) func(t []uint32) {
+	return func(t []uint32) { emit(t[0], t[1], t[2]) }
 }
 
 // highDegreeParallel runs step 1 — one Lemma 1 pass per vertex of degree
 // greater than sqrt(E·M), units 0, 1, … of the run, the passes before
-// x.From skipped — as shard tasks over a frozen snapshot of the full edge
-// set, then compacts the surviving low-degree edges to the prefix of
+// x.From skipped — as RunTuples tasks over a frozen snapshot of the full
+// edge set, then compacts the surviving low-degree edges to the prefix of
 // work, returning the new length and the per-worker stats. It counts
 // every pass, run or skipped, in info.HighDegVertices.
 //
@@ -286,26 +259,21 @@ func highDegreeParallel(x Exec, sp *extmem.Space, work extmem.Extent, g graph.Ca
 	if r0 >= g.NumVertices {
 		return E, nil, nil
 	}
-	var tasks []shardTask
-	for r := g.NumVertices - 1; r >= r0; r-- {
-		info.HighDegVertices++
-		if g.NumVertices-1-r < x.From {
-			continue
-		}
-		vr := uint32(r)
-		tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
-			seg := shard.ExtentAt(0, E)
-			enumerateContaining(shard, seg, vr, emsort.SortRecords, func(u, w uint32) {
+	info.HighDegVertices += g.NumVertices - r0
+	var stats []extmem.Stats
+	if n := g.NumVertices - r0 - x.From; n > 0 {
+		var err error
+		// Pass i is unit x.From+i, the vertex of rank NumVertices-1-x.From-i.
+		stats, err = RunTuples(x, cfg, sp.Snapshot(work), 3, n, func(i int, shard *extmem.Space, out *Sink) struct{} {
+			vr := uint32(g.NumVertices - 1 - x.From - i)
+			enumerateContaining(shard, shard.ExtentAt(0, E), vr, emsort.SortRecords, func(u, w uint32) {
 				if w < vr {
-					emit(u, w, vr)
+					out.Triangle(u, w, vr)
 				}
 			})
-		})
-	}
-	var stats []extmem.Stats
-	if len(tasks) > 0 {
-		var err error
-		if stats, err = runTasks(x, cfg, sp.Snapshot(work), x.From, tasks, emit); err != nil {
+			return struct{}{}
+		}, triangles(emit), nil)
+		if err != nil {
 			return 0, stats, err
 		}
 	}
@@ -334,11 +302,12 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 // triple with the kernel. The coordinator distributes the edges into
 // color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
 // not depend on the worker count — and freezes them; each non-empty
-// triple is one task, whose cone-bucket merge and kernel run happen on a
-// worker shard (SolveTriple). One color is no special case: its one
-// triple (0,0,0) is the kernel over the whole edge set, Hu–Tao–Chung. The
-// triples are units base, base+1, … of the run, and those before x.From
-// are skipped. edges must be in canonical order; it is left unchanged.
+// triple is one RunTuples task, whose cone-bucket merge and kernel run
+// happen on a worker shard (SolveTriple). One color is no special case:
+// its one triple (0,0,0) is the kernel over the whole edge set,
+// Hu–Tao–Chung. The triples are units base, base+1, … of the run, and
+// those before x.From are skipped. edges must be in canonical order; it
+// is left unchanged.
 func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c, base int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
 	E := edges.Len()
 	if E == 0 {
@@ -361,25 +330,26 @@ func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf
 	}
 	shared := sp.Snapshot(buckets)
 
-	var tasks []shardTask
+	var triples [][3]int // the triples from unit max(base, x.From) on
 	units := base
 	forEachTriple(off, c, func(t1, t2, t3 int) {
-		unit := units
+		if units >= x.From {
+			triples = append(triples, [3]int{t1, t2, t3})
+		}
 		units++
 		info.Subproblems++
-		if unit < x.From {
-			return
-		}
-		tasks = append(tasks, func(shard *extmem.Space, emit graph.Emit) {
-			// The shard consults the same c²+1-word bucket index the
-			// coordinator built; charge it the same internal memory.
-			release := shard.LeaseAtMost(c*c + 1)
-			defer release()
-			SolveTriple(shard, shard.ExtentAt(0, E), off, c, t1, t2, t3, emit)
-		})
 	})
 	if err := x.checkFrom(units); err != nil {
 		return nil, err
 	}
-	return runTasks(x, sp.Config(), shared, max(base, x.From), tasks, emit)
+	x.From = max(base, x.From)
+	return RunTuples(x, sp.Config(), shared, 3, len(triples), func(i int, shard *extmem.Space, out *Sink) struct{} {
+		// The shard consults the same c²+1-word bucket index the
+		// coordinator built; charge it the same internal memory.
+		release := shard.LeaseAtMost(c*c + 1)
+		defer release()
+		t := triples[i]
+		SolveTriple(shard, shard.ExtentAt(0, E), off, c, t[0], t[1], t[2], out.Triangle)
+		return struct{}{}
+	}, triangles(emit), nil)
 }
