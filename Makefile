@@ -58,12 +58,16 @@ bench:
 
 # The benchmarks the CI regression gate watches — E2Oblivious (the
 # parallel cache-oblivious engine), E9 (k-cliques), E10 (sorting), E13
-# (the triangle pipeline) and E15 (the parallel sort) — written to a file
-# that bench-compare can consume as OLD= or NEW=. The pattern names
-# E2Oblivious, not E2, which would also match E21, E22 and E23.
+# (the triangle pipeline) and E15 (the parallel sort) in the root
+# package, and internal/trienum's KernelTriple (the Lemma 2 kernel on one
+# color triple, so a kernel change that moves its I/O fails at its own
+# layer) — written to a file that bench-compare can consume as OLD= or
+# NEW=. The pattern names E2Oblivious, not E2, which would also match
+# E21, E22 and E23.
+GATED := E2Oblivious|E9|E10|E13|E15|KernelTriple
 OUT ?= bench-gated.txt
 bench-gated:
-	$(GO) test -bench='E2Oblivious|E9|E10|E13|E15' -benchtime=$(BENCHTIME) -run='^$$' . | tee $(OUT)
+	$(GO) test -bench='$(GATED)' -benchtime=$(BENCHTIME) -run='^$$' . ./internal/trienum | tee $(OUT)
 
 # Gate NEW against OLD on the deterministic block-I/O metric, as CI does:
 #   make bench-gated OUT=old.txt   (on the baseline commit)
@@ -72,7 +76,7 @@ bench-gated:
 OLD ?= bench-old.txt
 NEW ?= bench-new.txt
 bench-compare:
-	$(GO) run ./cmd/benchgate -match 'E2Oblivious|E9|E10|E13|E15' -metric IOs -max-regress 20 $(OLD) $(NEW)
+	$(GO) run ./cmd/benchgate -match '$(GATED)' -metric IOs -max-regress 20 $(OLD) $(NEW)
 
 # Alternating pairs of the end-to-end benchmark, BASE (a git ref) against
 # this checkout's working tree, e.g.

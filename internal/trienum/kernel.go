@@ -2,6 +2,7 @@ package trienum
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/ctxutil"
 	"repro/internal/extmem"
@@ -13,14 +14,22 @@ import (
 // pivot edge {u, w} lies in pivots and whose cone edges {v, u}, {v, w} lie
 // in edges. I/O complexity O(E/B + E'·E/(M·B)) where E' = |pivots|.
 //
-// edges must be sorted canonically (so each cone vertex's forward
-// adjacency list is consecutive). pivots need not be sorted. Every uint32
-// is a valid vertex id, 2^32-1 included (see reservedVertex): the cluster
-// shards run the kernel over original ids, not ranks. memEdges caps how
-// many pivot edges are loaded per iteration; pass 0 to size it
-// automatically from the Space's configured memory.
-// The color-coded algorithms keep each triangle in exactly one subproblem
-// through the edges they pass (see SolveTriple).
+// edges must be sorted canonically, so each cone vertex's forward
+// adjacency list is consecutive, and pivots must be strictly increasing,
+// the canonical order of an edge set, so the pivots that share a first
+// endpoint are consecutive; a pivot that is not above its predecessor in
+// its chunk panics. Every uint32 is a valid vertex id, 2^32-1 included
+// (see reservedVertex): the cluster shards run the kernel over original
+// ids, not ranks. memEdges caps how many pivot edges are loaded per
+// iteration; pass 0 to size it automatically from the Space's configured
+// memory (see chunkEdges).
+//
+// Each chunk is one scan of edges. For each cone vertex v, in edge order,
+// it walks the pivots (u, w) of each u in Γ_v, by ascending u and then w,
+// and emits those whose w is in Γ_v too, so v's triangles come out in
+// ascending (u, w) order (see chunkTables). The color-coded algorithms
+// keep each triangle in exactly one subproblem through the edges they
+// pass (see SolveTriple).
 //
 // ctx (which may be nil) is checked between pivot chunks — each chunk is
 // one full scan of the edge set, the algorithm's natural pass boundary —
@@ -32,16 +41,7 @@ func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, 
 	if nPivots == 0 || edges.Len() == 0 {
 		return ctxutil.Err(ctx)
 	}
-	if memEdges <= 0 {
-		// The constant α of the paper: pivot chunks of αM edges. The
-		// native chunk state (chunkTables) costs six words per pivot
-		// edge, leased below.
-		memEdges = (sp.Config().M - sp.Leased()) / 8
-		if memEdges < 16 {
-			memEdges = 16
-		}
-	}
-
+	memEdges = chunkEdges(sp, memEdges)
 	for lo := int64(0); lo < nPivots; lo += int64(memEdges) {
 		if err := ctxutil.Err(ctx); err != nil {
 			return err
@@ -55,13 +55,25 @@ func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, 
 	return nil
 }
 
+// chunkEdges returns how many pivot edges the kernel loads per chunk
+// when asked for memEdges (0 = automatic): the constant α of the paper,
+// pivot chunks of αM edges, whose native state (chunkTables) costs six
+// words per pivot edge, leased by kernelChunk. A chunk stays small enough
+// for its Γ slot numbers to leave runEnd free.
+func chunkEdges(sp *extmem.Space, memEdges int) int {
+	if memEdges <= 0 {
+		memEdges = max((sp.Config().M-sp.Leased())/8, 16)
+	}
+	return min(memEdges, (runEnd-1)/3)
+}
+
 // kernelChunk processes one memory-resident chunk of pivot edges against a
 // full scan of the edge set.
 func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) {
 	release := sp.LeaseAtMost(int(chunk.Len()) * 6)
 	defer release()
 
-	// Load the chunk: the pivot set and Γ_mem, the vertices it touches.
+	// Load the chunk: Γ_mem, the vertices it touches, and its pivot runs.
 	c := newChunkTables(chunk)
 
 	// Scan the edge set grouped by cone vertex v; for each group compute
@@ -89,50 +101,76 @@ func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) 
 // decoding (0-1 wraps to 2^32-1) names it like any other slot.
 const reservedVertex = ^uint32(0)
 
-// chunkTables is the internal-memory state of one pivot chunk: flat
-// open-addressing tables, built once per chunk and probed linearly from a
-// multiply-shift home slot. A Γ slot names its vertex for the whole chunk
-// (nothing is deleted), so the other tables refer to vertices by slot. For
-// a chunk of P pivot edges, hence at most 2P vertices in Γ_mem, the state
-// in 64-bit words is
+// runEnd marks the last pivot of a run in chunkTables.second, unless the
+// end of second closes the run.
+const runEnd = 1 << 31
+
+// chunkTables is the internal-memory state of one pivot chunk. Γ_mem is a
+// flat open-addressing table, built once per chunk and probed linearly
+// from a multiply-shift home slot. A Γ slot names its vertex for the whole
+// chunk (nothing is deleted), so the other tables refer to vertices by
+// slot. The pivots are kept as runs: the pivots that share a first
+// endpoint u are consecutive in the chunk, so second lists their second
+// endpoints in chunk order, runEnd closing each run but the last, and
+// u's slot in run says where u's run starts. For a chunk of P pivot
+// edges, hence at most 2P vertices in Γ_mem, the state in uint32s is
 //
-//	pivots  P     the chunk, rewritten in place as (Γ slot, Γ slot) pairs
-//	pset    P     2P uint32: the pivot set, 1 + index into pivots (load ≤ 1/2)
-//	gamma   1.5P  3P uint32: Γ_mem, vertex + 1 per slot (load ≤ 2/3)
-//	mark    1.5P  3P uint32: per Γ slot, the epoch of the last cone vertex
-//	              v with that vertex in Γ_v
-//	lv      ≤ P   Γ_v as Γ slots, at most 2P uint32
+//	gamma   3P+1  Γ_mem, vertex + 1 per slot (load ≤ 2/3)
+//	mark    3P+1  per Γ slot, the epoch of the last cone vertex v with
+//	              that vertex in Γ_v
+//	run     3P+1  per Γ slot, 1 + the index in second where its run
+//	              starts, or 0 if it is no pivot's first endpoint
+//	second  P     the pivots' second endpoints as Γ slots, in runs
+//	lv      ≤ 2P  Γ_v as Γ slots
 //
-// six words per pivot edge in all, which is what the kernel leases; gamma
-// and mark carry one more uint32 each, the slot of reservedVertex. Each
-// cone vertex gets a fresh epoch, so Γ_v's membership set (mark) empties
-// without a clear.
+// in one backing array: the six words per pivot edge that the kernel
+// leases, plus one uint32 in each of gamma, mark and run for the slot of
+// reservedVertex. Each cone vertex gets a fresh epoch, so Γ_v's membership
+// set (mark) empties without a clear.
 type chunkTables struct {
-	pivots []extmem.Word
-	pset   []uint32
 	gamma  []uint32 // the 3P hashed slots, then reservedVertex's slot
 	mark   []uint32
+	run    []uint32
+	second []uint32
 	lv     []uint32 // Γ_v in ascending vertex order (edges are sorted)
 	curV   uint32
 	epoch  uint32 // mark stamp of curV's group; 0 before the first group
 	top    int    // reservedVertex's slot, or -1 while it is not in Γ_mem
 }
 
-func newChunkTables(chunk extmem.Extent) *chunkTables {
+// newChunkTables loads chunk, whose pivots must be strictly increasing,
+// into fresh tables sized for it.
+func newChunkTables(chunk extmem.Extent) chunkTables {
 	p := int(chunk.Len())
-	c := &chunkTables{
-		pivots: make([]extmem.Word, p),
-		pset:   make([]uint32, 2*p),
-		gamma:  make([]uint32, 3*p+1),
-		mark:   make([]uint32, 3*p+1),
-		lv:     make([]uint32, 0, 2*p),
+	buf := make([]uint32, 12*p+3)
+	take := func(n int) []uint32 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	c := chunkTables{
+		gamma:  take(3*p + 1),
+		mark:   take(3*p + 1),
+		run:    take(3*p + 1),
+		second: take(p),
+		lv:     take(2 * p)[:0],
 		top:    -1,
 	}
-	chunk.Load(c.pivots)
-	for i, e := range c.pivots {
-		su, sw := c.gammaInsert(graph.U(e)), c.gammaInsert(graph.V(e))
-		c.pivots[i] = uint64(su)<<32 | uint64(sw)
-		c.psetInsert(i)
+	var prev extmem.Word
+	for i := range c.second {
+		e := chunk.Read(int64(i))
+		if i > 0 && e <= prev {
+			panic(fmt.Sprintf("trienum: kernel pivot %d-%d is not above its predecessor %d-%d",
+				graph.U(e), graph.V(e), graph.U(prev), graph.V(prev)))
+		}
+		if i == 0 || graph.U(e) != graph.U(prev) {
+			if i > 0 {
+				c.second[i-1] |= runEnd
+			}
+			c.run[c.gammaInsert(graph.U(e))] = uint32(i) + 1
+		}
+		c.second[i] = uint32(c.gammaInsert(graph.V(e)))
+		prev = e
 	}
 	return c
 }
@@ -183,43 +221,6 @@ func (c *chunkTables) gammaFind(u uint32) int {
 	}
 }
 
-// psetInsert adds pivots[idx] to the pivot set; a duplicate pivot is held
-// once.
-func (c *chunkTables) psetInsert(idx int) {
-	key := c.pivots[idx]
-	n := len(c.pset)
-	for i := homeSlot(key, n); ; {
-		j := c.pset[i]
-		if j == 0 {
-			c.pset[i] = uint32(idx) + 1
-			return
-		}
-		if c.pivots[j-1] == key {
-			return
-		}
-		if i++; i == n {
-			i = 0
-		}
-	}
-}
-
-// isPivot reports whether the Γ-slot pair key is a pivot of the chunk.
-func (c *chunkTables) isPivot(key uint64) bool {
-	n := len(c.pset)
-	for i := homeSlot(key, n); ; {
-		j := c.pset[i]
-		if j == 0 {
-			return false
-		}
-		if c.pivots[j-1] == key {
-			return true
-		}
-		if i++; i == n {
-			i = 0
-		}
-	}
-}
-
 // startCone opens the group of cone vertex v with an empty Γ_v.
 func (c *chunkTables) startCone(v uint32) {
 	c.curV = v
@@ -230,29 +231,26 @@ func (c *chunkTables) startCone(v uint32) {
 	}
 }
 
-// flush enumerates the pivot edges with both endpoints in Γ_v, choosing the
-// cheaper of the two enumeration orders: all pairs of Γ_v (|Γ_v|² work) or
-// all chunk pivots (|chunk| work).
+// flush enumerates the pivot edges with both endpoints in Γ_v: for each u
+// in Γ_v, in ascending order, it walks u's run and emits (v, u, w) for
+// each w there in Γ_v, in ascending order.
 func (c *chunkTables) flush(emit graph.Emit) {
-	lv, v := c.lv, c.curV
-	if len(lv) < 2 {
+	if len(c.lv) < 2 {
 		return
 	}
-	if int64(len(lv))*int64(len(lv)) <= int64(len(c.pivots)) {
-		for i := 0; i < len(lv); i++ {
-			for j := i + 1; j < len(lv); j++ {
-				if c.isPivot(uint64(lv[i])<<32 | uint64(lv[j])) {
-					emit(v, c.gamma[lv[i]]-1, c.gamma[lv[j]]-1)
-				}
-			}
-		}
-		return
-	}
-	for _, p := range c.pivots {
-		su, sw := uint32(p>>32), uint32(p)
-		if c.mark[su] != c.epoch || c.mark[sw] != c.epoch {
+	for _, su := range c.lv {
+		j := c.run[su]
+		if j == 0 {
 			continue
 		}
-		emit(v, c.gamma[su]-1, c.gamma[sw]-1)
+		u := c.gamma[su] - 1
+		for _, sw := range c.second[j-1:] {
+			if w := sw &^ runEnd; c.mark[w] == c.epoch {
+				emit(c.curV, u, c.gamma[w]-1)
+			}
+			if sw&runEnd != 0 {
+				break
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +242,8 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 
 	// Hand-built inputs aimed at the flat tables, each as one chunk: the
 	// stream must equal the map-based reference's, order included, and
-	// between them the cases must take both enumeration branches.
+	// between them the cases must take both of the reference's
+	// enumeration branches, whose orders agree on canonical pivots.
 	var pairs, scans int
 	for _, kc := range kernelCases() {
 		want, p, s := referenceKernel(kc.edges, kc.pivots, len(kc.pivots))
@@ -258,8 +260,8 @@ func TestKernelMatchesHuEtAlSemantics(t *testing.T) {
 // TestKernelReservedVertex pins vertex id 2^32-1, which the Γ table's
 // u+1 encoding cannot hold: as a non-pivot neighbour in the edge scan it
 // is never taken for a Γ_mem vertex, and as a pivot endpoint it is found
-// through its own slot. (The "maxID" kernel cases run it through both
-// enumeration branches against the reference.)
+// through its own slot. (The "maxID" kernel case runs it against both of
+// the reference's enumeration branches.)
 func TestKernelReservedVertex(t *testing.T) {
 	r := reservedVertex
 	scanOnly := kernelCase{
@@ -278,8 +280,8 @@ func TestKernelReservedVertex(t *testing.T) {
 	}
 }
 
-// kernelCase is a hand-built kernel input: edges sorted canonically, and
-// pivots in the order the kernel loads them.
+// kernelCase is a hand-built kernel input: edges and pivots, both sorted
+// canonically.
 type kernelCase struct {
 	name          string
 	edges, pivots []extmem.Word
@@ -287,39 +289,33 @@ type kernelCase struct {
 
 // kernelCases are inputs that stress the kernel's tables: vertex id 0,
 // ids that share a home slot (including the last slot, so probes wrap),
-// unsorted pivots, pivots that share endpoints, and random graphs whose
-// cone vertices take both enumeration branches.
+// pivots that share endpoints, and random graphs whose cone vertices take
+// both of referenceKernel's enumeration branches.
 func kernelCases() []kernelCase {
 	sorted := func(es []extmem.Word) []extmem.Word {
 		es = slices.Clone(es)
 		slices.Sort(es)
 		return slices.Compact(es)
 	}
-	shuffled := func(es []extmem.Word, seed int64) []extmem.Word {
-		es = slices.Clone(es)
-		rand.New(rand.NewSource(seed)).Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-		return es
-	}
 	var cases []kernelCase
 
 	gnm := sorted(graph.GNM(50, 350, 30).Edges)
+	half := slices.Clone(gnm)
+	rand.New(rand.NewSource(2)).Shuffle(len(half), func(i, j int) { half[i], half[j] = half[j], half[i] })
 	cases = append(cases,
 		kernelCase{"gnm", gnm, gnm},
-		kernelCase{"gnmUnsortedPivots", gnm, shuffled(gnm, 1)},
-		kernelCase{"gnmHalfPivots", gnm, shuffled(gnm, 2)[:len(gnm)/2]},
+		kernelCase{"gnmHalfPivots", gnm, sorted(half[:len(gnm)/2])},
 	)
 
 	// K6 on 0..5: vertex 0 is a cone vertex and a pivot endpoint.
 	k6 := sorted(graph.Clique(6).Edges)
-	k6Reversed := slices.Clone(k6)
-	slices.Reverse(k6Reversed)
-	cases = append(cases, kernelCase{"k6", k6, k6}, kernelCase{"k6Reversed", k6, k6Reversed})
+	cases = append(cases, kernelCase{"k6", k6, k6})
 
 	// K10 on 0..4, 2^32-1, and four ids whose hashed home slot in the
 	// 45-slot Γ table of a 15-pivot chunk is 2^32-1's: its lookups probe
 	// past them. The pivots are the pairs among the four and 2^32-1, and
 	// 2^32-1 with each of 0..4, so it is a Γ_mem vertex seen by every cone
-	// vertex under both enumeration branches.
+	// vertex under both of the reference's enumeration branches.
 	maxID := append([]uint32{0, 1, 2, 3, 4, reservedVertex}, collidingIDs(45, homeSlot(uint64(reservedVertex), 45), 4, 1000)...)
 	var maxEdges, maxPivots []extmem.Word
 	for i, u := range maxID {
@@ -331,10 +327,7 @@ func kernelCases() []kernelCase {
 			}
 		}
 	}
-	cases = append(cases,
-		kernelCase{"maxID", sorted(maxEdges), maxPivots},
-		kernelCase{"maxIDUnsortedPivots", sorted(maxEdges), shuffled(maxPivots, 5)},
-	)
+	cases = append(cases, kernelCase{"maxID", sorted(maxEdges), sorted(maxPivots)})
 
 	// Six ids whose home slots coincide in the Γ table of a 15-pivot
 	// chunk (45 slots): four at the last slot, two at slot 0, so the
@@ -350,10 +343,7 @@ func kernelCases() []kernelCase {
 		edges = append(edges, graph.Pack(0, ids[i]), graph.Pack(1+uint32(i%2), ids[i]))
 	}
 	edges = sorted(append(edges, pivots...))
-	cases = append(cases,
-		kernelCase{"collisions", edges, pivots},
-		kernelCase{"collisionsUnsortedPivots", edges, shuffled(pivots, 3)},
-	)
+	cases = append(cases, kernelCase{"collisions", edges, sorted(pivots)})
 
 	// A star of pivots around hub 100: every pivot shares it. Cone vertex
 	// v sees the hub and the leaves 101+v, 101+v+10, ....
@@ -369,7 +359,7 @@ func kernelCases() []kernelCase {
 		}
 	}
 	starEdges = sorted(append(starEdges, star...))
-	cases = append(cases, kernelCase{"sharedHub", starEdges, shuffled(star, 4)})
+	cases = append(cases, kernelCase{"sharedHub", starEdges, star})
 	return cases
 }
 
@@ -510,6 +500,113 @@ func TestKernelTinyChunks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelRefusesUnsortedPivots pins the kernel's requirement on pivot
+// order: a pivot that is not above its predecessor panics, since one out
+// of order would split its first endpoint's run and a repeated one would
+// be emitted twice.
+func TestKernelRefusesUnsortedPivots(t *testing.T) {
+	k4 := slices.Sorted(slices.Values(graph.Clique(4).Edges))
+	for _, pivots := range [][]extmem.Word{
+		{graph.Pack(1, 2), graph.Pack(0, 3)},
+		{graph.Pack(0, 2), graph.Pack(0, 1)},
+		{graph.Pack(0, 1), graph.Pack(0, 1)},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "not above its predecessor") {
+					t.Errorf("pivots %x: recovered %v, want the unsorted-pivot panic", pivots, r)
+				}
+			}()
+			runKernel(t, kernelCase{"unsorted", k4, pivots}, 0)
+		}()
+	}
+}
+
+// TestKernelChunkFootprint pins that a chunk's tables hold no more than
+// kernelChunk leases for them, six words (twelve uint32s) per pivot edge,
+// plus reservedVertex's slot in gamma, mark and run.
+func TestKernelChunkFootprint(t *testing.T) {
+	sp := newSpace()
+	g := graph.CanonicalizeList(sp, graph.GNM(400, 2000, 1))
+	for _, p := range []int{1, 16, chunkEdges(sp, 0)} {
+		c := newChunkTables(g.Edges.Prefix(int64(p)))
+		held := cap(c.gamma) + cap(c.mark) + cap(c.run) + cap(c.second) + cap(c.lv)
+		if leased := 12*p + 3; held > leased {
+			t.Errorf("chunk of %d pivots: tables hold %d uint32s, more than the %d leased", p, held, leased)
+		}
+	}
+}
+
+// FuzzKernel checks the kernel against referenceKernel on small canonical
+// edge sets. Each byte pair of pairs is an edge between two of
+// kernelFuzzIDs, the bits of mask pick the pivots among the sorted edges,
+// and m sets chunks of 1 to 16 pivots. Every kernelCases input seeds it.
+func FuzzKernel(f *testing.F) {
+	ids := kernelFuzzIDs()
+	if len(ids) > 256 {
+		f.Fatalf("%d fuzz ids do not fit a byte", len(ids))
+	}
+	index := make(map[uint32]byte, len(ids))
+	for i, u := range ids {
+		index[u] = byte(i)
+	}
+	for _, kc := range kernelCases() {
+		pairs, mask := []byte{}, make([]byte, (len(kc.edges)+7)/8)
+		for i, e := range kc.edges {
+			pairs = append(pairs, index[graph.U(e)], index[graph.V(e)])
+			if _, ok := slices.BinarySearch(kc.pivots, e); ok {
+				mask[i/8] |= 1 << (i % 8)
+			}
+		}
+		f.Add(pairs, mask, uint8(14))
+	}
+	f.Fuzz(func(t *testing.T, pairs, mask []byte, m uint8) {
+		kc := kernelCase{name: "fuzz"}
+		for i := 0; i+1 < min(len(pairs), 2*maxFuzzEdges); i += 2 {
+			if u, w := ids[int(pairs[i])%len(ids)], ids[int(pairs[i+1])%len(ids)]; u != w {
+				kc.edges = append(kc.edges, graph.Pack(u, w))
+			}
+		}
+		slices.Sort(kc.edges)
+		kc.edges = slices.Compact(kc.edges)
+		for i, e := range kc.edges {
+			if i/8 < len(mask) && mask[i/8]>>(i%8)&1 != 0 {
+				kc.pivots = append(kc.pivots, e)
+			}
+		}
+		memEdges := 1 + int(m)%16
+		want, _, _ := referenceKernel(kc.edges, kc.pivots, memEdges)
+		if got := runKernel(t, kc, memEdges); !slices.Equal(got, want) {
+			t.Errorf("chunks of %d: stream differs from the reference\n got %v\nwant %v", memEdges, got, want)
+		}
+	})
+}
+
+// maxFuzzEdges keeps FuzzKernel's inputs small enough for many runs a
+// second: at one pivot per chunk, the kernel and the reference each scan
+// the edges once per pivot. gnm, the largest kernel case, has 350.
+const maxFuzzEdges = 400
+
+// kernelFuzzIDs are the vertex ids FuzzKernel draws from: every id of
+// kernelCases (a small range, 2^32-1 and ids that collide with it or wrap
+// in a 15-pivot chunk) and, for each chunk size the target runs, two ids
+// at 2^32-1's home slot and two at the last slot of that chunk's Γ table.
+func kernelFuzzIDs() []uint32 {
+	var ids []uint32
+	for _, kc := range kernelCases() {
+		for _, e := range kc.edges {
+			ids = append(ids, graph.U(e), graph.V(e))
+		}
+	}
+	for p := 1; p <= 16; p++ {
+		n := 3 * p
+		ids = append(ids, collidingIDs(n, homeSlot(uint64(reservedVertex), n), 2, 1000)...)
+		ids = append(ids, collidingIDs(n, n-1, 2, 1000)...)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 func TestDementievSortMerge(t *testing.T) {
