@@ -143,18 +143,20 @@ func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors
 	cfg := sp.Config()
 	cfg.Native = true
 	chunks := (len(anchors) + anchorChunk - 1) / anchorChunk
-	_, err = trienum.RunTuples(trienum.Exec{Workers: workers, Ctx: ctx}, cfg, nil, k, chunks, func(i int, _ *extmem.Space, out *trienum.Sink) struct{} {
-		for _, e := range anchors[i*anchorChunk : min((i+1)*anchorChunk, len(anchors))] {
-			if ctxutil.Err(ctx) != nil {
-				break // the pool delivers nothing more: the output stays a prefix
+	_, err = trienum.RunTuples(trienum.Exec{Workers: workers, Ctx: ctx}, cfg, nil, k, chunks, func(i int) func(*extmem.Space, *trienum.Sink) struct{} {
+		return func(_ *extmem.Space, out *trienum.Sink) struct{} {
+			for _, e := range anchors[i*anchorChunk : min((i+1)*anchorChunk, len(anchors))] {
+				if ctxutil.Err(ctx) != nil {
+					break // the pool delivers nothing more: the output stays a prefix
+				}
+				if spec.Pattern != nil {
+					anchorPattern(spec.Pattern, plans, e, adj, anchorSet, out.Tuple)
+				} else {
+					anchorClique(k, e, adj, anchorSet, out.Tuple)
+				}
 			}
-			if spec.Pattern != nil {
-				anchorPattern(spec.Pattern, plans, e, adj, anchorSet, out.Tuple)
-			} else {
-				anchorClique(k, e, adj, anchorSet, out.Tuple)
-			}
+			return struct{}{}
 		}
-		return struct{}{}
 	}, func(verts []uint32) {
 		info.Matches++
 		if emit != nil {

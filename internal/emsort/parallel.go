@@ -167,21 +167,23 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		defer releaseSamples()
 	}
 	samples := make([][]extmem.Word, numTop)
-	sortRun := func(r int, shard *extmem.Space, send func([]extmem.Word) bool) {
-		lo := int64(r) * plan.runWords
-		hi := min(lo+plan.runWords, n)
-		release := shard.Lease(int(hi - lo))
-		defer release()
-		buf := make([]extmem.Word, hi-lo)
-		shard.ExtentAt(lo, hi-lo).Load(buf)
-		sortNative(buf, stride, key)
-		for o := 0; o < len(buf); o += sortBatchWords {
-			e := o + sortBatchWords
-			if e > len(buf) {
-				e = len(buf)
-			}
-			if !send(buf[o:e:e]) {
-				return
+	sortRun := func(r int) func(*extmem.Space, func([]extmem.Word) bool) {
+		return func(shard *extmem.Space, send func([]extmem.Word) bool) {
+			lo := int64(r) * plan.runWords
+			hi := min(lo+plan.runWords, n)
+			release := shard.Lease(int(hi - lo))
+			defer release()
+			buf := make([]extmem.Word, hi-lo)
+			shard.ExtentAt(lo, hi-lo).Load(buf)
+			sortNative(buf, stride, key)
+			for o := 0; o < len(buf); o += sortBatchWords {
+				e := o + sortBatchWords
+				if e > len(buf) {
+					e = len(buf)
+				}
+				if !send(buf[o:e:e]) {
+					return
+				}
 			}
 		}
 	}
@@ -257,23 +259,25 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 	}
 
 	shared2 := sp.Snapshot(runsBuf)
-	mergeTask := func(j int, shard *extmem.Space, send func([]extmem.Word) bool) {
-		release := shard.Lease(totalSamples + 4*numTop)
-		defer release()
-		view := shard.ExtentAt(0, n)
-		segs := make([][2]int64, numTop) // [pos, end) in words
-		for r := 0; r < numTop; r++ {
-			runLo := int64(r) * topRunWords
-			lo, hi := int64(0), runRecs[r]
-			if j > 0 {
-				lo = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j-1])
+	mergeTask := func(j int) func(*extmem.Space, func([]extmem.Word) bool) {
+		return func(shard *extmem.Space, send func([]extmem.Word) bool) {
+			release := shard.Lease(totalSamples + 4*numTop)
+			defer release()
+			view := shard.ExtentAt(0, n)
+			segs := make([][2]int64, numTop) // [pos, end) in words
+			for r := 0; r < numTop; r++ {
+				runLo := int64(r) * topRunWords
+				lo, hi := int64(0), runRecs[r]
+				if j > 0 {
+					lo = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j-1])
+				}
+				if j < len(splitters) {
+					hi = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j])
+				}
+				segs[r] = [2]int64{runLo + lo*st, runLo + hi*st}
 			}
-			if j < len(splitters) {
-				hi = lowerBoundInRun(view, runLo, runRecs[r], st, qRec, samples[r], wordLess, splitters[j])
-			}
-			segs[r] = [2]int64{runLo + lo*st, runLo + hi*st}
+			mergeChunk(view, segs, stride, key, send)
 		}
-		mergeChunk(view, segs, stride, key, send)
 	}
 	var out int64
 	ws2, err := extmem.RunOrdered(ctx, cfg, shared2, len(splitters)+1, mergeTask, workers, sortStreamDepth, func(_ int, batch []extmem.Word) {

@@ -22,8 +22,8 @@ import (
 // across shards. RunOrdered is the worker pool built on these pieces. It
 // has two clients: emsort's parallel sorts, whose outputs are word
 // batches, and trienum.RunTuples, the runner of every engine that emits
-// tuples (the triangle engines, the Section 6 tuple engine, the diff
-// kernel and the cluster shards).
+// tuples (the triangle engines, the Section 6 engines, the diff kernel
+// and the cluster shards).
 
 // Snapshot returns the contents of the whole blocks covering ext as a
 // native slice. Dirty cached blocks overlapping the extent are written
@@ -107,20 +107,21 @@ func NewShardSpace(cfg Config, shared []Word) *Space {
 }
 
 // RunOrdered executes tasks 0, 1, …, n-1 on up to workers goroutines, each
-// owning one shard Space over the shared region (NewShardSpace): task(i,
-// shard, send) runs task i and hands its outputs, in the task's own order,
-// to send, which reports false once the pool is unwinding — the task
-// should then return. consume receives every task's outputs in task order
-// on the calling goroutine. Between tasks a worker releases its scratch
-// and drops its cache, so each task runs cold, exactly as on a fresh
-// shard. It returns the per-worker stats.
+// owning one shard Space over the shared region (NewShardSpace): task(i)
+// makes task i on the one goroutine that dispatches tasks, in index order,
+// and what it returns runs on a worker, handing its outputs, in the task's
+// own order, to send, which reports false once the pool is unwinding —
+// the task should then return. consume receives every task's outputs in
+// task order on the calling goroutine. Between tasks a worker releases
+// its scratch and drops its cache, so each task runs cold, exactly as on
+// a fresh shard. It returns the per-worker stats.
 //
 // The pool streams: a task may run at most depth outputs ahead of the
 // consumer before its send blocks, and tasks are dispatched at most
 // 2·workers ahead of the task being consumed, so the pool holds
 // O(workers · depth) outputs however large the result is. It holds no
-// state per task beyond that window either — a task's output stream is
-// made when the task is dispatched — so n may be as large as the caller's
+// state per task beyond that window either — a task and its output stream
+// are made when it is dispatched — so n may be as large as the caller's
 // index space.
 //
 // When ctx is cancelled (a nil ctx never is), the consumer takes no
@@ -129,13 +130,13 @@ func NewShardSpace(cfg Config, shared []Word) *Space {
 // drains before RunOrdered returns ctx.Err() with the stats accumulated
 // so far. A panicking consumer unwinds the pool the same way before the
 // panic propagates: no goroutine outlives the call.
-func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, n int, task func(i int, shard *Space, send func(T) bool), workers, depth int, consume func(task int, out T)) ([]Stats, error) {
+func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, n int, task func(i int) func(shard *Space, send func(T) bool), workers, depth int, consume func(task int, out T)) ([]Stats, error) {
 	if n <= 0 {
 		return nil, ctxutil.Err(ctx)
 	}
 	workers = min(max(workers, 1), n)
 	type job struct {
-		i      int
+		run    func(shard *Space, send func(T) bool)
 		stream chan T
 	}
 	jobs := make(chan job)
@@ -161,7 +162,7 @@ func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, n int, ta
 			base := shard.Mark()
 			for j := range jobs {
 				alive := true
-				task(j.i, shard, func(out T) bool {
+				j.run(shard, func(out T) bool {
 					if alive {
 						select {
 						case j.stream <- out:
@@ -188,7 +189,7 @@ func RunOrdered[T any](ctx context.Context, cfg Config, shared []Word, n int, ta
 				return
 			}
 			select {
-			case jobs <- job{i, stream}:
+			case jobs <- job{task(i), stream}:
 			case <-done:
 				return
 			}

@@ -215,6 +215,13 @@ func TestNewShardSpaceRejectsRaggedRegion(t *testing.T) {
 	NewShardSpace(shardCfg(), make([]Word, 17))
 }
 
+// byIndex is a RunOrdered task made from its index alone.
+func byIndex[T any](task func(i int, shard *Space, send func(T) bool)) func(int) func(*Space, func(T) bool) {
+	return func(i int) func(*Space, func(T) bool) {
+		return func(shard *Space, send func(T) bool) { task(i, shard, send) }
+	}
+}
+
 // TestRunOrderedDeliversInTaskOrder: tasks that finish in reverse order
 // still reach the consumer in task order.
 func TestRunOrderedDeliversInTaskOrder(t *testing.T) {
@@ -236,7 +243,7 @@ func TestRunOrderedDeliversInTaskOrder(t *testing.T) {
 		close(finished[i])
 	}
 	var got []int
-	_, err := RunOrdered(nil, shardCfg(), make([]Word, 16), n, task, n, 2, func(task, out int) {
+	_, err := RunOrdered(nil, shardCfg(), make([]Word, 16), n, byIndex(task), n, 2, func(task, out int) {
 		if out/10 != task {
 			t.Errorf("task %d delivered output %d", task, out)
 		}
@@ -275,7 +282,7 @@ func TestRunOrderedStatsInvariantAcrossWorkers(t *testing.T) {
 	}
 	var want Stats
 	for _, workers := range []int{1, 2, 8} {
-		ws, err := RunOrdered(nil, cfg, shared, 8, task, workers, 1, func(int, Word) {})
+		ws, err := RunOrdered(nil, cfg, shared, 8, byIndex(task), workers, 1, func(int, Word) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +327,7 @@ func TestRunOrderedUnwinds(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	consumed := 0
-	_, err := RunOrdered(ctx, shardCfg(), make([]Word, 16), 16, task, 4, 1, func(int, int) {
+	_, err := RunOrdered(ctx, shardCfg(), make([]Word, 16), 16, byIndex(task), 4, 1, func(int, int) {
 		consumed++
 		cancel()
 	})
@@ -339,7 +346,7 @@ func TestRunOrderedUnwinds(t *testing.T) {
 				t.Fatal("consumer panic did not propagate")
 			}
 		}()
-		RunOrdered(nil, shardCfg(), make([]Word, 16), 16, task, 4, 1, func(int, int) { panic("consumer failure") })
+		RunOrdered(nil, shardCfg(), make([]Word, 16), 16, byIndex(task), 4, 1, func(int, int) { panic("consumer failure") })
 	}()
 	waitNoLeak(before)
 }
@@ -360,9 +367,9 @@ func TestRunOrderedHoldsNoStatePerTask(t *testing.T) {
 	before := heap()
 	var mid uint64
 	next := 0
-	_, err := RunOrdered(nil, Config{M: 1 << 8, B: 1 << 4, Native: true}, nil, n, func(i int, _ *Space, send func(int) bool) {
+	_, err := RunOrdered(nil, Config{M: 1 << 8, B: 1 << 4, Native: true}, nil, n, byIndex(func(i int, _ *Space, send func(int) bool) {
 		send(i)
-	}, 2, 1, func(task, out int) {
+	}), 2, 1, func(task, out int) {
 		if task != next || out != task {
 			t.Fatalf("task %d delivered %d, want task %d", task, out, next)
 		}

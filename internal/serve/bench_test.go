@@ -85,12 +85,13 @@ func BenchmarkE20ServeQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkE20PagedStream reads a native CacheAware triangle stream of
-// the wire workload's stream graph (powerlaw:n=4000,m=20000,beta=2.1 on
-// M = 2^12, B = 2^6, Workers 1) through the handler in pages of 10,000,
-// each resumed from the previous page's cursor, and fails unless the
-// pages concatenate to the unpaged stream on every iteration. A resumed
-// page starts at the decomposition unit its cursor names, so the paged
+// BenchmarkE20PagedStream reads two native streams of the wire workload's
+// stream graph (powerlaw:n=4000,m=20000,beta=2.1 on M = 2^12, B = 2^6,
+// Workers 1), CacheAware triangles and 4-cliques, through the handler in
+// pages of 10,000, each resumed from the previous page's cursor, and
+// fails unless the pages concatenate to the unpaged stream on every
+// iteration. A resumed page starts at the decomposition unit its cursor
+// names (a Lemma 1 pass or color triple, a color tuple), so the paged
 // stream costs one enumeration plus a set-up per page, not a replay of
 // the stream's prefix per page. Reported: pages (per stream) and
 // xUnpaged (the paged stream's wall-clock over the fastest of three
@@ -108,7 +109,7 @@ func BenchmarkE20PagedStream(b *testing.B) {
 	}
 	defer s.Close()
 	h := s.Handler()
-	query := func(req QueryRequest) ([]byte, QueryTrailer) {
+	query := func(b *testing.B, req QueryRequest) ([]byte, QueryTrailer) {
 		body, _ := json.Marshal(req)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/g/query", bytes.NewReader(body)))
@@ -123,37 +124,46 @@ func BenchmarkE20PagedStream(b *testing.B) {
 		}
 		return raw[:nl], trailer
 	}
-	first := QueryRequest{Seed: 1, Workers: 1, Native: true}
-	var want []byte
-	unpaged := time.Duration(1 << 62)
-	for range 3 {
-		t0 := time.Now()
-		want, _ = query(first)
-		unpaged = min(unpaged, time.Since(t0))
-	}
-
-	const pageSize = 10000
-	pages := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var got []byte
-		req := first
-		req.Limit = pageSize
-		for pages = 1; ; pages++ {
-			data, trailer := query(req)
-			got = append(got, data...)
-			if trailer.Cursor == "" {
-				break
+	for _, stream := range []struct {
+		name  string
+		first QueryRequest
+	}{
+		{"triangles", QueryRequest{Seed: 1, Workers: 1, Native: true}},
+		{"cliques4", QueryRequest{Kind: "cliques", K: 4, Seed: 1, Workers: 1, Native: true}},
+	} {
+		b.Run(stream.name, func(b *testing.B) {
+			var want []byte
+			unpaged := time.Duration(1 << 62)
+			for range 3 {
+				t0 := time.Now()
+				want, _ = query(b, stream.first)
+				unpaged = min(unpaged, time.Since(t0))
 			}
-			req = QueryRequest{Cursor: trailer.Cursor, Limit: pageSize}
-		}
-		if !bytes.Equal(got, want) {
-			b.Fatalf("%d pages concatenate to %d bytes, not the unpaged %d", pages, len(got), len(want))
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(pages), "pages")
-	if b.N > 0 {
-		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(unpaged), "xUnpaged")
+
+			const pageSize = 10000
+			pages := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var got []byte
+				req := stream.first
+				req.Limit = pageSize
+				for pages = 1; ; pages++ {
+					data, trailer := query(b, req)
+					got = append(got, data...)
+					if trailer.Cursor == "" {
+						break
+					}
+					req = QueryRequest{Cursor: trailer.Cursor, Limit: pageSize}
+				}
+				if !bytes.Equal(got, want) {
+					b.Fatalf("%d pages concatenate to %d bytes, not the unpaged %d", pages, len(got), len(want))
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(pages), "pages")
+			if b.N > 0 {
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(unpaged), "xUnpaged")
+			}
+		})
 	}
 }

@@ -181,23 +181,25 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		stats extmem.Stats
 		err   error
 	}
-	solveTuple := func(i int, sp *extmem.Space, out *trienum.Sink) tupleResult {
-		order := slices.Clone(owned[i*k : (i+1)*k])
-		sp.ResetStats()
-		release := sp.LeaseAtMost(C*C + 1) // the offset index
-		edges, off := layOutTuple(sp, buckets, C, order)
-		solve := f.tupleSolver(C, col.Color)
-		var r tupleResult
-		for more := true; more && r.err == nil; more = cluster.NextOrdering(order) {
-			// A cancelled query stops between orderings, as the
-			// single-process engine stops between tuples.
-			if r.err = ctx.Err(); r.err == nil {
-				r.err = solve(sp, edges, off, order, out.Tuple)
+	solveTuple := func(i int) func(*extmem.Space, *trienum.Sink) tupleResult {
+		return func(sp *extmem.Space, out *trienum.Sink) tupleResult {
+			order := slices.Clone(owned[i*k : (i+1)*k])
+			sp.ResetStats()
+			release := sp.LeaseAtMost(C*C + 1) // the offset index
+			edges, off := layOutTuple(sp, buckets, C, order)
+			solve := f.tupleSolver(C, col.Color)
+			var r tupleResult
+			for more := true; more && r.err == nil; more = cluster.NextOrdering(order) {
+				// A cancelled query stops between orderings, as the
+				// single-process engine stops between tuples.
+				if r.err = ctx.Err(); r.err == nil {
+					r.err = solve(sp, edges, off, order, out.Tuple)
+				}
 			}
+			release()
+			r.stats = sp.Stats()
+			return r
 		}
-		release()
-		r.stats = sp.Stats()
-		return r
 	}
 	tr.Subproblems = len(owned) / k
 	x := trienum.Exec{Workers: req.Workers, Ctx: ctx}

@@ -17,11 +17,13 @@ import (
 // identity and the generation whose image it ran on. The token also
 // names the decomposition unit that holds the last emission delivered
 // and the unit's first emission (repro.Position), so a resumed page
-// starts the engine at that unit and drops only the unit's emissions
-// before Pos; queries without units (cliques, matches, ordered streams,
-// the sequential baselines) name unit 0 and replay from the start. A
-// token minted before the unit fields existed carries neither and
-// resumes by replay too. Either way the suffix delivered is
+// starts the engine at that unit — a Lemma 1 pass, color triple or
+// planner task of a triangle query, a color tuple of a clique or match
+// query — and drops only the unit's emissions before Pos; queries
+// without units (ordered streams, the sequential baselines) name unit 0
+// and replay from the start. A token minted before the unit fields
+// existed carries neither, and a clique or match token minted before
+// their tuples were units names unit 0: both resume by replay too. Either way the suffix delivered is
 // byte-identical to what the uncursored stream would have carried from
 // that position, which the wire-contract tests pin.
 //

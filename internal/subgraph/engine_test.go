@@ -241,13 +241,15 @@ func TestTupleEngineCancellation(t *testing.T) {
 
 // TestTupleEngineHoldsNoStatePerTuple: a plan of c^k = 2^20 color tuples,
 // the size of the largest pattern plan, keeps no state per tuple in the
-// engine or the pool. Half way through, the live heap is within a few
-// MiB of where it started, where one task or stream per tuple, made up
-// front, would hold over 100 MiB; every tuple is still solved once.
+// color-coded step or the pool. A 64-clique colored v mod 32 fills every
+// color-pair bucket, so the clique rule lists every tuple. Half way
+// through, the live heap is within a few MiB of where it started, where
+// one task or stream per tuple, made up front, would hold over 100 MiB;
+// every tuple is still solved once.
 func TestTupleEngineHoldsNoStatePerTuple(t *testing.T) {
 	const k, c = 4, 32
 	sp := extmem.NewSpace(extmem.Config{M: 1 << 12, B: 1 << 6, Native: true})
-	g := graph.CanonicalizeList(sp, graph.GNM(100, 400, 1))
+	g := graph.CanonicalizeList(sp, graph.Clique(64))
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -257,7 +259,7 @@ func TestTupleEngineHoldsNoStatePerTuple(t *testing.T) {
 	before := heap()
 	var solved atomic.Int64
 	var mid atomic.Uint64
-	solve := func(_ *extmem.Space, _ extmem.Extent, _ []int64, tuple []int, _ *Info, _ EmitK) error {
+	solve := func(_ *extmem.Space, _ extmem.Extent, _ []int64, tuple []int, _ *struct{}, _ *trienum.Sink) error {
 		solved.Add(1)
 		if slices.Equal(tuple, []int{c / 2, 0, 0, 0}) {
 			mid.Store(heap())
@@ -265,7 +267,7 @@ func TestTupleEngineHoldsNoStatePerTuple(t *testing.T) {
 		return nil
 	}
 	colorOf := func(v uint32) uint32 { return v % c }
-	if _, _, err := solveTuples(sp, g, k, c, colorOf, trienum.Exec{Workers: 2}, solve, func([]uint32) {}); err != nil {
+	if _, _, _, err := trienum.ColorCoded(trienum.Exec{Workers: 2}, sp, g.Edges, colorOf, c, trienum.CliqueRule(k), 0, solve, func([]uint32) {}, func(struct{}) {}); err != nil {
 		t.Fatal(err)
 	}
 	if got := solved.Load(); got != 1<<20 {

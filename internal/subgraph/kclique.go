@@ -5,18 +5,19 @@
 // colors split the problem into c^k subproblems of expected size O(k²·M),
 // each solved in internal memory.
 //
-// One tuple engine serves both families, cliques (KCliqueParallel) and
-// connected patterns (Pattern.EnumerateParallel). Like the triangle
-// engine's color triples, the c^k color tuples share nothing once the
-// color-pair buckets are laid out, so the engine runs them as tasks of
-// the trienum worker pool, each on a cold worker shard, and replays their
-// emissions in tuple order: the stream, Info and summed statistics are
-// identical at every worker count.
+// Both families, cliques (KCliqueParallel) and connected patterns
+// (Pattern.EnumerateParallel), run the triangle engines' color-coded step,
+// trienum.ColorCoded, at their k. The color tuples share nothing once the
+// color-pair buckets are laid out, so each tuple that can hold a match is
+// a task of the trienum worker pool, on a cold worker shard, and a
+// decomposition unit; the emissions are replayed in tuple order, so the
+// stream, Info and summed statistics are identical at every worker count.
 package subgraph
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -42,16 +43,17 @@ type Info struct {
 	MaxSubproblem int64
 }
 
-// KCliqueParallel enumerates all k-cliques (k >= 3) of g on the tuple
-// engine (see the package notes), with x's workers and context. Emission
-// order follows the decomposition, not any global order, and is the same
-// at every x.Workers. x.Ctx (which may be nil) is checked cooperatively
-// between color-tuple subproblems; on cancellation the enumeration stops
-// early and returns x.Ctx.Err(), with the cliques already emitted forming
-// a prefix of the full stream. The color tuples are one decomposition
-// unit: x.From must be 0 (ErrFrom otherwise) and x.OnUnit is never
-// called. It returns the per-worker statistics of the tuple phase, which
-// sp's Stats do not include.
+// KCliqueParallel enumerates all k-cliques (k >= 3) of g with the
+// color-coded step (see the package notes), with x's workers and context.
+// Emission order follows the decomposition, not any global order, and is
+// the same at every x.Workers. x.Ctx (which may be nil) is checked
+// cooperatively between color-tuple subproblems; on cancellation the
+// enumeration stops early and returns x.Ctx.Err(), with the cliques
+// already emitted forming a prefix of the full stream. Each color tuple
+// the step lists is a decomposition unit, in lexicographic order:
+// x.From skips the tuples before it (ErrFrom past the last), Info's
+// Subproblems and MaxSubproblem then covering only the tuples run. It
+// returns the per-worker statistics, which sp's Stats do not include.
 //
 // The coloring has c colors, c the smallest power of two with
 // c² >= ⌊E/M⌋, halved while the c^k color tuples exceed 2^22 so the tuple
@@ -67,22 +69,31 @@ func KCliqueParallel(sp *extmem.Space, g graph.Canonical, k int, seed uint64, x 
 	if int64(k-1) > 2*E/int64(k) {
 		// A k-clique has C(k,2) edges; with fewer there is nothing to
 		// find, and nothing below is sized by k until this holds.
-		return Info{}, nil, nil
+		return Info{}, nil, x.CheckFrom(0)
 	}
 	c := tupleColors(E, sp.Config().M, k, 1<<22)
+	info := Info{Colors: c}
 	// A k-clique v1<...<vk with colors (ξ(v1),...,ξ(vk)) is found in
 	// exactly that tuple's subproblem. The workers reuse tables from
 	// tuple to tuple.
 	var tables sync.Pool
-	solve := func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error {
+	colorOf := hashing.NewColoring(hashing.NewRand(seed), c).Color
+	_, _, ws, err := trienum.ColorCoded(x, sp, g.Edges, colorOf, c, trienum.CliqueRule(k), 0, func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, r *Info, out *trienum.Sink) error {
 		t, _ := tables.Get().(*CliqueTables)
 		if t == nil {
 			t = new(CliqueTables)
 		}
 		defer tables.Put(t)
-		return t.Solve(shard, edges, off, c, tuple, info, emit)
-	}
-	return solveTuples(sp, g, k, c, hashing.NewColoring(hashing.NewRand(seed), c).Color, x, solve, emit)
+		return t.Solve(shard, edges, off, c, tuple, r, out.Tuple)
+	}, emit, info.add)
+	return info, ws, err
+}
+
+// add merges one color tuple's Info into the run's.
+func (i *Info) add(t Info) {
+	i.Cliques += t.Cliques
+	i.Subproblems += t.Subproblems
+	i.MaxSubproblem = max(i.MaxSubproblem, t.MaxSubproblem)
 }
 
 // KClique is KCliqueParallel on one worker, under ctx (which may be nil),
@@ -97,74 +108,6 @@ func KClique(ctx context.Context, sp *extmem.Space, g graph.Canonical, k int, se
 	return info, err
 }
 
-// tupleSolve solves one color tuple on a worker shard, over the
-// color-pair buckets laid out in edges, bucket (a,b) at
-// [off[a·c+b], off[a·c+b+1]), adding to info and passing every match to
-// emit.
-type tupleSolve func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error
-
-// tupleResult is one color tuple's share of the run: its Info and error.
-type tupleResult struct {
-	info Info
-	err  error
-}
-
-// solveTuples is the tuple engine behind KCliqueParallel and
-// Pattern.EnumerateParallel. The coordinator distributes g's edges into
-// the c² color-pair buckets under colorOf (graph.ColorBuckets, so its
-// I/Os do not depend on the worker count) and freezes them with
-// Snapshot. The c^k color tuples of length k, in lexicographic order,
-// are then the tasks of trienum.RunTuples: tuple i is built from i when
-// a worker takes it, and solved by solve on a cold shard that leases the
-// c²+1-word offset index, as the triangle tasks do. Emissions are
-// replayed and the tuples' Info merged in tuple order; the first failing
-// tuple ends the run with its error.
-func solveTuples(sp *extmem.Space, g graph.Canonical, k, c int, colorOf func(uint32) uint32, x trienum.Exec, solve tupleSolve, emit EmitK) (Info, []extmem.Stats, error) {
-	info := Info{Colors: c}
-	if x.From != 0 {
-		return info, nil, fmt.Errorf("%w: unit %d of 1", trienum.ErrFrom, x.From)
-	}
-	x.OnUnit = nil // the tuples are one unit, not RunTuples' one per task
-	mark := sp.Mark()
-	defer sp.Release(mark)
-	edges, off := graph.ColorBuckets(sp, g.Edges, colorOf, c)
-	parent := x.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	if err := parent.Err(); err != nil {
-		return info, nil, err
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	x.Ctx = ctx
-	var failed error
-	E := edges.Len()
-	ws, err := trienum.RunTuples(x, sp.Config(), sp.Snapshot(edges), k, pow(c, k), func(i int, shard *extmem.Space, out *trienum.Sink) tupleResult {
-		tuple := make([]int, k)
-		for j := k - 1; j >= 0; j-- {
-			tuple[j], i = i%c, i/c
-		}
-		release := shard.LeaseAtMost(c*c + 1)
-		defer release()
-		var r tupleResult
-		r.err = solve(shard, shard.ExtentAt(0, E), off, tuple, &r.info, out.Tuple)
-		return r
-	}, emit, func(r tupleResult) {
-		info.Cliques += r.info.Cliques
-		info.Subproblems += r.info.Subproblems
-		info.MaxSubproblem = max(info.MaxSubproblem, r.info.MaxSubproblem)
-		if r.err != nil && failed == nil {
-			failed = r.err
-			cancel() // the pool delivers no later tuple's emissions
-		}
-	})
-	if failed != nil {
-		err = failed // not the cancellation it caused
-	}
-	return info, ws, err
-}
-
 // tupleColors is the color count of the Section 6 decomposition: the
 // smallest power of two c with c² >= ⌊E/M⌋, halved while the c^k color
 // tuples exceed maxTuples.
@@ -173,7 +116,7 @@ func tupleColors(E int64, M, k, maxTuples int) int {
 	for c*c < int(E)/M {
 		c *= 2
 	}
-	for c > 1 && pow(c, k) > maxTuples {
+	for c > 1 && math.Pow(float64(c), float64(k)) > float64(maxTuples) {
 		c /= 2
 	}
 	return c
@@ -205,22 +148,23 @@ type CliqueTables struct {
 // buckets and extends cliques depth-first in ascending vertex order, so
 // the stream is a pure function of the subproblem. It is the one clique
 // tuple solver: KCliqueParallel and the cluster shards, which lay out only the
-// buckets of their owned color tuples, both call it.
+// buckets of their owned color tuples, both call it. A tuple that
+// trienum.CliqueRule does not admit has no clique, and it returns nil.
 func (t *CliqueTables) Solve(sp *extmem.Space, edges extmem.Extent, off []int64, c int, tuple []int, info *Info, emit EmitK) error {
+	k := len(tuple)
+	if !trienum.CliqueRule(k).Admits(off, c, tuple) {
+		return nil
+	}
 	// The distinct bucket ranges of the position pairs; the pair (0,1)
 	// comes first, so range 0 is E_{τ0,τ1}.
 	type rng struct{ lo, hi int64 }
 	var ranges []rng
 	var colors []extmem.Word // ξ(v) of each range's edges (u,v)
 	var total int64
-	k := len(tuple)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			b := tuple[i]*c + tuple[j]
 			r := rng{off[b], off[b+1]}
-			if r.lo == r.hi {
-				return nil // a required bucket is empty: no cliques here
-			}
 			if !slices.Contains(ranges, r) {
 				ranges = append(ranges, r)
 				colors = append(colors, extmem.Word(tuple[j]))
@@ -348,15 +292,4 @@ func intersectSorted(dst, a, b []extmem.Word) []extmem.Word {
 		}
 	}
 	return dst
-}
-
-func pow(b, e int) int {
-	r := 1
-	for i := 0; i < e; i++ {
-		r *= b
-		if r > 1<<30 {
-			return 1 << 30
-		}
-	}
-	return r
 }

@@ -25,6 +25,7 @@ type Pattern struct {
 	order []int   // connected search order (searchOrder)
 	back  []uint8 // per search step, the earlier H-neighbours
 	name  string
+	rule  trienum.Rule // each H-edge needs a G-edge in either orientation
 }
 
 // NewPattern builds a pattern from an edge list over vertices 0..k-1.
@@ -48,6 +49,7 @@ func NewPattern(name string, k int, edges [][2]int) (*Pattern, error) {
 	}
 	p.auts = p.automorphisms()
 	p.order, p.back = p.searchOrder()
+	p.rule = trienum.Rule{K: k, Pairs: p.Edges(), Either: true}
 	return p, nil
 }
 
@@ -301,20 +303,23 @@ func (p *Pattern) Minimize(assign []uint32) {
 //
 // The decomposition follows Section 6: a 4-wise independent coloring with
 // c colors splits the work into c^k color-tuple subproblems whose bucket
-// unions are expected to be small; each subproblem is solved in internal
-// memory, as a task of the tuple engine (see the package notes). x's
-// workers, context and unit contract, the stream's determinism and the
-// returned per-worker statistics are as in KCliqueParallel.
+// unions are expected to be small; each subproblem the color-coded step
+// lists is solved in internal memory on a worker shard (see the package
+// notes). x's workers, context and unit contract, the stream's
+// determinism and the returned per-worker statistics are as in
+// KCliqueParallel.
 func (p *Pattern) EnumerateParallel(sp *extmem.Space, g graph.Canonical, seed uint64, x trienum.Exec, emit EmitK) (Info, []extmem.Stats, error) {
 	E := g.Edges.Len()
 	if E == 0 {
-		return Info{}, nil, nil
+		return Info{}, nil, x.CheckFrom(0)
 	}
 	c := tupleColors(E, sp.Config().M, p.k, 1<<20)
+	info := Info{Colors: c}
 	colorOf := hashing.NewColoring(hashing.NewRand(seed), c).Color
-	return solveTuples(sp, g, p.k, c, colorOf, x, func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, info *Info, emit EmitK) error {
-		return p.SolveTuple(shard, edges, off, c, colorOf, tuple, info, emit)
-	}, emit)
+	_, _, ws, err := trienum.ColorCoded(x, sp, g.Edges, colorOf, c, p.rule, 0, func(shard *extmem.Space, edges extmem.Extent, off []int64, tuple []int, r *Info, out *trienum.Sink) error {
+		return p.SolveTuple(shard, edges, off, c, colorOf, tuple, r, out.Tuple)
+	}, emit, info.add)
+	return info, ws, err
 }
 
 // SolveTuple enumerates the embeddings of one color tuple — position i
@@ -324,8 +329,12 @@ func (p *Pattern) EnumerateParallel(sp *extmem.Space, g graph.Canonical, seed ui
 // internal memory, emitting each Aut(H) orbit's lexicographically least
 // embedding. It is the one pattern tuple solver: EnumerateParallel and
 // the cluster shards, which lay out only the buckets of their owned color
-// tuples, both call it.
+// tuples, both call it. A tuple that the pattern's rule does not admit has
+// no copy, and it returns nil.
 func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c int, colorOf func(uint32) uint32, tuple []int, info *Info, emit EmitK) error {
+	if !p.rule.Admits(off, c, tuple) {
+		return nil
+	}
 	// Bucket for an H-edge (i, j): G stores an edge under the color pair
 	// (ξ(min), ξ(max)); since we do not know which mapped endpoint will be
 	// smaller, take both (τi, τj) and (τj, τi).
@@ -347,9 +356,6 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 	}
 	for _, e := range p.Edges() {
 		a, b := tuple[e[0]], tuple[e[1]]
-		if off[a*c+b] == off[a*c+b+1] && off[b*c+a] == off[b*c+a+1] {
-			return nil // this H-edge has no candidate G-edges: no copies
-		}
 		addBucket(a, b)
 		addBucket(b, a)
 	}

@@ -1,6 +1,7 @@
 package trienum
 
 import (
+	"cmp"
 	"math"
 
 	"repro/internal/ctxutil"
@@ -41,7 +42,7 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 	E := g.Edges.Len()
 	ctx := exec.Ctx
 	if err := ctxutil.Err(ctx); err != nil || E == 0 {
-		return info, nil, err
+		return info, nil, cmp.Or(err, exec.CheckFrom(0))
 	}
 	cfg := sp.Config()
 	mark := sp.Mark()
@@ -75,8 +76,9 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 // triple (0,0,0), so it too runs with no copy); otherwise they are merged
 // into scratch allocated on sp, preserving sort order. It is the one
 // triple solver: the engine's tasks (solveColoredParallel), one per
-// triple in either mode, and the cluster shards, which lay out only the
-// buckets of their owned color tuples, both call it.
+// listed triple in either mode, and the cluster shards, which lay out
+// only the buckets of their owned color tuples, both call it. A triple
+// that CliqueRule(3) does not admit has no triangle, and it returns.
 //
 // The two cone buckets are all the triple needs. A triangle v<u<w of
 // colors (τ1,τ2,τ3) has cone edges (v,u) ∈ E_{τ1,τ2} and (v,w) ∈ E_{τ1,τ3}
@@ -86,11 +88,11 @@ func CacheAwareParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec E
 // own triple, and in the order the paper's edge set for the triple,
 // E_{τ1,τ2} ∪ E_{τ1,τ3} ∪ E_{τ2,τ3} with only τ1-cones kept, gives it.
 func SolveTriple(sp *extmem.Space, edges extmem.Extent, off []int64, c, t1, t2, t3 int, emit graph.Emit) {
+	if !CliqueRule(3).Admits(off, c, []int{t1, t2, t3}) {
+		return
+	}
 	cones, cone13 := bucketAt(edges, off, c, t1, t2), bucketAt(edges, off, c, t1, t3)
 	pivots := bucketAt(edges, off, c, t2, t3)
-	if pivots.Len() == 0 || cones.Len() == 0 || cone13.Len() == 0 {
-		return // an edge of every triangle of the triple is missing
-	}
 	if t3 != t2 {
 		mark := sp.Mark()
 		defer sp.Release(mark)
@@ -117,30 +119,6 @@ func highDegreeCut(g graph.Canonical, e, m float64) int {
 func bucketAt(edges extmem.Extent, off []int64, c, t1, t2 int) extmem.Extent {
 	i := t1*c + t2
 	return edges.Slice(off[i], off[i+1])
-}
-
-// forEachTriple visits the color triples (τ1,τ2,τ3) in the canonical order
-// both execution modes share, skipping triples whose buckets cannot
-// contain a triangle. The order is part of the emission contract: the
-// engine replays completed triples in exactly this sequence.
-func forEachTriple(off []int64, c int, fn func(t1, t2, t3 int)) {
-	empty := func(t1, t2 int) bool {
-		i := t1*c + t2
-		return off[i+1] == off[i]
-	}
-	for t1 := 0; t1 < c; t1++ {
-		for t2 := 0; t2 < c; t2++ {
-			if empty(t1, t2) {
-				continue // no {v1,v2} edges for this (τ1,τ2)
-			}
-			for t3 := 0; t3 < c; t3++ {
-				if empty(t1, t3) || empty(t2, t3) {
-					continue
-				}
-				fn(t1, t2, t3)
-			}
-		}
-	}
 }
 
 // mergeSortedInto merges the sorted extents a and b into the prefix of

@@ -1,6 +1,7 @@
 package trienum
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -48,7 +49,7 @@ func DeterministicParallel(sp *extmem.Space, g graph.Canonical, exec Exec, emit 
 	E := g.Edges.Len()
 	ctx := exec.Ctx
 	if err := ctxutil.Err(ctx); err != nil || E == 0 {
-		return info, nil, err
+		return info, nil, cmp.Or(err, exec.CheckFrom(0))
 	}
 	workers := exec.workers()
 	mark := sp.Mark()

@@ -1,6 +1,7 @@
 package trienum
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -87,7 +88,7 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	E := g.Edges.Len()
 	ctx := exec.Ctx
 	if err := ctxutil.Err(ctx); err != nil || E == 0 {
-		return info, nil, err
+		return info, nil, cmp.Or(err, exec.CheckFrom(0))
 	}
 	cfg := sp.Config()
 	mark := sp.Mark()
@@ -109,7 +110,7 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	}
 	o.recurse(0, E, [3]uint32{1, 1, 1}, 0, hashing.NewRand(seed))
 	if p.err == nil {
-		p.err = exec.checkFrom(p.units)
+		p.err = exec.CheckFrom(p.units)
 	}
 	if p.err != nil {
 		return info, nil, p.err
@@ -117,9 +118,11 @@ func ObliviousParallel(sp *extmem.Space, g graph.Canonical, seed uint64, exec Ex
 	for len(p.arena)%cfg.B != 0 {
 		p.arena = append(p.arena, 0) // shard cores are whole blocks
 	}
-	stats, err := RunTuples(exec, cfg, p.arena, 3, len(p.tasks), func(i int, shard *extmem.Space, out *Sink) struct{} {
-		p.tasks[i](shard, out.Triangle)
-		return struct{}{}
+	stats, err := RunTuples(exec, cfg, p.arena, 3, len(p.tasks), func(i int) func(*extmem.Space, *Sink) struct{} {
+		return func(shard *extmem.Space, out *Sink) struct{} {
+			p.tasks[i](shard, out.Triangle)
+			return struct{}{}
+		}
 	}, triangles(emit), nil)
 	for _, u := range p.infos {
 		mergeObInfo(&info, u)

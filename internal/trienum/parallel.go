@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/ctxutil"
 	"repro/internal/emio"
 	"repro/internal/emsort"
 	"repro/internal/extmem"
@@ -41,10 +40,10 @@ import (
 // Every task is one decomposition unit, in either mode and at any worker
 // count. Units are numbered in emission order across a run's phases,
 // which is what lets a run start part-way (Exec.From): the Lemma 1 passes
-// come first, then the color triples in forEachTriple order (one color
-// has one triple). The numbering depends only on the input and the
-// machine, so a run from unit u emits exactly the full stream's suffix
-// from u's first emission.
+// come first, then the color triples the color-coded step lists, in
+// lexicographic order (ColorCoded; one color has one triple). The
+// numbering depends only on the input and the machine, so a run from unit
+// u emits exactly the full stream's suffix from u's first emission.
 
 // Exec configures the parallel execution engine.
 type Exec struct {
@@ -70,7 +69,7 @@ type Exec struct {
 	// it must not be negative. A unit is one pool task, in either mode
 	// and at any worker count: ObliviousParallel's units are its
 	// planner's tasks, the others' are the Lemma 1 passes and then the
-	// color triples, numbered as the engine notes above say. The set-up (copy-in, Lemma 1 compaction, color-pair
+	// color tuples ColorCoded lists, numbered as the engine notes say. The set-up (copy-in, Lemma 1 compaction, color-pair
 	// distribution, oblivious planner) runs in full and earlier units
 	// are never dispatched, so the run emits the full stream's suffix
 	// from unit From's first emission. Its Info still describes the whole
@@ -95,9 +94,9 @@ func (x Exec) workers() int {
 	return x.Workers
 }
 
-// checkFrom fails a run of the given number of units when From names
-// none of them.
-func (x Exec) checkFrom(units int) error {
+// CheckFrom fails a run of the given number of units, ErrFrom, when From
+// names none of them; a run of no units accepts only From 0.
+func (x Exec) CheckFrom(units int) error {
 	if x.From != 0 && x.From >= units {
 		return fmt.Errorf("%w: unit %d of %d", ErrFrom, x.From, units)
 	}
@@ -178,20 +177,21 @@ type poolBatch[R any] struct {
 }
 
 // RunTuples is the one runner of every engine that emits tuples: the
-// triangle engines' Lemma 1 passes, color triples and §3 planner tasks,
-// Section 6's color tuples, the diff kernel's anchor chunks and a
+// triangle engines' Lemma 1 passes and §3 planner tasks, the color-coded
+// step's color tuples (ColorCoded), the diff kernel's anchor chunks and a
 // cluster shard's owned tuples. It runs tasks 0, …, n-1 on x.Workers of
 // the extmem ordered worker pool, each on a cold shard Space over shared
 // (the coordinator's frozen layout at address 0, see extmem.RunOrdered),
 // and emits every task's k-tuples in task order on the calling
-// goroutine. task(i, shard, out) solves task i, passing its emissions to
-// out, and returns its result; done, when non-nil, receives it on the
-// calling goroutine after the task's last emission, and a task the pool
-// unwinds in is never done. Task i is decomposition unit x.From+i, and
-// x.OnUnit, when set, hears of it before its first emission; the caller
-// checks x.From against its units. The plan is task itself: the pool
-// builds each task's state when it dispatches it, so nothing is held per
-// task and n may be as large as the engine's index space.
+// goroutine. task(i) makes task i, in index order, and what it returns
+// solves it, passing its emissions to out, and returns its result; done,
+// when non-nil, receives it on the calling goroutine after the task's
+// last emission, and a task the pool unwinds in is never done. Task i is
+// decomposition unit x.From+i, and x.OnUnit, when set, hears of it before
+// its first emission; the caller checks x.From against its units. The
+// plan is task itself: the pool makes each task when it dispatches it, so
+// nothing is held per task and n may be as large as the engine's index
+// space.
 //
 // emit receives each k-tuple as a slice of a delivered batch, valid only
 // during the call. Batches hold at most emitBatch emissions, so workers
@@ -199,18 +199,21 @@ type poolBatch[R any] struct {
 // delivered batch is reused, so a run allocates O(workers · streamDepth)
 // of them however much it emits. Returns the per-worker stats and, on
 // cancellation, x.Ctx's error.
-func RunTuples[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int, shard *extmem.Space, out *Sink) R, emit func(t []uint32), done func(R)) ([]extmem.Stats, error) {
+func RunTuples[R any](x Exec, cfg extmem.Config, shared []extmem.Word, k, n int, task func(i int) func(shard *extmem.Space, out *Sink) R, emit func(t []uint32), done func(R)) ([]extmem.Stats, error) {
 	// Room for every batch the pool can hold: per task in flight, its
 	// stream's and the one being filled or delivered.
 	free := make(chan []uint32, 2*min(x.workers(), n)*(streamDepth+2))
 	last := -1
-	return extmem.RunOrdered(x.Ctx, cfg, shared, n, func(i int, shard *extmem.Space, send func(poolBatch[R]) bool) {
-		out := Sink{k: k, free: free, alive: true, send: func(flat []uint32) bool {
-			return send(poolBatch[R]{flat: flat})
-		}}
-		r := task(i, shard, &out)
-		if out.alive {
-			send(poolBatch[R]{flat: out.flat, last: true, r: r})
+	return extmem.RunOrdered(x.Ctx, cfg, shared, n, func(i int) func(*extmem.Space, func(poolBatch[R]) bool) {
+		run := task(i)
+		return func(shard *extmem.Space, send func(poolBatch[R]) bool) {
+			out := Sink{k: k, free: free, alive: true, send: func(flat []uint32) bool {
+				return send(poolBatch[R]{flat: flat})
+			}}
+			r := run(shard, &out)
+			if out.alive {
+				send(poolBatch[R]{flat: out.flat, last: true, r: r})
+			}
 		}
 	}, x.workers(), streamDepth, func(i int, b poolBatch[R]) {
 		if len(b.flat) > 0 {
@@ -264,14 +267,16 @@ func highDegreeParallel(x Exec, sp *extmem.Space, work extmem.Extent, g graph.Ca
 	if n := g.NumVertices - r0 - x.From; n > 0 {
 		var err error
 		// Pass i is unit x.From+i, the vertex of rank NumVertices-1-x.From-i.
-		stats, err = RunTuples(x, cfg, sp.Snapshot(work), 3, n, func(i int, shard *extmem.Space, out *Sink) struct{} {
+		stats, err = RunTuples(x, cfg, sp.Snapshot(work), 3, n, func(i int) func(*extmem.Space, *Sink) struct{} {
 			vr := uint32(g.NumVertices - 1 - x.From - i)
-			enumerateContaining(shard, shard.ExtentAt(0, E), vr, emsort.SortRecords, func(u, w uint32) {
-				if w < vr {
-					out.Triangle(u, w, vr)
-				}
-			})
-			return struct{}{}
+			return func(shard *extmem.Space, out *Sink) struct{} {
+				enumerateContaining(shard, shard.ExtentAt(0, E), vr, emsort.SortRecords, func(u, w uint32) {
+					if w < vr {
+						out.Triangle(u, w, vr)
+					}
+				})
+				return struct{}{}
+			}
 		}, triangles(emit), nil)
 		if err != nil {
 			return 0, stats, err
@@ -297,59 +302,20 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 }
 
 // solveColoredParallel runs steps 2 and 3 shared by the cache-aware
-// randomized and the deterministic algorithms: partition edges by the
-// color pair of their endpoints under colorOf, then solve every color
-// triple with the kernel. The coordinator distributes the edges into
-// color-pair buckets with graph.ColorBuckets — sequential, so its I/Os do
-// not depend on the worker count — and freezes them; each non-empty
-// triple is one RunTuples task, whose cone-bucket merge and kernel run
-// happen on a worker shard (SolveTriple). One color is no special case:
-// its one triple (0,0,0) is the kernel over the whole edge set,
-// Hu–Tao–Chung. The triples are units base, base+1, … of the run, and
-// those before x.From are skipped. edges must be in canonical order; it
-// is left unchanged.
+// randomized and the deterministic algorithms: the color-coded step at
+// k = 3 (ColorCoded), whose listed triples are units base, base+1, … and
+// are each solved on a worker shard by SolveTriple. One color is no
+// special case: its one triple (0,0,0) is the kernel over the whole edge
+// set, Hu–Tao–Chung. It adds Lemma 3's X_ξ and the triples listed to info.
 func solveColoredParallel(x Exec, sp *extmem.Space, edges extmem.Extent, colorOf func(uint32) uint32, c, base int, info *Info, emit graph.Emit) ([]extmem.Stats, error) {
-	E := edges.Len()
-	if E == 0 {
-		if err := x.checkFrom(base); err != nil {
-			return nil, err
-		}
-		return nil, ctxutil.Err(x.Ctx)
+	off, n, ws, err := ColorCoded(x, sp, edges, colorOf, c, CliqueRule(3), base, func(shard *extmem.Space, edges extmem.Extent, off []int64, t []int, _ *struct{}, out *Sink) error {
+		SolveTriple(shard, edges, off, c, t[0], t[1], t[2], out.Triangle)
+		return nil
+	}, triangles(emit), func(struct{}) {})
+	for b := 0; b+1 < len(off); b++ {
+		m := uint64(off[b+1] - off[b])
+		info.X += m * (m - 1) / 2 // Lemma 3's X_ξ: pairs of edges sharing a bucket
 	}
-	// The c²+1 bucket offsets are native words of internal memory, leased
-	// by Distribute while it builds them and by every shard that consults
-	// them — within budget under the paper's assumption c² = E/M <= M,
-	// i.e. M >= sqrt(E).
-	buckets, off := graph.ColorBuckets(sp, edges, colorOf, c)
-	for b := 0; b < c*c; b++ {
-		n := uint64(off[b+1] - off[b])
-		info.X += n * (n - 1) / 2 // Lemma 3's X_ξ: pairs of edges sharing a bucket
-	}
-	if err := ctxutil.Err(x.Ctx); err != nil {
-		return nil, err
-	}
-	shared := sp.Snapshot(buckets)
-
-	var triples [][3]int // the triples from unit max(base, x.From) on
-	units := base
-	forEachTriple(off, c, func(t1, t2, t3 int) {
-		if units >= x.From {
-			triples = append(triples, [3]int{t1, t2, t3})
-		}
-		units++
-		info.Subproblems++
-	})
-	if err := x.checkFrom(units); err != nil {
-		return nil, err
-	}
-	x.From = max(base, x.From)
-	return RunTuples(x, sp.Config(), shared, 3, len(triples), func(i int, shard *extmem.Space, out *Sink) struct{} {
-		// The shard consults the same c²+1-word bucket index the
-		// coordinator built; charge it the same internal memory.
-		release := shard.LeaseAtMost(c*c + 1)
-		defer release()
-		t := triples[i]
-		SolveTriple(shard, shard.ExtentAt(0, E), off, c, t[0], t[1], t[2], out.Triangle)
-		return struct{}{}
-	}, triangles(emit), nil)
+	info.Subproblems += n
+	return ws, err
 }

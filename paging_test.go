@@ -69,15 +69,15 @@ var pagedQueries = []pagedQuery{
 	{"deterministic", true, []uint64{1, 7}, []int{1, 4}, pagedTriangles(Deterministic, false)},
 	{"hutaochung", false, []uint64{1, 7}, []int{1, 4}, pagedTriangles(HuTaoChung, false)},
 	{"ordered", false, []uint64{1, 7}, []int{1, 4}, pagedTriangles(CacheAware, true)},
-	{"cliques4", false, []uint64{1, 7}, []int{1, 4}, func(g *Graph, q Query, emit func([]uint32)) (Result, error) {
+	{"cliques4", true, []uint64{1, 7}, []int{1, 4}, func(g *Graph, q Query, emit func([]uint32)) (Result, error) {
 		return g.CliquesFunc(context.Background(), 4, q, emit)
 	}},
-	// Every page of a match replays its producer from the start, and a
+	// A page of a match re-solves the color tuple it resumes in, and a
 	// diamond search through the hub costs ~0.1 s per run, so the diamond
 	// pages by 7 from Workers 1 only (its pages still alternate with
-	// Workers 4); the clique and ordered rows cover page size 1 and both
-	// starts on the same replay path.
-	{"diamond", false, []uint64{7}, []int{1}, func(g *Graph, q Query, emit func([]uint32)) (Result, error) {
+	// Workers 4); the clique row covers page size 1 and both starts on
+	// the same color-tuple units.
+	{"diamond", true, []uint64{7}, []int{1}, func(g *Graph, q Query, emit func([]uint32)) (Result, error) {
 		return g.MatchFunc(context.Background(), PatternDiamond, q, emit)
 	}},
 }
@@ -184,14 +184,15 @@ func TestPagedFromNext(t *testing.T) {
 // then the rest of the stream from its Next: the two must concatenate to
 // the unpaged stream. nexts are the positions after each emission (page
 // size 1), which also show that the run has several units that emit,
-// the first of them unit 0.
+// the first of them unit 0 — except for the 4-cliques, whose first
+// color tuples hold none, so three units must emit.
 func checkUnitBoundary(t *testing.T, name string, g *Graph, pq pagedQuery, q Query, nexts []Position, ref string) {
 	t.Helper()
 	units := map[int]bool{}
 	for _, p := range nexts {
 		units[p.Unit] = true
 	}
-	if !units[0] || len(units) < 3 {
+	if len(units) < 3 || !units[0] && pq.name != "cliques4" {
 		t.Fatalf("%s: emissions fall in units %v; the test needs unit 0 and at least two more", name, units)
 	}
 	b := 0 // the first emission that begins a unit after the first
@@ -225,28 +226,43 @@ func checkUnitBoundary(t *testing.T, name string, g *Graph, pq pagedQuery, q Que
 }
 
 // TestInvalidPosition pins the positions Query.From refuses, each with
-// ErrInvalidPosition and before any emission.
+// ErrInvalidPosition and before any emission; on an edgeless graph,
+// whose queries have no unit, that includes unit 1 of every query with
+// units.
 func TestInvalidPosition(t *testing.T) {
 	g := pagingGraph(t)
-	cases := []struct {
+	edgeless, err := Build(FromEdges([][2]uint32{{1, 1}}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { edgeless.Close() })
+	type invalidCase struct {
 		name string
+		g    *Graph
 		pq   pagedQuery
 		from Position
-	}{
-		{"unit starts after the position", pagedQueries[0], Position{Emitted: 3, Unit: 2, UnitStart: 4}},
-		{"negative unit", pagedQueries[0], Position{Emitted: 3, Unit: -1}},
-		{"unit 0 not at emission 0", pagedQueries[0], Position{Emitted: 3, UnitStart: 1}},
-		{"unit on an ordered stream", pagedQueries[4], Position{Emitted: 3, Unit: 1, UnitStart: 2}},
-		{"unit on a baseline", pagedQueries[3], Position{Emitted: 3, Unit: 1, UnitStart: 2}},
-		{"unit on a clique query", pagedQueries[5], Position{Emitted: 3, Unit: 1, UnitStart: 2}},
-		{"cacheaware unit past the last", pagedQueries[0], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
-		{"oblivious unit past the last", pagedQueries[1], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
-		{"deterministic unit past the last", pagedQueries[2], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+	}
+	cases := []invalidCase{
+		{"unit starts after the position", g, pagedQueries[0], Position{Emitted: 3, Unit: 2, UnitStart: 4}},
+		{"negative unit", g, pagedQueries[0], Position{Emitted: 3, Unit: -1}},
+		{"unit 0 not at emission 0", g, pagedQueries[0], Position{Emitted: 3, UnitStart: 1}},
+		{"unit on an ordered stream", g, pagedQueries[4], Position{Emitted: 3, Unit: 1, UnitStart: 2}},
+		{"unit on a baseline", g, pagedQueries[3], Position{Emitted: 3, Unit: 1, UnitStart: 2}},
+		{"cacheaware unit past the last", g, pagedQueries[0], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+		{"oblivious unit past the last", g, pagedQueries[1], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+		{"deterministic unit past the last", g, pagedQueries[2], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+		{"cliques unit past the last", g, pagedQueries[5], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+		{"match unit past the last", g, pagedQueries[6], Position{Emitted: 3, Unit: 1 << 20, UnitStart: 3}},
+	}
+	for _, pq := range pagedQueries {
+		if pq.units {
+			cases = append(cases, invalidCase{"edgeless " + pq.name + " unit 1", edgeless, pq, Position{Emitted: 3, Unit: 1, UnitStart: 3}})
+		}
 	}
 	for _, c := range cases {
 		for _, mode := range []ExecMode{ModeSimulated, ModeNative} {
 			n := 0
-			_, err := c.pq.run(g, Query{Seed: 3, Mode: mode, From: c.from}, func([]uint32) { n++ })
+			_, err := c.pq.run(c.g, Query{Seed: 3, Mode: mode, From: c.from}, func([]uint32) { n++ })
 			if !errors.Is(err, ErrInvalidPosition) || n != 0 {
 				t.Errorf("%s, mode %d: err %v after %d emissions; want ErrInvalidPosition before any", c.name, mode, err, n)
 			}

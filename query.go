@@ -72,12 +72,13 @@ type Query struct {
 	// delivers the stream's emissions from From.Emitted on, so pages
 	// read with Limit and From = the previous page's Next concatenate to
 	// the unpaged stream. CacheAware, CacheOblivious and Deterministic
-	// triangle queries in engine order start at From's decomposition
-	// unit, so a resumed page costs its set-up plus the units from its
-	// position, and its Stats, and CacheOblivious's Subproblems and
-	// HighDegVertices, cover only that work; every other query replays
-	// its producer from the start and drops the first From.Emitted
-	// emissions. A position that cannot belong to the query fails with
+	// triangle queries, cliques and matches in engine order start at
+	// From's decomposition unit, so a resumed page costs its set-up plus
+	// the units from its position, and its Stats, CacheOblivious's
+	// Subproblems and HighDegVertices, and a clique or match query's
+	// Subproblems and MaxSubproblem cover only that work; ordered streams
+	// and the baselines replay their producer from the start and drop
+	// the first From.Emitted emissions. A position that cannot belong to the query fails with
 	// ErrInvalidPosition before any emission; one built by hand can only
 	// misplace this query's own stream. The zero Position is the
 	// stream's start.
@@ -96,9 +97,10 @@ type Triangle struct{ A, B, C uint32 }
 // Result.Next reports it and Query.From resumes from it. Emitted is the
 // number of emissions before the point. Unit is the decomposition unit
 // that holds the last of them — a Lemma 1 pass or a color triple of
-// CacheAware and Deterministic, a planner task of CacheOblivious, and 0
-// for every other query — and UnitStart is the number of emissions
-// before that unit's first one. Units are a pure function of the image
+// CacheAware and Deterministic, a planner task of CacheOblivious, a
+// color tuple of a clique or match query, and 0 for ordered streams and
+// the baselines — and UnitStart is the number of emissions before that
+// unit's first one. Units are a pure function of the image
 // and the query, invariant in Workers and Mode, so a Position is valid
 // for every run of the same query on the same generation.
 type Position struct {
@@ -110,8 +112,8 @@ type Position struct {
 // ErrInvalidPosition reports a Query.From that cannot be a position of
 // the query's stream: a unit starting after the position, a negative
 // unit or a unit 0 not starting at emission 0, a unit other than 0 on an
-// ordered stream or on a query without units, or a unit past the
-// query's last.
+// ordered stream or on a baseline, which have no units, or a unit past
+// the query's last (any unit but 0 on a graph without edges).
 var ErrInvalidPosition = errors.New("repro: invalid query position")
 
 // check reports whether p can be a position of a query whose engine
@@ -457,7 +459,7 @@ func (g *Graph) Triangles(ctx context.Context, q Query) iter.Seq2[Triangle, erro
 // counts only. Like every query, it runs on its own session and may
 // overlap other queries of the handle.
 func (g *Graph) CliquesFunc(ctx context.Context, k int, q Query, emit func(clique []uint32)) (Result, error) {
-	return g.query(ctx, q, k, false, slices.Sort[[]uint32], emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+	return g.query(ctx, q, k, true, slices.Sort[[]uint32], emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
 		info, workerStats, err := subgraph.KCliqueParallel(s.sp, s.cg, k, q.Seed, x, emit)
 		return subgraphResult(info, x), workerStats, err
 	})
@@ -493,7 +495,7 @@ func (g *Graph) MatchFunc(ctx context.Context, p *Pattern, q Query, emit func(as
 	if q.Ordered {
 		canon = p.Normalize
 	}
-	return g.query(ctx, q, p.K(), false, canon, emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
+	return g.query(ctx, q, p.K(), true, canon, emit, func(s *session, x trienum.Exec, emit subgraph.EmitK) (Result, []extmem.Stats, error) {
 		info, workerStats, err := p.p.EnumerateParallel(s.sp, s.cg, q.Seed, x, emit)
 		return subgraphResult(info, x), workerStats, err
 	})
