@@ -22,9 +22,11 @@ import (
 //     to a write-ahead log at <DiskPath>.wal, fsynced before the new
 //     generation becomes current, so a crash between Updates replays on
 //     Open to the exact generation;
-//   - Checkpoint (and Close) atomically promote the current generation's
-//     image over DiskPath — write a temp file, fsync, rename, fsync the
-//     directory — and truncate the log it makes obsolete.
+//   - every generation is written as a complete image, footer included,
+//     to its own file <DiskPath>.g<n>; Build promotes generation 0, and
+//     Checkpoint (and Close) promote the current generation, atomically
+//     — fsync the file, rename it over DiskPath, fsync the directory —
+//     and truncate the log it makes obsolete.
 //
 // The recovery contract is the library-wide byte-identity contract: the
 // reopened or crash-recovered graph is byte-identical (emission, Result,
@@ -64,8 +66,8 @@ type OpenResult struct {
 	AdoptIOs uint64
 	// Cleaned counts stale handle-lifetime files of a crashed previous
 	// life (session scratch <path>.q<n>, merge scratch <path>.u<n>,
-	// generation images <path>.g<n>, checkpoint temps <path>.ckpt)
-	// removed before adoption.
+	// generation images <path>.g<n>, and the checkpoint temps
+	// <path>.ckpt that earlier releases wrote) removed before adoption.
 	Cleaned int
 }
 
@@ -139,7 +141,7 @@ func Open(path string, opts Options) (*Graph, OpenResult, error) {
 		return nil, or, err
 	}
 
-	g := &Graph{opts: opts, cur: gen, persistedGen: meta.Generation}
+	g := &Graph{opts: opts, cur: gen}
 	g.drain.L = &g.mu
 
 	// Replay the write-ahead log past the image's generation. Records at
@@ -188,15 +190,15 @@ func Open(path string, opts Options) (*Graph, OpenResult, error) {
 }
 
 // Checkpoint durably promotes the current generation over the image at
-// Options.DiskPath — write-temp, fsync, atomic rename, directory fsync —
-// and truncates the write-ahead log it makes obsolete, so the next Open
-// adopts the current generation directly with nothing to replay. A
-// handle whose current generation is already the persisted one only
-// truncates the log. Close checkpoints implicitly; call Checkpoint
-// mid-life to bound replay work after a crash. Queries keep running
-// throughout (the promotion only reads the frozen generation); updates
-// wait, as they do for each other. Checkpoint is an error on
-// memory-backed graphs and after Close.
+// Options.DiskPath — fsync its file, rename it over DiskPath, fsync the
+// directory — and truncates the write-ahead log it makes obsolete, so
+// the next Open adopts the current generation directly with nothing to
+// replay. A handle whose current generation is already the image at
+// DiskPath only truncates the log. Close checkpoints implicitly; call
+// Checkpoint mid-life to bound replay work after a crash. Queries keep
+// running throughout (the rename leaves the frozen generation's bytes
+// where its readers read them); updates wait, as they do for each
+// other. Checkpoint is an error on memory-backed graphs and after Close.
 func (g *Graph) Checkpoint() error {
 	if g.opts.DiskPath == "" {
 		return errors.New("repro: Checkpoint needs a disk-backed graph (Options.DiskPath)")
@@ -209,39 +211,26 @@ func (g *Graph) Checkpoint() error {
 		return err
 	}
 	defer g.unpin(cur)
-	g.mu.Lock()
-	persisted := g.persistedGen
-	g.mu.Unlock()
-
-	if cur.meta.Generation > persisted {
-		if err := g.promote(cur); err != nil {
-			return err
-		}
-		g.mu.Lock()
-		g.persistedGen = cur.meta.Generation
-		g.mu.Unlock()
+	if err := g.promote(cur); err != nil {
+		return err
 	}
 	return g.walReset()
 }
 
 // writeImageFooter stamps a freshly written image with its durable
 // footer at byte offset offsetWords*8 — just past the block-rounded
-// watermark, where no session ever reads — and fsyncs, completing a
-// Build's image file.
+// watermark, where no session ever reads — completing the image file.
+// promote fsyncs it.
 func writeImageFooter(path string, offsetWords int64, meta graph.ImageMeta) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(meta.EncodeFooter(), offsetWords*8); err != nil {
-		f.Close()
-		return err
+	_, err = f.WriteAt(meta.EncodeFooter(), offsetWords*8)
+	if cErr := f.Close(); err == nil {
+		err = cErr
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return err
 }
 
 // readImageMeta reads and validates the footer of a durable image,
@@ -313,51 +302,26 @@ func adoptRankTable(opts Options, gen *generation) (uint64, []uint32, error) {
 	return sp.Stats().IOs(), rankToID, nil
 }
 
-// promote atomically replaces the image at DiskPath with gen's: copy the
-// generation file plus a fresh footer into <DiskPath>.ckpt, fsync,
-// rename over DiskPath, fsync the directory. A crash at any point leaves
-// either the old image or the new one — never a mix — plus at worst a
-// stale temp file that the next Open removes. The caller must hold a
-// reference on gen (so its file cannot be removed mid-copy) and updates
-// persistedGen on success.
+// promote makes gen durable: fsync its image file, rename it over the
+// image at DiskPath, fsync the directory. A crash at any point leaves
+// either the old image or the new one at DiskPath — never a mix — plus
+// at worst the complete generation file, which the next Open removes.
+// Open readers of either file keep reading it: the rename moves no byte.
+// Afterwards gen has no file of its own, so a generation whose path is ""
+// is durable and promote is a no-op. The caller must hold a reference on
+// gen, so its file cannot be removed meanwhile.
 func (g *Graph) promote(gen *generation) error {
 	if gen.path == "" {
-		return nil // gen is the DiskPath image itself
+		return nil
 	}
-	dst := g.opts.DiskPath
-	tmp := dst + ".ckpt"
-	in, err := os.Open(gen.path)
-	if err != nil {
+	if err := syncPath(gen.path); err != nil {
 		return err
 	}
-	defer in.Close()
-	out, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := os.Rename(gen.path, g.opts.DiskPath); err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		out.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := io.CopyN(out, in, gen.coreWords()*8); err != nil && err != io.EOF {
-		return fail(err)
-	}
-	if _, err := out.WriteAt(gen.meta.EncodeFooter(), gen.coreWords()*8); err != nil {
-		return fail(err)
-	}
-	if err := out.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dst)
+	gen.path = ""
+	return syncPath(filepath.Dir(g.opts.DiskPath))
 }
 
 // walPath names the write-ahead log of a durable image.
@@ -424,8 +388,9 @@ func (g *Graph) closeWAL(remove bool) error {
 
 // removeStaleSiblings removes the handle-lifetime files a crashed (or
 // previous) process left next to a durable image: session scratch
-// (.q<n>), merge scratch (.u<n>), generation images (.g<n>), and
-// checkpoint temps (.ckpt). Build also drops the old write-ahead log —
+// (.q<n>), merge scratch (.u<n>), generation images (.g<n>), and the
+// checkpoint temps (.ckpt) that earlier releases wrote and a crash of one
+// can still leave. Build also drops the old write-ahead log —
 // a rebuild starts a fresh durable life, and stale records must never
 // replay onto the new image — while Open keeps it for replay.
 func removeStaleSiblings(imagePath string, alsoWAL bool) (int, error) {
@@ -449,15 +414,15 @@ func removeStaleSiblings(imagePath string, alsoWAL bool) (int, error) {
 	return n, nil
 }
 
-// syncDir fsyncs the directory holding path, making a just-renamed file
-// durable.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
+// syncPath fsyncs the file or directory at path: a file's written
+// bytes, or a directory's entries after a rename.
+func syncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cErr := d.Close(); err == nil {
+	err = f.Sync()
+	if cErr := f.Close(); err == nil {
 		err = cErr
 	}
 	return err

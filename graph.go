@@ -99,10 +99,6 @@ type Graph struct {
 	// generation's core (which happens on a query drain, with nobody to
 	// report to); Close surfaces it.
 	releaseErr error
-	// persistedGen is the generation durably stored in the image at
-	// DiskPath: 0 after Build, the footer's generation after Open,
-	// advanced by Checkpoint and the Close promotion. Guarded by mu.
-	persistedGen uint64
 
 	// subs are the live standing queries (see Subscribe), keyed by their
 	// registration sequence number. Guarded by mu; the install path of an
@@ -126,17 +122,18 @@ type Graph struct {
 // pointer. meta is exactly the footer a durable image of this generation
 // carries (graph.ImageMeta; CanonIOs is what this process paid), and
 // layout is its graph.LayoutFor address map: every dimension, base and
-// watermark of the image derives from the two. Disk-backed update
-// generations own a file (<DiskPath>.g<n>) that is removed when the
-// refcount drains; the Build image at DiskPath itself outlives the
-// handle, as before.
+// watermark of the image derives from the two. A disk-backed generation
+// is written as a complete image, footer included, to its own file
+// <DiskPath>.g<n>, which is removed when the refcount drains unless
+// promote has renamed it over DiskPath first: a generation is durable
+// exactly when it has no file of its own.
 type generation struct {
 	meta   graph.ImageMeta
 	layout graph.CanonLayout
 
 	core     extmem.Core
 	coreFile *extmem.FileCore
-	path     string   // file to remove on release ("" for gen 0 and memory graphs)
+	path     string   // the generation's own image file ("" once promoted, and on memory graphs)
 	rankToID []uint32 // the O(V) rank→id index the image's ByDeg table holds
 
 	refs int // readers pinning this generation, +1 while current
@@ -156,6 +153,54 @@ func (gen *generation) open(opts Options, native bool, scratch string) (*extmem.
 	return extmem.NewSessionSpace(cfg, gen.core, gen.coreWords(), scratch)
 }
 
+// imagePath names generation n's own image file, <DiskPath>.g<n>, or ""
+// on a memory-backed graph.
+func (o Options) imagePath(n uint64) string {
+	if o.DiskPath == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s.g%d", o.DiskPath, n)
+}
+
+// newImage returns the Space a generation's image is laid out in: the
+// file at path (truncated), or process memory when path is "".
+func newImage(opts Options, path string) (*extmem.Space, error) {
+	cfg := extmem.Config{M: opts.MemoryWords, B: opts.BlockWords}
+	if path == "" {
+		return extmem.NewSpace(cfg), nil
+	}
+	return extmem.NewFileSpace(cfg, path)
+}
+
+// freeze turns sp, the Space gen's image was laid out in from address 0,
+// into gen's immutable core. A memory image is snapshotted (writing back
+// the dirty blocks). A disk image is flushed and closed, stamped with its
+// footer just past the block-rounded watermark — sessions never read at
+// or beyond coreWords, so the image bytes stay identical to the model's
+// view — and reopened read-only as the core, so every generation file is
+// a complete image Open could adopt (see FORMAT.md). A failed disk freeze
+// removes the file.
+func (gen *generation) freeze(sp *extmem.Space) error {
+	if gen.path == "" {
+		gen.core = extmem.WordsCore(sp.Snapshot(sp.ExtentAt(0, gen.layout.Mark)))
+		return sp.Close()
+	}
+	sp.Flush()
+	err := sp.Close()
+	if err == nil {
+		err = writeImageFooter(gen.path, gen.coreWords(), gen.meta)
+	}
+	if err == nil {
+		gen.coreFile, err = extmem.NewFileCore(gen.path)
+	}
+	if err != nil {
+		os.Remove(gen.path)
+		return err
+	}
+	gen.core = gen.coreFile
+	return nil
+}
+
 // canonical rebinds the generation's canonical extents into sp, a Space
 // opened over its core.
 func (gen *generation) canonical(sp *extmem.Space) graph.Canonical {
@@ -170,8 +215,9 @@ func (gen *generation) canonical(sp *extmem.Space) graph.Canonical {
 // Build ingests edges from src, canonicalizes them once — O(sort(E))
 // I/Os, run on the parallel external-memory sorts at Options.Workers —
 // and freezes the canonical region into the handle's immutable core.
-// Graphs with Options.DiskPath set leave the canonical image in the file
-// at that path and serve queries from it; Close the handle to release it.
+// Graphs with Options.DiskPath set write the canonical image to
+// <DiskPath>.g0, rename it over the file at DiskPath (which stays intact
+// until then) and serve queries from it; Close the handle to release it.
 func Build(src Source, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -182,8 +228,6 @@ func Build(src Source, opts Options) (*Graph, error) {
 		return nil, err
 	}
 
-	emCfg := extmem.Config{M: opts.MemoryWords, B: opts.BlockWords}
-	var sp *extmem.Space
 	if opts.DiskPath != "" {
 		// A Build starts a fresh durable life at DiskPath: drop any
 		// write-ahead log, generation image, scratch, or checkpoint temp a
@@ -192,12 +236,11 @@ func Build(src Source, opts Options) (*Graph, error) {
 		if _, err := removeStaleSiblings(opts.DiskPath, true); err != nil {
 			return nil, err
 		}
-		sp, err = extmem.NewFileSpace(emCfg, opts.DiskPath)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		sp = extmem.NewSpace(emCfg)
+	}
+	path := opts.imagePath(0)
+	sp, err := newImage(opts, path)
+	if err != nil {
+		return nil, err
 	}
 
 	var el graph.EdgeList
@@ -229,49 +272,27 @@ func Build(src Source, opts Options) (*Graph, error) {
 			CanonIOs:    canonStats.IOs(),
 		},
 		layout:   graph.LayoutFor(rawLen, cg.Edges.Len(), int64(cg.NumVertices), opts.BlockWords),
+		path:     path,
 		rankToID: cg.RankToID,
 		refs:     1, // the handle's current pointer
 	}
-	mark := sp.Mark()
-	if gen.layout.EdgeOut != cg.Edges.Base() || gen.layout.DegOut != cg.Degrees.Base() || gen.layout.Mark != mark {
+	if mark := sp.Mark(); gen.layout.EdgeOut != cg.Edges.Base() || gen.layout.DegOut != cg.Degrees.Base() || gen.layout.Mark != mark {
+		sp.Close()
 		return nil, fmt.Errorf("repro: internal: canonical layout drift (edges %d/%d, degrees %d/%d, mark %d/%d)",
 			gen.layout.EdgeOut, cg.Edges.Base(), gen.layout.DegOut, cg.Degrees.Base(), gen.layout.Mark, mark)
 	}
-	// Freeze the canonicalized region [0, mark) into the immutable core.
-	// Memory-backed graphs take the one Snapshot here (writing back the
-	// build cache's dirty blocks; those write-backs are part of the build,
-	// not of any query, and canonStats is already captured). Disk-backed
-	// graphs flush the image to the backing file instead and serve the
-	// core from it read-only, so the frozen graph does not have to fit in
-	// process memory.
-	if opts.DiskPath != "" {
-		sp.Flush()
-		if err := sp.Sync(); err != nil {
-			sp.Close()
-			return nil, err
-		}
-		if err := sp.Close(); err != nil {
-			return nil, err
-		}
-		// Stamp the durable footer just past the image words — sessions
-		// never read at or beyond coreWords, so the image bytes stay
-		// identical to the model's view — making the file a self-describing
-		// artifact that Open can validate and adopt (see FORMAT.md).
-		if err := writeImageFooter(opts.DiskPath, gen.coreWords(), gen.meta); err != nil {
-			return nil, err
-		}
-		fc, err := extmem.NewFileCore(opts.DiskPath)
-		if err != nil {
-			return nil, err
-		}
-		gen.core, gen.coreFile = fc, fc
-	} else {
-		gen.core = extmem.WordsCore(sp.Snapshot(sp.ExtentAt(0, mark)))
-		sp.Close()
+	// Freeze the canonicalized region into the immutable core; its final
+	// write-backs are part of the build, not of any query, and canonStats
+	// is already captured. A disk-backed core is served from its file, so
+	// the frozen graph does not have to fit in process memory.
+	if err := gen.freeze(sp); err != nil {
+		return nil, err
 	}
-
 	g := &Graph{opts: opts, cur: gen}
 	g.drain.L = &g.mu
+	if err := g.promote(gen); err != nil {
+		return nil, errors.Join(err, gen.release())
+	}
 	return g, nil
 }
 
@@ -367,9 +388,9 @@ func (g *Graph) unpin(gen *generation) {
 }
 
 // release frees the generation's core, once, when its last reference
-// goes: superseded disk generations close and remove their
-// <DiskPath>.g<n> file; the Build image at DiskPath is closed but kept.
-// The canonical metadata survives for the accessors.
+// goes: a disk generation closes its file and removes it unless it was
+// promoted to DiskPath, which is kept. The canonical metadata survives
+// for the accessors.
 func (gen *generation) release() error {
 	gen.core = nil
 	var err error
@@ -389,19 +410,19 @@ func (gen *generation) release() error {
 // ErrGraphClosed — waits for the active queries and updates to finish,
 // and releases every generation: superseded cores were already dropped
 // when their last reader drained, and the current one is released here
-// (closing the canonical-image file of disk-backed graphs and removing
-// any <DiskPath>.g<n> update image). Disk-backed handles first checkpoint
-// implicitly: the current generation is atomically promoted over the
-// image at DiskPath and the now-obsolete write-ahead log is removed, so a
-// cleanly closed image stands alone — the next Open adopts the latest
-// generation with nothing to replay. If the promotion fails, the log is
-// kept: the old image plus the log still replays to the current
-// generation. Closing an already-closed Graph is a no-op. Close also
-// surfaces the first failure, if any, from releasing a superseded
-// generation earlier in the handle's life (those releases run when a
-// query drains, where no caller can receive the error). Close must not be
-// called from inside an emit callback or iterator body of this handle: it
-// would wait for the very query it is running under.
+// (closing the image file of disk-backed graphs). Disk-backed handles
+// first checkpoint implicitly: the current generation's image is renamed
+// over the image at DiskPath and the now-obsolete write-ahead log is
+// removed, so a cleanly closed image stands alone — the next Open adopts
+// the latest generation with nothing to replay. If the promotion fails,
+// the generation's file is removed and the log is kept: the old image
+// plus the log still replays to the current generation. Closing an
+// already-closed Graph is a no-op. Close also surfaces the first failure,
+// if any, from releasing a superseded generation earlier in the handle's
+// life (those releases run when a query drains, where no caller can
+// receive the error). Close must not be called from inside an emit
+// callback or iterator body of this handle: it would wait for the very
+// query it is running under.
 //
 // The handle's canonical metadata outlives Close: NumVertices, NumEdges,
 // CanonIOs, Generation, and Options keep answering with the values of the
@@ -426,18 +447,11 @@ func (g *Graph) Close() error {
 		}
 		var promoteErr, walErr error
 		if g.opts.DiskPath != "" {
-			walObsolete := true
-			if g.cur.meta.Generation > g.persistedGen {
-				if promoteErr = g.promote(g.cur); promoteErr == nil {
-					g.persistedGen = g.cur.meta.Generation
-				} else {
-					// Keep the log: the durable state (persisted image plus
-					// WAL) still replays to the current generation on the
-					// next Open.
-					walObsolete = false
-				}
-			}
-			walErr = g.closeWAL(walObsolete)
+			// If the promotion fails, keep the log: the durable state (the
+			// image at DiskPath plus the WAL) still replays to the current
+			// generation on the next Open.
+			promoteErr = g.promote(g.cur)
+			walErr = g.closeWAL(promoteErr == nil)
 		}
 		g.cur.refs-- // the current pointer's own reference
 		err = errors.Join(promoteErr, walErr, g.cur.release(), g.releaseErr)

@@ -51,9 +51,6 @@ func NewGF(m int) GF {
 	return GF{m: m, poly: p}
 }
 
-// Degree returns m.
-func (f GF) Degree() int { return f.m }
-
 // Order returns 2^m.
 func (f GF) Order() uint64 { return 1 << uint(f.m) }
 

@@ -96,7 +96,7 @@ type Space struct {
 	// fields so sequential scans skip the map lookup B-1 times out of B.
 	lastBlock int64
 	lastFrame int32
-	virgin    map[int64]struct{} // blocks never materialized: first write skips the fetch
+	virgin    map[int64]struct{} // fresh blocks never written back: fetched as zero, with no I/O
 	closed    bool
 	// Native-mode storage (Config.Native): no frames, no table, no
 	// accounting. Addresses [0, natBase) read from the immutable natCore
@@ -324,9 +324,9 @@ func (s *Space) Alloc(n int64) Extent {
 	if n == 0 {
 		return Extent{sp: s, base: base, n: 0}
 	}
-	// Freshly allocated blocks are virgin: their first materialization does
-	// not need a fetch from external memory, and they read as zero even if
-	// the backend holds stale data from a released extent.
+	// Freshly allocated blocks are virgin until their first write-back: a
+	// fetch needs no transfer from external memory, and they read as zero
+	// even if the backend holds stale data from a released extent.
 	first := base >> s.logB
 	last := (s.size - 1) >> s.logB
 	for b := first; b <= last; b++ {
@@ -455,9 +455,10 @@ func (s *Space) fetch(b int64, forWrite bool) int32 {
 	fr.block = b
 	fr.dirty = false
 	if _, isVirgin := s.virgin[b]; isVirgin {
-		delete(s.virgin, b)
-		// First touch of a never-written block: contents are zero by
-		// definition; no transfer from external memory is needed.
+		// A block never written back: contents are zero by definition; no
+		// transfer from external memory is needed. The mark stays until the
+		// block's first write-back, so a clean copy evicted and fetched
+		// again still reads as zero, not as a released extent's data.
 		zero(s.data[int64(f)<<s.logB : (int64(f)+1)<<s.logB])
 	} else {
 		s.stats.BlockReads++
@@ -516,6 +517,7 @@ func (s *Space) evictLRU() {
 
 func (s *Space) writeBack(b int64, f int32) {
 	s.stats.BlockWrites++
+	delete(s.virgin, b)
 	if err := s.backend.WriteBlock(b, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB]); err != nil {
 		panic(fmt.Sprintf("extmem: write block %d: %v", b, err))
 	}

@@ -102,12 +102,13 @@ func TestCursorMalformedAlways4xx(t *testing.T) {
 		crossGraph,
 		// The unit starts after the position.
 		position(cursor{Pos: 3, Unit: 2, UnitStart: 4}),
-		// A unit on an ordered stream, and on queries without units.
+		// A unit on an ordered stream, and on a query without units.
 		position(cursor{Ordered: true, Pos: 3, Unit: 1, UnitStart: 2}),
 		position(cursor{Kind: "triangles", Algorithm: "hutaochung", Pos: 3, Unit: 1, UnitStart: 2}),
+		// A unit past the query's last: this graph is one color triple,
+		// and one color tuple of a clique or a match.
 		position(cursor{Kind: "cliques", K: 4, Pos: 3, Unit: 1, UnitStart: 2}),
 		position(cursor{Kind: "match", Pattern: "diamond", Pos: 3, Unit: 1, UnitStart: 2}),
-		// A unit past the query's last: this graph is one color triple.
 		position(cursor{Pos: 3, Unit: 1, UnitStart: 3}),
 		position(cursor{Kind: "triangles", Algorithm: "oblivious", Pos: 3, Unit: 1 << 40, UnitStart: 3}),
 		position(cursor{Kind: "triangles", Algorithm: "deterministic", Pos: 3, Unit: 1 << 20, UnitStart: 3}),

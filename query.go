@@ -270,36 +270,31 @@ func (g *Graph) query(ctx context.Context, q Query, k int, units bool, canon fun
 
 	lim, qctx, stop := newLimiter(ctx, q)
 	defer stop()
-	ord := newOrderedTuples(q, k)
-	if ord != nil {
-		// The canonical order is unknown until the enumeration is
-		// complete, so an ordered producer always runs to completion:
-		// From and the limit apply at delivery, below, not to the
-		// producer.
-		qctx = ctx
-	}
-	// pos is the stream index after the engine's latest emission, and
-	// unit and unitStart are that emission's unit and the unit's first
-	// index. The engine starts at From's unit, whose first emission is
-	// From.UnitStart; the emissions before From.Emitted are dropped.
+	// pos is the stream index after the latest emission, and unit and
+	// unitStart are that emission's unit and the unit's first index. The
+	// engine starts at From's unit, whose first emission is From.UnitStart.
 	pos, unit, unitStart := from.UnitStart, from.Unit, from.UnitStart
 	next := from
-	x := trienum.Exec{Workers: g.resolveWorkers(q), Ctx: qctx, From: from.Unit, OnUnit: func(u int) {
-		unit, unitStart = u, pos
-	}}
+	// deliver counts the stream's next emission and reports whether it is
+	// delivered: past From.Emitted and within the limit, which then sets
+	// Next to it. Stragglers past the limit are not, so Next stays at the
+	// last delivered emission.
+	deliver := func() bool {
+		if pos++; pos <= from.Emitted || !lim.admit() {
+			return false
+		}
+		next = Position{Emitted: pos, Unit: unit, UnitStart: unitStart}
+		return true
+	}
+	x := trienum.Exec{Workers: g.resolveWorkers(q), Ctx: qctx, From: from.Unit}
+	if !q.Ordered {
+		x.OnUnit = func(u int) { unit, unitStart = u, pos }
+	}
 	rankToID := s.cg.RankToID
-	var ids []uint32 // grown by the first emission, never sized by k
+	var ids, ordered []uint32 // grown by the emissions, never sized by k
 	res, workerStats, err := run(s, x, func(ranks []uint32) {
-		if ord == nil {
-			if pos++; pos <= from.Emitted || !lim.admit() {
-				return
-			}
-			// Stragglers past the limit never get here, so Next stays
-			// at the last delivered emission.
-			next = Position{Emitted: pos, Unit: unit, UnitStart: unitStart}
-			if emit == nil {
-				return
-			}
+		if !q.Ordered && (!deliver() || emit == nil) {
+			return
 		}
 		ids = ids[:0]
 		for _, r := range ranks {
@@ -308,8 +303,8 @@ func (g *Graph) query(ctx context.Context, q Query, k int, units bool, canon fun
 		if canon != nil {
 			canon(ids)
 		}
-		if ord != nil {
-			ord.add(ids)
+		if q.Ordered {
+			ordered = append(ordered, ids...)
 			return
 		}
 		emit(ids)
@@ -337,8 +332,17 @@ func (g *Graph) query(ctx context.Context, q Query, k int, units bool, canon fun
 	// running query's report.
 	res.Vertices, res.Edges, res.CanonIOs = int(s.gen.meta.NumVertices), s.gen.meta.EdgesLen, s.gen.meta.CanonIOs
 	res.Workers = max(res.Workers, 1) // sequential engines leave it zero
-	if ord != nil && err == nil {
-		next.Emitted += ord.deliver(from.Emitted, lim, emit)
+	if q.Ordered && err == nil {
+		// The canonical order is unknown until the enumeration is complete,
+		// so an ordered stream is delivered only now, from the calling
+		// goroutine, and its producer always ran to completion: the limit
+		// cancels nothing before the first delivery.
+		cluster.SortTuples(ordered, k)
+		for i := 0; i < len(ordered); i += k {
+			if deliver() && emit != nil {
+				emit(ordered[i : i+k])
+			}
+		}
 	}
 	res.Next = next
 	if lim != nil || from != (Position{}) {
@@ -521,40 +525,6 @@ func subgraphResult(info subgraph.Info, x trienum.Exec) Result {
 		MaxSubproblem: info.MaxSubproblem,
 		Workers:       x.Workers,
 	}
-}
-
-// orderedTuples buffers a Query.Ordered run's emissions — flattened ids,
-// k per emission — for sorted delivery. Created nil for plain queries,
-// so the hot path stays a nil check.
-type orderedTuples struct {
-	k    int
-	flat []uint32
-}
-
-func newOrderedTuples(q Query, k int) *orderedTuples {
-	if !q.Ordered {
-		return nil
-	}
-	return &orderedTuples{k: k}
-}
-
-func (o *orderedTuples) add(vs []uint32) { o.flat = append(o.flat, vs...) }
-
-// deliver sorts the buffered tuples into the canonical lexicographic
-// order and hands those after the first skip to emit (nil to count only)
-// through the limiter, from the calling goroutine. It returns the number
-// delivered.
-func (o *orderedTuples) deliver(skip uint64, lim *limiter, emit func([]uint32)) uint64 {
-	cluster.SortTuples(o.flat, o.k)
-	n := uint64(len(o.flat) / o.k)
-	var delivered uint64
-	for i := min(skip, n); i < n && lim.admit(); i++ {
-		if emit != nil {
-			emit(o.flat[i*uint64(o.k) : (i+1)*uint64(o.k)])
-		}
-		delivered++
-	}
-	return delivered
 }
 
 // seq adapts a callback-form query to an iterator, translating an early

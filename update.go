@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/emsort"
 	"repro/internal/extmem"
@@ -65,11 +64,12 @@ type UpdateResult struct {
 // the generation they started on and new queries pin the latest one, so
 // a query never observes a half-installed update (snapshot isolation).
 // Updates themselves are serialized with each other. Disk-backed handles
-// write each update generation to <DiskPath>.g<n> and remove it when its
-// last reader drains (the Build image at DiskPath is left untouched, so
-// it no longer reflects the handle after an effective Update); merge
-// scratch spills to a temporary <DiskPath>.u<n> file, removed when the
-// call returns.
+// write each update generation as a complete image, footer included, to
+// <DiskPath>.g<n> and remove it when its last reader drains unless a
+// Checkpoint or Close has promoted it over DiskPath first (the image at
+// DiskPath is left untouched until then, so it no longer reflects the
+// handle after an effective Update); merge scratch spills to a temporary
+// <DiskPath>.u<n> file, removed when the call returns.
 //
 // Cancellation through ctx is cooperative: the merge stops between
 // phases and sort runs, the handle keeps serving its current generation,
@@ -146,17 +146,10 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 	// it into the next generation's core.
 	eNew := m.Edges.Len()
 	lay := graph.LayoutFor(eNew, eNew, int64(m.NumVertices), g.opts.BlockWords)
-	genPath := ""
-	cfg := extmem.Config{M: g.opts.MemoryWords, B: g.opts.BlockWords}
-	var img *extmem.Space
-	if g.opts.DiskPath != "" {
-		genPath = fmt.Sprintf("%s.g%d", g.opts.DiskPath, old.meta.Generation+1)
-		img, err = extmem.NewFileSpace(cfg, genPath)
-		if err != nil {
-			return UpdateResult{}, err
-		}
-	} else {
-		img = extmem.NewSpace(cfg)
+	genPath := g.opts.imagePath(old.meta.Generation + 1)
+	img, err := newImage(g.opts, genPath)
+	if err != nil {
+		return UpdateResult{}, err
 	}
 	img.Alloc(lay.Mark)
 	m.IDEdges.CopyTo(img.ExtentAt(lay.Dedup, m.IDEdges.Len()))
@@ -192,20 +185,8 @@ func (g *Graph) applyPacked(ctx context.Context, adds, removes []extmem.Word, du
 		rankToID: m.RankToID,
 		refs:     1, // the handle's current pointer
 	}
-	if genPath != "" {
-		if err := img.Close(); err != nil {
-			os.Remove(genPath)
-			return UpdateResult{}, err
-		}
-		fc, err := extmem.NewFileCore(genPath)
-		if err != nil {
-			os.Remove(genPath)
-			return UpdateResult{}, err
-		}
-		ng.core, ng.coreFile = fc, fc
-	} else {
-		ng.core = extmem.WordsCore(img.Snapshot(img.ExtentAt(0, lay.Mark)))
-		img.Close()
+	if err := ng.freeze(img); err != nil {
+		return UpdateResult{}, err
 	}
 
 	// Durability point: log the delta — fsynced — before the generation it
