@@ -6,7 +6,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race bench bench-gated bench-compare bench-pairs bench-module examples docs lint staticcheck fmt loc clean
+.PHONY: all build test race fuzz bench bench-gated bench-compare bench-pairs bench-module examples docs lint staticcheck fmt loc clean
 
 all: lint build test
 
@@ -49,6 +49,15 @@ docs:
 race:
 	$(GO) test -race -timeout 30m -cpu=1,4 . ./internal/extmem ./internal/trienum ./internal/subgraph ./internal/diff
 	$(GO) test -race -timeout 30m ./internal/emsort ./internal/serve ./internal/cluster
+
+# A short fuzzing run of the simulated cache (FuzzSpace) and of the
+# graph update decoder (FuzzUpdateRequest), FUZZTIME each. Their seed
+# corpora also run in `go test ./...`; a failing input is written under
+# the package's testdata/fuzz.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpace$$' -fuzztime $(FUZZTIME) ./internal/extmem
+	$(GO) test -run '^$$' -fuzz '^FuzzUpdateRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # One iteration of every benchmark in every package (the CI smoke); use
 # BENCHTIME=5x etc. for real measurements.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/extmem"
 	"repro/internal/graph"
@@ -388,28 +389,34 @@ func (g *Graph) closeWAL(remove bool) error {
 
 // removeStaleSiblings removes the handle-lifetime files a crashed (or
 // previous) process left next to a durable image: session scratch
-// (.q<n>), merge scratch (.u<n>), generation images (.g<n>), and the
-// checkpoint temps (.ckpt) that earlier releases wrote and a crash of one
-// can still leave. Build also drops the old write-ahead log —
-// a rebuild starts a fresh durable life, and stale records must never
-// replay onto the new image — while Open keeps it for replay.
+// (.q<n>), merge scratch (.u<n>) and generation images (.g<n>), where n
+// is decimal digits, and the checkpoint temp (.ckpt) that earlier
+// releases wrote and a crash of one can still leave. Build also drops
+// the old write-ahead log (.wal) — a rebuild starts a fresh durable life,
+// and stale records must never replay onto the new image — while Open
+// keeps it for replay. No other name is touched: the directory is read,
+// not globbed, so a path holding glob metacharacters matches only itself.
 func removeStaleSiblings(imagePath string, alsoWAL bool) (int, error) {
-	patterns := []string{".q*", ".u*", ".g*", ".ckpt*"}
-	if alsoWAL {
-		patterns = append(patterns, ".wal")
+	dir, name := filepath.Split(imagePath)
+	entries, err := os.ReadDir(filepath.Clean(dir))
+	if err != nil {
+		return 0, err
 	}
 	n := 0
-	for _, pat := range patterns {
-		matches, err := filepath.Glob(imagePath + pat)
-		if err != nil {
+	for _, e := range entries {
+		s, ok := strings.CutPrefix(e.Name(), name+".")
+		switch {
+		case !ok:
+			continue
+		case s == "ckpt", s == "wal" && alsoWAL:
+		case len(s) > 1 && strings.IndexByte("qug", s[0]) >= 0 && strings.Trim(s[1:], "0123456789") == "":
+		default:
+			continue // a name no handle writes
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
 			return n, err
 		}
-		for _, m := range matches {
-			if err := os.Remove(m); err != nil && !os.IsNotExist(err) {
-				return n, err
-			}
-			n++
-		}
+		n++
 	}
 	return n, nil
 }

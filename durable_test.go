@@ -243,6 +243,81 @@ func TestOpenCleansStaleTempFiles(t *testing.T) {
 	}
 }
 
+// TestStaleSweepKeepsForeignFiles: the stale-file sweep of Open and
+// Build removes only the names a handle writes (.q<n>, .u<n>, .g<n>,
+// .ckpt), never a file whose name merely continues the image's.
+func TestStaleSweepKeepsForeignFiles(t *testing.T) {
+	opts := Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: 1}
+	g, path, _ := buildDiskGraph(t, "gnm:n=60,m=240", 7, opts)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{path + ".q3", path + ".u7", path + ".g2", path + ".ckpt"}
+	foreign := []string{path + ".gz", path + ".quarantine", path + ".utf8", path + ".g1.bak", path + ".ckpt.old"}
+	for _, s := range append(stale, foreign...) {
+		if err := os.WriteFile(s, []byte("not ours"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keptForeign := func(after string) {
+		t.Helper()
+		for _, s := range foreign {
+			if _, err := os.Stat(s); err != nil {
+				t.Errorf("%s removed %s: %v", after, filepath.Base(s), err)
+			}
+		}
+	}
+	ro, or, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if or.Cleaned != len(stale) {
+		t.Errorf("Open cleaned %d files, want %d", or.Cleaned, len(stale))
+	}
+	for _, s := range stale {
+		if _, err := os.Stat(s); !os.IsNotExist(err) {
+			t.Errorf("stale file %s survived Open", filepath.Base(s))
+		}
+	}
+	keptForeign("Open")
+
+	opts.DiskPath = path
+	rebuilt, err := Build(FromSpec("gnm:n=60,m=240"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuilt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	keptForeign("Build")
+
+	// An image directory named like a glob pattern sweeps only itself,
+	// not the directory the pattern would match.
+	dir := filepath.Join(t.TempDir(), "img[1]")
+	neighbor := filepath.Join(filepath.Dir(dir), "img1", "graph.img.q3")
+	for _, d := range []string{dir, filepath.Dir(neighbor)} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(neighbor, []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.DiskPath = filepath.Join(dir, "graph.img")
+	if rebuilt, err = Build(FromSpec("gnm:n=60,m=240"), opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := rebuilt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(neighbor); err != nil {
+		t.Errorf("Build in %s removed %s: %v", dir, neighbor, err)
+	}
+}
+
 // TestOpenErrors walks the rejection paths: missing file, truncated
 // image, corrupted footer, garbage file, BlockWords mismatch, and a
 // conflicting Options.DiskPath.

@@ -6,6 +6,43 @@ package cluster
 // in declaration order, and the byte-identity tests compare encoded
 // streams directly.
 
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+)
+
+// Edges is an edge list on the wire: a JSON array of [u, v] pairs. It
+// encodes as [][2]uint32 does, but decoding refuses an element that is
+// not exactly two uint32s, where encoding/json would pad a short array
+// or a null with zeros and drop extra elements.
+type Edges [][2]uint32
+
+// UnmarshalJSON decodes the list one element at a time, so a long list
+// costs no more than its pairs.
+func (e *Edges) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	d := json.NewDecoder(bytes.NewReader(b))
+	if tok, err := d.Token(); err != nil || tok != json.Delim('[') {
+		return fmt.Errorf("edge list %.20s is not an array", b)
+	}
+	var out Edges
+	var pair []*uint32 // a null decodes as nil
+	for d.More() {
+		if err := d.Decode(&pair); err != nil {
+			return fmt.Errorf("edge %d: %w", len(out), err)
+		}
+		if len(pair) != 2 || pair[0] == nil || pair[1] == nil {
+			return fmt.Errorf("edge %d is not a pair of uint32s", len(out))
+		}
+		out = append(out, [2]uint32{*pair[0], *pair[1]})
+	}
+	*e = out
+	return nil
+}
+
 // IOStats is repro.IOStats on the wire of every daemon endpoint: serve's
 // WireIOStats is an alias of it, so query trailers, change streams and
 // the cluster trailers encode statistics one way. It has repro.IOStats'
@@ -125,8 +162,8 @@ type ShardUpdateRequest struct {
 	// Add and Remove are the shard's sub-delta: exactly the delta edges
 	// whose endpoint-color minimum the shard's suffix view holds
 	// (prepare only).
-	Add    [][2]uint32 `json:"add,omitempty"`
-	Remove [][2]uint32 `json:"remove,omitempty"`
+	Add    Edges `json:"add,omitempty"`
+	Remove Edges `json:"remove,omitempty"`
 }
 
 // ShardUpdateResponse answers every update phase.
@@ -245,8 +282,8 @@ type CoordinatorTrailer struct {
 // CoordinatorUpdateRequest is the body of POST /v1/cluster/update on a
 // coordinator: a batched delta to route.
 type CoordinatorUpdateRequest struct {
-	Add    [][2]uint32 `json:"add,omitempty"`
-	Remove [][2]uint32 `json:"remove,omitempty"`
+	Add    Edges `json:"add,omitempty"`
+	Remove Edges `json:"remove,omitempty"`
 }
 
 // CoordinatorUpdateResponse reports a routed update.

@@ -38,11 +38,11 @@ func newMemBackend() *memBackend { return &memBackend{} }
 func (m *memBackend) ReadBlock(b int64, dst []Word) error {
 	off := b * int64(len(dst))
 	if off >= int64(len(m.words)) {
-		zero(dst)
+		clear(dst)
 		return nil
 	}
 	n := copy(dst, m.words[off:])
-	zero(dst[n:])
+	clear(dst[n:])
 	return nil
 }
 

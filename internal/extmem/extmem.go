@@ -69,36 +69,41 @@ type Config struct {
 
 const noFrame = int32(-1)
 
+// virginBlock is a block's table entry while the block has never been
+// written back: a fetch zeroes a frame with no transfer from external
+// memory, so it reads as zero even where the backend holds a released
+// extent's data.
+const virginBlock = int32(-1)
+
 // frame is a cache slot holding one block.
 type frame struct {
 	block      int64 // block index held, or -1 if free
 	prev, next int32 // LRU list links
 	dirty      bool
+	virgin     bool // the block has not been written back since it was allocated
 }
 
 // Space is a word-addressable external memory with a simulated block cache.
 // It is not safe for concurrent use; the I/O model is sequential.
 type Space struct {
-	cfg       Config
-	logB      uint
-	backend   Backend
-	stats     Stats
-	size      int64 // allocated words (bump allocator)
-	leased    int
-	frames    []frame
-	data      []Word          // frame storage, len = maxFrames*B
-	table     map[int64]int32 // block index -> frame
-	lruHead   int32           // most recently used
-	lruTail   int32           // least recently used
+	cfg     Config
+	logB    uint
+	backend Backend
+	stats   Stats
+	size    int64 // allocated words (bump allocator)
+	leased  int
+	frames  []frame
+	data    []Word // frame storage, len = maxFrames*B
+	// blocks holds one entry per allocated block: its frame+1 while it is
+	// cached, 0 while its words are the backend's, virginBlock while it
+	// has never been written back.
+	blocks    []int32
+	lruHead   int32 // most recently used
+	lruTail   int32 // least recently used
 	freeList  []int32
 	capFrames int // current frame budget = (M - leased)/B
-	// fast path: the most recently accessed block stays pinned in these
-	// fields so sequential scans skip the map lookup B-1 times out of B.
-	lastBlock int64
-	lastFrame int32
-	virgin    map[int64]struct{} // fresh blocks never written back: fetched as zero, with no I/O
 	closed    bool
-	// Native-mode storage (Config.Native): no frames, no table, no
+	// Native-mode storage (Config.Native): no frames, no block table, no
 	// accounting. Addresses [0, natBase) read from the immutable natCore
 	// slice; [natBase, size) live in natScratch. The Lease counter above
 	// keeps its simulated bookkeeping so cache-aware algorithms compute
@@ -146,14 +151,7 @@ func newSpace(cfg Config, be Backend) (*Space, error) {
 		// No cache machinery at all: the validation above keeps the
 		// machine description honest (algorithms still consult M and B),
 		// but words live in plain slices and the backend is inert.
-		return &Space{
-			cfg:       cfg,
-			logB:      logB,
-			backend:   be,
-			lastBlock: -1,
-			lastFrame: noFrame,
-			native:    true,
-		}, nil
+		return &Space{cfg: cfg, logB: logB, backend: be, native: true}, nil
 	}
 	maxFrames := cfg.M / cfg.B
 	sp := &Space{
@@ -162,13 +160,9 @@ func newSpace(cfg Config, be Backend) (*Space, error) {
 		backend:   be,
 		frames:    make([]frame, maxFrames),
 		data:      make([]Word, maxFrames*cfg.B),
-		table:     make(map[int64]int32, maxFrames*2),
 		lruHead:   noFrame,
 		lruTail:   noFrame,
 		capFrames: maxFrames,
-		lastBlock: -1,
-		lastFrame: noFrame,
-		virgin:    make(map[int64]struct{}),
 	}
 	for i := range sp.frames {
 		sp.frames[i].block = -1
@@ -189,7 +183,7 @@ func (s *Space) Stats() Stats {
 		return Stats{}
 	}
 	st := s.stats
-	st.PeakAlloc = maxI64(st.PeakAlloc, s.size)
+	st.PeakAlloc = max(st.PeakAlloc, s.size)
 	return st
 }
 
@@ -201,36 +195,21 @@ func (s *Space) ResetStats() { s.stats = Stats{} }
 // next measurements start cold. The write-backs are NOT counted (they are
 // charged to whatever computation dirtied them before the reset).
 func (s *Space) DropCache() {
-	if s.native {
-		return // no cache to drop
-	}
-	for b, f := range s.table {
-		fr := &s.frames[f]
-		if fr.dirty {
-			s.writeBack(b, f)
-			s.stats.BlockWrites-- // uncounted by contract
+	writes := s.stats.BlockWrites // the write-backs are uncounted by contract
+	for f := range int32(len(s.frames)) {
+		if s.frames[f].block >= 0 {
+			s.clean(f)
+			s.drop(f)
 		}
-		fr.block = -1
-		fr.dirty = false
-		s.lruUnlink(f)
-		s.freeList = append(s.freeList, f)
 	}
-	clear(s.table)
-	s.lastBlock = -1
-	s.lastFrame = noFrame
+	s.stats.BlockWrites = writes
 }
 
 // Flush writes back all dirty blocks, counting the writes. Data remains
 // cached (clean).
 func (s *Space) Flush() {
-	if s.native {
-		return // nothing cached, nothing dirty
-	}
-	for b, f := range s.table {
-		if s.frames[f].dirty {
-			s.writeBack(b, f)
-			s.frames[f].dirty = false
-		}
+	for f := range int32(len(s.frames)) {
+		s.clean(f)
 	}
 }
 
@@ -321,18 +300,11 @@ func (s *Space) Alloc(n int64) Extent {
 	if s.size > s.stats.PeakAlloc {
 		s.stats.PeakAlloc = s.size
 	}
-	if n == 0 {
-		return Extent{sp: s, base: base, n: 0}
-	}
-	// Freshly allocated blocks are virgin until their first write-back: a
-	// fetch needs no transfer from external memory, and they read as zero
-	// even if the backend holds stale data from a released extent.
-	first := base >> s.logB
-	last := (s.size - 1) >> s.logB
-	for b := first; b <= last; b++ {
-		if _, ok := s.table[b]; !ok {
-			s.virgin[b] = struct{}{}
-		}
+	// Freshly allocated blocks are virgin until their first write-back.
+	// The base is block-aligned and at least the old size, so they start
+	// at the table's end.
+	for range (s.size+int64(s.cfg.B)-1)>>s.logB - int64(len(s.blocks)) {
+		s.blocks = append(s.blocks, virginBlock)
 	}
 	return Extent{sp: s, base: base, n: n}
 }
@@ -351,14 +323,10 @@ func (s *Space) natGrow(n int64) {
 	}
 	if n <= int64(cap(s.natScratch)) {
 		s.natScratch = s.natScratch[:n]
-		zero(s.natScratch[old:])
+		clear(s.natScratch[old:])
 		return
 	}
-	newCap := 2 * int64(cap(s.natScratch))
-	if newCap < n {
-		newCap = n
-	}
-	grown := make([]Word, n, newCap)
+	grown := make([]Word, n, max(2*int64(cap(s.natScratch)), n))
 	copy(grown, s.natScratch)
 	s.natScratch = grown
 }
@@ -378,26 +346,12 @@ func (s *Space) Release(mark int64) {
 		return
 	}
 	boundary := (mark + int64(s.cfg.B) - 1) >> s.logB
-	for b, f := range s.table {
-		if b >= boundary {
-			fr := &s.frames[f]
-			fr.block = -1
-			fr.dirty = false
-			s.lruUnlink(f)
-			s.freeList = append(s.freeList, f)
-			delete(s.table, b)
-			delete(s.virgin, b)
+	for f := range int32(len(s.frames)) {
+		if s.frames[f].block >= boundary {
+			s.drop(f)
 		}
 	}
-	for b := range s.virgin {
-		if b >= boundary {
-			delete(s.virgin, b)
-		}
-	}
-	if s.lastBlock >= boundary {
-		s.lastBlock = -1
-		s.lastFrame = noFrame
-	}
+	s.blocks = s.blocks[:boundary]
 	s.size = mark
 }
 
@@ -411,11 +365,7 @@ func (s *Space) Read(a int64) Word {
 		return s.natScratch[a-s.natBase]
 	}
 	s.stats.WordReads++
-	b := a >> s.logB
-	if b == s.lastBlock {
-		return s.data[int64(s.lastFrame)<<s.logB|(a&int64(s.cfg.B-1))]
-	}
-	f := s.fetch(b, false)
+	f := s.fetch(a >> s.logB)
 	return s.data[int64(f)<<s.logB|(a&int64(s.cfg.B-1))]
 }
 
@@ -431,83 +381,78 @@ func (s *Space) Write(a int64, v Word) {
 		return
 	}
 	s.stats.WordWrites++
-	b := a >> s.logB
-	var f int32
-	if b == s.lastBlock {
-		f = s.lastFrame
-	} else {
-		f = s.fetch(b, true)
-	}
+	f := s.fetch(a >> s.logB)
 	s.frames[f].dirty = true
 	s.data[int64(f)<<s.logB|(a&int64(s.cfg.B-1))] = v
 }
 
 // fetch brings block b into the cache and returns its frame, updating LRU
-// order and the fast-path registers.
-func (s *Space) fetch(b int64, forWrite bool) int32 {
-	if f, ok := s.table[b]; ok {
-		s.lruTouch(f)
-		s.lastBlock, s.lastFrame = b, f
-		return f
+// order.
+func (s *Space) fetch(b int64) int32 {
+	if e := s.blocks[b]; e > 0 {
+		s.lruTouch(e - 1)
+		return e - 1
 	}
 	f := s.grabFrame()
 	fr := &s.frames[f]
 	fr.block = b
-	fr.dirty = false
-	if _, isVirgin := s.virgin[b]; isVirgin {
+	fr.virgin = s.blocks[b] == virginBlock
+	if fr.virgin {
 		// A block never written back: contents are zero by definition; no
-		// transfer from external memory is needed. The mark stays until the
-		// block's first write-back, so a clean copy evicted and fetched
-		// again still reads as zero, not as a released extent's data.
-		zero(s.data[int64(f)<<s.logB : (int64(f)+1)<<s.logB])
+		// transfer from external memory is needed.
+		clear(s.words(f))
 	} else {
 		s.stats.BlockReads++
-		if err := s.backend.ReadBlock(b, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB]); err != nil {
+		if err := s.backend.ReadBlock(b, s.words(f)); err != nil {
 			panic(fmt.Sprintf("extmem: read block %d: %v", b, err))
 		}
 	}
-	s.table[b] = f
+	s.blocks[b] = f + 1
 	s.lruPushFront(f)
-	s.lastBlock, s.lastFrame = b, f
 	return f
 }
 
-// grabFrame returns a free frame, evicting the LRU block if necessary.
+// words returns frame f's storage.
+func (s *Space) words(f int32) []Word {
+	return s.data[int64(f)<<s.logB : (int64(f)+1)<<s.logB]
+}
+
+// grabFrame returns a free frame, evicting the LRU block if the cache is
+// at its budget. The budget never exceeds the frame count, so a frame is
+// free afterwards.
 func (s *Space) grabFrame() int32 {
-	if len(s.table) >= s.capFrames {
+	if s.cached() >= s.capFrames {
 		s.evictLRU()
 	}
-	if n := len(s.freeList); n > 0 {
-		f := s.freeList[n-1]
-		s.freeList = s.freeList[:n-1]
-		return f
-	}
-	// All frames busy but under budget cannot happen: budget <= len(frames).
-	s.evictLRU()
-	f := s.freeList[len(s.freeList)-1]
-	s.freeList = s.freeList[:len(s.freeList)-1]
+	n := len(s.freeList) - 1
+	f := s.freeList[n]
+	s.freeList = s.freeList[:n]
 	return f
 }
 
+// cached returns the number of blocks in the cache.
+func (s *Space) cached() int { return len(s.frames) - len(s.freeList) }
+
 func (s *Space) evictOver() {
-	for len(s.table) > s.capFrames {
+	for s.cached() > s.capFrames {
 		s.evictLRU()
 	}
 }
 
 func (s *Space) evictLRU() {
 	f := s.lruTail
-	if f == noFrame {
-		panic("extmem: cache empty but eviction requested")
-	}
+	s.clean(f)
+	s.drop(f)
+}
+
+// drop empties frame f without write-back and returns its block to the
+// table: virgin if the frame never wrote the block back, the backend's
+// otherwise.
+func (s *Space) drop(f int32) {
 	fr := &s.frames[f]
-	if fr.dirty {
-		s.writeBack(fr.block, f)
-	}
-	delete(s.table, fr.block)
-	if s.lastBlock == fr.block {
-		s.lastBlock = -1
-		s.lastFrame = noFrame
+	s.blocks[fr.block] = 0 // the backend's
+	if fr.virgin {
+		s.blocks[fr.block] = virginBlock
 	}
 	fr.block = -1
 	fr.dirty = false
@@ -515,11 +460,17 @@ func (s *Space) evictLRU() {
 	s.freeList = append(s.freeList, f)
 }
 
-func (s *Space) writeBack(b int64, f int32) {
+// clean writes frame f's block back if it is dirty. The block then holds
+// its words on the backend, so it is no longer virgin.
+func (s *Space) clean(f int32) {
+	fr := &s.frames[f]
+	if !fr.dirty {
+		return
+	}
 	s.stats.BlockWrites++
-	delete(s.virgin, b)
-	if err := s.backend.WriteBlock(b, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB]); err != nil {
-		panic(fmt.Sprintf("extmem: write block %d: %v", b, err))
+	fr.dirty, fr.virgin = false, false
+	if err := s.backend.WriteBlock(fr.block, s.words(f)); err != nil {
+		panic(fmt.Sprintf("extmem: write block %d: %v", fr.block, err))
 	}
 }
 
@@ -568,19 +519,5 @@ func (s *Space) Resident(a int64) bool {
 	if s.native {
 		return true
 	}
-	_, ok := s.table[a>>s.logB]
-	return ok
-}
-
-func zero(w []Word) {
-	for i := range w {
-		w[i] = 0
-	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return s.blocks[a>>s.logB] > 0
 }

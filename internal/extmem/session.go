@@ -154,5 +154,6 @@ func NewSessionSpace(cfg Config, core Core, coreWords int64, scratchPath string)
 		return nil, err
 	}
 	sp.size = coreWords
+	sp.blocks = make([]int32, sb.coreBlocks) // the core's words are the backend's
 	return sp, nil
 }

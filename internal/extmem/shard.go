@@ -72,20 +72,15 @@ func (s *Space) Snapshot(ext Extent) []Word {
 	}
 	for b := first; b <= last; b++ {
 		dst := out[(b-first)<<s.logB : (b-first+1)<<s.logB]
-		if f, ok := s.table[b]; ok {
-			if s.frames[f].dirty {
-				s.writeBack(b, f)
-				s.frames[f].dirty = false
+		switch e := s.blocks[b]; {
+		case e > 0:
+			s.clean(e - 1)
+			copy(dst, s.words(e-1))
+		case e == 0:
+			if err := s.backend.ReadBlock(b, dst); err != nil {
+				panic(fmt.Sprintf("extmem: snapshot read block %d: %v", b, err))
 			}
-			copy(dst, s.data[int64(f)<<s.logB:(int64(f)+1)<<s.logB])
-			continue
-		}
-		if _, virgin := s.virgin[b]; virgin {
-			continue // never materialized: reads as zero
-		}
-		if err := s.backend.ReadBlock(b, dst); err != nil {
-			panic(fmt.Sprintf("extmem: snapshot read block %d: %v", b, err))
-		}
+		} // a virgin block was never materialized: it reads as zero
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -249,6 +250,155 @@ func FuzzShardQueryRequest(f *testing.F) {
 			var tr cluster.ShardQueryTrailer
 			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.Done || tr.Error != "" {
 				t.Fatalf("body %q: stream ends in %q", body, lines[len(lines)-1])
+			}
+		}
+	})
+}
+
+// nonPairEdges are edge lists with an element that is not a [u, v] pair
+// of uint32s. encoding/json alone would decode [7] as {0, 7} and
+// [1, 2, 3] as {1, 2}.
+var nonPairEdges = []string{
+	`[[7]]`,
+	`[[1,2,3]]`,
+	`[[1,2],[3],[4,5,6]]`,
+	`[[]]`,
+	`[null]`,
+	`[[1,null]]`,
+}
+
+// TestNonPairEdgesRejected posts each non-pair edge list to the graph
+// update, graph load, shard update and coordinator update endpoints.
+// Each answers 400 with an ErrorResponse and changes nothing: no
+// generation is installed, no graph loaded and no sub-delta staged.
+func TestNonPairEdgesRejected(t *testing.T) {
+	ctx := context.Background()
+	opts := repro.Options{MemoryWords: 1 << 11, BlockWords: 1 << 5, Workers: 1}
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=240"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := repro.Partition(ctx, g, repro.PartitionOptions{Dir: t.TempDir(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := cluster.Load(pr.ManifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, _, err := repro.Open(pr.Shards[0].Image, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := New(Config{})
+	t.Cleanup(func() { shard.Close() })
+	if err := shard.AddGraph("g", g, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.ServeShard(man, 0, sg); err != nil {
+		t.Fatal(err)
+	}
+	shardTS := httptest.NewServer(shard.Handler())
+	t.Cleanup(shardTS.Close)
+	cl, err := repro.DialCluster(ctx, pr.ManifestPath, []string{shardTS.URL}, repro.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	coord := New(Config{})
+	t.Cleanup(func() { coord.Close() })
+	if err := coord.ServeCoordinator(cl); err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	t.Cleanup(coordTS.Close)
+
+	state := func() string {
+		shard.shard.mu.Lock()
+		defer shard.shard.mu.Unlock()
+		return fmt.Sprintf("graph generation %d, graph h loaded %t, %d staged, shard generation %d, cluster epoch %d",
+			g.Generation(), shard.lookup("h") != nil, len(shard.shard.staged), sg.Generation(), cl.Epoch())
+	}
+	want := state()
+	endpoints := []struct{ url, body string }{ // %s is the edge list
+		{shardTS.URL + "/v1/graphs/g/update", `{"add":%s}`},
+		{shardTS.URL + "/v1/graphs/g/update", `{"remove":%s}`},
+		{shardTS.URL + "/v1/graphs", `{"id":"h","edges":%s}`},
+		{shardTS.URL + "/v1/cluster/shard/update", `{"phase":"prepare","update_id":1,"add":%s}`},
+		{shardTS.URL + "/v1/cluster/shard/update", `{"phase":"prepare","update_id":1,"remove":%s}`},
+		{coordTS.URL + "/v1/cluster/update", `{"add":%s}`},
+		{coordTS.URL + "/v1/cluster/update", `{"remove":%s}`},
+	}
+	for _, edges := range nonPairEdges {
+		for _, ep := range endpoints {
+			body := fmt.Sprintf(ep.body, edges)
+			resp, err := http.Post(ep.url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", ep.url, body, err)
+			}
+			var e ErrorResponse
+			json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
+				t.Errorf("%s %s: status %d (error %q), want 400 with an error", ep.url, body, resp.StatusCode, e.Error)
+			}
+			if got := state(); got != want {
+				t.Fatalf("%s %s changed the state: %s, want %s", ep.url, body, got, want)
+			}
+		}
+	}
+}
+
+// FuzzUpdateRequest posts arbitrary bodies to the graph update handler.
+// The daemon must answer every one without a panic or a 5xx: a 400 or
+// 413 carries an ErrorResponse, and a 200 answers only a body that
+// decodes as add and remove lists of two-element arrays.
+func FuzzUpdateRequest(f *testing.F) {
+	g, err := repro.Build(repro.FromSpec("gnm:n=60,m=300"), repro.Options{Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.AddGraph("g", g, ""); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	h := s.Handler()
+
+	for _, edges := range nonPairEdges {
+		f.Add([]byte(`{"add":` + edges + `}`))
+		f.Add([]byte(`{"remove":` + edges + `}`))
+	}
+	for _, body := range []string{
+		``, `{}`, `null`, `[]`, `{"add":null}`, `{"add":[]}`,
+		`{"add":[[1,2],[3,4]],"remove":[[5,6]]}`, `{"add":[[4294967295,0]]}`,
+		`{"add":[[4294967296,0]]}`, `{"add":[[-1,2]]}`, `{"add":[["1","2"]]}`,
+		`{"add":[[1,2]]} trailing`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/g/update", bytes.NewReader(body)))
+		switch code := rec.Code; {
+		case code >= 500:
+			t.Fatalf("body %q: status %d (%s)", body, code, rec.Body.Bytes())
+		case code == http.StatusBadRequest || code == http.StatusRequestEntityTooLarge:
+			var e ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("body %q: %d without an ErrorResponse: %q", body, code, rec.Body.Bytes())
+			}
+		case code == http.StatusOK:
+			// decodeBody's json.Decoder ignores what follows the value.
+			var ref struct{ Add, Remove [][]uint32 }
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ref); err != nil {
+				t.Fatalf("body %q: 200 for a body that does not decode: %v", body, err)
+			}
+			for _, e := range append(ref.Add, ref.Remove...) {
+				if len(e) != 2 {
+					t.Fatalf("body %q: 200 for an edge of %d elements", body, len(e))
+				}
 			}
 		}
 	})

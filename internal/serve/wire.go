@@ -80,10 +80,10 @@ type GraphList struct {
 // Path combined with Spec or Edges builds a durable image at Path
 // (Options.DiskPath). The machine options default like repro.Options.
 type LoadRequest struct {
-	ID    string      `json:"id"`
-	Spec  string      `json:"spec,omitempty"`
-	Edges [][2]uint32 `json:"edges,omitempty"`
-	Path  string      `json:"path,omitempty"`
+	ID    string        `json:"id"`
+	Spec  string        `json:"spec,omitempty"`
+	Edges cluster.Edges `json:"edges,omitempty"`
+	Path  string        `json:"path,omitempty"`
 	// MemoryWords, BlockWords, Workers, Seed configure the simulated
 	// machine (see repro.Options); zero values take the library
 	// defaults.
@@ -308,8 +308,8 @@ type WireSubEnd struct {
 // repro.Delta. The updated edge set is (E \ Remove) ∪ Add; no-op
 // changes are ignored.
 type UpdateRequest struct {
-	Add    [][2]uint32 `json:"add,omitempty"`
-	Remove [][2]uint32 `json:"remove,omitempty"`
+	Add    cluster.Edges `json:"add,omitempty"`
+	Remove cluster.Edges `json:"remove,omitempty"`
 }
 
 // UpdateResponse mirrors repro.UpdateResult: the generation now serving
