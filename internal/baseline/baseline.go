@@ -57,7 +57,7 @@ func BlockNestedLoop(ctx context.Context, sp *extmem.Space, g graph.Canonical, e
 		if hi > n {
 			hi = n
 		}
-		release := leaseFor(sp, int(hi-lo)*6)
+		lease := sp.LeaseAtMost(int(hi-lo) * 6)
 		// First join operand: chunk of (v1, v2) edges, hashed on v2.
 		byMid := make(map[uint32][]uint32, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -67,7 +67,7 @@ func BlockNestedLoop(ctx context.Context, sp *extmem.Space, g graph.Canonical, e
 		// Wedge buffer for the second pipelined join.
 		wedgeCap := int(chunk)
 		wedges := make([]wedge, 0, wedgeCap)
-		releaseW := leaseFor(sp, wedgeCap*3)
+		wedgeLease := sp.LeaseAtMost(wedgeCap * 3)
 
 		closeWedges := func() {
 			if len(wedges) == 0 {
@@ -100,8 +100,8 @@ func BlockNestedLoop(ctx context.Context, sp *extmem.Space, g graph.Canonical, e
 			}
 		}
 		closeWedges()
-		releaseW()
-		release()
+		wedgeLease.Release()
+		lease.Release()
 		info.Subproblems++
 	}
 	return info, nil
@@ -163,15 +163,4 @@ func EdgeIterator(ctx context.Context, sp *extmem.Space, g graph.Canonical, emit
 		}
 	}
 	return info, nil
-}
-
-func leaseFor(sp *extmem.Space, words int) func() {
-	cfg := sp.Config()
-	if maxLease := cfg.M - 2*cfg.B - sp.Leased(); words > maxLease {
-		words = maxLease
-	}
-	if words <= 0 {
-		return func() {}
-	}
-	return sp.Lease(words)
 }

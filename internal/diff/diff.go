@@ -130,8 +130,8 @@ func Enumerate(ctx context.Context, sp *extmem.Space, g graph.Canonical, anchors
 	for _, l := range adj {
 		words += len(l) + 2
 	}
-	release := sp.LeaseAtMost(words)
-	defer release()
+	lease := sp.LeaseAtMost(words)
+	defer lease.Release()
 
 	var plans []patternSeed
 	if spec.Pattern != nil {

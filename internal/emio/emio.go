@@ -1,5 +1,5 @@
 // Package emio provides sequential streaming primitives over extmem
-// extents: readers, writers, copies and filters. Sequential access to an
+// extents: readers, writers and filters. Sequential access to an
 // extent of n words costs ceil(n/B) + O(1) I/Os through the block cache,
 // which is the "scan" primitive every external-memory bound builds on.
 package emio
@@ -43,18 +43,6 @@ func (w *Writer) Append(v extmem.Word) {
 
 // Written returns the prefix extent holding everything appended so far.
 func (w *Writer) Written() extmem.Extent { return w.ext.Prefix(w.pos) }
-
-// Copy copies src into dst sequentially and returns the words copied.
-func Copy(dst, src extmem.Extent) int64 {
-	n := src.Len()
-	if dst.Len() < n {
-		panic("emio: Copy destination too small")
-	}
-	for i := int64(0); i < n; i++ {
-		dst.Write(i, src.Read(i))
-	}
-	return n
-}
 
 // ForEach applies fn to each word of ext in order.
 func ForEach(ext extmem.Extent, fn func(i int64, w extmem.Word)) {

@@ -37,18 +37,22 @@ func Distribute(dst, src extmem.Extent, buckets int, key Key) []int64 {
 		panic("emsort: Distribute destination smaller than source")
 	}
 	sp := src.Space()
-	release := sp.LeaseAtMost(buckets + 1)
-	defer release()
+	lease := sp.LeaseAtMost(buckets + 1)
+	defer lease.Release()
 	fan, passes := distributePlan(sp.Config(), sp.Config().M-sp.Leased(), buckets)
 
 	// Counting scan: off[k+1] counts key k, then prefix sums.
 	off := make([]int64, buckets+1)
-	for i := int64(0); i < n; i++ {
-		k := key(src.Read(i))
-		if k >= uint64(buckets) {
-			panic(fmt.Sprintf("emsort: Distribute key %d out of range [0,%d)", k, buckets))
+	for i := int64(0); i < n; {
+		view := src.View(i)
+		for _, w := range view {
+			k := key(w)
+			if k >= uint64(buckets) {
+				panic(fmt.Sprintf("emsort: Distribute key %d out of range [0,%d)", k, buckets))
+			}
+			off[k+1]++
 		}
-		off[k+1]++
+		i += int64(len(view))
 	}
 	for b := 1; b <= buckets; b++ {
 		off[b] += off[b-1]
@@ -122,8 +126,8 @@ func scatter(dst, src extmem.Extent, at []int64, group func(extmem.Word) int) {
 	sp := src.Space()
 	b := sp.Config().B
 	f := len(at)
-	release := sp.LeaseAtMost(f*b + 2*f)
-	defer release()
+	lease := sp.LeaseAtMost(f*b + 2*f)
+	defer lease.Release()
 	buf := make([]extmem.Word, f*b)
 	fill := make([]int, f)
 	mask := int64(b - 1)

@@ -143,8 +143,8 @@ func mergeRuns(src, dst extmem.Extent, runLen int64, stride int, key Key) {
 	}
 	numRuns := int((n + runLen - 1) / runLen)
 	sp := src.Space()
-	release := sp.Lease(numRuns * 4)
-	defer release()
+	lease := sp.Lease(numRuns * 4)
+	defer lease.Release()
 
 	pos := make([]int64, numRuns) // next unread word of each run
 	end := make([]int64, numRuns)
@@ -226,8 +226,8 @@ func downMerge(h []mergeEnt, i int) {
 func loadSortStore(ext extmem.Extent, stride int, key Key) {
 	n := ext.Len()
 	sp := ext.Space()
-	release := sp.Lease(int(n))
-	defer release()
+	lease := sp.Lease(int(n))
+	defer lease.Release()
 	buf := make([]extmem.Word, n)
 	ext.Load(buf)
 	sortNative(buf, stride, key)

@@ -163,16 +163,16 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 	// intermediate passes in the multi-pass one — mergePass needs the
 	// merge heap's headroom, and the samples are extracted after it.
 	if passes == 0 {
-		releaseSamples := sp.Lease(totalSamples)
-		defer releaseSamples()
+		sampleLease := sp.Lease(totalSamples)
+		defer sampleLease.Release()
 	}
 	samples := make([][]extmem.Word, numTop)
 	sortRun := func(r int) func(*extmem.Space, func([]extmem.Word) bool) {
 		return func(shard *extmem.Space, send func([]extmem.Word) bool) {
 			lo := int64(r) * plan.runWords
 			hi := min(lo+plan.runWords, n)
-			release := shard.Lease(int(hi - lo))
-			defer release()
+			lease := shard.Lease(int(hi - lo))
+			defer lease.Release()
 			buf := make([]extmem.Word, hi-lo)
 			shard.ExtentAt(lo, hi-lo).Load(buf)
 			sortNative(buf, stride, key)
@@ -225,8 +225,8 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 		// The formation runs the inline extraction would have indexed no
 		// longer exist; sample the top-level runs in the same grid —
 		// records 0, qRec, 2·qRec, … of each run.
-		releaseSamples := sp.Lease(totalSamples)
-		defer releaseSamples()
+		sampleLease := sp.Lease(totalSamples)
+		defer sampleLease.Release()
 		for r := 0; r < numTop; r++ {
 			runLo := int64(r) * topRunWords
 			for rec := int64(0); rec < runRecs[r]; rec += qRec {
@@ -261,8 +261,8 @@ func ParallelSortRecordsCtx(ctx context.Context, ext extmem.Extent, stride int, 
 	shared2 := sp.Snapshot(runsBuf)
 	mergeTask := func(j int) func(*extmem.Space, func([]extmem.Word) bool) {
 		return func(shard *extmem.Space, send func([]extmem.Word) bool) {
-			release := shard.Lease(totalSamples + 4*numTop)
-			defer release()
+			lease := shard.Lease(totalSamples + 4*numTop)
+			defer lease.Release()
 			view := shard.ExtentAt(0, n)
 			segs := make([][2]int64, numTop) // [pos, end) in words
 			for r := 0; r < numTop; r++ {

@@ -227,12 +227,33 @@ func (s *Space) Close() error {
 	return s.backend.Close()
 }
 
+// Lease is internal memory reserved by Space.Lease or LeaseAtMost until
+// its Release. The zero Lease holds nothing.
+type Lease struct {
+	sp *Space
+	n  int
+}
+
+// Release returns the leased words to the block cache. Releasing a Lease
+// again, or the zero Lease, does nothing.
+func (l *Lease) Release() {
+	s := l.sp
+	if s == nil {
+		return
+	}
+	l.sp = nil
+	s.leased -= l.n
+	if !s.native {
+		s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
+	}
+}
+
 // Lease reserves n words of internal memory for native scratch state,
-// shrinking the block cache accordingly, and returns a release function.
-// It panics if the total leased memory would exceed the configured M minus
-// two blocks (the model always needs room to move at least input and output
-// blocks).
-func (s *Space) Lease(n int) (release func()) {
+// shrinking the block cache accordingly, until the returned Lease is
+// released. It panics if the total leased memory would exceed the
+// configured M minus two blocks (the model always needs room to move at
+// least input and output blocks).
+func (s *Space) Lease(n int) Lease {
 	if n < 0 {
 		panic("extmem: negative lease")
 	}
@@ -250,17 +271,7 @@ func (s *Space) Lease(n int) (release func()) {
 		s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
 		s.evictOver()
 	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		s.leased -= n
-		if !s.native {
-			s.capFrames = (s.cfg.M - s.leased) / s.cfg.B
-		}
-	}
+	return Lease{sp: s, n: n}
 }
 
 // LeaseAtMost leases n words of internal memory, or as much as remains if
@@ -268,12 +279,12 @@ func (s *Space) Lease(n int) (release func()) {
 // configurations at the edge of the model's memory assumptions (M barely
 // above B²) can leave less than the sized amount; accounting then charges
 // everything that is chargeable rather than refusing to run.
-func (s *Space) LeaseAtMost(n int) (release func()) {
+func (s *Space) LeaseAtMost(n int) Lease {
 	if maxLease := s.cfg.M - 2*s.cfg.B - s.leased; n > maxLease {
 		n = maxLease
 	}
 	if n <= 0 {
-		return func() {}
+		return Lease{}
 	}
 	return s.Lease(n)
 }
@@ -384,6 +395,56 @@ func (s *Space) Write(a int64, v Word) {
 	f := s.fetch(a >> s.logB)
 	s.frames[f].dirty = true
 	s.data[int64(f)<<s.logB|(a&int64(s.cfg.B-1))] = v
+}
+
+// span returns how many words from address a one view may cover: to the
+// end of a's block, or on a native Space to the end of a's region, the
+// read-only core or the scratch above it.
+func (s *Space) span(a int64) int64 {
+	switch {
+	case !s.native:
+		return int64(s.cfg.B) - a&int64(s.cfg.B-1)
+	case a < s.natBase:
+		return s.natBase - a
+	}
+	return s.size - a
+}
+
+// view returns the n words from address a, all within a's span, after one
+// fetch of their block, counting n word reads.
+func (s *Space) view(a, n int64) []Word {
+	if s.native {
+		if a < s.natBase {
+			return s.natCore[a : a+n : a+n]
+		}
+		a -= s.natBase
+		return s.natScratch[a : a+n : a+n]
+	}
+	s.stats.WordReads += uint64(n)
+	return s.frameWords(s.fetch(a>>s.logB), a, n)
+}
+
+// writeView is view for writing: the block is fetched as by Write, its
+// frame marked dirty and the n words counted as written.
+func (s *Space) writeView(a, n int64) []Word {
+	if s.native {
+		if a < s.natBase {
+			panic(fmt.Sprintf("extmem: native write to read-only core address %d", a))
+		}
+		a -= s.natBase
+		return s.natScratch[a : a+n : a+n]
+	}
+	s.stats.WordWrites += uint64(n)
+	f := s.fetch(a >> s.logB)
+	s.frames[f].dirty = true
+	return s.frameWords(f, a, n)
+}
+
+// frameWords returns the n words of frame f from address a's offset in
+// its block on.
+func (s *Space) frameWords(f int32, a, n int64) []Word {
+	lo := int64(f)<<s.logB | a&int64(s.cfg.B-1)
+	return s.data[lo : lo+n : lo+n]
 }
 
 // fetch brings block b into the cache and returns its frame, updating LRU

@@ -202,7 +202,7 @@ func TestLeaseShrinksCache(t *testing.T) {
 	}
 	sp.DropCache()
 	// Lease 6 blocks worth: only 2 frames remain.
-	release := sp.Lease(6 * cfg.B)
+	lease := sp.Lease(6 * cfg.B)
 	sp.ResetStats()
 	b := int64(cfg.B)
 	ext.Read(0)
@@ -212,12 +212,12 @@ func TestLeaseShrinksCache(t *testing.T) {
 	if st := sp.Stats(); st.BlockReads != 4 {
 		t.Errorf("with shrunken cache got %d reads, want 4", st.BlockReads)
 	}
-	release()
+	lease.Release()
 	if sp.Leased() != 0 {
 		t.Errorf("lease not returned: %d", sp.Leased())
 	}
 	// Double release is a no-op.
-	release()
+	lease.Release()
 	if sp.Leased() != 0 {
 		t.Errorf("double release changed lease: %d", sp.Leased())
 	}
@@ -235,10 +235,10 @@ func TestLeaseOverflowPanics(t *testing.T) {
 
 func TestPeakLeaseTracking(t *testing.T) {
 	sp := NewSpace(testConfig())
-	r1 := sp.Lease(100)
-	r2 := sp.Lease(200)
-	r2()
-	r1()
+	l1 := sp.Lease(100)
+	l2 := sp.Lease(200)
+	l2.Release()
+	l1.Release()
 	if got := sp.Stats().PeakLease; got != 300 {
 		t.Errorf("PeakLease = %d, want 300", got)
 	}
@@ -325,6 +325,36 @@ func TestLoadStoreCopy(t *testing.T) {
 	if dst2.Read(255) != 255*3 {
 		t.Error("Store mismatch")
 	}
+}
+
+// TestCopyTo copies within one Space and into another, between offsets
+// that are not block-aligned, and checks that an overlapping copy panics.
+func TestCopyTo(t *testing.T) {
+	sp := NewSpace(tinyConfig(false))
+	src := sp.Alloc(64)
+	for i := int64(0); i < 64; i++ {
+		src.Write(i, uint64(i*i))
+	}
+	dst := sp.Alloc(64)
+	src.CopyTo(dst)
+	for i := int64(0); i < 64; i++ {
+		if got := dst.Read(i); got != uint64(i*i) {
+			t.Fatalf("CopyTo word %d = %d, want %d", i, got, i*i)
+		}
+	}
+	far := NewSpace(tinyConfig(true)).Alloc(70)
+	src.Slice(3, 64).CopyTo(far.Slice(5, 70))
+	for i := int64(3); i < 64; i++ {
+		if got := far.Read(i + 2); got != uint64(i*i) {
+			t.Fatalf("CopyTo into another Space: word %d = %d, want %d", i+2, got, i*i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyTo between overlapping extents did not panic")
+		}
+	}()
+	src.Slice(0, 10).CopyTo(src.Slice(5, 15))
 }
 
 func TestFileBackend(t *testing.T) {

@@ -72,20 +72,20 @@ func TestNativeLeaseBookkeeping(t *testing.T) {
 	defer sim.Close()
 	defer nat.Close()
 
-	relS := sim.Lease(100)
-	relN := nat.Lease(100)
+	simLease := sim.Lease(100)
+	natLease := nat.Lease(100)
 	if sim.Leased() != nat.Leased() {
 		t.Fatalf("leased diverged: sim %d, native %d", sim.Leased(), nat.Leased())
 	}
-	relS2 := sim.LeaseAtMost(1 << 20)
-	relN2 := nat.LeaseAtMost(1 << 20)
+	simRest := sim.LeaseAtMost(1 << 20)
+	natRest := nat.LeaseAtMost(1 << 20)
 	if sim.Leased() != nat.Leased() {
 		t.Fatalf("clamped lease diverged: sim %d, native %d", sim.Leased(), nat.Leased())
 	}
-	relS2()
-	relN2()
-	relS()
-	relN()
+	simRest.Release()
+	natRest.Release()
+	simLease.Release()
+	natLease.Release()
 
 	defer func() {
 		if recover() == nil {

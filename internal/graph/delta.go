@@ -100,8 +100,8 @@ func MergeDelta(ctx context.Context, sp *extmem.Space, old GenView, adds, remove
 
 	// Native merge state is O(delta): the per-endpoint degree corrections
 	// plus the removed/inserted vertex records derived from them.
-	release := sp.LeaseAtMost(6*(len(adds)+len(removes)) + 16)
-	defer release()
+	lease := sp.LeaseAtMost(6*(len(adds)+len(removes)) + 16)
+	defer lease.Release()
 
 	// Sort the delta. The streams are consumed with duplicate-skipping
 	// cursors, so no separate dedup pass is needed.

@@ -185,7 +185,7 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 		return func(sp *extmem.Space, out *trienum.Sink) tupleResult {
 			order := slices.Clone(owned[i*k : (i+1)*k])
 			sp.ResetStats()
-			release := sp.LeaseAtMost(C*C + 1) // the offset index
+			lease := sp.LeaseAtMost(C*C + 1) // the offset index
 			edges, off := layOutTuple(sp, buckets, C, order)
 			solve := f.tupleSolver(C, col.Color)
 			var r tupleResult
@@ -196,7 +196,7 @@ func runShardQuery(ctx context.Context, st *shardState, req cluster.ShardQueryRe
 					r.err = solve(sp, edges, off, order, out.Tuple)
 				}
 			}
-			release()
+			lease.Release()
 			r.stats = sp.Stats()
 			return r
 		}

@@ -183,8 +183,8 @@ func (t *CliqueTables) Solve(sp *extmem.Space, edges extmem.Extent, off []int64,
 	// Load the ranges one after another: reading them interleaved through
 	// the cache would thrash, since the lease leaves it about two frames.
 	// Expected size O(k²·M); the lease is charged for whatever it is.
-	release := sp.LeaseAtMost(int(total) * 3)
-	defer release()
+	lease := sp.LeaseAtMost(int(total) * 3)
+	defer lease.Release()
 	t.load = slices.Grow(t.load[:0], int(total))[:total]
 	cur, end := make([]int, len(ranges)), make([]int, len(ranges)) // range i is load[cur[i]:end[i]]
 	for i, r := range ranges {

@@ -249,8 +249,8 @@ func referenceSolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64, c i
 	if total > info.MaxSubproblem {
 		info.MaxSubproblem = total
 	}
-	release := sp.LeaseAtMost(int(total) * 3)
-	defer release()
+	lease := sp.LeaseAtMost(int(total) * 3)
+	defer lease.Release()
 	adj := make(map[uint32][]uint32)
 	for _, r := range ranges {
 		for i := r.lo; i < r.hi; i++ {

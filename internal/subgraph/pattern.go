@@ -364,8 +364,8 @@ func (p *Pattern) SolveTuple(sp *extmem.Space, edges extmem.Extent, off []int64,
 		info.MaxSubproblem = total
 	}
 
-	release := sp.LeaseAtMost(int(total) * 3)
-	defer release()
+	lease := sp.LeaseAtMost(int(total) * 3)
+	defer lease.Release()
 	adj := make(map[uint32][]uint32)
 	addDir := func(a, b uint32) { adj[a] = append(adj[a], b) }
 	for _, r := range ranges {

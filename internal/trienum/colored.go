@@ -131,8 +131,8 @@ func ColorCoded[R any](x Exec, sp *extmem.Space, edges extmem.Extent, colorOf fu
 		return func(shard *extmem.Space, out *Sink) (r result) {
 			// The shard consults the same c²+1-word bucket index the
 			// coordinator built; charge it the same internal memory.
-			release := shard.LeaseAtMost(c*c + 1)
-			defer release()
+			lease := shard.LeaseAtMost(c*c + 1)
+			defer lease.Release()
 			r.err = solve(shard, shard.ExtentAt(0, E), off, tuple, &r.r, out)
 			return r
 		}

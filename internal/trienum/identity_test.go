@@ -63,14 +63,14 @@ func referenceColored(sp *extmem.Space, edges extmem.Extent, colorOf func(uint32
 				slices.Sort(union)
 				scratch := sp.Alloc(int64(len(union)))
 				scratch.Store(union)
-				release := sp.LeaseAtMost(c*c + 1)
+				lease := sp.LeaseAtMost(c*c + 1)
 				tau1 := uint32(t1)
 				_ = kernel(nil, sp, scratch, b23, 0, func(v, u, w uint32) {
 					if colorOf(v) == tau1 {
 						emit(v, u, w)
 					}
 				})
-				release()
+				lease.Release()
 			}
 		}
 	}

@@ -35,7 +35,9 @@ import (
 // one full scan of the edge set, the algorithm's natural pass boundary —
 // and a cancelled run returns ctx.Err(). The kernel touches no state
 // outside sp, so concurrent invocations on distinct Spaces (the worker
-// shards of parallel.go) are safe; emit must then be confined.
+// shards of parallel.go) are safe; emit must then be confined. emit must
+// not call into sp: the scan holds its view of the current block of
+// edges (Extent.View) across emit.
 func kernel(ctx context.Context, sp *extmem.Space, edges, pivots extmem.Extent, memEdges int, emit graph.Emit) error {
 	nPivots := pivots.Len()
 	if nPivots == 0 || edges.Len() == 0 {
@@ -70,8 +72,8 @@ func chunkEdges(sp *extmem.Space, memEdges int) int {
 // kernelChunk processes one memory-resident chunk of pivot edges against a
 // full scan of the edge set.
 func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) {
-	release := sp.LeaseAtMost(int(chunk.Len()) * 6)
-	defer release()
+	lease := sp.LeaseAtMost(int(chunk.Len()) * 6)
+	defer lease.Release()
 
 	// Load the chunk: Γ_mem, the vertices it touches, and its pivot runs.
 	c := newChunkTables(chunk)
@@ -80,17 +82,20 @@ func kernelChunk(sp *extmem.Space, edges, chunk extmem.Extent, emit graph.Emit) 
 	// Γ_v = {u : (v,u) ∈ edges, u ∈ Γ_mem} and enumerate pivot edges with
 	// both endpoints in Γ_v.
 	n := edges.Len()
-	for i := int64(0); i < n; i++ {
-		e := edges.Read(i)
-		v, u := graph.U(e), graph.V(e)
-		if c.epoch == 0 || v != c.curV {
-			c.flush(emit)
-			c.startCone(v)
+	for i := int64(0); i < n; {
+		view := edges.View(i)
+		for _, e := range view {
+			v, u := graph.U(e), graph.V(e)
+			if c.epoch == 0 || v != c.curV {
+				c.flush(emit)
+				c.startCone(v)
+			}
+			if s := c.gammaFind(u); s >= 0 {
+				c.lv = append(c.lv, uint32(s))
+				c.mark[s] = c.epoch
+			}
 		}
-		if s := c.gammaFind(u); s >= 0 {
-			c.lv = append(c.lv, uint32(s))
-			c.mark[s] = c.epoch
-		}
+		i += int64(len(view))
 	}
 	c.flush(emit)
 }
@@ -157,20 +162,22 @@ func newChunkTables(chunk extmem.Extent) chunkTables {
 		top:    -1,
 	}
 	var prev extmem.Word
-	for i := range c.second {
-		e := chunk.Read(int64(i))
-		if i > 0 && e <= prev {
-			panic(fmt.Sprintf("trienum: kernel pivot %d-%d is not above its predecessor %d-%d",
-				graph.U(e), graph.V(e), graph.U(prev), graph.V(prev)))
-		}
-		if i == 0 || graph.U(e) != graph.U(prev) {
-			if i > 0 {
-				c.second[i-1] |= runEnd
+	for i := 0; i < p; {
+		for _, e := range chunk.View(int64(i)) {
+			if i > 0 && e <= prev {
+				panic(fmt.Sprintf("trienum: kernel pivot %d-%d is not above its predecessor %d-%d",
+					graph.U(e), graph.V(e), graph.U(prev), graph.V(prev)))
 			}
-			c.run[c.gammaInsert(graph.U(e))] = uint32(i) + 1
+			if i == 0 || graph.U(e) != graph.U(prev) {
+				if i > 0 {
+					c.second[i-1] |= runEnd
+				}
+				c.run[c.gammaInsert(graph.U(e))] = uint32(i) + 1
+			}
+			c.second[i] = uint32(c.gammaInsert(graph.V(e)))
+			prev = e
+			i++
 		}
-		c.second[i] = uint32(c.gammaInsert(graph.V(e)))
-		prev = e
 	}
 	return c
 }

@@ -3,7 +3,6 @@ package trienum
 import (
 	"slices"
 
-	"repro/internal/emio"
 	"repro/internal/emsort"
 	"repro/internal/extmem"
 	"repro/internal/graph"
@@ -263,7 +262,7 @@ func (o *oblivious) partition(lo, hi int64, keep func(e, a extmem.Word) bool) in
 			back--
 		}
 	}
-	emio.Copy(seg, scrE)
-	emio.Copy(annSeg, scrA)
+	scrE.CopyTo(seg)
+	scrA.CopyTo(annSeg)
 	return front
 }

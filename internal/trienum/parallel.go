@@ -297,7 +297,7 @@ func compactBelow(sp *extmem.Space, work extmem.Extent, r0 uint32) int64 {
 	kept := emio.Filter(w, work, func(e extmem.Word) bool {
 		return graph.V(e) < r0
 	})
-	emio.Copy(work.Prefix(kept), scratch.Prefix(kept))
+	scratch.Prefix(kept).CopyTo(work.Prefix(kept))
 	return kept
 }
 
